@@ -2,7 +2,8 @@
 
    Subcommands:
      gen      generate a graph (random model or classic family) to a file
-     solve    bisect a graph file with any of the six algorithms
+     solve    bisect a graph file with any registered algorithm (Gbisect.Algo)
+     race     race a portfolio of algorithms on one graph, keep the best cut
      kway     k-way partition by recursive bisection
      netlist  bisect a hypergraph netlist (true net-cut objective)
      table    regenerate one of the paper's tables (see `table --list`)
@@ -12,6 +13,7 @@
      lint     determinism & domain-safety static analysis of OCaml sources
      serve    long-running bisection daemon on a Unix/TCP socket (SERVING.md)
      bombard  deterministic load generator for a running serve daemon
+     scale    one multi-million-edge solve: throughput and peak RSS
 
    Graphs travel in the edge-list format of Gbisect.Graph_io; METIS
    files are auto-detected by the `.graph` extension. *)
@@ -175,21 +177,31 @@ let gen_cmd =
 (* ------------------------------------------------------------------ *)
 (* solve                                                               *)
 
+(* The one algorithm converter: ids, the "multilevel" alias and the
+   help lists all come from the registry. *)
 let parse_algorithm s =
-  match String.lowercase_ascii s with
-  | "kl" -> Ok `Kl
-  | "sa" -> Ok `Sa
-  | "ckl" -> Ok `Ckl
-  | "csa" -> Ok `Csa
-  | "fm" -> Ok `Fm
-  | "mlkl" | "multilevel" -> Ok `Multilevel
-  | "mlfm" -> Ok `Mlfm
-  | "xsa" -> Ok `Xsa
-  | _ -> Error (`Msg (Printf.sprintf "unknown algorithm %S" s))
+  match Gbisect.Algo.of_id s with
+  | Some a -> Ok a
+  | None -> Error (`Msg (Printf.sprintf "unknown algorithm %S" s))
 
 let algorithm_conv =
-  let print fmt a = Format.pp_print_string fmt (Gbisect.algorithm_name a) in
+  let print fmt a = Format.pp_print_string fmt (Gbisect.Algo.id a) in
   Arg.conv (parse_algorithm, print)
+
+let algorithm_ids = String.concat ", " Gbisect.Algo.ids
+
+(* The V-cycle flags of solve and scale, defaulting to the registry's
+   settings. Each command offers a subset; the rest keep the default. *)
+let ml_flag name field doc =
+  Arg.(value & opt int (field Gbisect.Algo.default_ml) & info [ name ] ~docv:"INT" ~doc)
+
+let ml_min_vertices =
+  ml_flag "ml-min-vertices" (fun m -> m.min_vertices)
+    "Multilevel (mlkl/mlfm): stop coarsening below this many vertices."
+
+let ml_max_levels =
+  ml_flag "ml-max-levels" (fun m -> m.max_levels)
+    "Multilevel (mlkl/mlfm): maximum coarsening depth."
 
 let solve_cmd =
   let file =
@@ -197,35 +209,22 @@ let solve_cmd =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"GRAPH" ~doc)
   in
   let algorithm =
-    let doc = "Algorithm: kl, sa, ckl, csa, fm, mlkl, mlfm, xsa." in
+    let doc = "Algorithm: " ^ algorithm_ids ^ "." in
     Arg.(value & opt algorithm_conv `Ckl & info [ "a"; "algorithm" ] ~docv:"ALGO" ~doc)
   in
   let starts =
     let doc = "Number of random starts (best is kept)." in
     Arg.(value & opt int 2 & info [ "starts" ] ~docv:"INT" ~doc)
   in
-  let ml_min_vertices =
-    let doc = "Multilevel (mlkl/mlfm): stop coarsening below this many vertices." in
-    Arg.(
-      value
-      & opt int Gbisect.default_ml_config.Gbisect.min_vertices
-      & info [ "ml-min-vertices" ] ~docv:"INT" ~doc)
-  in
-  let ml_max_levels =
-    let doc = "Multilevel (mlkl/mlfm): maximum coarsening depth." in
-    Arg.(
-      value
-      & opt int Gbisect.default_ml_config.Gbisect.max_levels
-      & info [ "ml-max-levels" ] ~docv:"INT" ~doc)
-  in
-  let ml_coarse_starts =
-    let doc =
-      "Multilevel (mlkl/mlfm): best-of-k initial partitions at the coarsest level."
+  let ml =
+    let coarse_starts =
+      ml_flag "ml-coarse-starts" (fun m -> m.coarse_starts)
+        "Multilevel (mlkl/mlfm): best-of-k initial partitions at the coarsest level."
     in
-    Arg.(
-      value
-      & opt int Gbisect.default_ml_config.Gbisect.coarse_starts
-      & info [ "ml-coarse-starts" ] ~docv:"INT" ~doc)
+    let ml min_vertices max_levels coarse_starts =
+      { Gbisect.Algo.default_ml with min_vertices; max_levels; coarse_starts }
+    in
+    Term.(const ml $ ml_min_vertices $ ml_max_levels $ coarse_starts)
   in
   let max_rss =
     let doc =
@@ -238,19 +237,11 @@ let solve_cmd =
     let doc = "Also write a DOT rendering with the cut highlighted." in
     Arg.(value & opt (some string) None & info [ "dot" ] ~docv:"FILE" ~doc)
   in
-  let run file algorithm starts ml_min_vertices ml_max_levels ml_coarse_starts max_rss seed
-      dot trace metrics jobs =
+  let run file algorithm starts ml max_rss seed dot trace metrics jobs =
     runtime_guard @@ fun () ->
     apply_jobs jobs;
     let graph = read_graph file in
     let rng = Gbisect.Rng.create ~seed in
-    let ml =
-      {
-        Gbisect.min_vertices = ml_min_vertices;
-        max_levels = ml_max_levels;
-        coarse_starts = ml_coarse_starts;
-      }
-    in
     let result =
       with_obs ~trace ~metrics (fun () -> Gbisect.solve ~algorithm ~starts ~ml rng graph)
     in
@@ -265,7 +256,7 @@ let solve_cmd =
     | _ -> ());
     let bisection = result.Gbisect.bisection in
     Printf.printf "%s on %s: cut %d (%d+%d vertices), %.3fs\n"
-      (Gbisect.algorithm_name algorithm)
+      (Gbisect.Algo.name algorithm)
       file
       (Gbisect.Bisection.cut bisection)
       (fst (Gbisect.Bisection.counts bisection))
@@ -286,9 +277,8 @@ let solve_cmd =
   let info = Cmd.info "solve" ~doc:"Bisect a graph file." in
   Cmd.v info
     Term.(
-      const run $ file $ algorithm $ starts $ ml_min_vertices $ ml_max_levels
-      $ ml_coarse_starts $ max_rss $ seed_term $ dot $ trace_term $ metrics_term
-      $ jobs_term)
+      const run $ file $ algorithm $ starts $ ml $ max_rss $ seed_term $ dot $ trace_term
+      $ metrics_term $ jobs_term)
 
 (* ------------------------------------------------------------------ *)
 (* race                                                                *)
@@ -300,15 +290,12 @@ let race_cmd =
   in
   let portfolio =
     let doc =
-      "Comma-separated backends to race (kl, sa, ckl, csa, fm, mlkl, mlfm, xsa). \
-       The list order is the tie-break order: equal cuts go to the earliest \
+      "Comma-separated backends to race (" ^ algorithm_ids
+      ^ "). The list order is the tie-break order: equal cuts go to the earliest \
        backend, never to wall-clock, so the output is byte-identical at any \
        --jobs value."
     in
-    let default =
-      String.concat ","
-        (List.map Gbisect.Serve_protocol.algorithm_id Gbisect.default_portfolio)
-    in
+    let default = String.concat "," (List.map Gbisect.Algo.id Gbisect.default_portfolio) in
     Arg.(value & opt string default & info [ "portfolio" ] ~docv:"LIST" ~doc)
   in
   let starts =
@@ -379,22 +366,14 @@ let kway_cmd =
     Arg.(value & opt int 4 & info [ "k" ] ~docv:"INT" ~doc)
   in
   let algorithm =
-    let doc = "Per-level bisection solver: kl, ckl, fm, mlkl, mlfm, xsa." in
-    Arg.(value & opt string "ckl" & info [ "a"; "algorithm" ] ~docv:"ALGO" ~doc)
+    let doc = "Per-level bisection solver: " ^ algorithm_ids ^ "." in
+    Arg.(value & opt algorithm_conv `Ckl & info [ "a"; "algorithm" ] ~docv:"ALGO" ~doc)
   in
   let run file k algorithm seed =
     runtime_guard @@ fun () ->
     let graph = read_graph file in
-    let solver =
-      match String.lowercase_ascii algorithm with
-      | "kl" -> Gbisect.Kway.of_algorithm `Kl
-      | "ckl" -> Gbisect.Kway.of_algorithm `Ckl
-      | "fm" -> Gbisect.Kway.of_algorithm `Fm
-      | "mlkl" | "multilevel" -> Gbisect.Kway.of_algorithm `Multilevel
-      | "mlfm" -> Gbisect.Kway.of_algorithm `Mlfm
-      | "xsa" -> Gbisect.Kway.of_algorithm `Xsa
-      | other -> failwith (Printf.sprintf "unknown solver %S" other)
-    in
+    let entry = Gbisect.Algo.find algorithm in
+    let solver rng g = Gbisect.Bisection.sides (entry.run rng g).bisection in
     let rng = Gbisect.Rng.create ~seed in
     let result = Gbisect.Kway.partition ~k ~solver rng graph in
     Gbisect.Kway.validate graph result;
@@ -765,24 +744,27 @@ let scale_cmd =
     Arg.(
       value & opt (some (pair ~sep:'x' int int)) None & info [ "grid" ] ~docv:"RxC" ~doc)
   in
+  let scale_ids =
+    List.filter_map
+      (fun (e : Gbisect.Algo.entry) ->
+        Option.map (fun _ -> e.id) (Gbisect.Scale_suite.of_registry e.algorithm))
+      Gbisect.Algo.all
+    |> String.concat ", "
+  in
   let algorithm_term =
-    let doc = "Solver: mlkl, mlfm, fm, kl." in
-    Arg.(value & opt string "mlfm" & info [ "a"; "algorithm" ] ~docv:"ALGO" ~doc)
+    let doc = "Solver: " ^ scale_ids ^ "." in
+    Arg.(value & opt algorithm_conv `Mlfm & info [ "a"; "algorithm" ] ~docv:"ALGO" ~doc)
   in
-  let ml_min_vertices_term =
-    let doc = "Multilevel coarsening floor." in
-    Arg.(value & opt int 64 & info [ "ml-min-vertices" ] ~docv:"INT" ~doc)
-  in
-  let ml_max_levels_term =
-    let doc = "Multilevel maximum coarsening depth." in
-    Arg.(value & opt int 20 & info [ "ml-max-levels" ] ~docv:"INT" ~doc)
-  in
-  let refine_passes_term =
-    let doc =
-      "Per-level refinement pass cap for the multilevel solvers (unbounded \
-       refinement is superlinear in the instance size for <2% extra cut)."
+  let ml_term =
+    let refine_passes =
+      ml_flag "refine-passes" (fun m -> m.refine_passes)
+        "Per-level refinement pass cap for the multilevel solvers (unbounded \
+         refinement is superlinear in the instance size for <2% extra cut)."
     in
-    Arg.(value & opt int 4 & info [ "refine-passes" ] ~docv:"INT" ~doc)
+    let ml min_vertices max_levels refine_passes =
+      { Gbisect.Algo.default_ml with min_vertices; max_levels; refine_passes }
+    in
+    Term.(const ml $ ml_min_vertices $ ml_max_levels $ refine_passes)
   in
   let max_rss_term =
     let doc = "Fail (exit 1) if peak RSS exceeds this many mebibytes." in
@@ -799,18 +781,18 @@ let scale_cmd =
     let doc = "Print the artifact as one-line JSON on stdout instead of a summary." in
     Arg.(value & flag & info [ "json" ] ~doc)
   in
-  let run n degree grid algorithm ml_min_vertices ml_max_levels refine_passes max_rss
-      out json seed =
+  let run n degree grid algorithm (ml : Gbisect.Algo.ml) max_rss out json seed =
     let algorithm =
-      match Gbisect.Scale_suite.algorithm_of_id algorithm with
+      match Gbisect.Scale_suite.of_registry algorithm with
       | Some a -> a
       | None ->
           usage_error
-            (Printf.sprintf "unknown algorithm %S (mlkl mlfm fm kl)" algorithm)
+            (Printf.sprintf "algorithm %S does not scale (%s)" (Gbisect.Algo.id algorithm)
+               scale_ids)
     in
     if n < 2 then usage_error "--n expects at least 2 vertices";
     if degree <= 0. then usage_error "--degree expects a positive average degree";
-    if refine_passes < 1 then usage_error "--refine-passes expects at least 1";
+    if ml.refine_passes < 1 then usage_error "--refine-passes expects at least 1";
     runtime_guard @@ fun () ->
     (* lint: allow no-wall-clock — throughput needs the real clock; installed once at startup *)
     Gbisect.Obs.Clock.set Unix.gettimeofday;
@@ -819,10 +801,7 @@ let scale_cmd =
       | Some (rows, cols) -> Gbisect.Scale_suite.Grid { rows; cols }
       | None -> Gbisect.Scale_suite.Gnp { n; avg_degree = degree }
     in
-    let result =
-      Gbisect.Scale_suite.run ~ml_min_vertices ~ml_max_levels ~refine_passes ~algorithm
-        ~seed model
-    in
+    let result = Gbisect.Scale_suite.run ~ml ~algorithm ~seed model in
     (match out with
     | None -> ()
     | Some path ->
@@ -853,9 +832,8 @@ let scale_cmd =
   in
   Cmd.v info
     Term.(
-      const run $ n_term $ degree_term $ grid_term $ algorithm_term
-      $ ml_min_vertices_term $ ml_max_levels_term $ refine_passes_term $ max_rss_term
-      $ out_term $ json_term $ seed_term)
+      const run $ n_term $ degree_term $ grid_term $ algorithm_term $ ml_term
+      $ max_rss_term $ out_term $ json_term $ seed_term)
 
 (* ------------------------------------------------------------------ *)
 (* lint                                                                *)

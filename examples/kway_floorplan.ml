@@ -9,21 +9,23 @@
 
    Run with:  dune exec examples/kway_floorplan.exe *)
 
+(* Any registered algorithm is a k-way solver: keep its side array. *)
+let solver algorithm rng g =
+  Gbisect.Bisection.sides ((Gbisect.Algo.find algorithm).run rng g).bisection
+
 let describe name graph ~k rng =
   Format.printf "%s into %d regions:@." name k;
   List.iter
-    (fun (solver_name, algorithm) ->
-      let result =
-        Gbisect.Kway.partition ~k ~solver:(Gbisect.Kway.of_algorithm algorithm) rng graph
-      in
+    (fun algorithm ->
+      let result = Gbisect.Kway.partition ~k ~solver:(solver algorithm) rng graph in
       Gbisect.Kway.validate graph result;
       let sizes = Gbisect.Kway.part_sizes result in
       Format.printf "  %-5s total cut %4d  (levels: %s; region sizes %d..%d)@."
-        solver_name result.Gbisect.Kway.total_cut
+        (Gbisect.Algo.name algorithm) result.Gbisect.Kway.total_cut
         (String.concat "+" (List.map string_of_int result.Gbisect.Kway.level_cuts))
         (Array.fold_left min max_int sizes)
         (Array.fold_left max 0 sizes))
-    [ ("KL", `Kl); ("CKL", `Ckl); ("FM", `Fm); ("MLKL", `Multilevel) ]
+    [ `Kl; `Ckl; `Fm; `Multilevel ]
 
 let () =
   let rng = Gbisect.Rng.create ~seed:26 in
@@ -41,9 +43,7 @@ let () =
      regions 0..3 of the grid should map to spatial quadrants. Count
      how pure each quadrant of the actual grid is under the KL flow. *)
   let graph = Gbisect.Classic.grid_of_side 32 in
-  let result =
-    Gbisect.Kway.partition ~k:4 ~solver:(Gbisect.Kway.of_algorithm `Kl) rng graph
-  in
+  let result = Gbisect.Kway.partition ~k:4 ~solver:(solver `Kl) rng graph in
   let majority = Hashtbl.create 4 in
   for r = 0 to 31 do
     for c = 0 to 31 do

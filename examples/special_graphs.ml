@@ -18,7 +18,7 @@ let report name graph ~optimal rng =
     (fun algorithm ->
       let result = Gbisect.solve ~algorithm ~starts:2 rng graph in
       Format.printf "  %-4s cut %4d  (%.3fs)@."
-        (Gbisect.algorithm_name algorithm)
+        (Gbisect.Algo.name algorithm)
         (Gbisect.Bisection.cut result.Gbisect.bisection)
         result.Gbisect.seconds)
     algorithms

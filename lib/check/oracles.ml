@@ -18,6 +18,7 @@ module Sa_bisect = Gb_anneal.Sa_bisect
 module Threshold = Gb_anneal.Threshold
 module Compaction = Gb_compaction.Compaction
 module Xsa = Gb_race.Xsa
+module Algo = Gb_algo.Algo
 module Json = Gb_obs.Json
 module Telemetry = Gb_obs.Telemetry
 module Store = Gb_store.Store
@@ -99,44 +100,23 @@ let verify_run g b =
 
 (* Every end-to-end solver, with the final cut it reports in its own
    stats (when it reports one) so the differential "reported vs naive
-   recompute" comparison catches stale accounting. *)
+   recompute" comparison catches stale accounting: the whole registry,
+   plus the two solvers only the tables use. *)
 let solvers : (string * (Rng.t -> Csr.t -> Bisection.t * int option)) list =
-  [
-    ( "kl",
-      fun rng g ->
-        let b, s = Kl.run rng g in
-        (b, Some s.Kl.final_cut) );
-    ( "fm",
-      fun rng g ->
-        let b, s = Fm.run rng g in
-        (b, Some s.Fm.final_cut) );
-    ( "sa",
-      fun rng g ->
-        let b, s = Sa_bisect.run ~config:quick_sa rng g in
-        (b, Some s.Sa_bisect.final_cut) );
-    ( "threshold",
-      fun rng g ->
-        let b, _ = Threshold.run ~schedule:quick_threshold rng g in
-        (b, None) );
-    ( "ckl",
-      fun rng g ->
-        let b, s = Compaction.ckl rng g in
-        (b, Some s.Compaction.final_cut) );
-    ( "csa",
-      fun rng g ->
-        let b, s = Compaction.csa ~config:quick_sa rng g in
-        (b, Some s.Compaction.final_cut) );
-    ("spectral", fun _rng g -> (Spectral.bisect g, None));
-    ("xsa", fun rng g -> (fst (Xsa.run ~config:quick_xsa rng g), None));
-    ( "multilevel-kl",
-      fun rng g ->
-        let b, s = Compaction.recursive ~refiner:(Compaction.kl_refiner ()) rng g in
-        (b, Some s.Compaction.final_cut) );
-    ( "multilevel-fm",
-      fun rng g ->
-        let b, s = Compaction.recursive ~refiner:(Compaction.fm_refiner ()) rng g in
-        (b, Some s.Compaction.final_cut) );
-  ]
+  List.map
+    (fun (e : Algo.entry) ->
+      ( e.id,
+        fun rng g ->
+          let o = e.run ~sa:quick_sa ~xsa:quick_xsa rng g in
+          (o.bisection, o.final_cut) ))
+    Algo.all
+  @ [
+      ( "threshold",
+        fun rng g ->
+          let b, _ = Threshold.run ~schedule:quick_threshold rng g in
+          (b, None) );
+      ("spectral", fun _rng g -> (Spectral.bisect g, None));
+    ]
 
 let solver_cut rng g =
   let exact =
@@ -743,9 +723,7 @@ let codec_roundtrip rng g =
 let serve_codec rng g =
   let module P = Serve_protocol in
   let gen_id rng = if Rng.bool rng then Some (gen_string rng) else None in
-  let algorithms : P.algorithm array =
-    [| `Kl; `Sa; `Ckl; `Csa; `Fm; `Multilevel; `Mlfm |]
-  in
+  let algorithms = Array.of_list (List.map (fun (e : Algo.entry) -> e.algorithm) Algo.all) in
   let codes =
     [| P.Bad_request; P.Unsupported; P.Too_large; P.Overloaded; P.Shutting_down;
        P.Internal |]

@@ -47,20 +47,6 @@ let partition ~k ~solver rng g =
   in
   { parts; k; total_cut; level_cuts = List.rev !level_cuts }
 
-let of_algorithm algorithm : solver =
- fun rng g ->
-  match algorithm with
-  | `Kl -> Bisection.sides (fst (Gb_kl.Kl.run rng g))
-  | `Ckl -> Bisection.sides (fst (Compaction.ckl rng g))
-  | `Fm -> Bisection.sides (fst (Gb_kl.Fm.run rng g))
-  | `Multilevel ->
-      Bisection.sides
-        (fst (Compaction.recursive ~refiner:(Compaction.kl_refiner ()) rng g))
-  | `Mlfm ->
-      Bisection.sides
-        (fst (Compaction.recursive ~refiner:(Compaction.fm_refiner ()) rng g))
-  | `Xsa -> Bisection.sides (fst (Gb_race.Xsa.run rng g))
-
 let part_sizes r =
   let sizes = Array.make r.k 0 in
   Array.iter (fun p -> sizes.(p) <- sizes.(p) + 1) r.parts;

@@ -15,7 +15,8 @@
 
 type solver = Gb_prng.Rng.t -> Gb_graph.Csr.t -> int array
 (** A complete bisection solver: graph in, balanced side array out.
-    Use {!of_algorithm} for the standard ones. *)
+    Any entry of the algorithm registry ([Gb_algo.Algo.all]) gives
+    one: [fun rng g -> Bisection.sides (e.run rng g).bisection]. *)
 
 type result = {
   parts : int array;  (** [parts.(v)] in [0 .. k-1]. *)
@@ -29,12 +30,6 @@ val partition : k:int -> solver:solver -> Gb_prng.Rng.t -> Gb_graph.Csr.t -> res
 (** [partition ~k ~solver rng g].
     @raise Invalid_argument unless [k] is a power of two, [>= 1], and
     at most [Csr.n_vertices g] (for non-empty graphs). *)
-
-val of_algorithm :
-  [ `Kl | `Ckl | `Fm | `Multilevel | `Mlfm | `Xsa ] -> solver
-(** Deterministic-ish standard solvers (plain SA works too but is slow
-    at depth; wire {!Compaction.sa_refiner} through a custom solver if
-    wanted — [`Xsa] is the tempered ensemble from {!Gb_race.Xsa}). *)
 
 val part_sizes : result -> int array
 val validate : Gb_graph.Csr.t -> result -> unit

@@ -70,6 +70,10 @@ module Race = Gb_race.Race
 (** Deterministic algorithm portfolio racing — the engine behind
     {!race} and [gbisect race]. *)
 
+module Algo = Gb_algo.Algo
+(** The algorithm registry: wire id, display name and implementation
+    of every algorithm, plus the best-of-starts {!Algo.solve} behind
+    {!solve}, {!race} and the serving daemon. *)
 
 (** {1 Hypergraphs (VLSI netlists; extension)} *)
 
@@ -192,32 +196,9 @@ module Scale_suite = Gb_experiments.Scale_suite
 
 (** {1 One-call interface} *)
 
-type algorithm =
-  [ `Kl  (** Kernighan-Lin *)
-  | `Sa  (** simulated annealing *)
-  | `Ckl  (** compacted KL — the paper's winner on sparse graphs *)
-  | `Csa  (** compacted SA *)
-  | `Fm  (** Fiduccia-Mattheyses (extension) *)
-  | `Multilevel  (** recursive compaction over KL (extension) *)
-  | `Mlfm
-    (** recursive compaction over FM — linear-time passes, the
-        refiner of choice on million-edge instances (extension) *)
-  | `Xsa
-    (** replica-exchange SA — K tempered chains with deterministic
-        seed-derived swap schedules, run on the ambient {!Pool}
-        (extension; see {!Xsa}) *) ]
-
-val algorithm_name : algorithm -> string
-
-type ml_config = { min_vertices : int; max_levels : int; coarse_starts : int }
-(** Knobs of the multilevel V-cycle ([`Multilevel] and [`Mlfm]):
-    coarsening floor, maximum coarsening depth, and best-of-k initial
-    partitions at the coarsest level. See
-    {!Gb_compaction.Compaction.recursive}. *)
-
-val default_ml_config : ml_config
-(** [{ min_vertices = 64; max_levels = 20; coarse_starts = 1 }] — the
-    defaults of {!Gb_compaction.Compaction.recursive}. *)
+type algorithm = Algo.t
+(** The registered algorithms — see {!Algo.all} for ids, display names
+    and implementations. *)
 
 type result = {
   bisection : Gb_partition.Bisection.t;
@@ -231,7 +212,7 @@ type result = {
 val solve :
   ?algorithm:algorithm ->
   ?starts:int ->
-  ?ml:ml_config ->
+  ?ml:Algo.ml ->
   Gb_prng.Rng.t ->
   Gb_graph.Csr.t ->
   result
@@ -239,13 +220,9 @@ val solve :
     the paper's protocol) runs of [algorithm] (default [`Ckl] — the
     paper's recommendation for graphs of average degree <= 4, and a
     sound default everywhere: compaction never hurt quality in its
-    experiments).
-
-    The starts run on the ambient {!Pool} ([--jobs]): each start [i]
-    gets the stream [Rng.substream ~base i] where [base] is drawn from
-    [rng] with {!Gb_prng.Rng.derive_seed}, and equal cuts resolve to
-    the lowest start index — so the chosen bisection is bit-identical
-    at every job count.
+    experiments), timed around {!Algo.solve}: the result is
+    bit-identical at every [--jobs] value, and equal to what the
+    serving daemon returns for the same job.
     @raise Invalid_argument if [starts < 1]. *)
 
 val default_portfolio : algorithm list
@@ -255,7 +232,7 @@ val default_portfolio : algorithm list
 val race :
   ?portfolio:algorithm list ->
   ?starts:int ->
-  ?ml:ml_config ->
+  ?ml:Algo.ml ->
   Gb_prng.Rng.t ->
   Gb_graph.Csr.t ->
   Gb_race.Race.outcome

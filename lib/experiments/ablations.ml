@@ -48,7 +48,7 @@ let averaged profile name run_variant make =
   (Table.mean cuts, Table.mean secs)
 
 let matching_policy profile =
-  let kl = Compaction.kl_refiner ~config:profile.Profile.kl_config () in
+  let kl = Compaction.kl_refiner () in
   let variant policy rng g = fst (Compaction.bisect ~policy ~refiner:kl rng g) in
   let rows =
     List.map
@@ -71,10 +71,10 @@ let matching_policy profile =
     rows
 
 let recursion_depth profile =
-  let kl = Compaction.kl_refiner ~config:profile.Profile.kl_config () in
+  let kl = Compaction.kl_refiner () in
   let one_shot rng g = fst (Compaction.bisect ~refiner:kl rng g) in
   let multilevel rng g = fst (Compaction.recursive ~refiner:kl rng g) in
-  let plain rng g = fst (Gb_kl.Kl.run ~config:profile.Profile.kl_config rng g) in
+  let plain rng g = fst (Gb_kl.Kl.run rng g) in
   let rows =
     List.map
       (fun (name, b, make) ->

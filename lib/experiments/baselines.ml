@@ -45,8 +45,8 @@ let spectral_table profile =
           in
           record 0 (fun () -> Spectral.bisect g);
           record 1 (fun () -> Spectral.bisect_refined ~refine:kl_refine g);
-          record 2 (fun () -> fst (Gb_kl.Kl.run ~config:profile.Profile.kl_config rng g));
-          record 3 (fun () -> fst (Gb_compaction.Compaction.ckl ~config:profile.Profile.kl_config rng g))
+          record 2 (fun () -> fst (Gb_kl.Kl.run rng g));
+          record 3 (fun () -> fst (Gb_compaction.Compaction.ckl rng g))
         done;
         let k = float_of_int replicates in
         [

@@ -25,11 +25,11 @@ let record_of profile rng algorithm g =
 
 let kl_passes profile =
   let g, b, rng = instance profile in
-  let flat = series "kl.pass" (record_of profile rng Runner.Kl g) in
+  let flat = series "kl.pass" (record_of profile rng `Kl g) in
   (* CKL runs KL twice — on the contracted graph, then on the original
      from the projected start — so its "kl.pass" trajectory shows the
      coarse passes followed by the (few) fine ones. *)
-  let compacted = series "kl.pass" (record_of profile rng Runner.Ckl g) in
+  let compacted = series "kl.pass" (record_of profile rng `Ckl g) in
   Ascii_chart.render
     ~title:
       (Printf.sprintf
@@ -42,7 +42,7 @@ let kl_passes profile =
 
 let sa_temperatures profile =
   let g, b, rng = instance profile in
-  let costs = series "sa.plateau" (record_of profile rng Runner.Sa g) in
+  let costs = series "sa.plateau" (record_of profile rng `Sa g) in
   Ascii_chart.render
     ~title:
       (Printf.sprintf
@@ -52,7 +52,7 @@ let sa_temperatures profile =
 
 let multilevel_levels profile =
   let g, b, rng = instance profile in
-  let cuts = series "compaction.level" (record_of profile rng Runner.Multilevel_kl g) in
+  let cuts = series "compaction.level" (record_of profile rng `Multilevel g) in
   Ascii_chart.render
     ~title:
       (Printf.sprintf

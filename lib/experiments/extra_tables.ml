@@ -108,21 +108,14 @@ let netlist_table profile =
             record 0 (Hgraph.cut_size h side) t;
             (* 1: clique expansion + KL *)
             let clique = Expansion.clique h in
-            let (b, _), t =
-              timed (fun () -> Gb_kl.Kl.run ~config:profile.Profile.kl_config rng clique)
-            in
+            let (b, _), t = timed (fun () -> Gb_kl.Kl.run rng clique) in
             record 1 (Hgraph.cut_size h (Bisection.sides b)) t;
             (* 2: clique expansion + CKL *)
-            let (b, _), t =
-              timed (fun () ->
-                  Gb_compaction.Compaction.ckl ~config:profile.Profile.kl_config rng clique)
-            in
+            let (b, _), t = timed (fun () -> Gb_compaction.Compaction.ckl rng clique) in
             record 2 (Hgraph.cut_size h (Bisection.sides b)) t;
             (* 3: star expansion + KL, cells rebalanced *)
             let star, _cells = Expansion.star h in
-            let (b, _), t =
-              timed (fun () -> Gb_kl.Kl.run ~config:profile.Profile.kl_config rng star)
-            in
+            let (b, _), t = timed (fun () -> Gb_kl.Kl.run rng star) in
             let cells = Expansion.star_cells_only h (Bisection.sides b) in
             let cells = Bisection.rebalance clique cells in
             record 3 (Hgraph.cut_size h cells) t;
@@ -204,8 +197,8 @@ let geometric_table profile =
             let g, points = Geometric.generate_with_points rng ~n:two_n ~radius in
             cuts.(0) <- float_of_int (Geometric.strip_cut g points);
             let record i bisection = cuts.(i) <- float_of_int (Bisection.cut bisection) in
-            record 1 (fst (Gb_kl.Kl.run ~config:profile.Profile.kl_config rng g));
-            record 2 (fst (Gb_compaction.Compaction.ckl ~config:profile.Profile.kl_config rng g));
+            record 1 (fst (Gb_kl.Kl.run rng g));
+            record 2 (fst (Gb_compaction.Compaction.ckl rng g));
             record 3
               (fst
                  (Gb_anneal.Sa_bisect.run
@@ -217,7 +210,7 @@ let geometric_table profile =
             record 4
               (fst
                  (Gb_compaction.Compaction.recursive
-                    ~refiner:(Gb_compaction.Compaction.kl_refiner ~config:profile.Profile.kl_config ())
+                    ~refiner:(Gb_compaction.Compaction.kl_refiner ())
                     rng g));
             cuts
           in

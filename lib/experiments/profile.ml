@@ -4,7 +4,6 @@ type t = {
   starts : int;
   replicates : int;
   sa_schedule : Gb_anneal.Schedule.t;
-  kl_config : Gb_kl.Kl.config;
   master_seed : int;
 }
 
@@ -15,7 +14,6 @@ let smoke =
     starts = 1;
     replicates = 1;
     sa_schedule = Gb_anneal.Schedule.quick;
-    kl_config = Gb_kl.Kl.default_config;
     master_seed = 19890626; (* DAC'89 *)
   }
 
@@ -49,7 +47,9 @@ let scaled p n =
    fingerprints may share cached cells, two with different ones never
    collide. [scale] is a function, so it is fingerprinted by probing
    the paper's instance sizes (every table derives its size from one of
-   these probes via [scaled]). *)
+   these probes via [scaled]). Every table runs KL with its default
+   config, printed as the "kl=" field so stores written when that was a
+   profile setting still hit. *)
 let fingerprint p =
   let sched = p.sa_schedule in
   let initial =
@@ -64,7 +64,7 @@ let fingerprint p =
     sched.Gb_anneal.Schedule.size_factor sched.Gb_anneal.Schedule.cutoff
     sched.Gb_anneal.Schedule.min_acceptance sched.Gb_anneal.Schedule.frozen_after
     sched.Gb_anneal.Schedule.min_temperature sched.Gb_anneal.Schedule.max_temperatures
-    p.kl_config.Gb_kl.Kl.max_passes p.kl_config.Gb_kl.Kl.until_no_improvement
+    Gb_kl.Kl.default_config.max_passes Gb_kl.Kl.default_config.until_no_improvement
 
 let by_name = function
   | "smoke" -> Some smoke

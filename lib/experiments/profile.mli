@@ -26,7 +26,6 @@ type t = {
           7 for Gnp, 1 elsewhere); families multiply this by their own
           factor. *)
   sa_schedule : Gb_anneal.Schedule.t;
-  kl_config : Gb_kl.Kl.config;
   master_seed : int;
 }
 
@@ -40,8 +39,9 @@ val scaled : t -> int -> int
 val fingerprint : t -> string
 (** Canonical rendering of every profile field that can change an
     experiment cell's value (name, master seed, starts, probed scale,
-    the full SA schedule, the KL config). Result-store keys embed it so
-    cached cells are never reused across incompatible configurations. *)
+    the full SA schedule), plus the default KL config every table
+    uses. Result-store keys embed it so cached cells are never reused
+    across incompatible configurations. *)
 
 val by_name : string -> t option
 (** ["smoke" | "quick" | "paper"/"full"]. *)

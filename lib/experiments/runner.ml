@@ -3,96 +3,18 @@ module Csr = Gb_graph.Csr
 module Bisection = Gb_partition.Bisection
 module Obs = Gb_obs
 module Pool = Gb_par.Pool
+module Algo = Gb_algo.Algo
 
-type algorithm = Sa | Csa | Kl | Ckl | Fm | Multilevel_kl
-
-let name = function
-  | Sa -> "SA"
-  | Csa -> "CSA"
-  | Kl -> "KL"
-  | Ckl -> "CKL"
-  | Fm -> "FM"
-  | Multilevel_kl -> "MLKL"
-
-let of_name s =
-  match String.lowercase_ascii s with
-  | "sa" -> Some Sa
-  | "csa" -> Some Csa
-  | "kl" -> Some Kl
-  | "ckl" -> Some Ckl
-  | "fm" -> Some Fm
-  | "mlkl" | "multilevel" -> Some Multilevel_kl
-  | _ -> None
-
-let paper_four = [ Sa; Csa; Kl; Ckl ]
+let paper_four : Algo.t list = [ `Sa; `Csa; `Kl; `Ckl ]
 
 type run = { cut : int; seconds : float; balanced : bool }
 
-let sa_config (profile : Profile.t) =
-  { Gb_anneal.Sa_bisect.default_config with schedule = profile.Profile.sa_schedule }
-
-(* Run the algorithm and return the bisection together with its
-   algorithm-specific final stats, flattened for the telemetry record. *)
-let run_algorithm profile rng algorithm g =
-  let open Obs.Json in
-  let sa_detail (s : Gb_anneal.Sa_bisect.stats) =
-    let sa = s.Gb_anneal.Sa_bisect.sa in
-    [
-      ("temperatures", Int sa.Gb_anneal.Sa.temperatures);
-      ("attempted", Int sa.Gb_anneal.Sa.attempted);
-      ("accepted", Int sa.Gb_anneal.Sa.accepted);
-      ("uphill_accepted", Int sa.Gb_anneal.Sa.uphill_accepted);
-      ("initial_temperature", Float sa.Gb_anneal.Sa.initial_temperature);
-      ("final_temperature", Float sa.Gb_anneal.Sa.final_temperature);
-      ("frozen", Bool sa.Gb_anneal.Sa.frozen);
-      ("best_was_snapshot", Bool s.Gb_anneal.Sa_bisect.best_was_snapshot);
-      ("initial_cut", Int s.Gb_anneal.Sa_bisect.initial_cut);
-    ]
-  in
-  let kl_detail (s : Gb_kl.Kl.stats) =
-    [
-      ("passes", Int s.Gb_kl.Kl.passes);
-      ("swaps", Int s.Gb_kl.Kl.swaps);
-      ("initial_cut", Int s.Gb_kl.Kl.initial_cut);
-    ]
-  in
-  let compaction_detail (s : Gb_compaction.Compaction.stats) =
-    [
-      ("levels", Int s.Gb_compaction.Compaction.levels);
-      ("coarse_vertices", Int s.Gb_compaction.Compaction.coarse_vertices);
-      ("coarse_cut", Int s.Gb_compaction.Compaction.coarse_cut);
-      ("projected_cut", Int s.Gb_compaction.Compaction.projected_cut);
-    ]
-  in
-  match algorithm with
-  | Sa ->
-      let b, s = Gb_anneal.Sa_bisect.run ~config:(sa_config profile) rng g in
-      (b, sa_detail s)
-  | Csa ->
-      let b, s = Gb_compaction.Compaction.csa ~config:(sa_config profile) rng g in
-      (b, compaction_detail s)
-  | Kl ->
-      let b, s = Gb_kl.Kl.run ~config:profile.Profile.kl_config rng g in
-      (b, kl_detail s)
-  | Ckl ->
-      let b, s = Gb_compaction.Compaction.ckl ~config:profile.Profile.kl_config rng g in
-      (b, compaction_detail s)
-  | Fm ->
-      let b, s = Gb_kl.Fm.run rng g in
-      ( b,
-        [
-          ("passes", Int s.Gb_kl.Fm.passes);
-          ("moves", Int s.Gb_kl.Fm.moves);
-          ("initial_cut", Int s.Gb_kl.Fm.initial_cut);
-        ] )
-  | Multilevel_kl ->
-      let b, s =
-        Gb_compaction.Compaction.recursive
-          ~refiner:
-            (Gb_compaction.Compaction.kl_refiner ~config:profile.Profile.kl_config ())
-          rng g
-      in
-      (b, compaction_detail s)
+(* One run with the profile's annealing schedule: the bisection and the
+   algorithm's final stats, flattened for the telemetry record. *)
+let run_algorithm (profile : Profile.t) rng algorithm g =
+  let sa = { Gb_anneal.Sa_bisect.default_config with schedule = profile.sa_schedule } in
+  let o = (Algo.find algorithm).run ~sa rng g in
+  (o.bisection, o.stats)
 
 let run_once_record ?(start = 0) ?collect profile rng algorithm g =
   (* Collecting a trajectory costs an allocation per pass/plateau, so
@@ -120,7 +42,7 @@ let run_once_record ?(start = 0) ?collect profile rng algorithm g =
   | Error msg ->
       failwith
         (Printf.sprintf "runner: %s result failed the cut oracle: %s"
-           (name algorithm) msg));
+           (Algo.name algorithm) msg));
   let cut = Bisection.cut bisection in
   let balanced = Bisection.is_balanced bisection in
   (* With Prof enabled, the trial's resource delta rides along in the
@@ -134,7 +56,7 @@ let run_once_record ?(start = 0) ?collect profile rng algorithm g =
   Obs.Trace.finish span "runner.trial"
     ~args:
       ([
-         ("algorithm", Obs.Json.String (name algorithm));
+         ("algorithm", Obs.Json.String (Algo.name algorithm));
          ("start", Obs.Json.Int start);
          ("cut", Obs.Json.Int cut);
          ("vertices", Obs.Json.Int (Csr.n_vertices g));
@@ -142,7 +64,7 @@ let run_once_record ?(start = 0) ?collect profile rng algorithm g =
       @ prof_fields);
   let record =
     {
-      Obs.Telemetry.algorithm = name algorithm;
+      Obs.Telemetry.algorithm = Algo.name algorithm;
       graph =
         (match Obs.Telemetry.context_graph () with
         | Some label -> label
@@ -226,10 +148,10 @@ let quad_of_json j =
   | _ -> None
 
 let paper_quad profile rng g =
-  let bsa = best_of_starts profile rng Sa g in
-  let bcsa = best_of_starts profile rng Csa g in
-  let bkl = best_of_starts profile rng Kl g in
-  let bckl = best_of_starts profile rng Ckl g in
+  let bsa = best_of_starts profile rng `Sa g in
+  let bcsa = best_of_starts profile rng `Csa g in
+  let bkl = best_of_starts profile rng `Kl g in
+  let bckl = best_of_starts profile rng `Ckl g in
   { bsa; bcsa; bkl; bckl }
 
 let averaged_quads quads =

@@ -7,18 +7,8 @@
     implements exactly that, with the start count taken from the
     profile. *)
 
-type algorithm =
-  | Sa  (** simulated annealing *)
-  | Csa  (** compacted simulated annealing *)
-  | Kl  (** Kernighan-Lin *)
-  | Ckl  (** compacted Kernighan-Lin *)
-  | Fm  (** Fiduccia-Mattheyses (extension) *)
-  | Multilevel_kl  (** recursive compaction over KL (extension) *)
-
-val name : algorithm -> string
-val of_name : string -> algorithm option
-val paper_four : algorithm list
-(** [\[Sa; Csa; Kl; Ckl\]] — the paper's column order. *)
+val paper_four : Gb_algo.Algo.t list
+(** [[`Sa; `Csa; `Kl; `Ckl]] — the paper's column order. *)
 
 type run = {
   cut : int;
@@ -26,8 +16,9 @@ type run = {
   balanced : bool;  (** Sanity flag; always [true] for correct algorithms. *)
 }
 
-val run_once : Profile.t -> Gb_prng.Rng.t -> algorithm -> Gb_graph.Csr.t -> run
-(** One run from one fresh random start, timed on {!Gb_obs.Clock}
+val run_once : Profile.t -> Gb_prng.Rng.t -> Gb_algo.Algo.t -> Gb_graph.Csr.t -> run
+(** One run of any registered algorithm from one fresh random start,
+    with the profile's annealing schedule, timed on {!Gb_obs.Clock}
     (wall-clock once the executable installs [Unix.gettimeofday]). The run is
     wrapped in a trace span and, when a telemetry writer is installed
     ({!Gb_obs.Telemetry.set_writer}), emits one telemetry record. *)
@@ -37,7 +28,7 @@ val run_once_record :
   ?collect:bool ->
   Profile.t ->
   Gb_prng.Rng.t ->
-  algorithm ->
+  Gb_algo.Algo.t ->
   Gb_graph.Csr.t ->
   run * Gb_obs.Telemetry.record
 (** Like {!run_once} but also returns the telemetry record: graph and
@@ -54,7 +45,7 @@ val run_once_record :
     are recomputed from scratch and a disagreement raises [Failure]
     (exit 1 through the CLI) instead of contaminating a table. *)
 
-val best_of_starts : Profile.t -> Gb_prng.Rng.t -> algorithm -> Gb_graph.Csr.t -> run
+val best_of_starts : Profile.t -> Gb_prng.Rng.t -> Gb_algo.Algo.t -> Gb_graph.Csr.t -> run
 (** Best cut over [profile.starts] runs; seconds are summed. Each
     trial is traced and telemetered individually with its start index.
 

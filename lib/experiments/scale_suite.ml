@@ -14,9 +14,9 @@ module Classic = Gb_graph.Classic
 module Bitset = Gb_graph.Bitset
 module Gnp = Gb_models.Gnp
 module Bisection = Gb_partition.Bisection
-module Compaction = Gb_compaction.Compaction
 module Obs = Gb_obs
 module Json = Gb_obs.Json
+module Algo = Gb_algo.Algo
 
 let schema_version = 1
 
@@ -24,15 +24,11 @@ type model = Gnp of { n : int; avg_degree : float } | Grid of { rows : int; cols
 
 type algorithm = Mlkl | Mlfm | Fm | Kl
 
-let algorithm_id = function Mlkl -> "mlkl" | Mlfm -> "mlfm" | Fm -> "fm" | Kl -> "kl"
-
-let algorithm_of_id s =
-  match String.lowercase_ascii s with
-  | "mlkl" | "multilevel" -> Some Mlkl
-  | "mlfm" -> Some Mlfm
-  | "fm" -> Some Fm
-  | "kl" -> Some Kl
-  | _ -> None
+(* The scale-suitable subset of the registry. *)
+let subset = [ (Mlkl, `Multilevel); (Mlfm, `Mlfm); (Fm, `Fm); (Kl, `Kl) ]
+let to_registry a : Algo.t = List.assoc a subset
+let of_registry (x : Algo.t) = List.find_map (fun (a, y) -> if y = x then Some a else None) subset
+let algorithm_id a = Algo.id (to_registry a)
 
 let model_to_json = function
   | Gnp { n; avg_degree } ->
@@ -65,36 +61,19 @@ let build_graph rng = function
   | Gnp { n; avg_degree } -> Gnp.with_average_degree rng ~n ~avg_degree
   | Grid { rows; cols } -> Classic.grid ~rows ~cols
 
-let run ?(ml_min_vertices = 64) ?(ml_max_levels = 20) ?(refine_passes = 4) ~algorithm
-    ~seed model =
+let run ?ml ~algorithm ~seed model =
   let rng = Rng.create ~seed in
   let t0 = Obs.Clock.now () in
   let g = Obs.Prof.with_span "scale.build" (fun () -> build_graph rng model) in
   let t1 = Obs.Clock.now () in
-  let recursive refiner =
-    let b, stats =
-      Compaction.recursive ~min_vertices:ml_min_vertices ~max_levels:ml_max_levels
-        ~refiner rng g
-    in
-    (b, stats.Compaction.levels)
-  in
-  (* Bounded per-level refinement: the projected partition is already
-     near-converged at every level, and letting the refiners run to
-     quiescence makes wall time superlinear in the instance size (FM
-     reaches 30+ near-full passes on the finest levels for <2% extra
-     cut). A small constant pass budget is the standard multilevel
-     compromise. *)
-  let kl_config = { Gb_kl.Kl.default_config with max_passes = refine_passes } in
-  let fm_config = { Gb_kl.Fm.default_config with max_passes = refine_passes } in
-  let bisection, levels =
+  let o =
     Obs.Prof.with_span "scale.solve" (fun () ->
-        match algorithm with
-        | Mlkl -> recursive (Compaction.kl_refiner ~config:kl_config ())
-        | Mlfm -> recursive (Compaction.fm_refiner ~config:fm_config ())
-        | Fm -> (fst (Gb_kl.Fm.run rng g), 1)
-        | Kl -> (fst (Gb_kl.Kl.run rng g), 1))
+        (Algo.find (to_registry algorithm)).run ?ml rng g)
   in
   let t2 = Obs.Clock.now () in
+  let bisection = o.bisection in
+  (* The flat solvers report no "levels": their V-cycle depth is 1. *)
+  let levels = match List.assoc_opt "levels" o.stats with Some (Json.Int l) -> l | _ -> 1 in
   (* Pack the sides into a bitset — n/8 bytes — and cross-check the
      reported balance from the packed form. *)
   let packed = Bitset.of_sides (Bisection.sides bisection) in

@@ -15,9 +15,14 @@ type model =
   | Grid of { rows : int; cols : int }
 
 type algorithm = Mlkl | Mlfm | Fm | Kl
+(** The registry algorithms that scale to millions of edges:
+    [`Multilevel], [`Mlfm], [`Fm] and [`Kl]. *)
+
+val of_registry : Gb_algo.Algo.t -> algorithm option
+(** [None] for a registry algorithm outside the subset. *)
 
 val algorithm_id : algorithm -> string
-val algorithm_of_id : string -> algorithm option
+(** The registry's wire id. *)
 
 type result = {
   model : model;
@@ -34,24 +39,11 @@ type result = {
   peak_rss_bytes : int option;  (** VmHWM; [None] off Linux. *)
 }
 
-val run :
-  ?ml_min_vertices:int ->
-  ?ml_max_levels:int ->
-  ?refine_passes:int ->
-  algorithm:algorithm ->
-  seed:int ->
-  model ->
-  result
-(** Build the instance, solve, measure. Deterministic for a fixed
-    (model, algorithm, seed, knobs) apart from the timing fields.
-
-    [refine_passes] (default 4) caps the per-level refinement passes
-    of the multilevel solvers. Unbounded ([until_no_improvement])
-    refinement makes solve time superlinear in the instance size —
-    FM runs 30+ near-full passes on the finest levels — for under 2%
-    of extra cut quality; the bounded default is the usual multilevel
-    compromise and what [BENCH_scale.json] records. The flat [Fm] and
-    [Kl] baselines keep their own defaults. *)
+val run : ?ml:Gb_algo.Algo.ml -> algorithm:algorithm -> seed:int -> model -> result
+(** Build the instance, solve it with the registry entry, measure.
+    Deterministic for a fixed (model, algorithm, seed, [ml]) apart from
+    the timing fields. [ml] (default {!Gb_algo.Algo.default_ml}, four
+    refinement passes per level) applies to the multilevel solvers. *)
 
 val to_json : result -> Gb_obs.Json.t
 (** Adds [schema_version] and the {!Perf_suite.host} fingerprint. *)

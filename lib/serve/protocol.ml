@@ -4,6 +4,7 @@
    oracle. *)
 
 module Json = Gb_obs.Json
+module Algo = Gb_algo.Algo
 
 (* ------------------------------------------------------------------ *)
 (* Framing                                                             *)
@@ -56,29 +57,7 @@ end
 (* ------------------------------------------------------------------ *)
 (* Wire vocabularies                                                   *)
 
-type algorithm = [ `Kl | `Sa | `Ckl | `Csa | `Fm | `Multilevel | `Mlfm | `Xsa ]
-
-let algorithm_id = function
-  | `Kl -> "kl"
-  | `Sa -> "sa"
-  | `Ckl -> "ckl"
-  | `Csa -> "csa"
-  | `Fm -> "fm"
-  | `Multilevel -> "mlkl"
-  | `Mlfm -> "mlfm"
-  | `Xsa -> "xsa"
-
-let algorithm_of_id s =
-  match String.lowercase_ascii s with
-  | "kl" -> Some `Kl
-  | "sa" -> Some `Sa
-  | "ckl" -> Some `Ckl
-  | "csa" -> Some `Csa
-  | "fm" -> Some `Fm
-  | "mlkl" | "multilevel" -> Some `Multilevel
-  | "mlfm" -> Some `Mlfm
-  | "xsa" -> Some `Xsa
-  | _ -> None
+type algorithm = Algo.t
 
 type graph_format = Edge_list | Metis
 
@@ -191,7 +170,7 @@ let request_to_json = function
                      ("format", Json.String (format_id s.format));
                      ("data", Json.String s.data);
                    ] );
-               ("algorithm", Json.String (algorithm_id s.algorithm));
+               ("algorithm", Json.String (Algo.id s.algorithm));
                ("starts", Json.Int s.starts);
                ("seed", Json.Int s.seed);
              ])
@@ -199,7 +178,7 @@ let request_to_json = function
 let solved_to_json s =
   Json.Obj
     [
-      ("algorithm", Json.String (algorithm_id s.algorithm));
+      ("algorithm", Json.String (Algo.id s.algorithm));
       ("cut", Json.Int s.cut);
       ("n0", Json.Int s.n0);
       ("n1", Json.Int s.n1);
@@ -302,9 +281,9 @@ let parse_solve id j =
     match Json.member "algorithm" j with
     | None -> Ok `Ckl
     | Some (Json.String s) -> (
-        match algorithm_of_id s with
+        match Algo.of_id s with
         | Some a -> Ok a
-        | None -> bad "solve: unknown algorithm %S (kl sa ckl csa fm mlkl mlfm xsa)" s)
+        | None -> bad "solve: unknown algorithm %S (%s)" s (String.concat " " Algo.ids))
     | Some _ -> Error (Bad_request, "solve: \"algorithm\" must be a string")
   in
   let* starts = int_field j "starts" 2 in
@@ -358,7 +337,7 @@ let solved_of_json j =
   let* algorithm =
     match Json.member "algorithm" j with
     | Some (Json.String s) -> (
-        match algorithm_of_id s with
+        match Algo.of_id s with
         | Some a -> Ok a
         | None -> fail "response: unknown algorithm %S" s)
     | _ -> fail "response: missing string field \"algorithm\""

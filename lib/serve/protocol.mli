@@ -41,17 +41,10 @@ end
 
 (** {1 Requests} *)
 
-type algorithm = [ `Kl | `Sa | `Ckl | `Csa | `Fm | `Multilevel | `Mlfm | `Xsa ]
-(** Same constructors as [Gbisect.algorithm]; redeclared so this
-    library does not depend on the umbrella module. *)
-
-val algorithm_id : algorithm -> string
-(** Lowercase wire name: ["kl"], ["sa"], ["ckl"], ["csa"], ["fm"],
-    ["mlkl"]. *)
-
-val algorithm_of_id : string -> algorithm option
-(** Inverse of {!algorithm_id} (case-insensitive; ["multilevel"] is an
-    accepted alias of ["mlkl"]). *)
+type algorithm = Gb_algo.Algo.t
+(** On the wire an algorithm is its {!Gb_algo.Algo.id}: ["kl"], ["sa"],
+    ["ckl"], ["csa"], ["fm"], ["mlkl"], ["mlfm"] or ["xsa"], read
+    case-insensitively, with ["multilevel"] accepted for ["mlkl"]. *)
 
 type graph_format = Edge_list | Metis
 

@@ -1,17 +1,14 @@
 (* The gbisect serve daemon. One domain runs the whole accept/parse/
    schedule/respond loop; solve jobs execute inline between polls (the
-   best-of-starts fan-out inside a job uses the ambient Gb_par.Pool).
+   best-of-starts fan-out inside a job, Gb_algo.Algo.solve, uses the
+   ambient Gb_par.Pool).
    SERVING.md documents the observable behavior normatively. *)
 
 module Rng = Gb_prng.Rng
 module Gio = Gb_graph.Gio
 module Csr = Gb_graph.Csr
 module Bisection = Gb_partition.Bisection
-module Kl = Gb_kl.Kl
-module Fm = Gb_kl.Fm
-module Sa_bisect = Gb_anneal.Sa_bisect
-module Compaction = Gb_compaction.Compaction
-module Pool = Gb_par.Pool
+module Algo = Gb_algo.Algo
 module Store = Gb_store.Store
 module Metrics = Gb_obs.Metrics
 module Trace = Gb_obs.Trace
@@ -142,36 +139,14 @@ let count_failure t code =
 (* ------------------------------------------------------------------ *)
 (* The solve engine                                                    *)
 
-let run_once algorithm rng g =
-  match (algorithm : Protocol.algorithm) with
-  | `Kl -> fst (Kl.run rng g)
-  | `Sa -> fst (Sa_bisect.run rng g)
-  | `Ckl -> fst (Compaction.ckl rng g)
-  | `Csa -> fst (Compaction.csa rng g)
-  | `Fm -> fst (Fm.run rng g)
-  | `Multilevel -> fst (Compaction.recursive ~refiner:(Compaction.kl_refiner ()) rng g)
-  | `Mlfm -> fst (Compaction.recursive ~refiner:(Compaction.fm_refiner ()) rng g)
-  | `Xsa -> fst (Gb_race.Xsa.run rng g)
-
-(* Mirrors [Gbisect.solve] exactly — same derive/substream discipline,
-   same lowest-index tie-break — so a served job returns bit-identical
-   cuts and sides to a local `gbisect solve` of the same (graph,
-   algorithm, starts, seed) at any --jobs value. test_serve locks the
-   two implementations together. *)
-let best_bisection ~algorithm ~starts ~seed g =
-  let rng = Rng.create ~seed in
-  let base = Rng.derive_seed rng in
-  Pool.best_by (Pool.current ())
-    ~compare:(fun a b -> Int.compare (Bisection.cut a) (Bisection.cut b))
-    (fun i -> run_once algorithm (Rng.substream ~base i) g)
-    starts
-
+(* v2: mlkl and mlfm answers since the multilevel refinement budget
+   became four passes per level; a v1 entry may hold the older answer. *)
 let cache_key (s : Protocol.solve) canonical =
   Store.key
     [
-      ("kind", "serve.solve/v1");
+      ("kind", "serve.solve/v2");
       ("graph", Digest.to_hex (Digest.string canonical));
-      ("algorithm", Protocol.algorithm_id s.algorithm);
+      ("algorithm", Algo.id s.algorithm);
       ("starts", string_of_int s.starts);
       ("seed", string_of_int s.seed);
     ]
@@ -219,7 +194,7 @@ let solve_reply t (s : Protocol.solve) : Protocol.reply =
         | None -> (
             let span = Trace.start () in
             let t0 = Clock.now () in
-            match best_bisection ~algorithm:s.algorithm ~starts:s.starts ~seed:s.seed g with
+            match Algo.solve ~starts:s.starts s.algorithm (Rng.create ~seed:s.seed) g with
             | exception (Failure msg | Invalid_argument msg) ->
                 Trace.finish span "serve.solve";
                 fail Bad_request ("solve: " ^ msg)

@@ -21,10 +21,10 @@
     consumer.
 
     {b Determinism.} A [solve] answer is a pure function of
-    (canonical graph, algorithm, starts, seed): the engine mirrors
-    [Gbisect.solve]'s seed-splitting exactly (a test locks the two
-    together), so the service returns bit-identical cuts and sides to
-    a local [gbisect solve] of the same job, at any [--jobs] value.
+    (canonical graph, algorithm, starts, seed): the engine is
+    {!Gb_algo.Algo.solve}, the same call behind [Gbisect.solve], so the
+    service returns bit-identical cuts and sides to a local
+    [gbisect solve] of the same job, at any [--jobs] value.
     Only the [seconds] field is wall-clock — and cache hits replay the
     original compute's seconds verbatim.
 

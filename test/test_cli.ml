@@ -122,6 +122,19 @@ let solve_tests =
         with_graph_file (fun path ->
             let code, _, _ = run_cli [ "solve"; path; "-a"; "bogus" ] in
             check_int "exit" 2 code));
+    case "kway with an unknown algorithm is a usage error (exit 2)" (fun () ->
+        with_graph_file (fun path ->
+            let code, _, err = run_cli [ "kway"; path; "-a"; "nope" ] in
+            check_int "exit" 2 code;
+            check_bool "diagnosed" true (contains err "nope")));
+    case "kway accepts every registered algorithm" (fun () ->
+        with_graph_file (fun path ->
+            List.iter
+              (fun id ->
+                let code, out, _ = run_cli [ "kway"; path; "-k"; "2"; "-a"; id ] in
+                check_int id 0 code;
+                check_bool (id ^ " reports the cut") true (contains out "total cut"))
+              Gbisect.Algo.ids));
   ]
 
 let perf_tests =

@@ -4,6 +4,7 @@
 
 module Profile = Gbisect.Profile
 module Runner = Gbisect.Runner
+module Algo = Gbisect.Algo
 module Registry = Gbisect.Registry
 module Table = Gbisect.Experiment_table
 module Classic = Gbisect.Classic
@@ -99,30 +100,31 @@ let table_tests =
 let runner_tests =
   [
     case "algorithm names round-trip" (fun () ->
+        (* Table display names are the upper-cased wire ids. *)
         List.iter
-          (fun a ->
-            match Runner.of_name (Runner.name a) with
-            | Some a' -> check_bool "round trip" true (a = a')
-            | None -> Alcotest.failf "failed on %s" (Runner.name a))
-          [ Runner.Sa; Runner.Csa; Runner.Kl; Runner.Ckl; Runner.Fm; Runner.Multilevel_kl ];
-        check_bool "unknown" true (Runner.of_name "zzz" = None));
+          (fun (e : Algo.entry) ->
+            match Algo.of_id e.name with
+            | Some a' -> check_bool "round trip" true (e.algorithm = a')
+            | None -> Alcotest.failf "failed on %s" e.name)
+          Algo.all;
+        check_bool "unknown" true (Algo.of_id "zzz" = None));
     case "paper_four is SA CSA KL CKL" (fun () ->
         Alcotest.(check (list string)) "order" [ "SA"; "CSA"; "KL"; "CKL" ]
-          (List.map Runner.name Runner.paper_four));
+          (List.map Algo.name Runner.paper_four));
     case "run_once returns balanced runs for every algorithm" (fun () ->
         let g = Classic.grid ~rows:6 ~cols:6 in
         List.iter
-          (fun a ->
-            let r = Runner.run_once Profile.smoke (Helpers.rng ()) a g in
-            check_bool (Runner.name a ^ " balanced") true r.Runner.balanced;
-            check_bool (Runner.name a ^ " cut sane") true (r.Runner.cut >= 6);
-            check_bool (Runner.name a ^ " timed") true (r.Runner.seconds >= 0.))
-          [ Runner.Sa; Runner.Csa; Runner.Kl; Runner.Ckl; Runner.Fm; Runner.Multilevel_kl ]);
+          (fun (e : Algo.entry) ->
+            let r = Runner.run_once Profile.smoke (Helpers.rng ()) e.algorithm g in
+            check_bool (e.name ^ " balanced") true r.Runner.balanced;
+            check_bool (e.name ^ " cut sane") true (r.Runner.cut >= 6);
+            check_bool (e.name ^ " timed") true (r.Runner.seconds >= 0.))
+          Algo.all);
     case "best_of_starts keeps the best cut and sums times" (fun () ->
         let g = Classic.ladder 40 in
         let profile = { Profile.smoke with Profile.starts = 3 } in
-        let one = Runner.run_once profile (Helpers.rng ()) Runner.Kl g in
-        let best = Runner.best_of_starts profile (Helpers.rng ()) Runner.Kl g in
+        let one = Runner.run_once profile (Helpers.rng ()) `Kl g in
+        let best = Runner.best_of_starts profile (Helpers.rng ()) `Kl g in
         check_bool "best <= single" true (best.Runner.cut <= max one.Runner.cut (one.Runner.cut));
         check_bool "time accumulates" true (best.Runner.seconds >= one.Runner.seconds *. 0.1));
     case "averaged_quads averages cuts" (fun () ->
@@ -312,14 +314,16 @@ let scale_suite_tests =
   let module S = Gbisect.Scale_suite in
   [
     case "algorithm ids round-trip" (fun () ->
+        let of_id s = Option.bind (Algo.of_id s) S.of_registry in
         List.iter
           (fun a ->
-            match S.algorithm_of_id (S.algorithm_id a) with
+            match of_id (S.algorithm_id a) with
             | Some a' when a' = a -> ()
             | _ -> Alcotest.failf "no round trip for %s" (S.algorithm_id a))
           [ S.Mlkl; S.Mlfm; S.Fm; S.Kl ];
-        check_bool "multilevel aliases mlkl" true (S.algorithm_of_id "multilevel" = Some S.Mlkl);
-        check_bool "unknown rejected" true (S.algorithm_of_id "nope" = None));
+        check_bool "multilevel aliases mlkl" true (of_id "multilevel" = Some S.Mlkl);
+        check_bool "outside the subset" true (of_id "ckl" = None);
+        check_bool "unknown rejected" true (of_id "nope" = None));
     case "a small run is deterministic apart from timings" (fun () ->
         let run () = S.run ~algorithm:S.Mlfm ~seed:5 (S.Gnp { n = 2000; avg_degree = 4. }) in
         let a = run () and b = run () in
@@ -337,7 +341,7 @@ let scale_suite_tests =
         check_bool "balanced" true r.S.balanced);
     case "refine_passes trades cut for passes deterministically" (fun () ->
         let run p =
-          (S.run ~refine_passes:p ~algorithm:S.Mlfm ~seed:5
+          (S.run ~ml:{ Algo.default_ml with refine_passes = p } ~algorithm:S.Mlfm ~seed:5
              (S.Gnp { n = 4000; avg_degree = 4. }))
             .S.cut
         in

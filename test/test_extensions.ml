@@ -152,7 +152,9 @@ let spectral_properties =
 
 (* --- Kway ----------------------------------------------------------------------- *)
 
-let kl_solver = Kway.of_algorithm `Kl
+(* A registry entry as a k-way solver. *)
+let solver (e : Gbisect.Algo.entry) rng g = Bisection.sides (e.run rng g).bisection
+let kl_solver = solver (Gbisect.Algo.find `Kl)
 
 let kway_tests =
   [
@@ -197,12 +199,8 @@ let kway_tests =
     case "all solver wrappers work" (fun () ->
         let g = Classic.grid_of_side 8 in
         List.iter
-          (fun algorithm ->
-            let r =
-              Kway.partition ~k:4 ~solver:(Kway.of_algorithm algorithm) (Helpers.rng ()) g
-            in
-            Kway.validate g r)
-          [ `Kl; `Ckl; `Fm; `Multilevel ]);
+          (fun e -> Kway.validate g (Kway.partition ~k:4 ~solver:(solver e) (Helpers.rng ()) g))
+          Gbisect.Algo.all);
   ]
 
 let kway_properties =

@@ -11,7 +11,7 @@ let case = Helpers.case
 let check_int = Helpers.check_int
 let check_bool = Helpers.check_bool
 
-let all_algorithms : Gbisect.algorithm list = [ `Kl; `Sa; `Ckl; `Csa; `Fm; `Multilevel ]
+let all_algorithms = List.map (fun (e : Gbisect.Algo.entry) -> e.algorithm) Gbisect.Algo.all
 
 let solve_tests =
   [
@@ -22,13 +22,13 @@ let solve_tests =
             let r = Gbisect.solve ~algorithm ~starts:1 (Helpers.rng ()) g in
             Helpers.check_bisection_consistent g r.Gbisect.bisection;
             check_bool
-              (Gbisect.algorithm_name algorithm ^ " balanced")
+              (Gbisect.Algo.name algorithm ^ " balanced")
               true
               (Bisection.is_balanced r.Gbisect.bisection);
             check_bool "timed" true (r.Gbisect.seconds >= 0.))
           all_algorithms);
     case "algorithm names are distinct" (fun () ->
-        let names = List.map Gbisect.algorithm_name all_algorithms in
+        let names = List.map Gbisect.Algo.name all_algorithms in
         check_int "unique" (List.length names)
           (List.length (List.sort_uniq String.compare names)));
     case "more starts never hurt (same base, prefix-nested candidates)" (fun () ->
@@ -78,7 +78,7 @@ let pipeline_tests =
               (fun algorithm ->
                 let res = Gbisect.solve ~algorithm ~starts:1 r g in
                 check_bool
-                  (Printf.sprintf "%s/%s balanced" model (Gbisect.algorithm_name algorithm))
+                  (Printf.sprintf "%s/%s balanced" model (Gbisect.Algo.name algorithm))
                   true
                   (Bisection.is_balanced res.Gbisect.bisection))
               all_algorithms)
@@ -209,7 +209,7 @@ let determinism_tests =
             let r1 = Gbisect.solve ~algorithm (Helpers.rng ~seed:9 ()) g in
             let r2 = Gbisect.solve ~algorithm (Helpers.rng ~seed:9 ()) g in
             check_int
-              (Gbisect.algorithm_name algorithm ^ " same cut")
+              (Gbisect.Algo.name algorithm ^ " same cut")
               (Bisection.cut r1.Gbisect.bisection)
               (Bisection.cut r2.Gbisect.bisection))
           all_algorithms);
@@ -223,6 +223,60 @@ let determinism_tests =
         check_int "same pipeline result" (run ()) (run ()));
   ]
 
+(* One name, one computation: every entry point that takes an
+   algorithm by name returns the registry entry's answer. Gnp(2000,
+   d=4) coarsens ten levels, so the multilevel budget is exercised. *)
+let entry_point_tests =
+  let module Algo = Gbisect.Algo in
+  let module P = Gbisect.Serve_protocol in
+  let module S = Gbisect.Scale_suite in
+  let sides = Bisection.sides in
+  [
+    case "solve, serve, runner, kway and scale agree per algorithm" (fun () ->
+        (* Scale_suite.run builds its graph from [Rng.create ~seed] and
+           solves on the rest of that stream. *)
+        let instance () =
+          let rng = Rng.create ~seed:1 in
+          (Gbisect.Gnp.with_average_degree rng ~n:2000 ~avg_degree:4., rng)
+        in
+        let g, _ = instance () in
+        let data = Gbisect.Graph_io.to_edge_list_string g in
+        let server = Gbisect.Serve.create Gbisect.Serve.default_config in
+        let profile = Gbisect.Profile.smoke in
+        let sa = { Gbisect.Sa_bisect.default_config with schedule = profile.sa_schedule } in
+        List.iter
+          (fun (e : Algo.entry) ->
+            let algorithm = e.algorithm in
+            let solved = Gbisect.solve ~algorithm ~starts:1 (Rng.create ~seed:7) g in
+            let request =
+              P.Solve { id = None; format = P.Edge_list; data; algorithm; starts = 1; seed = 7 }
+            in
+            (match (Gbisect.Serve.handle server request).reply with
+            | P.Solved s ->
+                Alcotest.(check (array int))
+                  (e.id ^ ": serve = solve")
+                  (sides solved.bisection) s.side
+            | _ -> Alcotest.failf "%s: serve did not solve" e.id);
+            let direct = (e.run ~sa (Rng.create ~seed:7) g).bisection in
+            let runner = Gbisect.Runner.run_once profile (Rng.create ~seed:7) algorithm g in
+            check_int (e.id ^ ": runner = registry") (Bisection.cut direct) runner.cut;
+            let kway =
+              Gbisect.Kway.partition ~k:2
+                ~solver:(fun rng g -> sides (e.run ~sa rng g).bisection)
+                (Rng.create ~seed:7) g
+            in
+            Alcotest.(check (array int)) (e.id ^ ": kway = registry") (sides direct) kway.parts;
+            match S.of_registry algorithm with
+            | None -> ()
+            | Some algorithm ->
+                let scaled = S.run ~algorithm ~seed:1 (S.Gnp { n = 2000; avg_degree = 4. }) in
+                let g, rng = instance () in
+                check_int (e.id ^ ": scale = registry")
+                  (Bisection.cut (e.run rng g).bisection)
+                  scaled.cut)
+          Algo.all);
+  ]
+
 let () =
   Alcotest.run "integration"
     [
@@ -230,4 +284,5 @@ let () =
       ("pipelines", pipeline_tests);
       ("paper shapes", shape_tests);
       ("determinism", determinism_tests);
+      ("entry points", entry_point_tests);
     ]

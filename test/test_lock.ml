@@ -58,10 +58,7 @@ let tables () =
             (Digest.to_hex (Digest.string (e.run Profile.smoke))))
         Registry.all)
 
-let algorithms : (string * Gbisect.algorithm) list =
-  List.map
-    (fun a -> (Gbisect.Serve_protocol.algorithm_id a, a))
-    [ `Kl; `Sa; `Ckl; `Csa; `Fm; `Multilevel; `Mlfm; `Xsa ]
+let algorithms = List.map (fun (e : Gbisect.Algo.entry) -> (e.id, e.algorithm)) Gbisect.Algo.all
 
 (* The first corpus case of each family with at least 2 vertices. *)
 let family_cases () =

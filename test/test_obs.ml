@@ -380,7 +380,7 @@ let prof_tests =
             Telemetry.set_writer (Some (fun r -> records := r :: !records));
             let g = Classic.ladder 16 in
             let rng = Rng.create ~seed:1 in
-            ignore (Runner.best_of_starts Profile.smoke rng Runner.Kl g);
+            ignore (Runner.best_of_starts Profile.smoke rng `Kl g);
             check_bool "records emitted" true (!records <> []);
             List.iter
               (fun r ->
@@ -402,7 +402,7 @@ let prof_tests =
             Telemetry.set_writer (Some (fun r -> records := r :: !records));
             let g = Classic.ladder 16 in
             let rng = Rng.create ~seed:1 in
-            ignore (Runner.best_of_starts Profile.smoke rng Runner.Kl g);
+            ignore (Runner.best_of_starts Profile.smoke rng `Kl g);
             check_bool "records emitted" true (!records <> []);
             List.iter
               (fun r ->
@@ -611,7 +611,7 @@ let telemetry_tests =
             let rng = Rng.create ~seed:1 in
             let run =
               Telemetry.with_context ~graph:"ladder-16" (fun () ->
-                  Runner.best_of_starts profile rng Runner.Kl g)
+                  Runner.best_of_starts profile rng `Kl g)
             in
             let records = List.rev !records in
             check_int "one per start" (max 1 profile.Profile.starts)

@@ -222,7 +222,7 @@ let race_tests =
           Array.to_list (Array.map (fun e -> e.Race.backend) o.Race.entries)
         in
         Alcotest.(check (list string)) "ids"
-          (List.map Gbisect.Serve_protocol.algorithm_id Gbisect.default_portfolio)
+          (List.map Gbisect.Algo.id Gbisect.default_portfolio)
           names);
   ]
 

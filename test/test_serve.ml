@@ -42,7 +42,7 @@ let roundtrip_response name (resp : P.response) =
       | Ok resp' -> check_bool "round-trips" true (P.equal_response resp resp')
       | Error msg -> Alcotest.failf "did not parse back: %s" msg)
 
-let all_algorithms : P.algorithm list = [ `Kl; `Sa; `Ckl; `Csa; `Fm; `Multilevel ]
+let all_algorithms = List.map (fun (e : Gbisect.Algo.entry) -> e.algorithm) Gbisect.Algo.all
 let all_codes : P.error_code list =
   [ P.Bad_request; P.Unsupported; P.Too_large; P.Overloaded; P.Shutting_down; P.Internal ]
 
@@ -84,15 +84,15 @@ let codec_tests =
           (fun a ->
             let req = P.Solve { sample_solve with algorithm = a } in
             match P.request_of_line (P.request_to_line req) with
-            | Ok req' -> check_bool (P.algorithm_id a) true (P.equal_request req req')
-            | Error (_, msg) -> Alcotest.failf "%s: %s" (P.algorithm_id a) msg)
+            | Ok req' -> check_bool (Gbisect.Algo.id a) true (P.equal_request req req')
+            | Error (_, msg) -> Alcotest.failf "%s: %s" (Gbisect.Algo.id a) msg)
           all_algorithms);
     case "algorithm ids are total and invertible" (fun () ->
         List.iter
           (fun a ->
-            match P.algorithm_of_id (P.algorithm_id a) with
-            | Some a' -> check_bool (P.algorithm_id a) true (a = a')
-            | None -> Alcotest.failf "id %s did not invert" (P.algorithm_id a))
+            match Gbisect.Algo.of_id (Gbisect.Algo.id a) with
+            | Some a' -> check_bool (Gbisect.Algo.id a) true (a = a')
+            | None -> Alcotest.failf "id %s did not invert" (Gbisect.Algo.id a))
           all_algorithms);
     roundtrip_response "solved round-trips"
       { rid = Some "req-1"; reply = P.Solved sample_solved };
@@ -252,14 +252,14 @@ let handle_tests =
             let local =
               Gbisect.solve ~algorithm ~starts (Gbisect.Rng.create ~seed) test_graph
             in
-            let name = P.algorithm_id algorithm in
+            let name = Gbisect.Algo.id algorithm in
             check_int (name ^ " cut") (Gbisect.Bisection.cut local.Gbisect.bisection) s.cut;
             Alcotest.(check (array int))
               (name ^ " sides")
               (Gbisect.Bisection.sides local.Gbisect.bisection)
               s.side;
             check_bool (name ^ " fresh") false s.cached)
-          [ `Kl; `Ckl; `Fm; `Multilevel ]);
+          all_algorithms);
     case "repeat query hits the cache with identical payload" (fun () ->
         with_store (fun store ->
             let server = Server.create { quiet_config with store = Some store } in
