@@ -132,6 +132,14 @@ let run_bechamel ids =
    after the telemetry writer is detached so the probe repeats don't
    pollute telemetry.jsonl.                                            *)
 
+let timing_row id seq par =
+  [
+    ("id", Obs.Json.String id);
+    ("sequential_s", Obs.Json.Float seq);
+    ("parallel_s", Obs.Json.Float par);
+    ("speedup", Obs.Json.Float (seq /. par));
+  ]
+
 let run_parallel_bench profile selected jobs file =
   let time_with j e =
     Pool.set_jobs j;
@@ -149,9 +157,7 @@ let run_parallel_bench profile selected jobs file =
         Printf.printf "  %-18s sequential %.2fs  parallel(%d) %.2fs  speedup %.2fx\n"
           e.Registry.id seq jobs par (seq /. par);
         flush stdout;
-        Printf.sprintf
-          "    {\"id\": %S, \"sequential_s\": %.4f, \"parallel_s\": %.4f, \"speedup\": %.3f}"
-          e.Registry.id seq par (seq /. par))
+        Obs.Json.Obj (timing_row e.Registry.id seq par))
       selected
   in
   (* Intra-run probes (PR 10): one instance big enough to cross the
@@ -181,10 +187,9 @@ let run_parallel_bench profile selected jobs file =
         seq jobs par (seq /. par) cut1
         (if cut1 = cutn then "" else Printf.sprintf " <> %d MISMATCH" cutn);
       flush stdout;
-      Printf.sprintf
-        "    {\"id\": %S, \"sequential_s\": %.4f, \"parallel_s\": %.4f, \"speedup\": \
-         %.3f, \"cut\": %d, \"identical\": %b}"
-        id seq par (seq /. par) cut1 (cut1 = cutn)
+      Obs.Json.Obj
+        (timing_row id seq par
+        @ [ ("cut", Obs.Json.Int cut1); ("identical", Obs.Json.Bool (cut1 = cutn)) ])
     in
     let xsa_row =
       probe "xsa" (fun rng g ->
@@ -207,31 +212,24 @@ let run_parallel_bench profile selected jobs file =
     rows
   in
   Pool.set_jobs jobs;
+  let artifact =
+    Obs.Json.Obj
+      [
+        ("schema_version", Obs.Json.Int Gbisect.Perf_suite.schema_version);
+        ("host", Obs.Json.Obj (Obs.Proc.host ()));
+        ("jobs", Obs.Json.Int jobs);
+        ("recommended_domains", Obs.Json.Int (Domain.recommended_domain_count ()));
+        ("profile", Obs.Json.String profile.Profile.name);
+        ("tables", Obs.Json.List rows);
+        ("probes", Obs.Json.List probe_rows);
+      ]
+  in
   let oc = open_out file in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
-      Printf.fprintf oc
-        "{\n\
-        \  \"schema_version\": %d,\n\
-        \  \"host\": %s,\n\
-        \  \"jobs\": %d,\n\
-        \  \"recommended_domains\": %d,\n\
-        \  \"profile\": %S,\n\
-        \  \"tables\": [\n\
-         %s\n\
-        \  ],\n\
-        \  \"probes\": [\n\
-         %s\n\
-        \  ]\n\
-         }\n"
-        Gbisect.Perf_suite.schema_version
-        (Obs.Json.to_string (Obs.Json.Obj (Gbisect.Perf_suite.host ())))
-        jobs
-        (Domain.recommended_domain_count ())
-        profile.Profile.name
-        (String.concat ",\n" rows)
-        (String.concat ",\n" probe_rows));
+      output_string oc (Obs.Json.to_string artifact);
+      output_char oc '\n');
   Printf.printf "parallel bench written to %s\n\n" file
 
 let () =

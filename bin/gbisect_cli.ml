@@ -245,7 +245,7 @@ let solve_cmd =
     let result =
       with_obs ~trace ~metrics (fun () -> Gbisect.solve ~algorithm ~starts ~ml rng graph)
     in
-    (match (max_rss, Gbisect.Obs.Prof.peak_rss_bytes ()) with
+    (match (max_rss, Gbisect.Obs.Proc.peak_rss_bytes ()) with
     | Some budget_mb, Some peak when peak > budget_mb * 1024 * 1024 ->
         failwith
           (Printf.sprintf "peak RSS %d MiB exceeds the --max-rss budget of %d MiB"
@@ -1132,10 +1132,12 @@ let bombard_cmd =
     runtime_guard @@ fun () ->
     install_wall_clock ();
     Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+    (* A few corpus seeds make their generator raise; skip them. *)
     let make_case ~seed =
-      let c = Gbisect.Fuzz_generators.generate ~seed in
-      if Gbisect.Graph.n_vertices c.Gbisect.Fuzz_generators.graph < 2 then None
-      else Some (c.Gbisect.Fuzz_generators.family, c.Gbisect.Fuzz_generators.graph)
+      match Gbisect.Fuzz_generators.generate ~seed with
+      | exception Failure _ -> None
+      | { graph; _ } when Gbisect.Graph.n_vertices graph < 2 -> None
+      | { family; graph; _ } -> Some (family, graph)
     in
     let params =
       {

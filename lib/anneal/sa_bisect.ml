@@ -76,8 +76,6 @@ module Engine = Sa.Make (Problem)
 let make_state config g side = Problem.make config g side
 
 let refine ?(config = default_config) ?trace rng g side0 =
-  (* Resource profile of a whole anneal; inert unless Prof is on. *)
-  Gb_obs.Prof.with_span "sa.refine" @@ fun () ->
   Bisection.validate_sides g side0;
   if config.imbalance_factor <= 0. then
     invalid_arg "Sa_bisect: imbalance_factor must be positive";

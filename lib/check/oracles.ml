@@ -850,35 +850,39 @@ let lint_json_codec rng g =
           require (Lint.schema_version >= 1)
             "schema_version regressed below 1: %d" Lint.schema_version)
 
-(* {1 Profiling bit-identity} *)
+(* {1 Tracing bit-identity} *)
 
-(* Law (DESIGN S24): enabling [Gb_obs.Prof] must never change solver
-   results or RNG streams. Run KL and a quick SA from identical derived
-   streams with spans off, then on, and demand bit-identical sides,
-   cuts, and an identical next draw from each stream afterwards. The
-   switch is global, but flipping it from parallel fuzz workers is
-   harmless precisely because of this law. *)
-let prof_identity rng g =
+(* Law (DESIGN S19, S24): a trace sink must never change solver results
+   or RNG streams. Run KL, a quick SA and mlfm from identical derived
+   streams without a sink, then under an [of_writer ignore] sink, and
+   demand bit-identical sides, cuts, and an identical next draw from
+   the stream afterwards. The sink is global and fuzz workers run this
+   oracle on several domains at once, so a lock serialises its
+   installs; a sink the oracle did not install is never closed or
+   replaced (both runs then go to it). *)
+let trace_lock = Mutex.create ()
+
+let trace_identity rng g =
   let base = Rng.derive_seed rng in
-  let observe enabled =
-    let was = Gb_obs.Prof.enabled () in
-    Gb_obs.Prof.set_enabled enabled;
-    Fun.protect
-      ~finally:(fun () -> Gb_obs.Prof.set_enabled was)
-      (fun () ->
-        let r = Rng.substream ~base 0 in
-        let kl_b, kl_stats = Kl.run r g in
-        let sa_b, sa_stats = Sa_bisect.run ~config:quick_sa r g in
-        ( Array.to_list (Bisection.sides kl_b),
-          kl_stats.Kl.final_cut,
-          Array.to_list (Bisection.sides sa_b),
-          sa_stats.Sa_bisect.final_cut,
-          Rng.int r 1_000_000 ))
+  let observe () =
+    let r = Rng.substream ~base 0 in
+    let runs =
+      List.map
+        (fun a ->
+          let o = (Algo.find a).run ~sa:quick_sa r g in
+          (Array.to_list (Bisection.sides o.bisection), o.final_cut))
+        ([ `Kl; `Sa; `Mlfm ] : Algo.t list)
+    in
+    (runs, Rng.int r 1_000_000)
   in
-  let off = observe false in
-  let on = observe true in
-  require (off = on)
-    "enabling profiling spans changed a solver result or its RNG stream"
+  Mutex.protect trace_lock (fun () ->
+      let install = not (Gb_obs.Trace.enabled ()) in
+      let untraced = observe () in
+      if install then Gb_obs.Trace.set (Gb_obs.Trace.of_writer ignore);
+      let traced =
+        Fun.protect ~finally:(fun () -> if install then Gb_obs.Trace.close ()) observe
+      in
+      require (untraced = traced) "a trace sink changed a solver result or its RNG stream")
 
 (* {1 Whole-graph invariants} *)
 
@@ -966,7 +970,7 @@ let all =
         && Cycles.is_cycle_collection g
         && Csr.total_edge_weight g = Csr.n_edges g)
       cycles_oracle;
-    o "prof-identity" (n_ge 2) prof_identity;
+    o "trace-identity" (n_ge 2) trace_identity;
     o "solver-cut" (n_ge 2) solver_cut;
   ]
 

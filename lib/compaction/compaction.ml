@@ -49,8 +49,6 @@ let match_with policy rng g =
   | Heavy_edge_matching -> Matching.heavy_edge rng g
 
 let bisect ?(policy = Random_matching) ~refiner rng g =
-  (* Resource profile of one compaction cycle; inert unless Prof is on. *)
-  Obs.Prof.with_span "compaction.bisect" @@ fun () ->
   let contraction = contract_level policy match_with rng g in
   let coarse = contraction.Contraction.coarse in
   (* Step 3: bisect the contracted graph from a random start. *)

@@ -10,23 +10,6 @@ module Json = Gb_obs.Json
 
 let schema_version = 1
 
-let hostname () =
-  match open_in "/proc/sys/kernel/hostname" with
-  | exception Sys_error _ -> (
-      match Sys.getenv_opt "HOSTNAME" with Some h -> h | None -> "unknown")
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> match input_line ic with exception End_of_file -> "unknown" | h -> h)
-
-let host () =
-  [
-    ("ocaml_version", Json.String Sys.ocaml_version);
-    ("word_size", Json.Int Sys.word_size);
-    ("os_type", Json.String Sys.os_type);
-    ("hostname", Json.String (hostname ()));
-  ]
-
 type bench_result = {
   bench : string;
   iters : int;
@@ -57,8 +40,8 @@ let median a =
 
 (* One warmup, then [runs] timed executions. Time is min-of-k; the
    spread (median, MAD) is kept so the regression gate can widen its
-   band on noisy hosts. Allocation is read from the same Gc deltas and
-   is deterministic for a fixed code path, so its min is exact. *)
+   band on noisy hosts. Allocation is the Proc.allocated_words delta,
+   deterministic for a fixed code path, so its min is exact. *)
 let measure ~runs name ~iters f =
   ignore (Sys.opaque_identity (f ()));
   let ns = Array.make runs 0. in
@@ -77,14 +60,11 @@ let measure ~runs name ~iters f =
        alloc/op is exact and independent of the runs count. *)
     Gc.full_major ();
     let s0 = Gc.quick_stat () in
-    (* Word counts via Gc.counters (exact between collections — it reads
-       the allocation pointer and sees direct major-heap allocations);
-       quick_stat only for the collection counters. *)
-    let mi0, p0, ma0 = Gc.counters () in
+    let w0 = Obs.Proc.allocated_words () in
     let t0 = Obs.Clock.now () in
     ignore (Sys.opaque_identity (f ()));
     let t1 = Obs.Clock.now () in
-    let mi1, p1, ma1 = Gc.counters () in
+    let w1 = Obs.Proc.allocated_words () in
     let s1 = Gc.quick_stat () in
     let elapsed = per_op (Float.max 0. (t1 -. t0) *. 1e9) in
     ns.(r) <- elapsed;
@@ -93,7 +73,7 @@ let measure ~runs name ~iters f =
       best_minor := s1.Gc.minor_collections - s0.Gc.minor_collections;
       best_major := s1.Gc.major_collections - s0.Gc.major_collections
     end;
-    let alloc = per_op (mi1 -. mi0 +. (ma1 -. ma0) -. (p1 -. p0)) in
+    let alloc = per_op (w1 -. w0) in
     if alloc < !best_alloc then begin
       best_alloc := alloc;
       best_promoted := per_op (s1.Gc.promoted_words -. s0.Gc.promoted_words)
@@ -237,7 +217,7 @@ let run ?(runs = 5) ~scratch () =
   let results =
     List.sort (fun a b -> String.compare a.bench b.bench) results
   in
-  { runs; results; peak_rss_bytes = Obs.Prof.peak_rss_bytes () }
+  { runs; results; peak_rss_bytes = Obs.Proc.peak_rss_bytes () }
 
 (* ------------------------------------------------------------------ *)
 (* Artifact                                                            *)
@@ -261,7 +241,7 @@ let to_json s =
       ("schema_version", Json.Int schema_version);
       ("suite", Json.String "core");
       ("runs", Json.Int s.runs);
-      ("host", Json.Obj (host ()));
+      ("host", Json.Obj (Obs.Proc.host ()));
       ( "benches",
         Json.Obj (List.map (fun b -> (b.bench, bench_to_json b)) s.results) );
       ( "peak_rss_bytes",

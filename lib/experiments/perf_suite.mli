@@ -27,11 +27,6 @@ val schema_version : int
 (** Format version stamped into every [BENCH_*.json] this repo writes.
     Bump when the JSON shape changes incompatibly. *)
 
-val host : unit -> (string * Gb_obs.Json.t) list
-(** Host fingerprint fields ([ocaml_version], [word_size], [os_type],
-    [hostname]) embedded in benchmark artifacts so a baseline is never
-    silently compared across incompatible toolchains. *)
-
 type bench_result = {
   bench : string;  (** Bench name, e.g. ["kl.pass"]. *)
   iters : int;  (** Operations per run (ns/op divides by this). *)

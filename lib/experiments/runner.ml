@@ -25,13 +25,11 @@ let run_once_record ?(start = 0) ?collect profile rng algorithm g =
   in
   let t0 = Obs.Clock.now () in
   let span = Obs.Trace.start () in
-  let prof = Obs.Prof.start "runner.trial" in
   let (bisection, detail), trajectory =
     if collect then
       Obs.Telemetry.with_collector (fun () -> run_algorithm profile rng algorithm g)
     else (run_algorithm profile rng algorithm g, [])
   in
-  let prof_delta = Obs.Prof.finish prof in
   let seconds = Obs.Clock.now () -. t0 in
   (* Always-on oracle (O(m), negligible next to any trial): the
      result's cached cut, counts and balance must survive a
@@ -45,23 +43,14 @@ let run_once_record ?(start = 0) ?collect profile rng algorithm g =
            (Algo.name algorithm) msg));
   let cut = Bisection.cut bisection in
   let balanced = Bisection.is_balanced bisection in
-  (* With Prof enabled, the trial's resource delta rides along in the
-     trace event and the telemetry record ("prof" sub-object). *)
-  let prof_fields =
-    match prof_delta with
-    | None -> []
-    | Some d -> [ ("prof", Obs.Json.Obj (Obs.Prof.delta_args d)) ]
-  in
-  let detail = detail @ prof_fields in
   Obs.Trace.finish span "runner.trial"
     ~args:
-      ([
-         ("algorithm", Obs.Json.String (Algo.name algorithm));
-         ("start", Obs.Json.Int start);
-         ("cut", Obs.Json.Int cut);
-         ("vertices", Obs.Json.Int (Csr.n_vertices g));
-       ]
-      @ prof_fields);
+      [
+        ("algorithm", Obs.Json.String (Algo.name algorithm));
+        ("start", Obs.Json.Int start);
+        ("cut", Obs.Json.Int cut);
+        ("vertices", Obs.Json.Int (Csr.n_vertices g));
+      ];
   let record =
     {
       Obs.Telemetry.algorithm = Algo.name algorithm;

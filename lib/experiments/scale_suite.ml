@@ -64,12 +64,9 @@ let build_graph rng = function
 let run ?ml ~algorithm ~seed model =
   let rng = Rng.create ~seed in
   let t0 = Obs.Clock.now () in
-  let g = Obs.Prof.with_span "scale.build" (fun () -> build_graph rng model) in
+  let g = build_graph rng model in
   let t1 = Obs.Clock.now () in
-  let o =
-    Obs.Prof.with_span "scale.solve" (fun () ->
-        (Algo.find (to_registry algorithm)).run ?ml rng g)
-  in
+  let o = (Algo.find (to_registry algorithm)).run ?ml rng g in
   let t2 = Obs.Clock.now () in
   let bisection = o.bisection in
   (* The flat solvers report no "levels": their V-cycle depth is 1. *)
@@ -93,14 +90,14 @@ let run ?ml ~algorithm ~seed model =
     build_seconds = t1 -. t0;
     solve_seconds = t2 -. t1;
     edges_per_sec = (if total > 0. then float_of_int m /. total else 0.);
-    peak_rss_bytes = Obs.Prof.peak_rss_bytes ();
+    peak_rss_bytes = Obs.Proc.peak_rss_bytes ();
   }
 
 let to_json r =
   Json.Obj
     [
       ("schema_version", Json.Int schema_version);
-      ("host", Json.Obj (Perf_suite.host ()));
+      ("host", Json.Obj (Obs.Proc.host ()));
       ("model", model_to_json r.model);
       ("algorithm", Json.String (algorithm_id r.algorithm));
       ("seed", Json.Int r.seed);

@@ -46,7 +46,7 @@ val run : ?ml:Gb_algo.Algo.ml -> algorithm:algorithm -> seed:int -> model -> res
     refinement passes per level) applies to the multilevel solvers. *)
 
 val to_json : result -> Gb_obs.Json.t
-(** Adds [schema_version] and the {!Perf_suite.host} fingerprint. *)
+(** Adds [schema_version] and the {!Gb_obs.Proc.host} fingerprint. *)
 
 val render : result -> string
 (** One human-readable summary line. *)

@@ -107,8 +107,6 @@ let one_pass ?(tolerance = default_config.tolerance) g side =
   one_pass_internal ~tolerance g side
 
 let refine ?(config = default_config) g side0 =
-  (* Resource profile of a whole refinement; inert unless Prof is on. *)
-  Gb_obs.Prof.with_span "fm.refine" @@ fun () ->
   check_input g side0;
   let initial_cut = Bisection.compute_cut g side0 in
   let side = ref (Array.copy side0) in

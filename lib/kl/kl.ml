@@ -141,9 +141,6 @@ let one_pass g side =
   (next, gain)
 
 let refine ?(config = default_config) g side0 =
-  (* Resource profile of a whole refinement (alloc/GC cost per call);
-     inert unless Gb_obs.Prof is enabled. *)
-  Obs.Prof.with_span "kl.refine" @@ fun () ->
   check_input g side0;
   let initial_cut = Bisection.compute_cut g side0 in
   let side = ref (Array.copy side0) in

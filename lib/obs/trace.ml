@@ -1,5 +1,10 @@
 type sink = Noop | Writer of { write : string -> unit; close_writer : unit -> unit }
-type span = float (* start timestamp in microseconds; nan = disabled *)
+
+(* Start timestamp in microseconds and {!Proc.allocated_words} at the
+   start; [t0 = nan] is the shared null span a disabled [start] returns. *)
+type span = { t0 : float; words0 : float }
+
+let null = { t0 = Float.nan; words0 = 0. }
 
 let noop = Noop
 let of_writer write = Writer { write; close_writer = ignore }
@@ -60,11 +65,14 @@ let emit ~ph ?dur ?(args = []) ~ts name =
       Mutex.protect sink_mutex (fun () ->
           match Atomic.get current with Noop -> () | Writer w -> w.write line)
 
-let start () = if enabled () then now_us () else Float.nan
+let start () = if enabled () then { t0 = now_us (); words0 = Proc.allocated_words () } else null
 
-let finish ?args span name =
-  if enabled () && not (Float.is_nan span) then
-    emit ~ph:"X" ~dur:(Float.max 0. (now_us () -. span)) ?args ~ts:span name
+let finish ?(args = []) span name =
+  if enabled () && not (Float.is_nan span.t0) then begin
+    let words = Proc.allocated_words () -. span.words0 in
+    let args = args @ [ ("alloc_words", Json.Int (Float.to_int words)) ] in
+    emit ~ph:"X" ~dur:(Float.max 0. (now_us () -. span.t0)) ~args ~ts:span.t0 name
+  end
 
 let with_span ?args name f =
   if not (enabled ()) then f ()

@@ -17,7 +17,6 @@ type outcome = { winner : entry; winner_index : int; entries : entry array }
 
 let run ~backends rng g =
   if backends = [] then invalid_arg "Race.run: empty portfolio";
-  Obs.Prof.with_span "race.run" @@ fun () ->
   let arr = Array.of_list backends in
   (* One derived base, one substream per portfolio slot: backend i sees
      the same stream whether the heats run sequentially or fanned out,
@@ -29,9 +28,6 @@ let run ~backends rng g =
       (Array.length arr)
       (fun i ->
         let b = arr.(i) in
-        (* Per-backend resource span: xsa vs mlfm memory/time show up
-           side by side in `--prof` output. *)
-        Obs.Prof.with_span ("race." ^ b.name) @@ fun () ->
         let t0 = Obs.Clock.now () in
         let bisection = b.solve (Rng.substream ~base i) g in
         {

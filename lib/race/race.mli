@@ -9,8 +9,8 @@
 
     RNG discipline matches [Gbisect.solve]: one {!Gb_prng.Rng.derive_seed}
     draw, then backend [i] runs on [substream ~base i], so every heat
-    sees the same stream however the pool schedules it. Each heat runs
-    under a [race.<name>] {!Gb_obs.Prof} span and reports its cut as a
+    sees the same stream however the pool schedules it. Each heat
+    records its wall-clock in {!entry.seconds} and reports its cut as a
     [race.<name>.cut] telemetry sample. *)
 
 type backend = {

@@ -111,7 +111,6 @@ let step_slot cfg n record slot =
 
 let run ?(config = default_config) ?(record = false) rng g =
   validate config;
-  Obs.Prof.with_span "xsa.run" @@ fun () ->
   let n = Csr.n_vertices g in
   if n = 0 then
     ( Bisection.of_sides g [||],

@@ -83,18 +83,22 @@ let build_plan ~make_case p =
     go 0
   in
   let plan = Array.make p.requests None in
-  let fresh_indices = ref [] in
+  (* Plan indices of the fresh jobs, in plan order. A repeat draws
+     [Rng.int rng fresh] and counts back from the newest fresh job; the
+     plan digest in test_serve pins that order. *)
+  let fresh_indices = Array.make p.requests 0 in
+  let fresh = ref 0 in
   for i = 0 to p.requests - 1 do
-    let repeat = !fresh_indices <> [] && Rng.bernoulli rng p.repeat_ratio in
+    let repeat = !fresh > 0 && Rng.bernoulli rng p.repeat_ratio in
     let item =
       if repeat then begin
-        let prior = Array.of_list !fresh_indices in
-        let j = prior.(Rng.int rng (Array.length prior)) in
+        let j = fresh_indices.(!fresh - 1 - Rng.int rng !fresh) in
         let { family; solve } = Option.get plan.(j) in
         { family; solve = { solve with id = Some (string_of_int i) } }
       end
       else begin
-        fresh_indices := i :: !fresh_indices;
+        fresh_indices.(!fresh) <- i;
+        incr fresh;
         let family, g, case_seed = fresh_case () in
         {
           family;
@@ -272,34 +276,12 @@ let run ?(log = ignore) ~make_case p addr =
 (* Reporting                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Host fingerprint in the BENCH_core.json style. Duplicated from the
-   experiments suite rather than imported: gb_experiments sits above
-   gb_check in the library order, and gb_check must be able to link
-   this library for the serve-codec oracle. *)
-let hostname () =
-  match open_in "/proc/sys/kernel/hostname" with
-  | exception Sys_error _ -> (
-      match Sys.getenv_opt "HOSTNAME" with Some h -> h | None -> "unknown")
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          match input_line ic with exception End_of_file -> "unknown" | h -> h)
-
-let host () =
-  [
-    ("ocaml_version", Json.String Sys.ocaml_version);
-    ("word_size", Json.Int Sys.word_size);
-    ("os_type", Json.String Sys.os_type);
-    ("hostname", Json.String (hostname ()));
-  ]
-
 let to_json o =
   Json.Obj
     [
       ("schema_version", Json.Int schema_version);
       ("suite", Json.String "serve");
-      ("host", Json.Obj (host ()));
+      ("host", Json.Obj (Gb_obs.Proc.host ()));
       ( "params",
         Json.Obj
           [

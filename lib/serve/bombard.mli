@@ -23,8 +23,6 @@ type params = {
                                 connection is declared dead. *)
 }
 
-(* lint: allow dead-export — the record callers start from when they
-   override one field of [params] *)
 val default_params : params
 (** 200 requests, 8 connections, repeat ratio 0.3, 1 start, seed 1,
     10 s timeout. *)
@@ -48,6 +46,15 @@ type outcome = {
                                        family, plan order. *)
 }
 
+type planned = { family : string; solve : Protocol.solve }
+
+val build_plan :
+  make_case:(seed:int -> (string * Gb_graph.Csr.t) option) -> params -> planned array
+(** The requests {!run} issues, in order: a pure function of
+    [make_case] and [params] (timeouts and concurrency aside). A
+    repeat reuses an earlier fresh job with its own [id]. Linear in
+    [params.requests]. *)
+
 val run :
   ?log:(string -> unit) ->
   make_case:(seed:int -> (string * Gb_graph.Csr.t) option) ->
@@ -57,10 +64,11 @@ val run :
 (** [run ~make_case params addr] executes the plan against a live
     daemon. [make_case ~seed] supplies a (family, graph) pair for a
     derived seed, or [None] when that seed's graph is unusable (fewer
-    than 2 vertices) — the planner then tries the next derived seed.
-    The generator is injected (rather than calling [Gb_check] directly)
-    to keep this library below the fuzz harness in the dependency
-    order; the CLI passes [Gbisect.Fuzz_generators.generate].
+    than 2 vertices, or a generator that fails) — the planner then
+    tries the next derived seed. The generator is injected (rather
+    than calling [Gb_check] directly) to keep this library below the
+    fuzz harness in the dependency order; the CLI passes
+    [Gbisect.Fuzz_generators.generate].
 
     @raise Failure when no connection can be established, or when
     every connection dies before the plan completes.

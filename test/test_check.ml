@@ -10,6 +10,7 @@ module Oracles = Gbisect.Fuzz_oracles
 module Shrink = Gbisect.Fuzz_shrink
 module Rng = Gbisect.Rng
 module Json = Gbisect.Obs.Json
+module Trace = Gbisect.Obs.Trace
 
 let case = Helpers.case
 let check_int = Helpers.check_int
@@ -80,6 +81,19 @@ let oracle_tests =
         match Oracles.run throwing ~seed:1 (Graph.empty 2) with
         | Error msg -> check_bool "message kept" true (Helpers.contains msg "boom")
         | Ok () -> Alcotest.fail "exception swallowed");
+    case "trace-identity removes its own sink and keeps anyone else's" (fun () ->
+        let oracle = List.find (fun o -> o.Oracles.name = "trace-identity") Oracles.all in
+        let g = Gbisect.Classic.ladder 8 in
+        check_bool "passes without a sink" true (Result.is_ok (Oracles.run oracle ~seed:1 g));
+        check_bool "leaves no sink behind" false (Trace.enabled ());
+        let buf = Buffer.create 4096 in
+        Fun.protect
+          ~finally:(fun () -> Trace.set Trace.noop)
+          (fun () ->
+            Trace.set (Trace.of_writer (Buffer.add_string buf));
+            check_bool "passes under a sink" true (Result.is_ok (Oracles.run oracle ~seed:1 g));
+            check_bool "the sink is still installed" true (Trace.enabled ());
+            check_bool "the runs went to it" true (Buffer.length buf > 0)));
   ]
 
 let broken_tests =

@@ -333,6 +333,16 @@ let serve_tests =
         in
         check_int "exit" 1 code;
         check_int "one diagnostic line" 1 (List.length (gbisect_lines err)));
+    case "bombard: a plan over raising corpus seeds still reaches the connect" (fun () ->
+        (* 32000 requests draw about 9600 corpus seeds, some of whose
+           generators raise; the plan skips them and the run fails only
+           at the unreachable address. *)
+        let code, _, err =
+          run_cli
+            [ "bombard"; "unix:/missing"; "-n"; "32000"; "-c"; "2"; "--repeat"; "0.7"; "--seed"; "3" ]
+        in
+        check_int "exit" 1 code;
+        check_bool "cannot connect" true (contains err "cannot connect to unix:/missing"));
     case "bombard: nonsense parameters are usage errors (exit 2)" (fun () ->
         let c1, _, _ = run_cli [ "bombard"; "--requests"; "0" ] in
         check_int "--requests 0" 2 c1;

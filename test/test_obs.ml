@@ -8,7 +8,7 @@ module Metrics = Obs.Metrics
 module Trace = Obs.Trace
 module Telemetry = Obs.Telemetry
 module Clock = Obs.Clock
-module Prof = Obs.Prof
+module Proc = Obs.Proc
 module Pool = Gbisect.Pool
 module Classic = Gbisect.Classic
 module Kl = Gbisect.Kl
@@ -26,8 +26,6 @@ let pristine f =
     ~finally:(fun () ->
       Metrics.set_enabled false;
       Metrics.reset ();
-      Prof.set_enabled false;
-      Prof.reset ();
       Trace.set Trace.noop;
       Telemetry.set_writer None)
     f
@@ -296,119 +294,19 @@ let metrics_tests =
                   (List.fold_left (fun acc (_, c) -> acc + c) 0 s.Metrics.buckets)));
   ]
 
-(* --- Prof ------------------------------------------------------------------ *)
+(* --- Proc ------------------------------------------------------------------ *)
 
-let prof_tests =
+let proc_tests =
   [
-    case "disabled spans are inert" (fun () ->
-        pristine (fun () ->
-            check_bool "off by default" false (Prof.enabled ());
-            let hit = ref false in
-            Prof.with_span "test.span" (fun () -> hit := true);
-            check_bool "thunk ran" true !hit;
-            check_bool "finish is None" true (Prof.finish (Prof.start "test.span") = None);
-            check_int "registry untouched" 0 (List.length (Prof.snapshot ()))));
-    case "enabled spans accumulate counts and allocation" (fun () ->
-        pristine (fun () ->
-            Prof.set_enabled true;
-            for _ = 1 to 3 do
-              Prof.with_span "test.alloc" (fun () ->
-                  ignore (Sys.opaque_identity (Array.make 10_000 0.)))
-            done;
-            match List.assoc_opt "test.alloc" (Prof.snapshot ()) with
-            | None -> Alcotest.fail "span missing from snapshot"
-            | Some s ->
-                check_int "count" 3 s.Prof.count;
-                check_bool "allocation observed" true
-                  (Prof.allocated_words s.Prof.total > 3. *. 10_000.);
-                check_bool "seconds non-negative" true (s.Prof.total.Prof.seconds >= 0.)));
-    case "snapshot is sorted and reset clears it" (fun () ->
-        pristine (fun () ->
-            Prof.set_enabled true;
-            List.iter
-              (fun name -> Prof.with_span name (fun () -> ()))
-              [ "test.z"; "test.a"; "test.m" ];
-            let names = List.map fst (Prof.snapshot ()) in
-            check_bool "sorted" true (List.sort String.compare names = names);
-            Prof.reset ();
-            check_int "reset" 0 (List.length (Prof.snapshot ()))));
-    case "snapshot_json and openmetrics render the registry" (fun () ->
-        pristine (fun () ->
-            Prof.set_enabled true;
-            Prof.with_span "test.render" (fun () ->
-                ignore (Sys.opaque_identity (List.init 100 Fun.id)));
-            let v = Json.of_string (Json.to_string (Prof.snapshot_json ())) in
-            (match Option.bind (Json.member "spans" v) (Json.member "test.render") with
-            | Some span ->
-                check_bool "count" true (Json.member "count" span = Some (Json.Int 1));
-                check_bool "alloc field" true
-                  (Json.member "alloc_words" span <> None)
-            | None -> Alcotest.fail "span missing from snapshot_json");
-            check_bool "peak_rss key" true (Json.member "peak_rss_bytes" v <> None);
-            let om = Prof.render_openmetrics () in
-            let has needle haystack =
-              let nl = String.length needle and hl = String.length haystack in
-              let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
-              go 0
-            in
-            check_bool "spans_total family" true
-              (has "gbisect_prof_spans_total{span=\"test.render\"} 1" om);
-            check_bool "alloc family" true (has "gbisect_prof_alloc_words_total" om);
-            check_bool "terminated" true (has "# EOF" om)));
+    case "allocated_words counts every word of Array.make 100 0" (fun () ->
+        let w0 = Proc.allocated_words () in
+        ignore (Sys.opaque_identity (Array.make 100 0));
+        let w1 = Proc.allocated_words () in
+        check_bool "at least 101 words" true (w1 -. w0 >= 101.));
     case "peak rss is readable on linux" (fun () ->
-        match Prof.peak_rss_bytes () with
+        match Proc.peak_rss_bytes () with
         | Some b -> check_bool "positive" true (b > 0)
         | None -> () (* not linux: procfs absent is a legal answer *));
-    case "prof on vs off: identical cut and RNG stream" (fun () ->
-        let run () =
-          let g = Classic.ladder 32 in
-          let rng = Rng.create ~seed:11 in
-          let b, _ = Kl.run rng g in
-          (Gbisect.Bisection.cut b, Rng.int rng 1_000_000)
-        in
-        let off = run () in
-        let on =
-          pristine (fun () ->
-              Prof.set_enabled true;
-              run ())
-        in
-        check_bool "bit-identical" true (off = on));
-    case "runner attaches a prof delta to records and spans when enabled" (fun () ->
-        pristine (fun () ->
-            Prof.set_enabled true;
-            let records = ref [] in
-            Telemetry.set_writer (Some (fun r -> records := r :: !records));
-            let g = Classic.ladder 16 in
-            let rng = Rng.create ~seed:1 in
-            ignore (Runner.best_of_starts Profile.smoke rng `Kl g);
-            check_bool "records emitted" true (!records <> []);
-            List.iter
-              (fun r ->
-                match List.assoc_opt "prof" r.Telemetry.metrics with
-                | Some (Json.Obj fields) ->
-                    List.iter
-                      (fun key ->
-                        check_bool (key ^ " present") true
-                          (List.mem_assoc key fields))
-                      [ "seconds"; "alloc_words"; "minor_collections" ]
-                | _ -> Alcotest.fail "record carries no prof sub-object")
-              !records;
-            (* runner.trial itself is a registered span *)
-            check_bool "runner.trial span" true
-              (List.mem_assoc "runner.trial" (Prof.snapshot ()))));
-    case "runner records carry no prof object when disabled" (fun () ->
-        pristine (fun () ->
-            let records = ref [] in
-            Telemetry.set_writer (Some (fun r -> records := r :: !records));
-            let g = Classic.ladder 16 in
-            let rng = Rng.create ~seed:1 in
-            ignore (Runner.best_of_starts Profile.smoke rng `Kl g);
-            check_bool "records emitted" true (!records <> []);
-            List.iter
-              (fun r ->
-                check_bool "no prof key" false
-                  (List.mem_assoc "prof" r.Telemetry.metrics))
-              !records));
   ]
 
 (* --- Trace ----------------------------------------------------------------- *)
@@ -421,6 +319,18 @@ let trace_lines f =
       Trace.set Trace.noop);
   String.split_on_char '\n' (Buffer.contents buf)
   |> List.filter (fun l -> String.trim l <> "")
+
+let alloc_words event =
+  Option.bind (Option.bind (Json.member "args" event) (Json.member "alloc_words")) Json.to_float
+
+(* The alloc_words of the one event [Trace.with_span "probe" f] emits. *)
+let span_words f =
+  match trace_lines (fun () -> Trace.with_span "probe" f) with
+  | [ line ] -> (
+      match alloc_words (Json.of_string line) with
+      | Some w -> w
+      | None -> Alcotest.fail "no alloc_words")
+  | lines -> Alcotest.failf "expected one event, got %d" (List.length lines)
 
 let trace_tests =
   [
@@ -458,6 +368,29 @@ let trace_tests =
           List.filter_map (fun l -> Json.member "name" (Json.of_string l)) lines
         in
         check_bool "has kl.pass span" true (List.mem (Json.String "kl.pass") names));
+    case "a span's alloc_words covers Array.make 10_000 0." (fun () ->
+        let words = span_words (fun () -> ignore (Sys.opaque_identity (Array.make 10_000 0.))) in
+        check_bool "at least 10_001 words" true (words >= 10_001.));
+    case "an empty span reports fewer than 100 alloc_words" (fun () ->
+        check_bool "under 100 words" true (span_words ignore < 100.));
+    case "every complete event carries alloc_words and no instant does" (fun () ->
+        let lines =
+          trace_lines (fun () ->
+              Trace.instant "before";
+              ignore
+                ((Gbisect.Algo.find `Mlfm).run (Rng.create ~seed:2)
+                   (Classic.grid ~rows:16 ~cols:16)))
+        in
+        let events = List.map Json.of_string lines in
+        let ph e = Json.member "ph" e in
+        check_bool "has spans" true (List.exists (fun e -> ph e = Some (Json.String "X")) events);
+        List.iter
+          (fun e ->
+            match ph e with
+            | Some (Json.String "X") ->
+                check_bool "X carries alloc_words" true (alloc_words e <> None)
+            | _ -> check_bool "instant carries none" true (alloc_words e = None))
+          events);
     case "noop sink writes nothing and is not enabled" (fun () ->
         pristine (fun () ->
             Trace.set Trace.noop;
@@ -634,7 +567,7 @@ let () =
     [
       ("json", json_tests);
       ("metrics", metrics_tests);
-      ("prof", prof_tests);
+      ("proc", proc_tests);
       ("trace", trace_tests);
       ("determinism", determinism_tests);
       ("telemetry", telemetry_tests);
