@@ -141,6 +141,7 @@ let recursive ?(policy = Random_matching) ?(min_vertices = 64) ?(max_levels = 20
     build g (List.rev hierarchy)
   in
   let projected_cut = ref coarse_cut in
+  let finest_level = List.length hierarchy in
   let level_no = ref 0 in
   let side =
     List.fold_left
@@ -157,8 +158,11 @@ let recursive ?(policy = Random_matching) ?(min_vertices = 64) ?(max_levels = 20
                   ~coarse:contraction.Contraction.coarse ~coarse_side:side ~projected
                   ~rebalanced:start
             | None -> ());
-            projected_cut := Bisection.compute_cut fine_g start;
-            Obs.Telemetry.sample "compaction.projected" (float_of_int !projected_cut);
+            (* Only the finest level's projected cut reaches the stats. *)
+            if !level_no = finest_level || Obs.Telemetry.collecting () then begin
+              projected_cut := Bisection.compute_cut fine_g start;
+              Obs.Telemetry.sample "compaction.projected" (float_of_int !projected_cut)
+            end;
             let refined = refiner rng fine_g start in
             (* compute_cut is pure; only pay for it when collecting. *)
             if Obs.Telemetry.collecting () then
@@ -167,16 +171,16 @@ let recursive ?(policy = Random_matching) ?(min_vertices = 64) ?(max_levels = 20
             refined))
       side (List.rev finest_first)
   in
-  let final_cut = Bisection.compute_cut g side in
-  ( Bisection.of_sides g side,
+  let result = Bisection.of_sides g side in
+  ( result,
     {
       fine_vertices = Csr.n_vertices g;
       coarse_vertices;
       coarse_average_degree;
       coarse_cut;
       projected_cut = !projected_cut;
-      final_cut;
-      levels = List.length hierarchy + 1;
+      final_cut = Bisection.cut result;
+      levels = finest_level + 1;
     } )
 
 let kl_refiner ?config () : refiner =

@@ -17,7 +17,7 @@ let par_contract_threshold = 1 lsl 15
    slice in range order, so the emitted arrays — and hence the coarse
    graph the canonical CSR build merges them into — are byte-identical
    to the sequential sweep at any chunk and job count. *)
-let emit_surviving ?chunks g fine_to_coarse csrc cdst cwgt =
+let emit_surviving ?chunks g (fine_to_coarse : int array) csrc cdst cwgt =
   let n = Csr.n_vertices g in
   let pool = Pool.current () in
   let sequential_default =

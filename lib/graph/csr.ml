@@ -224,55 +224,45 @@ let pack v w = (v lsl 31) lor w
 let unpack_v p = p lsr 31
 let unpack_w p = p land 0x7FFFFFFF
 
-(* In-place ascending sort of a.(lo..hi-1): insertion sort for short
-   slices, in-place heapsort above that (O(len log len) worst case, no
-   allocation, fully deterministic). *)
-let sort_range (a : int array) lo hi =
+(* Ascending sort of a.(lo..hi-1): insertion sort for short slices, a
+   top-down merge sort above that. A merge copies the left run into
+   [tmp] and merges it with the right run back into [a], so [tmp] must
+   hold half the slice; [build] allocates one, half the longest slice. *)
+let rec sort_range (a : int array) tmp lo hi =
   let len = hi - lo in
-  if len > 1 then
-    if len <= 16 then
-      for i = lo + 1 to hi - 1 do
-        let x = a.(i) in
-        let j = ref (i - 1) in
-        while !j >= lo && a.(!j) > x do
-          a.(!j + 1) <- a.(!j);
-          decr j
-        done;
-        a.(!j + 1) <- x
-      done
-    else begin
-      let swap i j =
-        let t = a.(i) in
-        a.(i) <- a.(j);
-        a.(j) <- t
-      in
-      let sift_down root size =
-        let r = ref root in
-        let continue_ = ref true in
-        while !continue_ do
-          let child = (2 * !r) + 1 in
-          if child >= size then continue_ := false
-          else begin
-            let child =
-              if child + 1 < size && a.(lo + child) < a.(lo + child + 1) then child + 1
-              else child
-            in
-            if a.(lo + !r) < a.(lo + child) then begin
-              swap (lo + !r) (lo + child);
-              r := child
-            end
-            else continue_ := false
-          end
-        done
-      in
-      for root = (len / 2) - 1 downto 0 do
-        sift_down root len
+  if len <= 16 then
+    for i = lo + 1 to hi - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= lo && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
       done;
-      for last = len - 1 downto 1 do
-        swap lo (lo + last);
-        sift_down 0 last
-      done
+      a.(!j + 1) <- x
+    done
+  else begin
+    let mid = lo + (len / 2) in
+    sort_range a tmp lo mid;
+    sort_range a tmp mid hi;
+    if a.(mid - 1) > a.(mid) then begin
+      let nl = mid - lo in
+      Array.blit a lo tmp 0 nl;
+      let i = ref 0 and j = ref mid and k = ref lo in
+      while !i < nl && !j < hi do
+        if tmp.(!i) <= a.(!j) then begin
+          a.(!k) <- tmp.(!i);
+          incr i
+        end
+        else begin
+          a.(!k) <- a.(!j);
+          incr j
+        end;
+        incr k
+      done;
+      (* What is left of the right run is already in place. *)
+      Array.blit tmp !i a !k (nl - !i)
     end
+  end
 
 (* The one real constructor. [src]/[dst] give the endpoints of [len]
    edges; [weight k] their weights. Endpoints and weights are validated
@@ -330,12 +320,17 @@ let build ~what ?vertex_weights ~n ~len src dst weight =
   done;
   (* Sort each slice, then merge parallel edges in place (summing
      weights); [write] trails the read cursor so this is one pass. *)
+  let longest = ref 0 in
+  for u = 0 to n - 1 do
+    longest := max !longest (start.(u + 1) - start.(u))
+  done;
+  let tmp = Array.make (if !longest > 16 then !longest / 2 else 0) 0 in
   let xadj = ia_create (n + 1) in
   set xadj 0 0;
   let write = ref 0 in
   let total_edge_weight = ref 0 in
   for u = 0 to n - 1 do
-    sort_range packed start.(u) start.(u + 1);
+    sort_range packed tmp start.(u) start.(u + 1);
     let k = ref start.(u) in
     while !k < start.(u + 1) do
       let v = unpack_v packed.(!k) in

@@ -24,7 +24,7 @@ let induced g keep =
     from_parent;
   }
 
-let induced_by_side g side s =
+let induced_by_side g (side : int array) s =
   if Array.length side <> Csr.n_vertices g then
     invalid_arg "Subgraph.induced_by_side: side length";
   let keep = ref [] in

@@ -11,7 +11,16 @@
 
     Provided as an extension (not part of the paper's experiments) and
     exercised by the ablation benchmarks; it slots anywhere {!Kl} does,
-    including under compaction. *)
+    including under compaction.
+
+    {b Cost.} A [refine] call allocates one workspace: seven n-sized
+    int arrays and [2 (2 Delta + 1)] bucket heads, [Delta] the maximum
+    weighted degree, and computes every gain once (O(m)). Each pass
+    then costs O(n + Delta) to reset the buckets and insert every
+    vertex, O(deg v) per moved vertex to update its unlocked
+    neighbours, and O(deg v) per kept move to carry the committed
+    gains to the next pass. A pass allocates no array, option or
+    closure. *)
 
 type config = {
   max_passes : int;
@@ -35,7 +44,8 @@ type stats = {
 
 val one_pass : ?tolerance:int -> Gb_graph.Csr.t -> int array -> int array * int
 (** Single pass from a balanced assignment; returns the new assignment
-    (exactly balanced) and its cut decrease. *)
+    (exactly balanced) and its cut decrease. This is [refine]'s first
+    pass on a workspace of its own, so it pays the O(m) set-up too. *)
 
 val refine : ?config:config -> Gb_graph.Csr.t -> int array -> int array * stats
 val run :

@@ -7,7 +7,7 @@ let validate_sides g side =
   if Array.exists (fun s -> s <> 0 && s <> 1) side then
     invalid_arg "Bisection: sides must be 0 or 1"
 
-let compute_cut g side =
+let compute_cut g (side : int array) =
   let cut = ref 0 in
   Csr.iter_edges g (fun u v w -> if side.(u) <> side.(v) then cut := !cut + w);
   !cut
@@ -25,11 +25,11 @@ let side_weights g side =
     side;
   (!w0, !w1)
 
-let gain g side v =
+let gain g (side : int array) v =
   Csr.fold_neighbors g v ~init:0 ~f:(fun acc u w ->
       if side.(u) = side.(v) then acc - w else acc + w)
 
-let all_gains_sequential g side =
+let all_gains_sequential g (side : int array) =
   let gains = Array.make (Csr.n_vertices g) 0 in
   Csr.iter_edges g (fun u v w ->
       if side.(u) = side.(v) then begin
@@ -138,7 +138,7 @@ let rebalance_in_place g side =
     let hg = ref (Array.make (max 16 n) 0) in
     let hv = ref (Array.make (max 16 n) 0) in
     let len = ref 0 in
-    let before g1 v1 g2 v2 = g1 > g2 || (g1 = g2 && v1 < v2) in
+    let before (g1 : int) (v1 : int) g2 v2 = g1 > g2 || (g1 = g2 && v1 < v2) in
     let swap i j =
       let h = !hg and v = !hv in
       let tg = h.(i) and tv = v.(i) in

@@ -11,7 +11,7 @@ type t = {
   components_within : int * int;
 }
 
-let components_inside g side s =
+let components_inside g (side : int array) s =
   let n = Csr.n_vertices g in
   let label = Array.make n (-1) in
   let count = ref 0 in

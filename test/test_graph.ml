@@ -814,6 +814,50 @@ let product_properties =
 
 (* --- of_edge_arrays --------------------------------------------------- *)
 
+(* A multigraph with a few hubs of input degree 17..2000, so their
+   slices are longer than the insertion-sort cutoff: repeated pairs
+   with random weights, in both orientations, in shuffled order. *)
+let gen_hub_multigraph =
+  let open QCheck2.Gen in
+  let* seed = int_range 0 1_000_000 in
+  let r = Rng.create ~seed in
+  let n = 40 + Rng.int r 2000 in
+  let edges = ref [] in
+  for _ = 1 to 1 + Rng.int r 3 do
+    let hub = Rng.int r n in
+    for _ = 1 to Rng.int_in r 17 2000 do
+      let v = Rng.int r n in
+      if v <> hub then begin
+        edges := (hub, v, 1 + Rng.int r 9) :: !edges;
+        if Rng.bernoulli r 0.3 then edges := (v, hub, 1 + Rng.int r 9) :: !edges
+      end
+    done
+  done;
+  for _ = 1 to n do
+    let u = Rng.int r n and v = Rng.int r n in
+    if u <> v then edges := (u, v, 1 + Rng.int r 9) :: !edges
+  done;
+  let edges = Rng.shuffle r (Array.of_list !edges) in
+  return (seed, n, edges)
+
+(* Each vertex's adjacency by List.sort and weight summation. *)
+let reference_adjacency n edges =
+  let incident = Array.make n [] in
+  Array.iter
+    (fun (u, v, w) ->
+      incident.(u) <- (v, w) :: incident.(u);
+      incident.(v) <- (u, w) :: incident.(v))
+    edges;
+  Array.map
+    (fun l ->
+      let rec merge = function
+        | (v, w) :: (v', w') :: rest when v = v' -> merge ((v, w + w') :: rest)
+        | x :: rest -> x :: merge rest
+        | [] -> []
+      in
+      Array.of_list (merge (List.sort (fun (a, _) (b, _) -> Int.compare a b) l)))
+    incident
+
 let edge_arrays_tests =
   [
     case "matches of_edges on the same multiset" (fun () ->
@@ -860,6 +904,20 @@ let edge_arrays_tests =
         in
         Helpers.check_graph_ok g';
         Graph.equal g g');
+    Helpers.qtest_pair ~count:50 "long slices sort like List.sort" gen_hub_multigraph
+      (fun (seed, n, edges) ->
+        Printf.sprintf "seed %d: n=%d, %d edges" seed n (Array.length edges))
+      (fun (_, n, edges) ->
+        let g =
+          Graph.of_edge_arrays ~n
+            ~edge_weights:(Array.map (fun (_, _, w) -> w) edges)
+            (Array.map (fun (u, _, _) -> u) edges)
+            (Array.map (fun (_, v, _) -> v) edges)
+        in
+        Helpers.check_graph_ok g;
+        let expected = reference_adjacency n edges in
+        Array.length expected = Graph.n_vertices g
+        && Array.for_all Fun.id (Array.mapi (fun u adj -> Graph.neighbors g u = adj) expected));
   ]
 
 (* --- Bitset ------------------------------------------------------------ *)

@@ -404,6 +404,88 @@ let fm_properties =
         Bisection.cut b >= opt);
   ]
 
+(* --- FM against the pre-workspace reference --------------------------------- *)
+
+(* Fm.one_pass and Fm.refine must return exactly what the verbatim
+   reference in fm_reference.ml returns: the same sides, gain and
+   statistics, so that every move sequence is unchanged. *)
+let same_as_reference ~tolerance ~config g side =
+  let next, gain = Fm.one_pass ~tolerance g side in
+  let next', gain' = Fm_reference.one_pass ~tolerance g side in
+  let out, stats = Fm.refine ~config g side in
+  let out', stats' = Fm_reference.refine ~config g side in
+  next = next' && gain = gain' && out = out' && stats = stats'
+
+let configs =
+  [
+    Fm.default_config;
+    { Fm.max_passes = 4; until_no_improvement = false; tolerance = 3 };
+    { Fm.max_passes = 50; until_no_improvement = true; tolerance = 5 };
+  ]
+
+let gen_fm_case =
+  let open QCheck2.Gen in
+  let* n = int_range 1 40 in
+  let* seed = int_range 0 1_000_000 in
+  let* tolerance = oneofl [ 2; 3; 5 ] in
+  let* max_passes = oneofl [ 1; 4; 50 ] in
+  let* until_no_improvement = bool in
+  let r = Rng.create ~seed in
+  (* Repeated pairs become parallel edges, merged with summed weights. *)
+  let edges = ref [] in
+  for _ = 1 to Rng.int r (4 * n) + 1 do
+    let u = Rng.int r n and v = Rng.int r n in
+    if u <> v then begin
+      edges := (u, v, 1 + Rng.int r 5) :: !edges;
+      if Rng.bernoulli r 0.3 then edges := (v, u, 1 + Rng.int r 5) :: !edges
+    end
+  done;
+  let vertex_weights = Array.init n (fun _ -> 1 + Rng.int r 3) in
+  let g = Graph.of_edges ~vertex_weights ~n !edges in
+  let side = Helpers.balanced_sides r g in
+  return (g, side, { Fm.max_passes; until_no_improvement; tolerance })
+
+let print_fm_case (g, side, (c : Fm.config)) =
+  Printf.sprintf "%s sides [%s] max_passes %d until_no_improvement %b tolerance %d"
+    (Helpers.graph_print g)
+    (String.concat ";" (Array.to_list (Array.map string_of_int side)))
+    c.max_passes c.until_no_improvement c.tolerance
+
+let fm_reference_tests =
+  [
+    case "one case of every fuzz family matches the reference" (fun () ->
+        let module G = Gbisect.Fuzz_generators in
+        List.iter
+          (fun family ->
+            let rec first seed =
+              match G.generate ~seed with
+              | { G.family = f; graph; _ } when f = family -> graph
+              | _ | (exception _) -> first (seed + 1)
+            in
+            let g = first 0 in
+            let side = Helpers.balanced_sides (Helpers.rng ()) g in
+            List.iter
+              (fun (config : Fm.config) ->
+                check_bool
+                  (Printf.sprintf "%s, tolerance %d" family config.tolerance)
+                  true
+                  (same_as_reference ~tolerance:config.tolerance ~config g side))
+              configs)
+          G.families);
+    case "gnp(400) matches the reference" (fun () ->
+        let r = Helpers.rng ~seed:5 () in
+        let g = Gbisect.Gnp.with_average_degree r ~n:400 ~avg_degree:6. in
+        let side = Helpers.balanced_sides r g in
+        List.iter
+          (fun (config : Fm.config) ->
+            check_bool "same" true
+              (same_as_reference ~tolerance:config.tolerance ~config g side))
+          configs);
+    Helpers.qtest_pair ~count:500 "weighted multigraphs match the reference" gen_fm_case
+      print_fm_case (fun (g, side, config) ->
+        same_as_reference ~tolerance:config.tolerance ~config g side);
+  ]
+
 let () =
   Alcotest.run "kl"
     [
@@ -413,4 +495,5 @@ let () =
       ("kl", kl_tests);
       ("fm", fm_tests);
       ("fm properties", fm_properties);
+      ("fm reference", fm_reference_tests);
     ]
