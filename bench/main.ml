@@ -160,11 +160,10 @@ let run_parallel_bench profile selected jobs file =
         Obs.Json.Obj (timing_row e.Registry.id seq par))
       selected
   in
-  (* Intra-run probes (PR 10): one instance big enough to cross the
-     chunked-kernel threshold (~80k edges), timed at --jobs 1 vs the
-     full pool. Each probe also re-asserts the determinism contract —
-     the cut must be identical at both job counts, or the probe row is
-     marked and the bench exits non-zero. *)
+  (* Intra-run probes: one 20k-vertex / ~80k-edge instance, timed at
+     --jobs 1 vs the full pool. Each probe also re-asserts the
+     determinism contract — the cut must be identical at both job
+     counts, or the probe row is marked and the bench exits non-zero. *)
   let probe_rows =
     let g =
       Gbisect.Gnp.generate (Gbisect.Rng.create ~seed:90210) ~n:20_000 ~p:(8.0 /. 19_999.)
@@ -200,12 +199,7 @@ let run_parallel_bench profile selected jobs file =
       probe "race-portfolio" (fun rng g ->
           (Gbisect.race rng g).Gbisect.Race.winner.Gbisect.Race.cut)
     in
-    let vcycle_row =
-      probe "vcycle-kernels" (fun rng g ->
-          Gbisect.Bisection.cut
-            (Gbisect.solve ~algorithm:`Mlfm ~starts:1 rng g).Gbisect.bisection)
-    in
-    let rows = [ xsa_row; race_row; vcycle_row ] in
+    let rows = [ xsa_row; race_row ] in
     if not !identical then (
       prerr_endline "bench: FATAL: a parallel probe broke --jobs byte-identity";
       exit 1);

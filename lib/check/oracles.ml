@@ -266,11 +266,7 @@ let fm_accounting rng g =
 
 let compaction_projection rng g =
   let m = Matching.random_maximal rng g in
-  (* [~chunks:3] forces the chunked parallel emission kernel even on the
-     miniature corpus graphs, so this projection law also exercises the
-     parallel V-cycle contraction path (the adaptive default would take
-     the sequential sweep below the size threshold). *)
-  let c = Contraction.contract ~chunks:3 g m in
+  let c = Contraction.contract g m in
   let coarse = c.Contraction.coarse in
   (* Fundamental correspondence: any coarse assignment, pulled back to
      the fine graph, has exactly the coarse cut. *)
@@ -399,55 +395,6 @@ let replica_exchange rng g =
     let w = Exact.bisection_width ~limit:exact_limit g in
     require (c1 >= w) "xsa: cut %d beats the exact optimum %d" c1 w
   else Ok ()
-
-(* {1 Parallel CSR kernels} *)
-
-(* The chunked gain-init, edge-enumeration and contraction kernels must
-   reproduce their sequential references exactly, at several chunk
-   counts, on every corpus shape ([~chunks] forces the decomposition
-   below the adaptive size threshold). The V-cycle invariants above run
-   on top of these kernels; this oracle pins the kernels themselves. *)
-let parallel_kernels rng g =
-  let side = Initial.random rng g in
-  let gains = Bisection.all_gains_sequential g side in
-  let* () =
-    List.fold_left
-      (fun acc chunks ->
-        let* () = acc in
-        require
-          (Bisection.all_gains_chunked ~chunks g side = gains)
-          "all_gains_chunked ~chunks:%d disagrees with the sequential pass" chunks)
-      (Ok ()) [ 1; 2; 5 ]
-  in
-  let* () =
-    require (Bisection.all_gains g side = gains)
-      "adaptive all_gains disagrees with the sequential pass"
-  in
-  let esrc, edst = Matching.upper_edges g in
-  let* () =
-    List.fold_left
-      (fun acc chunks ->
-        let* () = acc in
-        require
-          (Matching.upper_edges ~chunks g = (esrc, edst))
-          "upper_edges ~chunks:%d disagrees with the sequential fill" chunks)
-      (Ok ()) [ 1; 4 ]
-  in
-  let m = Matching.random_maximal rng g in
-  let reference = Contraction.contract g m in
-  List.fold_left
-    (fun acc chunks ->
-      let* () = acc in
-      let c = Contraction.contract ~chunks g m in
-      let* () =
-        require
-          (Csr.equal c.Contraction.coarse reference.Contraction.coarse)
-          "contract ~chunks:%d built a different coarse graph" chunks
-      in
-      require
-        (c.Contraction.fine_to_coarse = reference.Contraction.fine_to_coarse)
-        "contract ~chunks:%d built a different projection map" chunks)
-    (Ok ()) [ 1; 3 ]
 
 (* {1 Matching} *)
 
@@ -958,7 +905,6 @@ let all =
     o "compaction-projection" (n_ge 2) compaction_projection;
     o "multilevel-projection" (n_ge 2) multilevel_projection;
     o "replica-exchange" (n_ge 2) replica_exchange;
-    o "parallel-kernels" (fun _ -> true) parallel_kernels;
     o "exact-witness" (fun g -> n_ge 2 g && Csr.n_vertices g <= exact_limit)
       exact_witness;
     o "tree-exact" (fun g -> n_ge 2 g && is_forest g) tree_exact_oracle;

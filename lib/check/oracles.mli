@@ -8,14 +8,11 @@
     validity/maximality, the replica-exchange purity law (an xsa run
     is a byte-exact function of its derived seed — the [--jobs]
     soundness argument, see the [replica-exchange] oracle), the
-    chunked parallel CSR kernels against their sequential references
-    (the [parallel-kernels] oracle; the projection and gain oracles
-    additionally run {e on top of} those kernels), the gain-bucket
-    queue against a sorted-list model, and the JSON/store codecs and
-    the serving wire protocol
-    ({!Gb_serve.Protocol}, the [serve-codec] oracle) and the
-    [lint --json] finding codec ({!Gb_lint.Lint}, the [lint-json]
-    oracle) against round-trip identity.
+    gain-bucket queue against a sorted-list model, and the JSON/store
+    codecs, the serving wire protocol ({!Gb_serve.Protocol}, the
+    [serve-codec] oracle) and the [lint --json] finding codec
+    ({!Gb_lint.Lint}, the [lint-json] oracle) against round-trip
+    identity.
 
     Oracles are deterministic: {!run} derives the oracle's RNG from the
     oracle name and the case's replay seed alone, so a finding replays

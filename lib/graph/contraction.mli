@@ -23,19 +23,10 @@ type t = {
           inner array sorted ascending. *)
 }
 
-val contract : ?chunks:int -> Csr.t -> Matching.t -> t
+val contract : Csr.t -> Matching.t -> t
 (** Contract every matched pair. Coarse vertex ids are assigned in
     order of the smallest fine member. Total vertex weight and the
-    weight of non-internal edges are preserved.
-
-    The surviving-edge emission is a chunked parallel kernel over CSR
-    source ranges on the ambient {!Gb_par.Pool} (engaged on large
-    graphs, or at any size when [chunks] forces a decomposition); each
-    chunk owns a disjoint slice of the edge buffers in range order, so
-    the coarse graph is structurally identical at any chunk and job
-    count. The differential tests compare chunk counts against the
-    sequential sweep.
-    @raise Invalid_argument if [chunks < 1]. *)
+    weight of non-internal edges are preserved. *)
 
 val project_to_fine : t -> 'a array -> 'a array
 (** [project_to_fine c assign] maps a per-coarse-vertex assignment back

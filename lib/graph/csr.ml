@@ -103,21 +103,13 @@ let edge_weight g u v =
   let k = find_edge g u v in
   if k < 0 then 0 else get g.adjwgt k
 
-(* Shared by iter_edges and the chunked parallel kernels: the edges
-   emitted for source range [lo, hi) are exactly the iter_edges
-   subsequence whose smaller endpoint lies in the range, in the same
-   order, so concatenating the ranges of any partition of [0, n)
-   reproduces the full iter_edges stream byte-for-byte. *)
-let iter_edges_range g ~lo ~hi f =
-  if lo < 0 || hi > g.n || lo > hi then invalid_arg "Csr.iter_edges_range";
-  for u = lo to hi - 1 do
+let iter_edges g f =
+  for u = 0 to g.n - 1 do
     for k = get g.xadj u to get g.xadj (u + 1) - 1 do
       let v = get g.adjncy k in
       if u < v then f u v (get g.adjwgt k)
     done
   done
-
-let iter_edges g f = iter_edges_range g ~lo:0 ~hi:g.n f
 
 let fold_edges g ~init ~f =
   let acc = ref init in

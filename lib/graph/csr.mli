@@ -102,15 +102,6 @@ val iter_edges : t -> (int -> int -> int -> unit) -> unit
 (** [iter_edges g f] calls [f u v w] once per undirected edge, with
     [u < v]. *)
 
-val iter_edges_range : t -> lo:int -> hi:int -> (int -> int -> int -> unit) -> unit
-(** [iter_edges_range g ~lo ~hi f] is the [iter_edges] subsequence whose
-    smaller endpoint [u] satisfies [lo <= u < hi], in the same order.
-    Concatenating the ranges of any partition of [0, n) reproduces the
-    full [iter_edges] stream exactly — this is what makes the chunked
-    parallel kernels (gain initialization, matching, contraction)
-    byte-identical to their sequential references.
-    @raise Invalid_argument unless [0 <= lo <= hi <= n]. *)
-
 val fold_edges : t -> init:'a -> f:('a -> int -> int -> int -> 'a) -> 'a
 val edges : t -> (int * int * int) list
 (** All edges as [(u, v, w)] with [u < v]. *)

@@ -1,5 +1,4 @@
 module Rng = Gb_prng.Rng
-module Pool = Gb_par.Pool
 
 type t = { mate : int array; pairs : (int * int) list }
 
@@ -11,73 +10,18 @@ let of_mate mate =
   Array.iteri (fun u v -> if v > u then pairs := (u, v) :: !pairs) mate;
   { mate; pairs = List.rev !pairs }
 
-(* Spawning domains for a tiny endpoint sweep costs more than the
-   sweep; below this many edges the chunked fill runs sequentially. *)
-let par_fill_threshold = 1 lsl 15
-
-(* The k-th upper (u < v) edge of the Csr.iter_edges order, as parallel
-   endpoint arrays. Chunked over CSR source ranges: a counting pass
-   sizes each range, a prefix sum assigns each chunk its disjoint slice,
-   and a fill pass writes it — Csr.iter_edges_range emits exactly the
-   iter_edges subsequence of its range, so the arrays are byte-identical
-   to the sequential single-pass fill at any chunk or job count. *)
-let upper_edges ?chunks g =
-  let n = Csr.n_vertices g in
-  let m = Csr.n_edges g in
-  let esrc = Array.make (max 1 m) 0 and edst = Array.make (max 1 m) 0 in
-  let pool = Pool.current () in
-  let sequential_default =
-    chunks = None
-    && (Pool.domains pool <= 1 || Pool.in_worker () || m < par_fill_threshold)
-  in
-  (match chunks with
-  | Some c when c < 1 -> invalid_arg "Matching.upper_edges: chunks < 1"
-  | _ -> ());
-  if sequential_default then begin
-    let k = ref 0 in
-    Csr.iter_edges g (fun u v _ ->
-        esrc.(!k) <- u;
-        edst.(!k) <- v;
-        incr k)
-  end
-  else begin
-    let chunks =
-      match chunks with
-      | Some c -> min c (max 1 n)
-      | None -> min (4 * Pool.domains pool) (max 1 n)
-    in
-    let bounds c = (c * n / chunks, (c + 1) * n / chunks) in
-    let counts =
-      Pool.init pool chunks (fun c ->
-          let lo, hi = bounds c in
-          let cnt = ref 0 in
-          Csr.iter_edges_range g ~lo ~hi (fun _ _ _ -> incr cnt);
-          !cnt)
-    in
-    let offsets = Array.make chunks 0 in
-    for c = 1 to chunks - 1 do
-      offsets.(c) <- offsets.(c - 1) + counts.(c - 1)
-    done;
-    ignore
-      (Pool.init pool chunks (fun c ->
-           let lo, hi = bounds c in
-           let k = ref offsets.(c) in
-           Csr.iter_edges_range g ~lo ~hi (fun u v _ ->
-               esrc.(!k) <- u;
-               edst.(!k) <- v;
-               incr k)))
-  end;
-  (esrc, edst)
-
 let random_maximal rng g =
   let n = Csr.n_vertices g in
   let m = Csr.n_edges g in
   (* Unboxed endpoint arrays plus a shuffled index permutation instead
      of a shuffled tuple array: same RNG draw sequence (one draw per
-     position, same length), same visit order, no per-edge boxing. The
-     endpoint fill is the parallel kernel; the shuffle and the greedy
-     scan stay sequential (both are order-defining). *)
-  let esrc, edst = upper_edges g in
+     position, same length), same visit order, no per-edge boxing. *)
+  let esrc = Array.make (max 1 m) 0 and edst = Array.make (max 1 m) 0 in
+  let k = ref 0 in
+  Csr.iter_edges g (fun u v _ ->
+      esrc.(!k) <- u;
+      edst.(!k) <- v;
+      incr k);
   let perm = Array.init m (fun i -> i) in
   Rng.shuffle_in_place rng perm;
   let mate = Array.make n (-1) in

@@ -21,21 +21,8 @@ val size : t -> int
 
 val is_matched : t -> int -> bool
 
-val upper_edges : ?chunks:int -> Csr.t -> int array * int array
-(** [(esrc, edst)]: the endpoints of every undirected edge in
-    {!Csr.iter_edges} order ([esrc.(k) < edst.(k)]). Filled chunked over
-    CSR source ranges on the ambient {!Gb_par.Pool} when the graph is
-    large (or when [chunks] forces a decomposition); the arrays are
-    byte-identical to the sequential fill at any chunk and job count —
-    this is the matching half of the parallel V-cycle kernels, and the
-    differential tests compare chunk counts against each other.
-    @raise Invalid_argument if [chunks < 1]. *)
-
 val random_maximal : Gb_prng.Rng.t -> Csr.t -> t
-(** Uniformly random edge order, greedy maximal matching. The edge
-    enumeration runs on the parallel {!upper_edges} kernel; the shuffle
-    and the greedy scan are order-defining and stay sequential, so the
-    matching is identical at any job count. *)
+(** Uniformly random edge order, greedy maximal matching. *)
 
 val heavy_edge : Gb_prng.Rng.t -> Csr.t -> t
 (** Visit vertices in random order; match each free vertex to its free

@@ -1,5 +1,4 @@
 module Csr = Gb_graph.Csr
-module Pool = Gb_par.Pool
 
 let validate_sides g side =
   if Array.length side <> Csr.n_vertices g then
@@ -29,7 +28,7 @@ let gain g (side : int array) v =
   Csr.fold_neighbors g v ~init:0 ~f:(fun acc u w ->
       if side.(u) = side.(v) then acc - w else acc + w)
 
-let all_gains_sequential g (side : int array) =
+let all_gains g (side : int array) =
   let gains = Array.make (Csr.n_vertices g) 0 in
   Csr.iter_edges g (fun u v w ->
       if side.(u) = side.(v) then begin
@@ -41,37 +40,6 @@ let all_gains_sequential g (side : int array) =
         gains.(v) <- gains.(v) + w
       end);
   gains
-
-(* Spawning domains for a tiny gain sweep costs more than the sweep;
-   below this many adjacency entries the chunked kernel is sequential. *)
-let par_gain_threshold = 1 lsl 15
-
-(* Chunked gain initialization. Vertex range [c*n/chunks, (c+1)*n/chunks)
-   is chunk c; each chunk fills its own slice of the result from the
-   per-vertex adjacency fold, so the merge is just index ownership and
-   the result is the exact integer array [all_gains_sequential] builds
-   (per-vertex summation visits the same weights, and integer addition
-   is associative), at any job count and any chunk count. *)
-let all_gains_chunked ~chunks g side =
-  if chunks < 1 then invalid_arg "Bisection.all_gains_chunked: chunks < 1";
-  let n = Csr.n_vertices g in
-  let gains = Array.make n 0 in
-  let chunks = min chunks (max 1 n) in
-  ignore
-    (Pool.init (Pool.current ()) chunks (fun c ->
-         let lo = c * n / chunks and hi = (c + 1) * n / chunks in
-         for v = lo to hi - 1 do
-           gains.(v) <- gain g side v
-         done));
-  gains
-
-let all_gains g side =
-  let pool = Pool.current () in
-  if
-    Pool.domains pool <= 1 || Pool.in_worker ()
-    || 2 * Csr.n_edges g < par_gain_threshold
-  then all_gains_sequential g side
-  else all_gains_chunked ~chunks:(4 * Pool.domains pool) g side
 
 let swap_gain g side a b =
   if side.(a) = side.(b) then invalid_arg "Bisection.swap_gain: same side";

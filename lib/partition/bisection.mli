@@ -30,25 +30,7 @@ val gain : Gb_graph.Csr.t -> int array -> int -> int
     paper's [g_v]). *)
 
 val all_gains : Gb_graph.Csr.t -> int array -> int array
-(** Every vertex's gain, O(m). On large graphs, when the ambient
-    {!Gb_par.Pool} has more than one domain and the caller is not
-    already inside a worker, the sweep runs chunked over CSR vertex
-    ranges ({!all_gains_chunked}); the result is the exact same integer
-    array at any [--jobs] value. *)
-
-val all_gains_sequential : Gb_graph.Csr.t -> int array -> int array
-(** The single-threaded O(m) edge-sweep reference for {!all_gains}.
-    The differential tests and fuzz oracles compare the chunked kernel
-    against this. *)
-
-val all_gains_chunked : chunks:int -> Gb_graph.Csr.t -> int array -> int array
-(** [all_gains_chunked ~chunks g side] computes the gains with the
-    vertex range split into [chunks] contiguous ranges, each filled by
-    a per-vertex adjacency fold on the ambient pool. Equal to
-    {!all_gains_sequential} for every chunk count and job count — the
-    ranges own disjoint result indices, so the merge is deterministic
-    by construction.
-    @raise Invalid_argument if [chunks < 1]. *)
+(** Every vertex's gain, in one O(m) sweep over the edges. *)
 
 val swap_gain : Gb_graph.Csr.t -> int array -> int -> int -> int
 (** [swap_gain g side a b] for [a], [b] on opposite sides: decrease of

@@ -10,9 +10,9 @@
     (sizes differ by at most 1 for odd [n]).
 
     Every construction is a pure function of the RNG state and the
-    graph, which is what lets the parallel fan-out ({!Gb_par.Pool})
-    hand each random start its own substream and still reproduce the
-    sequential results bit for bit. *)
+    graph, which is what lets the parallel fan-out over starts (the
+    domain pool) hand each random start its own substream and still
+    reproduce the sequential results bit for bit. *)
 
 val random : Gb_prng.Rng.t -> Gb_graph.Csr.t -> int array
 (** Uniformly random balanced bisection: a random half of the vertices

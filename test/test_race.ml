@@ -1,8 +1,8 @@
 (* Tests for lib/race — replica-exchange SA (xsa) and the deterministic
-   algorithm portfolio (race) — plus differential tests for the chunked
-   parallel CSR kernels they and the V-cycle run on. The through-line is
-   the determinism contract: byte-identical results at any --jobs value
-   and any chunk count (see PARALLELISM.md). *)
+   algorithm portfolio (race) — plus a --jobs check on the V-cycle's
+   matching and contraction. The through-line is the determinism
+   contract: byte-identical results at any --jobs value (see
+   PARALLELISM.md). *)
 
 module Pool = Gbisect.Pool
 module Rng = Gbisect.Rng
@@ -226,7 +226,7 @@ let race_tests =
           names);
   ]
 
-(* --- differential tests for the chunked CSR kernels ------------------------ *)
+(* --- V-cycle kernels at any --jobs ----------------------------------------- *)
 
 (* One representative case per generator family (first seed in 0..599
    that hits it — test_check proves 600 seeds cover all families). *)
@@ -250,57 +250,6 @@ let family_cases =
 
 let kernel_tests =
   [
-    case "chunked gain init equals the sequential reference, all families"
-      (fun () ->
-        List.iter
-          (fun c ->
-            let g = c.Generators.graph in
-            let side = Helpers.balanced_sides (Helpers.rng ~seed:c.Generators.seed ()) g in
-            let reference = Bisection.all_gains_sequential g side in
-            List.iter
-              (fun chunks ->
-                check_bool
-                  (Printf.sprintf "%s chunks=%d" c.Generators.family chunks)
-                  true
-                  (Bisection.all_gains_chunked ~chunks g side = reference))
-              [ 1; 4; 7 ];
-            check_bool (c.Generators.family ^ " adaptive") true
-              (Bisection.all_gains g side = reference))
-          family_cases);
-    case "chunked edge enumeration equals the sequential fill, all families"
-      (fun () ->
-        List.iter
-          (fun c ->
-            let g = c.Generators.graph in
-            let reference = Matching.upper_edges g in
-            List.iter
-              (fun chunks ->
-                check_bool
-                  (Printf.sprintf "%s chunks=%d" c.Generators.family chunks)
-                  true
-                  (Matching.upper_edges ~chunks g = reference))
-              [ 1; 3; 8 ])
-          family_cases);
-    case "chunked contraction equals the sequential sweep, all families"
-      (fun () ->
-        List.iter
-          (fun c ->
-            let g = c.Generators.graph in
-            let m = Matching.random_maximal (Helpers.rng ~seed:c.Generators.seed ()) g in
-            let reference = Contraction.contract g m in
-            List.iter
-              (fun chunks ->
-                let ct = Contraction.contract ~chunks g m in
-                check_bool
-                  (Printf.sprintf "%s chunks=%d graph" c.Generators.family chunks)
-                  true
-                  (Graph.equal ct.Contraction.coarse reference.Contraction.coarse);
-                check_bool
-                  (Printf.sprintf "%s chunks=%d map" c.Generators.family chunks)
-                  true
-                  (ct.Contraction.fine_to_coarse = reference.Contraction.fine_to_coarse))
-              [ 1; 5 ])
-          family_cases);
     case "matching and contraction are identical at jobs 1 vs 4, all families"
       (fun () ->
         List.iter
@@ -311,35 +260,11 @@ let kernel_tests =
                   let m =
                     Matching.random_maximal (Helpers.rng ~seed:c.Generators.seed ()) g
                   in
-                  let ct = Contraction.contract ~chunks:5 g m in
+                  let ct = Contraction.contract g m in
                   (m.Matching.pairs, ct.Contraction.fine_to_coarse))
             in
             check_bool c.Generators.family true (at 1 = at 4))
           family_cases);
-    Helpers.qtest ~count:120 "qcheck: chunked gains equal sequential on random graphs"
-      (Helpers.gen_graph ~max_n:20 ())
-      (fun g ->
-        let side = Helpers.balanced_sides (Helpers.rng ()) g in
-        let reference = Bisection.all_gains_sequential g side in
-        List.for_all
-          (fun chunks -> Bisection.all_gains_chunked ~chunks g side = reference)
-          [ 1; 2; 5 ]);
-    Helpers.qtest ~count:120 "qcheck: chunked upper_edges equals sequential"
-      (Helpers.gen_graph ~max_n:20 ())
-      (fun g ->
-        let reference = Matching.upper_edges g in
-        List.for_all (fun chunks -> Matching.upper_edges ~chunks g = reference) [ 1; 6 ]);
-    Helpers.qtest ~count:120 "qcheck: chunked contraction equals sequential"
-      (Helpers.gen_weighted_graph ~max_n:16 ())
-      (fun g ->
-        let m = Matching.random_maximal (Helpers.rng ()) g in
-        let reference = Contraction.contract g m in
-        List.for_all
-          (fun chunks ->
-            let ct = Contraction.contract ~chunks g m in
-            Graph.equal ct.Contraction.coarse reference.Contraction.coarse
-            && ct.Contraction.fine_to_coarse = reference.Contraction.fine_to_coarse)
-          [ 1; 3 ]);
   ]
 
 let () =
