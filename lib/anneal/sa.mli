@@ -1,30 +1,7 @@
-(** Generic simulated annealing engine — Figure 1 of the paper, made
-    executable over any problem instance.
-
-    The engine is parameterised by a {!Problem}: a mutable state, a
-    random move proposal, the cost delta of a move, and its
-    application. Line-for-line correspondence with the figure:
-
-    {v
-    1.  GET INITIAL SOLUTION S            — the caller's start state
-    2.  GET INITIAL TEMPERATURE T         — Schedule.initial_temperature
-    3.  WHILE (NOT YET FROZEN) DO         — acceptance-ratio freezing
-    5.    WHILE (NOT YET IN EQUILIBRIUM)  — size_factor * n attempts
-    7.      PICK A RANDOM SOLUTION S'     — Problem.random_move
-    8.      LET delta = CHANGE IN COST    — Problem.delta
-    9.      IF delta < 0 SET S = S'       — accept downhill
-    10.     ELSE SET S = S' WITH          — accept uphill with
-              PROBABILITY e^(-delta/T)      Boltzmann probability
-    12.   REDUCE TEMPERATURE              — t := cooling * t
-    14. OUTPUT SOLUTION S                 — plus the best state seen
-    v}
-
-    Following the paper's §VII warning that SA "may migrate away from
-    an optimal solution ... one must then save the best bisection found
-    as the algorithm progresses", the engine snapshots the best
-    {e feasible} state seen (feasibility defined by the problem), which
-    indeed "increases the time and storage requirements" — that cost
-    is visible in the benchmarks, as the paper says. *)
+(** The vocabulary shared by the annealing-style searches: the problem
+    signature that {!Threshold.Make} runs over, and the per-temperature
+    statistics that {!Sa_bisect} reports. The annealing loop itself is
+    {!Sa_bisect.refine}, specialised to bisection. *)
 
 module type Problem = sig
   type state
@@ -49,7 +26,7 @@ module type Problem = sig
       bisection is balanced). *)
 
   val snapshot : state -> state
-  (** Immutable-enough copy used to store the best state. *)
+  (** Independent copy used to store the best state. *)
 end
 
 (** Per-temperature-step record — the acceptance ratio here is the
@@ -77,22 +54,3 @@ type stats = {
   frozen : bool;  (** [true]: acceptance froze; [false]: a safety cap hit. *)
   plateaus : plateau list;  (** One record per temperature step, in order. *)
 }
-
-module Make (P : Problem) : sig
-  type result = {
-    final : P.state;  (** State when the schedule ended. *)
-    best : P.state;  (** Best feasible state seen (= [final] if none). *)
-    best_cost : float;
-    stats : stats;
-  }
-
-  val run :
-    ?schedule:Schedule.t ->
-    ?trace:(temperature:float -> acceptance:float -> best_cost:float -> unit) ->
-    Gb_prng.Rng.t ->
-    P.state ->
-    result
-  (** [run rng state] anneals [state] in place (the caller should keep
-      its own copy if needed) and returns it along with the best
-      feasible snapshot. [trace] fires after every temperature. *)
-end

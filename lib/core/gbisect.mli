@@ -84,7 +84,6 @@ module Netlist_io = Gb_hyper.Netlist_io
 module Random_netlist = Gb_hyper.Random_netlist
 module Hcoarsen = Gb_hyper.Hcoarsen
 module Placement = Gb_hyper.Placement
-module Hsa = Gb_hyper.Hsa
 
 (** {1 Observability} *)
 

@@ -21,13 +21,14 @@ let seed_of_string s =
 
 let int t n =
   if n <= 0 || n > Lfg.modulus then invalid_arg "Rng.int";
-  (* Rejection sampling for exact uniformity. *)
+  (* Rejection sampling for exact uniformity. A loop rather than a local
+     recursive function, which would allocate a closure on every call. *)
   let limit = Lfg.modulus - (Lfg.modulus mod n) in
-  let rec draw () =
-    let v = Lfg.next t.core in
-    if v < limit then v mod n else draw ()
-  in
-  draw ()
+  let v = ref (Lfg.next t.core) in
+  while !v >= limit do
+    v := Lfg.next t.core
+  done;
+  !v mod n
 
 let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in";

@@ -11,8 +11,6 @@ type t
 val create : seed:int -> t
 (** [create ~seed] makes a fresh stream. Equal seeds give equal streams. *)
 
-(* lint: allow dead-export — inverse of the Lfg constructor path; kept
-   so callers with a hand-built core can enter the Rng API *)
 val of_lfg : Lfg.t -> t
 (** Wrap an existing core generator (shares and advances its state). *)
 

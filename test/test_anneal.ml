@@ -1,5 +1,7 @@
-(* Tests for the annealing schedule, the generic SA engine (on a toy
-   problem with a known optimum) and the bisection instance. *)
+(* Tests for the annealing schedule, the annealing loop of Sa_bisect
+   (counters, caps, traces, the best-state snapshot), the bisection
+   problem, threshold accepting, and both annealers against the
+   verbatim pre-cached-gain reference in sa_reference.ml. *)
 
 module Schedule = Gbisect.Schedule
 module Sa = Gbisect.Sa
@@ -41,57 +43,60 @@ let schedule_tests =
           "calibrate 1");
   ]
 
-(* --- Generic engine on a toy problem -------------------------------------- *)
+(* --- The annealing loop ------------------------------------------------------ *)
 
-(* Toy problem: state is an int array of +-1 spins; cost is the number of
-   spins different from a hidden target; moves flip one spin. SA must
-   drive the cost to 0 with a slow enough schedule (no local optima). *)
-module Toy = struct
-  type state = { target : int array; spins : int array }
-  type move = int
+let quick_config =
+  { Sa_bisect.imbalance_factor = 0.05; schedule = Schedule.quick }
 
-  let size st = Array.length st.spins
+let with_schedule schedule = { Sa_bisect.default_config with schedule }
 
-  let cost st =
-    let c = ref 0 in
-    Array.iteri (fun i s -> if s <> st.target.(i) then incr c) st.spins;
-    float_of_int !c
+let fixed_temperature ?(max_temperatures = Schedule.default.max_temperatures) t =
+  {
+    Schedule.default with
+    initial_temperature = Schedule.Fixed_temperature t;
+    max_temperatures;
+  }
 
-  let random_move rng st = Rng.int rng (Array.length st.spins)
-
-  let delta st i = if st.spins.(i) = st.target.(i) then 1.0 else -1.0
-
-  let apply st i = st.spins.(i) <- -st.spins.(i)
-  let feasible _ = true
-  let snapshot st = { st with spins = Array.copy st.spins }
-end
-
-module Toy_engine = Sa.Make (Toy)
-
-let toy_state rng n =
-  let target = Array.init n (fun _ -> if Rng.bool rng then 1 else -1) in
-  let spins = Array.init n (fun _ -> if Rng.bool rng then 1 else -1) in
-  { Toy.target; spins }
+(* A graph and a balanced start on which annealing has room to move. *)
+let annealing_input ?(seed = 7) n =
+  let r = Helpers.rng ~seed () in
+  let g = Gbisect.Gnp.with_average_degree r ~n ~avg_degree:3. in
+  (g, Helpers.balanced_sides r g)
 
 let engine_tests =
   [
     case "toy problem is solved to optimality" (fun () ->
-        let rng = Helpers.rng () in
-        let st = toy_state rng 60 in
-        let result = Toy_engine.run rng st in
-        Alcotest.(check (float 0.0)) "optimal" 0.0 result.Toy_engine.best_cost);
+        (* Two disjoint 8-cliques: every balanced assignment but the
+           two cliques themselves cuts at least 14 edges, so the
+           default schedule must reach the zero cut. *)
+        let edges = ref [] in
+        for u = 0 to 7 do
+          for v = u + 1 to 7 do
+            edges := (u, v) :: (8 + u, 8 + v) :: !edges
+          done
+        done;
+        let g = Graph.of_unweighted_edges ~n:16 !edges in
+        let side0 = Helpers.balanced_sides (Helpers.rng ()) g in
+        let side, _ = Sa_bisect.refine (Helpers.rng ()) g side0 in
+        check_int "optimal" 0 (Bisection.compute_cut g side));
     case "best state is a snapshot, not an alias" (fun () ->
-        let rng = Helpers.rng () in
-        let st = toy_state rng 30 in
-        let result = Toy_engine.run rng st in
-        check_bool "distinct arrays" true
-          (result.Toy_engine.best.Toy.spins != result.Toy_engine.final.Toy.spins
-          || result.Toy_engine.best == result.Toy_engine.final));
+        (* The returned sides share no array with the annealing state or
+           the caller's start: writing to them changes neither the start
+           nor what the same seed anneals to next time. *)
+        let g, side0 = annealing_input 60 in
+        let start = Array.copy side0 in
+        let side, _ = Sa_bisect.refine ~config:quick_config (Helpers.rng ()) g side0 in
+        let answer = Array.copy side in
+        check_bool "not the start array" true (side != side0);
+        Array.fill side 0 (Array.length side) 0;
+        check_bool "start untouched" true (side0 = start);
+        let again, _ = Sa_bisect.refine ~config:quick_config (Helpers.rng ()) g side0 in
+        check_bool "a fresh array per call" true (again != side);
+        check_bool "same answer" true (again = answer));
     case "stats counters are coherent" (fun () ->
-        let rng = Helpers.rng () in
-        let st = toy_state rng 40 in
-        let result = Toy_engine.run rng st in
-        let s = result.Toy_engine.stats in
+        let g, side0 = annealing_input 40 in
+        let _, stats = Sa_bisect.refine (Helpers.rng ()) g side0 in
+        let s = stats.Sa_bisect.sa in
         check_bool "attempted > 0" true (s.Sa.attempted > 0);
         check_bool "accepted <= attempted" true (s.Sa.accepted <= s.Sa.attempted);
         check_bool "uphill <= accepted" true (s.Sa.uphill_accepted <= s.Sa.accepted);
@@ -99,48 +104,32 @@ let engine_tests =
         check_bool "temperature decreased" true
           (s.Sa.final_temperature <= s.Sa.initial_temperature));
     case "max_temperatures cap is honoured" (fun () ->
-        let rng = Helpers.rng () in
-        let st = toy_state rng 20 in
-        let schedule = { Schedule.default with max_temperatures = 3 } in
-        let result = Toy_engine.run ~schedule rng st in
-        check_bool "stopped at cap" true (result.Toy_engine.stats.Sa.temperatures <= 3);
-        check_bool "not flagged frozen" true (not result.Toy_engine.stats.Sa.frozen));
+        let g, side0 = annealing_input 20 in
+        let config = with_schedule { Schedule.default with max_temperatures = 3 } in
+        let _, stats = Sa_bisect.refine ~config (Helpers.rng ()) g side0 in
+        check_bool "stopped at cap" true (stats.Sa_bisect.sa.Sa.temperatures <= 3);
+        check_bool "not flagged frozen" true (not stats.Sa_bisect.sa.Sa.frozen));
     case "trace fires once per temperature" (fun () ->
-        let rng = Helpers.rng () in
-        let st = toy_state rng 20 in
+        let g, side0 = annealing_input 20 in
         let calls = ref 0 in
         let trace ~temperature:_ ~acceptance:_ ~best_cost:_ = incr calls in
-        let result = Toy_engine.run ~trace rng st in
-        check_int "trace count" result.Toy_engine.stats.Sa.temperatures !calls);
+        let _, stats = Sa_bisect.refine ~trace (Helpers.rng ()) g side0 in
+        check_int "trace count" stats.Sa_bisect.sa.Sa.temperatures !calls);
     case "fixed initial temperature is used" (fun () ->
-        let rng = Helpers.rng () in
-        let st = toy_state rng 20 in
-        let schedule =
-          { Schedule.default with initial_temperature = Schedule.Fixed_temperature 3.25 }
-        in
-        let result = Toy_engine.run ~schedule rng st in
-        Alcotest.(check (float 1e-9)) "t0" 3.25
-          result.Toy_engine.stats.Sa.initial_temperature);
+        let g, side0 = annealing_input 20 in
+        let config = with_schedule (fixed_temperature 3.25) in
+        let _, stats = Sa_bisect.refine ~config (Helpers.rng ()) g side0 in
+        Alcotest.(check (float 1e-9)) "t0" 3.25 stats.Sa_bisect.sa.Sa.initial_temperature);
     case "high fixed temperature accepts most uphill moves" (fun () ->
-        let rng = Helpers.rng () in
-        let st = toy_state rng 40 in
-        let schedule =
-          {
-            Schedule.default with
-            initial_temperature = Schedule.Fixed_temperature 100.;
-            max_temperatures = 1;
-          }
-        in
-        let result = Toy_engine.run ~schedule rng st in
-        let s = result.Toy_engine.stats in
+        let g, side0 = annealing_input 40 in
+        let config = with_schedule (fixed_temperature ~max_temperatures:1 100.) in
+        let _, stats = Sa_bisect.refine ~config (Helpers.rng ()) g side0 in
+        let s = stats.Sa_bisect.sa in
         let ratio = float_of_int s.Sa.accepted /. float_of_int s.Sa.attempted in
         check_bool (Printf.sprintf "acceptance %.2f > 0.9" ratio) true (ratio > 0.9));
   ]
 
 (* --- Bisection instance ------------------------------------------------------ *)
-
-let quick_config =
-  { Sa_bisect.imbalance_factor = 0.05; schedule = Schedule.quick }
 
 let sa_bisect_tests =
   [
@@ -213,12 +202,32 @@ let sa_bisect_properties =
         Bisection.is_balanced b);
     Helpers.qtest ~count:40 "delta matches cost difference on the problem state"
       (Helpers.gen_even_graph ~max_n:20 ()) (fun g ->
-        (* The engine trusts Problem.delta; cross-check it against the
-           actual cost change for random flips via refine's public
-           behaviour: annealing from a balanced start cannot yield a
-           negative cut or break vertex conservation. *)
-        let b, stats = Sa_bisect.run ~config:quick_config (Helpers.rng ()) g in
-        Bisection.cut b >= 0 && stats.Sa_bisect.final_cut = Bisection.cut b);
+        (* Flip random vertices through Problem.apply, then compare
+           Problem.delta and Problem.cost for every vertex with costs
+           computed from scratch. *)
+        let alpha = quick_config.Sa_bisect.imbalance_factor in
+        let scratch_cost side =
+          let c0, c1 = Bisection.side_counts side in
+          let d = float_of_int (c0 - c1) in
+          float_of_int (Bisection.compute_cut g side) +. (alpha *. d *. d)
+        in
+        let close a b = Float.abs (a -. b) <= 1e-9 *. (1. +. Float.abs b) in
+        let r = Helpers.rng ~seed:(Graph.n_edges g) () in
+        let st = Sa_bisect.Problem.make quick_config g (Helpers.balanced_sides r g) in
+        let n = Graph.n_vertices g in
+        let ok = ref true in
+        for _ = 1 to 3 * n do
+          Sa_bisect.Problem.apply st (Rng.int r n);
+          let side = Sa_bisect.Problem.sides st in
+          let cost = scratch_cost side in
+          ok := !ok && close (Sa_bisect.Problem.cost st) cost;
+          for v = 0 to n - 1 do
+            let flipped = Array.copy side in
+            flipped.(v) <- 1 - flipped.(v);
+            ok := !ok && close (Sa_bisect.Problem.delta st v) (scratch_cost flipped -. cost)
+          done
+        done;
+        !ok);
   ]
 
 (* --- Cutoff -------------------------------------------------------------- *)
@@ -231,18 +240,15 @@ let cutoff_tests =
         | exception Invalid_argument _ -> ()
         | () -> Alcotest.fail "accepted cutoff 0");
     case "cutoff reduces attempted moves in the hot phase" (fun () ->
-        let rng = Helpers.rng () in
-        let st_full = toy_state rng 50 in
-        let st_cut = { Toy.target = Array.copy st_full.Toy.target;
-                       spins = Array.copy st_full.Toy.spins } in
-        let run cutoff st =
-          let schedule =
-            { Schedule.default with cutoff; max_temperatures = 10;
-              initial_temperature = Schedule.Fixed_temperature 50. }
+        let g, side0 = annealing_input 50 in
+        let run cutoff =
+          let schedule = { (fixed_temperature ~max_temperatures:10 50.) with cutoff } in
+          let _, stats =
+            Sa_bisect.refine ~config:(with_schedule schedule) (Helpers.rng ~seed:3 ()) g side0
           in
-          (Toy_engine.run ~schedule (Helpers.rng ~seed:3 ()) st).Toy_engine.stats
+          stats.Sa_bisect.sa
         in
-        let full = run 1.0 st_full and cut = run 0.1 st_cut in
+        let full = run 1.0 and cut = run 0.1 in
         check_bool
           (Printf.sprintf "attempted %d < %d" cut.Sa.attempted full.Sa.attempted)
           true
@@ -314,6 +320,132 @@ let threshold_tests =
         done);
   ]
 
+(* --- Against the reference --------------------------------------------------- *)
+
+(* Sa_bisect.refine and Threshold.refine must return exactly what the
+   verbatim engine in sa_reference.ml returns: the same sides, the same
+   stats with every plateau record, floats compared bit for bit, and
+   the same trace-callback sequence. *)
+
+let bits = Int64.bits_of_float
+
+let plateau_key (p : Sa.plateau) =
+  ( (bits p.temperature, p.p_attempted, p.p_accepted, p.p_accepted_uphill),
+    (p.p_accepted_downhill, p.p_rejected, bits p.acceptance, bits p.p_best_cost),
+    p.improved_best )
+
+let stats_key (s : Sa_bisect.stats) =
+  let sa = s.sa in
+  ( (sa.temperatures, sa.attempted, sa.accepted, sa.uphill_accepted),
+    (bits sa.initial_temperature, bits sa.final_temperature, sa.frozen),
+    List.map plateau_key sa.plateaus,
+    (s.best_was_snapshot, s.initial_cut, s.final_cut) )
+
+let reference_schedules =
+  [
+    ("default", Schedule.default);
+    ("quick", Schedule.quick);
+    ("cutoff 0.25", { Schedule.default with cutoff = 0.25 });
+    ("fixed high", fixed_temperature ~max_temperatures:2 50.);
+    ("fixed low", fixed_temperature ~max_temperatures:2 0.5);
+  ]
+
+(* One anneal, reduced to comparable values: the sides, the stats and
+   the trace calls, or the message of the exception it raised. *)
+let outcome refine =
+  let calls = ref [] in
+  let trace ~temperature ~acceptance ~best_cost =
+    calls := (bits temperature, bits acceptance, bits best_cost) :: !calls
+  in
+  match refine trace with
+  | side, stats -> Ok (side, stats_key stats, List.rev !calls)
+  | exception Invalid_argument msg -> Error msg
+
+let same_as_reference ~seed g side =
+  List.for_all
+    (fun (_, schedule) ->
+      let config = { Sa_bisect.imbalance_factor = 0.05; schedule } in
+      outcome (fun trace -> Sa_bisect.refine ~config ~trace (Rng.create ~seed) g side)
+      = outcome (fun trace -> Sa_reference.refine ~config ~trace (Rng.create ~seed) g side))
+    reference_schedules
+
+let threshold_same_as_reference ~seed g side =
+  let run refine =
+    match refine (Rng.create ~seed) with
+    | r -> Ok r
+    | exception Invalid_argument msg -> Error msg
+  in
+  List.for_all
+    (fun schedule ->
+      run (fun rng -> Threshold.refine ~schedule rng g side)
+      = run (fun rng -> Sa_reference.threshold_refine ~schedule rng g side))
+    [
+      Threshold.default_schedule;
+      { Threshold.default_schedule with initial_threshold = `Fixed 0.5; max_levels = 3 };
+    ]
+
+let first_of_every_family () =
+  let module G = Gbisect.Fuzz_generators in
+  List.map
+    (fun family ->
+      let rec first seed =
+        match G.generate ~seed with
+        | { G.family = f; graph; _ } when String.equal f family -> graph
+        | _ | (exception _) -> first (seed + 1)
+      in
+      (family, first 0))
+    G.families
+
+(* Weighted multigraphs with odd and even n: repeated pairs become
+   parallel edges, merged with summed weights. *)
+let gen_reference_case =
+  let open QCheck2.Gen in
+  let* n = int_range 1 40 in
+  let* seed = int_range 0 1_000_000 in
+  let r = Rng.create ~seed in
+  let edges = ref [] in
+  for _ = 1 to Rng.int r (4 * n) + 1 do
+    let u = Rng.int r n and v = Rng.int r n in
+    if u <> v then begin
+      edges := (u, v, 1 + Rng.int r 5) :: !edges;
+      if Rng.bernoulli r 0.3 then edges := (v, u, 1 + Rng.int r 5) :: !edges
+    end
+  done;
+  let vertex_weights = Array.init n (fun _ -> 1 + Rng.int r 3) in
+  let g = Graph.of_edges ~vertex_weights ~n !edges in
+  return (g, Helpers.balanced_sides r g, seed)
+
+let print_reference_case (g, side, seed) =
+  Printf.sprintf "%s sides [%s] seed %d" (Helpers.graph_print g)
+    (String.concat ";" (Array.to_list (Array.map string_of_int side)))
+    seed
+
+let reference_tests =
+  [
+    case "one case of every fuzz family matches the reference" (fun () ->
+        List.iter
+          (fun (family, g) ->
+            let side = Helpers.balanced_sides (Helpers.rng ()) g in
+            check_bool family true (same_as_reference ~seed:11 g side))
+          (first_of_every_family ()));
+    case "gnp(400) matches the reference" (fun () ->
+        let r = Helpers.rng ~seed:5 () in
+        let g = Gbisect.Gnp.with_average_degree r ~n:400 ~avg_degree:6. in
+        let side = Helpers.balanced_sides r g in
+        check_bool "same" true (same_as_reference ~seed:12 g side));
+    case "threshold accepting matches the reference" (fun () ->
+        let r = Helpers.rng ~seed:5 () in
+        let gnp = Gbisect.Gnp.with_average_degree r ~n:400 ~avg_degree:6. in
+        List.iter
+          (fun (family, g) ->
+            let side = Helpers.balanced_sides (Helpers.rng ()) g in
+            check_bool family true (threshold_same_as_reference ~seed:13 g side))
+          (("gnp(400)", gnp) :: first_of_every_family ()));
+    Helpers.qtest_pair ~count:100 "weighted multigraphs match the reference"
+      gen_reference_case print_reference_case (fun (g, side, seed) ->
+        same_as_reference ~seed g side);
+  ]
+
 let () =
   Alcotest.run "anneal"
     [
@@ -323,4 +455,5 @@ let () =
       ("sa_bisect properties", sa_bisect_properties);
       ("cutoff", cutoff_tests);
       ("threshold accepting", threshold_tests);
+      ("sa reference", reference_tests);
     ]

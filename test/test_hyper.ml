@@ -441,61 +441,9 @@ let placement_tests =
         check_int "three pins" 3 (Hgraph.n_pins sub));
   ]
 
-(* --- Hypergraph SA ----------------------------------------------------------- *)
-
-module Hsa = Gbisect.Hsa
-
-let hsa_quick =
-  { Hsa.default_config with Hsa.schedule = Gbisect.Schedule.quick }
-
-let hsa_tests =
-  [
-    case "result is balanced with coherent stats" (fun () ->
-        let h = Random_netlist.generate (Helpers.rng ()) Random_netlist.default_params in
-        let side, stats = Hsa.run ~config:hsa_quick (Helpers.rng ()) h in
-        check_bool "balanced" true (Bisection.is_count_balanced side);
-        check_int "final cut" (Hgraph.cut_size h side) stats.Hsa.final_cut;
-        check_bool "improves or ties" true (stats.Hsa.final_cut <= stats.Hsa.initial_cut));
-    case "separates two disjoint clusters" (fun () ->
-        let h =
-          Hgraph.of_nets ~n:8
-            [ [ 0; 1; 2 ]; [ 1; 2; 3 ]; [ 0; 3 ]; [ 4; 5; 6 ]; [ 5; 6; 7 ]; [ 4; 7 ] ]
-        in
-        let best = ref max_int in
-        for seed = 1 to 5 do
-          let _, stats = Hsa.run ~config:hsa_quick (Helpers.rng ~seed ()) h in
-          best := min !best stats.Hsa.final_cut
-        done;
-        check_int "zero cut" 0 !best);
-    case "unbalanced input rejected" (fun () ->
-        let h = sample () in
-        Alcotest.check_raises "unbalanced"
-          (Invalid_argument "Hsa: input bisection is not balanced") (fun () ->
-            ignore (Hsa.refine (Helpers.rng ()) h [| 0; 0; 0; 0; 0; 1 |])));
-    case "competitive with HFM on clustered netlists" (fun () ->
-        let p = { Random_netlist.default_params with Random_netlist.blocks = 8 } in
-        let h = Random_netlist.generate (Helpers.rng ()) p in
-        let _, fm = Hfm.run (Helpers.rng ()) h in
-        let _, sa = Hsa.run ~config:hsa_quick (Helpers.rng ()) h in
-        check_bool
-          (Printf.sprintf "SA %d within 2x of FM %d + 10" sa.Hsa.final_cut fm.Hfm.final_cut)
-          true
-          (sa.Hsa.final_cut <= (2 * fm.Hfm.final_cut) + 10));
-  ]
-
-let hsa_properties =
-  [
-    qnetlist ~count:60 "hsa returns balanced assignments" (fun (n, nets) ->
-        let h = Hgraph.of_nets ~n nets in
-        let side, _ = Hsa.run ~config:hsa_quick (Rng.create ~seed:(n * 29)) h in
-        Bisection.is_count_balanced side);
-  ]
-
 let () =
   Alcotest.run "hyper"
     [
-      ("hsa", hsa_tests);
-      ("hsa properties", hsa_properties);
       ("placement", placement_tests);
       ("hcoarsen", hcoarsen_tests);
       ("hcoarsen properties", hcoarsen_properties);

@@ -95,6 +95,31 @@ let int_tests =
             ignore (Rng.int r 0));
         Alcotest.check_raises "negative" (Invalid_argument "Rng.int") (fun () ->
             ignore (Rng.int r (-3))));
+    case "int draws match the recursive rejection sampler" (fun () ->
+        (* Rng.int as it was written before its loop: the same rejection
+           rule as a local recursive function. Near 2^29 + 1 about half
+           of all raw draws are rejected, so every draw below takes the
+           rejection path often; at small bounds it almost never fires. *)
+        let recursive lfg n =
+          let limit = Lfg.modulus - (Lfg.modulus mod n) in
+          let rec draw () =
+            let v = Lfg.next lfg in
+            if v < limit then v mod n else draw ()
+          in
+          draw ()
+        in
+        let half = Lfg.modulus / 2 in
+        List.iter
+          (fun n ->
+            let a = Lfg.create ~seed:(n land 0xffff) in
+            let b = Lfg.copy a in
+            let r = Rng.of_lfg a in
+            for i = 1 to 2000 do
+              check_int (Printf.sprintf "n=%d draw %d" n i) (recursive b n) (Rng.int r n)
+            done;
+            check_int (Printf.sprintf "n=%d stream position" n) (Lfg.next b) (Lfg.next a))
+          [ 1; 2; 3; 7; 1000; half + 1; half + 12345; ((Lfg.modulus / 3) * 2) + 1;
+            Lfg.modulus - 1; Lfg.modulus ]);
     case "int n=1 is always 0" (fun () ->
         let r = Helpers.rng () in
         for _ = 1 to 100 do
