@@ -7,8 +7,7 @@
     net-state update rules (a net contributes to a vertex's gain only
     when the vertex is its last pin on one side, or the other side is
     empty); the best exactly-balanced prefix is committed. Gains live
-    in the same bucket structure as the graph algorithms
-    ({!Gb_kl.Gain_buckets}); each pass is O(pins).
+    in a {!Gb_kl.Gain_buckets} queue per side; each pass is O(pins).
 
     The cut of a bisection is the number of nets with pins on both
     sides ({!Hgraph.cut_size}). *)

@@ -13,8 +13,8 @@
     exercised by the ablation benchmarks; it slots anywhere {!Kl} does,
     including under compaction.
 
-    {b Cost.} A [refine] call allocates one workspace: seven n-sized
-    int arrays and [2 (2 Delta + 1)] bucket heads, [Delta] the maximum
+    {b Cost.} A [refine] call allocates one {!Workspace}: seven n-sized
+    arrays and [2 (2 Delta + 1)] bucket heads, [Delta] the maximum
     weighted degree, and computes every gain once (O(m)). Each pass
     then costs O(n + Delta) to reset the buckets and insert every
     vertex, O(deg v) per moved vertex to update its unlocked

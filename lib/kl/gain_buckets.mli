@@ -3,8 +3,9 @@
     The classic Kernighan-Lin / Fiduccia-Mattheyses data structure: one
     doubly-linked list per possible gain value, plus a moving maximum
     pointer. Gains are bounded by the maximum weighted degree [Delta],
-    giving O(1) insert/remove/update and amortised-cheap max queries,
-    which is what makes a KL pass near-linear.
+    giving O(1) insert/remove/update and amortised-cheap max queries.
+    The hypergraph FM ([Gb_hyper.Hfm]) queues its vertices here; the
+    graph KL and FM passes inline the same layout in {!Workspace}.
 
     Vertices are identified by integers in [0 .. capacity-1]; each may
     be present at most once. Gains must stay within [[-range, range]]
@@ -48,5 +49,4 @@ val iter_desc : t -> f:(int -> int -> [ `Continue | `Stop ]) -> unit
 
 val clear : t -> unit
 (** Remove every vertex, keeping the capacity and range. O(capacity);
-    the structure is ready for the next KL/FM pass without
-    reallocation. *)
+    the structure is ready for the next pass without reallocation. *)

@@ -10,7 +10,7 @@
     yields no improvement or a pass limit is hit.
 
     This implementation selects the best pair exactly but efficiently:
-    both sides sit in gain-bucket queues ({!Gain_buckets}) scanned in
+    both sides sit in the gain buckets of one {!Workspace}, scanned in
     tandem with the classical bound — once [g_a + g_b] cannot beat the
     best candidate found, no later pair can, because the [-2 w(a, b)]
     correction is never positive. The [Reference] submodule is a
@@ -18,7 +18,11 @@
 
     Works on weighted graphs (as produced by compaction): gains are
     weighted, balance is by vertex count (the paper's convention —
-    coarse-graph weight imbalance is repaired after projection). *)
+    coarse-graph weight imbalance is repaired after projection).
+
+    {b Cost.} A [refine] call allocates one workspace, as {!Fm} does,
+    and computes every gain once (O(m)); a pass allocates no array,
+    option or closure. *)
 
 type config = {
   max_passes : int;  (** Hard cap on passes (safety net). *)

@@ -423,13 +423,9 @@ let configs =
     { Fm.max_passes = 50; until_no_improvement = true; tolerance = 5 };
   ]
 
-let gen_fm_case =
-  let open QCheck2.Gen in
-  let* n = int_range 1 40 in
-  let* seed = int_range 0 1_000_000 in
-  let* tolerance = oneofl [ 2; 3; 5 ] in
-  let* max_passes = oneofl [ 1; 4; 50 ] in
-  let* until_no_improvement = bool in
+(* A random weighted multigraph on [n] vertices (vertex weights 1..3,
+   edge weights 1..5) and a balanced start, both drawn from [seed]. *)
+let multigraph n seed =
   let r = Rng.create ~seed in
   (* Repeated pairs become parallel edges, merged with summed weights. *)
   let edges = ref [] in
@@ -442,27 +438,48 @@ let gen_fm_case =
   done;
   let vertex_weights = Array.init n (fun _ -> 1 + Rng.int r 3) in
   let g = Graph.of_edges ~vertex_weights ~n !edges in
-  let side = Helpers.balanced_sides r g in
+  (g, Helpers.balanced_sides r g)
+
+let gen_fm_case =
+  let open QCheck2.Gen in
+  let* n = int_range 1 40 in
+  let* seed = int_range 0 1_000_000 in
+  let* tolerance = oneofl [ 2; 3; 5 ] in
+  let* max_passes = oneofl [ 1; 4; 50 ] in
+  let* until_no_improvement = bool in
+  let g, side = multigraph n seed in
   return (g, side, { Fm.max_passes; until_no_improvement; tolerance })
+
+let print_sides side = String.concat ";" (Array.to_list (Array.map string_of_int side))
 
 let print_fm_case (g, side, (c : Fm.config)) =
   Printf.sprintf "%s sides [%s] max_passes %d until_no_improvement %b tolerance %d"
-    (Helpers.graph_print g)
-    (String.concat ";" (Array.to_list (Array.map string_of_int side)))
-    c.max_passes c.until_no_improvement c.tolerance
+    (Helpers.graph_print g) (print_sides side) c.max_passes c.until_no_improvement
+    c.tolerance
+
+(* The first graph of every fuzz family. *)
+let fuzz_family_graphs () =
+  let module G = Gbisect.Fuzz_generators in
+  List.map
+    (fun family ->
+      let rec first seed =
+        match G.generate ~seed with
+        | { G.family = f; graph; _ } when f = family -> graph
+        | _ | (exception _) -> first (seed + 1)
+      in
+      (family, first 0))
+    G.families
+
+let gnp400 () =
+  let r = Helpers.rng ~seed:5 () in
+  let g = Gbisect.Gnp.with_average_degree r ~n:400 ~avg_degree:6. in
+  (g, Helpers.balanced_sides r g)
 
 let fm_reference_tests =
   [
     case "one case of every fuzz family matches the reference" (fun () ->
-        let module G = Gbisect.Fuzz_generators in
         List.iter
-          (fun family ->
-            let rec first seed =
-              match G.generate ~seed with
-              | { G.family = f; graph; _ } when f = family -> graph
-              | _ | (exception _) -> first (seed + 1)
-            in
-            let g = first 0 in
+          (fun (family, g) ->
             let side = Helpers.balanced_sides (Helpers.rng ()) g in
             List.iter
               (fun (config : Fm.config) ->
@@ -471,11 +488,9 @@ let fm_reference_tests =
                   true
                   (same_as_reference ~tolerance:config.tolerance ~config g side))
               configs)
-          G.families);
+          (fuzz_family_graphs ()));
     case "gnp(400) matches the reference" (fun () ->
-        let r = Helpers.rng ~seed:5 () in
-        let g = Gbisect.Gnp.with_average_degree r ~n:400 ~avg_degree:6. in
-        let side = Helpers.balanced_sides r g in
+        let g, side = gnp400 () in
         List.iter
           (fun (config : Fm.config) ->
             check_bool "same" true
@@ -484,6 +499,77 @@ let fm_reference_tests =
     Helpers.qtest_pair ~count:500 "weighted multigraphs match the reference" gen_fm_case
       print_fm_case (fun (g, side, config) ->
         same_as_reference ~tolerance:config.tolerance ~config g side);
+  ]
+
+(* --- KL against the pre-workspace reference --------------------------------- *)
+
+module Trace = Gbisect.Obs.Trace
+module Json = Gbisect.Obs.Json
+
+(* [f ()] and the name and args of every span it emits, alloc_words
+   dropped: the one arg that depends on how a pass allocates. *)
+let with_spans f =
+  let buf = Buffer.create 1024 in
+  let result =
+    Fun.protect
+      ~finally:(fun () -> Trace.set Trace.noop)
+      (fun () ->
+        Trace.set (Trace.of_writer (Buffer.add_string buf));
+        f ())
+  in
+  let span line =
+    let event = Json.of_string line in
+    let args =
+      match Json.member "args" event with
+      | Some (Json.Obj args) -> List.filter (fun (k, _) -> k <> "alloc_words") args
+      | _ -> []
+    in
+    (Json.member "name" event, args)
+  in
+  let lines = String.split_on_char '\n' (Buffer.contents buf) in
+  (result, List.map span (List.filter (fun l -> l <> "") lines))
+
+let kl_configs =
+  [
+    Kl.default_config;
+    { Kl.default_config with max_passes = 1 };
+    { Kl.max_passes = 4; until_no_improvement = false };
+  ]
+
+(* Kl.one_pass and Kl.refine must return exactly what the verbatim
+   reference in kl_reference.ml returns: the same sides, gain and
+   statistics, and the same kl.pass span args, so that every pair
+   sequence and every counter is unchanged. *)
+let kl_same_as_reference g side =
+  Kl.one_pass g side = Kl_reference.one_pass g side
+  && List.for_all
+       (fun config ->
+         let ours, spans = with_spans (fun () -> Kl.refine ~config g side) in
+         let theirs, spans' = with_spans (fun () -> Kl_reference.refine ~config g side) in
+         ours = theirs && spans = spans' && spans <> [])
+       kl_configs
+
+let gen_kl_case =
+  let open QCheck2.Gen in
+  let* n = int_range 1 60 in
+  let* seed = int_range 0 1_000_000 in
+  return (multigraph n seed)
+
+let kl_reference_tests =
+  [
+    case "one case of every fuzz family matches the reference" (fun () ->
+        List.iter
+          (fun (family, g) ->
+            let side = Helpers.balanced_sides (Helpers.rng ()) g in
+            check_bool family true (kl_same_as_reference g side))
+          (fuzz_family_graphs ()));
+    case "gnp(400) matches the reference" (fun () ->
+        let g, side = gnp400 () in
+        check_bool "same" true (kl_same_as_reference g side));
+    Helpers.qtest_pair ~count:500 "weighted multigraphs match the reference" gen_kl_case
+      (fun (g, side) ->
+        Printf.sprintf "%s sides [%s]" (Helpers.graph_print g) (print_sides side))
+      (fun (g, side) -> kl_same_as_reference g side);
   ]
 
 let () =
@@ -496,4 +582,5 @@ let () =
       ("fm", fm_tests);
       ("fm properties", fm_properties);
       ("fm reference", fm_reference_tests);
+      ("kl reference", kl_reference_tests);
     ]
