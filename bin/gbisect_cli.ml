@@ -717,7 +717,8 @@ let perf_cmd =
       ~doc:
         "Run the seeded micro-benchmark suite over the hot kernels (KL/FM passes, \
          SA plateau, gain buckets, matching+contraction, CSR build, store round \
-         trip, fuzz generation) and optionally gate against the committed baseline. \
+         trip, fuzz generation, a served request's text path) and optionally gate \
+         against the committed baseline. \
          Inputs derive from fixed seeds, so allocs/op is bit-reproducible and \
          hard-gated; timings are min-of-k and warn-only. Exits 0 when clean, 1 on \
          an allocation regression, 2 on usage errors."

@@ -5,6 +5,8 @@ module Contraction = Gb_graph.Contraction
 module Initial = Gb_partition.Initial
 module Generators = Gb_check.Generators
 module Store = Gb_store.Store
+module Gio = Gb_graph.Gio
+module Protocol = Gb_serve.Protocol
 module Obs = Gb_obs
 module Json = Gb_obs.Json
 
@@ -200,6 +202,60 @@ let bench_fuzz_generate ~runs =
         ignore (Sys.opaque_identity (Generators.generate ~seed))
       done)
 
+(* The text path of one served solve, with no solve and no store: frame
+   a Gnp(5000, d=4) request arriving in 64 KiB reads, decode it, parse
+   and canonicalise its graph, and encode a 5000-vertex answer. *)
+let bench_serve_request ~runs =
+  let name = "serve.request" in
+  let rng = Rng.create ~seed:(seed_for name) in
+  let g = Gb_models.Gnp.with_average_degree rng ~n:5000 ~avg_degree:4. in
+  let line =
+    Protocol.request_to_line
+      (Protocol.Solve
+         {
+           id = Some name;
+           format = Protocol.Edge_list;
+           data = Gio.to_edge_list_string g;
+           algorithm = `Ckl;
+           starts = 2;
+           seed = 1;
+         })
+    ^ "\n"
+  in
+  let chunks =
+    List.init
+      ((String.length line + 65535) / 65536)
+      (fun i -> String.sub line (i * 65536) (min 65536 (String.length line - (i * 65536))))
+  in
+  let side = Initial.random rng g in
+  let n0, n1 = Gb_partition.Bisection.side_counts side in
+  let reply =
+    {
+      Protocol.rid = Some name;
+      reply =
+        Protocol.Solved
+          {
+            algorithm = `Ckl;
+            cut = Gb_partition.Bisection.compute_cut g side;
+            n0;
+            n1;
+            side;
+            balanced = true;
+            seconds = 0.0123;
+            cached = false;
+          };
+    }
+  in
+  measure ~runs name ~iters:1 (fun () ->
+      let frames = Protocol.Frames.create ~max_frame:Gb_serve.Server.default_config.max_frame in
+      match List.concat_map (Protocol.Frames.feed frames) chunks with
+      | [ `Line line ] -> (
+          match Protocol.request_of_line line with
+          | Ok (Protocol.Solve s) ->
+              (Gio.to_edge_list_string (Gio.of_edge_list_string s.data), Protocol.response_to_line reply)
+          | _ -> failwith "serve.request: the request did not decode")
+      | _ -> failwith "serve.request: the request did not frame as one line")
+
 let run ?(runs = 5) ~scratch () =
   let runs = max 1 runs in
   let results =
@@ -212,6 +268,7 @@ let run ?(runs = 5) ~scratch () =
       bench_sa_plateau ~runs;
       bench_matching_contract ~runs;
       bench_store_roundtrip ~scratch ~runs;
+      bench_serve_request ~runs;
     ]
   in
   let results =

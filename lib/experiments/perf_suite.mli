@@ -1,9 +1,11 @@
 (** The standard seeded micro-benchmark suite behind [gbisect perf].
 
-    Eight benches cover the hot kernels the tables spend their time in:
+    Nine benches cover the hot kernels the tables spend their time in:
     CSR construction, gain-bucket operations, one KL pass, one FM pass,
     an SA plateau, matching + contraction, a result-store round trip,
-    and fuzz-corpus generation throughput. Every bench draws its inputs
+    fuzz-corpus generation throughput, and the text path of one served
+    Gnp(5000) solve request (framing, JSON decode, graph parse and
+    canonical re-render, answer encode). Every bench draws its inputs
     from a fixed seed ([Rng.seed_of_string ("perf/" ^ name)]), so the
     work — and therefore the {e allocation} per operation — is
     bit-reproducible on any machine; only the timings vary with the

@@ -11,7 +11,11 @@
       test graphs can be fed to the CLI. Comment lines start with ['%']
       (or ['#'], which several tools emit).
 
-    Both readers accept Windows ("\r\n") line endings.
+    Both readers accept Windows ("\r\n") line endings. They scan each
+    line in place: one tokenizer splits it on ' ' and '\t', a token of
+    at most 18 digits is read directly, and any other goes through
+    [int_of_string_opt]. The writers put digits straight into one
+    buffer, and the edge-list rendering is the serve cache key's input.
 
     Plus a {b DOT} writer for visual inspection of small graphs
     (Figure 3 of the paper is regenerated this way). *)

@@ -1,11 +1,13 @@
 (** A deliberately small JSON tree, printer and parser.
 
     [Gb_obs] must stay dependency-free (it is linked into every
-    algorithm core), so it carries its own ~150-line JSON support
-    instead of pulling in yojson. The printer emits compact one-line
-    JSON (what both the Chrome [trace_event] sink and the
-    [telemetry.jsonl] writer need); the parser exists so that tests and
-    tools can round-trip what the sinks wrote.
+    algorithm core), so it carries its own JSON support instead of
+    pulling in yojson. The printer emits compact one-line JSON (what the
+    Chrome [trace_event] sink, the [telemetry.jsonl] writer and the
+    serving protocol need); the parser reads the store and the wire.
+    Both copy runs of plain bytes at once and print numbers without a
+    format interpreter. A [\uXXXX] escape takes exactly four hex digits,
+    and a surrogate pair decodes to one code point's UTF-8.
 
     Non-finite floats have no JSON spelling; {!to_string} renders them
     as [null], which is what trace viewers expect. Writers that must

@@ -22,32 +22,36 @@ module Frames = struct
     { max_frame = max 1 max_frame; buf = Buffer.create 256; discarding = false }
 
   let take_line t =
-    let s = Buffer.contents t.buf in
+    let n = Buffer.length t.buf in
+    let n = if n > 0 && Buffer.nth t.buf (n - 1) = '\r' then n - 1 else n in
+    let s = Buffer.sub t.buf 0 n in
     Buffer.clear t.buf;
-    let n = String.length s in
-    if n > 0 && s.[n - 1] = '\r' then String.sub s 0 (n - 1) else s
+    s
 
   let blank s = String.length (String.trim s) = 0
 
+  (* A run of bytes up to the next newline is appended at once. A run
+     that would take the line past [max_frame] is reported as the
+     [max_frame + 1] bytes the line had reached when it overflowed. *)
   let feed t chunk =
     let out = ref [] in
-    for i = 0 to String.length chunk - 1 do
-      let c = chunk.[i] in
-      if t.discarding then begin
-        if c = '\n' then t.discarding <- false
-      end
-      else if c = '\n' then begin
-        let line = take_line t in
-        if not (blank line) then out := `Line line :: !out
-      end
-      else begin
-        Buffer.add_char t.buf c;
-        if Buffer.length t.buf > t.max_frame then begin
-          out := `Oversized (Buffer.length t.buf) :: !out;
-          Buffer.clear t.buf;
-          t.discarding <- true
-        end
-      end
+    let len = String.length chunk in
+    let pos = ref 0 in
+    while !pos < len do
+      let nl = match String.index_from chunk !pos '\n' with i -> i | exception Not_found -> len in
+      if (not t.discarding) && Buffer.length t.buf + (nl - !pos) > t.max_frame then begin
+        out := `Oversized (t.max_frame + 1) :: !out;
+        Buffer.clear t.buf;
+        t.discarding <- true
+      end;
+      if not t.discarding then Buffer.add_substring t.buf chunk !pos (nl - !pos);
+      if nl < len then
+        if t.discarding then t.discarding <- false
+        else begin
+          let line = take_line t in
+          if not (blank line) then out := `Line line :: !out
+        end;
+      pos := nl + 1
     done;
     List.rev !out
 

@@ -71,6 +71,28 @@ let json_tests =
         Alcotest.(check string) "nan" "[null]" (Json.to_string (Json.List [ Json.Float Float.nan ]));
         Alcotest.(check string) "finite untouched" "[1.5]"
           (Json.to_string (Json.List [ Json.Float 1.5 ])));
+    case "\\u escapes decode to UTF-8, surrogate pairs to one code point" (fun () ->
+        let decodes json bytes =
+          match Json.of_string json with
+          | Json.String s -> Alcotest.(check string) json bytes s
+          | _ -> Alcotest.fail "not a string"
+        in
+        decodes {|"\u0041\u00e9\u20ac"|} "A\xc3\xa9\xe2\x82\xac";
+        (* U+1F600 as UTF-8, not as the CESU-8 bytes of its two halves. *)
+        decodes {|"\ud83d\ude00"|} "\xf0\x9f\x98\x80";
+        decodes {|"\udbff\uDFFF!"|} "\xf4\x8f\xbf\xbf!";
+        (* Lone surrogates keep the bytes they always had. *)
+        decodes {|"\ud83d"|} "\xed\xa0\xbd";
+        decodes {|"\ude00\ud83d"|} "\xed\xb8\x80\xed\xa0\xbd";
+        decodes {|"\ud83dA"|} "\xed\xa0\xbdA");
+    case "\\u escapes take exactly four hex digits" (fun () ->
+        List.iter
+          (fun json ->
+            match Json.of_string json with
+            | exception Failure msg ->
+                check_bool msg true (Helpers.contains msg "bad \\u escape")
+            | _ -> Alcotest.failf "accepted %s" json)
+          [ {|"\u1_23"|}; {|"\u123_"|}; {|"\u12"|}; {|"\uzzzz"|}; {|"\ud83d\ude_0"|} ]);
   ]
 
 (* --- Metrics --------------------------------------------------------------- *)

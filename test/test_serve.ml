@@ -8,6 +8,7 @@
 module P = Gbisect.Serve_protocol
 module Server = Gbisect.Serve
 module Client = Gbisect.Serve_client
+module Gio = Gbisect.Graph_io
 
 let case = Helpers.case
 let check_int = Helpers.check_int
@@ -330,6 +331,63 @@ let handle_tests =
         check_int "solved" 1 st.solved;
         check_int "errors" 0 st.errors;
         check_int "capacity" quiet_config.queue_capacity st.queue_capacity);
+    case "edge list, edited edge list and METIS of one graph share a cache entry" (fun () ->
+        (* SERVING.md §1's 4-cycle: canonical, then CRLF with a comment,
+           tabs, doubled spaces, swapped endpoints and the edges
+           reversed, then METIS. Only the first is computed. *)
+        let canonical = "4 4\n0 1\n0 3\n1 2\n2 3\n" in
+        Alcotest.(check string)
+          "canonical" canonical
+          (Gio.to_edge_list_string (Gio.of_edge_list_string "4 4\n0 1\n1 2\n2 3\n3 0\n"));
+        let edited = "# the quick-start 4-cycle\r\n4\t4\r\n3  2\r\n2\t1 # ring\r\n3 0\r\n1  0\r\n" in
+        let metis = "4 4\n2 4\n1 3\n2 4\n1 3\n" in
+        with_store (fun store ->
+            let server = Server.create { quiet_config with store = Some store } in
+            let solve format data =
+              expect_solved
+                (Server.handle server
+                   (P.Solve { id = None; format; data; algorithm = `Ckl; starts = 2; seed = 42 }))
+            in
+            let a = solve P.Edge_list canonical in
+            let b = solve P.Edge_list edited in
+            let c = solve P.Metis metis in
+            check_bool "canonical misses" false a.cached;
+            check_bool "edited edge list hits" true b.cached;
+            check_bool "METIS hits" true c.cached;
+            List.iter
+              (fun (s : P.solved) ->
+                check_int "same cut" a.cut s.cut;
+                Alcotest.(check (array int)) "same side" a.side s.side)
+              [ b; c ];
+            let st = Server.stats server in
+            check_int "one miss" 1 st.cache_misses;
+            check_int "two hits" 2 st.cache_hits));
+    case "canonical renderings keep their digests" (fun () ->
+        (* The cache key hashes these bytes: a renderer that changed them
+           would orphan every existing --store. *)
+        let digest g = Digest.to_hex (Digest.string (Gio.to_edge_list_string g)) in
+        Alcotest.(check string) "ladder 4" "75d6e9a1bd7a66f6fb48781ffe582876" (digest (Gbisect.Classic.ladder 4));
+        Alcotest.(check string)
+          "weighted" "3c9ae59693ff4706fa2a675866bdf48c"
+          (digest
+             (Gbisect.Graph.of_edges ~n:6
+                [ (0, 1, 3); (1, 2, 1); (2, 3, 7); (3, 4, 2); (4, 5, 12); (5, 0, 1); (0, 3, 40) ])));
+    case "a ping id's \\u escapes come back as UTF-8" (fun () ->
+        let server = Server.create quiet_config in
+        let emoji = "\xf0\x9f\x98\x80" in
+        (match P.request_of_line {|{"v":1,"op":"ping","id":"\ud83d\ude00"}|} with
+        | Ok req ->
+            let line = P.response_to_line (Server.handle server req) in
+            Alcotest.(check string)
+              "response bytes"
+              ({|{"v":1,"id":"|} ^ emoji ^ {|","ok":true,"result":{"pong":true}}|})
+              line;
+            check_bool "id round-trips" true
+              (match P.response_of_line line with Ok r -> r.rid = Some emoji | Error _ -> false)
+        | Error (_, msg) -> Alcotest.failf "rejected: %s" msg);
+        match P.request_of_line {|{"v":1,"op":"ping","id":"\u1_23"}|} with
+        | Error (P.Bad_request, msg) -> check_bool msg true (contains msg "bad \\u escape")
+        | _ -> Alcotest.fail "accepted \\u1_23");
   ]
 
 (* ------------------------------------------------------------------ *)
