@@ -6,7 +6,7 @@
      race     race a portfolio of algorithms on one graph, keep the best cut
      kway     k-way partition by recursive bisection
      netlist  bisect a hypergraph netlist (true net-cut objective)
-     table    regenerate one of the paper's tables (see `table --list`)
+     table    regenerate the paper's tables and figures (see `table --list`)
      demo     Figure 3: a ladder graph with a bisection, as DOT
      fuzz     seeded property fuzzing of solvers/data structures vs oracles
      perf     seeded micro-benchmark suite + regression gate vs committed baseline
@@ -92,8 +92,6 @@ let usage_error msg =
   exit 2
 
 let with_obs ~trace ~metrics f =
-  (* lint: allow no-wall-clock — the CLI installs the real clock into Gb_obs.Clock at startup *)
-  Gbisect.Obs.Trace.set_clock Unix.gettimeofday;
   (match trace with
   | Some file -> (
       try Gbisect.Obs.Trace.set (Gbisect.Obs.Trace.to_file file)
@@ -435,10 +433,70 @@ let netlist_cmd =
 (* ------------------------------------------------------------------ *)
 (* table                                                               *)
 
+(* The BENCH_parallel.json probe: time each selected table, then the xsa
+   and race-portfolio probes on one 20k-vertex Gnp instance, at --jobs 1
+   and at --jobs N. A probe cut that moves with the job count breaks the
+   determinism contract: exit 1 and write no artifact. *)
+let parallel_bench profile selected file =
+  let module Json = Gbisect.Obs.Json in
+  let jobs = Gbisect.Pool.jobs () in
+  let timed j f =
+    Gbisect.Pool.set_jobs j;
+    let t0 = Gbisect.Obs.Clock.now () in
+    let v = f () in
+    (Gbisect.Obs.Clock.now () -. t0, v)
+  in
+  let row id f =
+    let seq, v1 = timed 1 f in
+    let par, vn = timed jobs f in
+    Printf.eprintf "gbisect: %s sequential %.2fs, parallel(%d) %.2fs, speedup %.2fx\n%!" id
+      seq jobs par (seq /. par);
+    ( v1,
+      vn,
+      [
+        ("id", Json.String id);
+        ("sequential_s", Json.Float seq);
+        ("parallel_s", Json.Float par);
+        ("speedup", Json.Float (seq /. par));
+      ] )
+  in
+  let tables =
+    List.map
+      (fun (e : Gbisect.Registry.experiment) ->
+        let _, _, r = row e.id (fun () -> ignore (e.run profile)) in
+        Json.Obj r)
+      selected
+  in
+  let g = Gbisect.Gnp.generate (Gbisect.Rng.create ~seed:90210) ~n:20_000 ~p:(8.0 /. 19_999.) in
+  let probe id cut =
+    let c1, cn, r = row id (fun () -> cut (Gbisect.Rng.create ~seed:7)) in
+    if c1 <> cn then
+      failwith
+        (Printf.sprintf "parallel bench: %s cut %d at --jobs 1 but %d at --jobs %d" id c1 cn
+           jobs);
+    Json.Obj (r @ [ ("cut", Json.Int c1); ("identical", Json.Bool true) ])
+  in
+  let xsa =
+    probe "xsa" (fun rng ->
+        Gbisect.Bisection.cut (Gbisect.solve ~algorithm:`Xsa ~starts:1 rng g).bisection)
+  in
+  let race = probe "race-portfolio" (fun rng -> (Gbisect.race rng g).winner.cut) in
+  Gbisect.Pool.set_jobs jobs;
+  write_output file
+    (Json.to_string
+       (Gbisect.Obs.Proc.artifact ~suite:"parallel"
+          [
+            ("jobs", Json.Int jobs);
+            ("profile", Json.String profile.Gbisect.Profile.name);
+            ("tables", Json.List tables);
+            ("probes", Json.List [ xsa; race ]);
+          ])
+    ^ "\n")
+
 let table_cmd =
-  let id =
-    let doc = "Experiment id (use --list to enumerate)." in
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"ID" ~doc)
+  let ids =
+    let doc = "Experiment ids (use --list to enumerate); none runs every table." in
+    Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc)
   in
   let list =
     let doc = "List all experiment ids and exit." in
@@ -470,7 +528,23 @@ let table_cmd =
     in
     Arg.(value & flag & info [ "no-cache" ] ~doc)
   in
-  let run id list profile trace metrics jobs store resume no_cache =
+  let out =
+    let doc =
+      "Also write $(docv)/ID.txt per table, $(docv)/telemetry.jsonl (one JSON record \
+       per algorithm run) and $(docv)/metrics.json (counters)."
+    in
+    Arg.(value & opt (some string) None & info [ "out" ] ~docv:"DIR" ~doc)
+  in
+  let parallel_bench_file =
+    let doc =
+      "After the run, time each selected table and the xsa and race-portfolio probes \
+       at --jobs 1 and at --jobs N, and write the schema-versioned artifact to \
+       $(docv) (results/BENCH_parallel.json). Exits 1 if a probe's cut differs \
+       between the two job counts."
+    in
+    Arg.(value & opt (some string) None & info [ "parallel-bench" ] ~docv:"FILE" ~doc)
+  in
+  let run ids list profile trace metrics jobs store resume no_cache out bench_file =
     apply_jobs jobs;
     if list then
       List.iter
@@ -482,53 +556,97 @@ let table_cmd =
       (match store with
       | None when resume -> usage_error "--resume requires --store DIR"
       | None when no_cache -> usage_error "--no-cache requires --store DIR"
+      | Some _ when bench_file <> None ->
+          usage_error "--parallel-bench times live runs and cannot be combined with --store"
       | Some dir when resume && not (Gbisect.Store.exists dir) ->
           usage_error
             (Printf.sprintf "--resume: no result store at %S (a first run with --store \
                              creates it)" dir)
       | _ -> ());
-      match id with
-      | None -> usage_error "table: missing experiment id (try --list)"
-      | Some id -> (
-          match Gbisect.Profile.by_name profile with
-          | None -> usage_error (Printf.sprintf "unknown profile %S" profile)
-          | Some profile -> (
-              match Gbisect.Registry.find id with
-              | None -> usage_error (Printf.sprintf "unknown experiment %S (try --list)" id)
-              | Some e ->
-                  runtime_guard @@ fun () ->
-                  let s =
-                    Option.map
-                      (fun dir ->
-                        Gbisect.Obs.Metrics.set_enabled true;
-                        let s = Gbisect.Store.open_store ~readable:(not no_cache) dir in
-                        Gbisect.Store.set_current (Some s);
-                        s)
-                      store
-                  in
-                  Fun.protect
-                    ~finally:(fun () ->
-                      match s with
-                      | Some s ->
-                          Gbisect.Store.set_current None;
-                          Gbisect.Store.close s;
-                          let st = Gbisect.Store.stats s in
-                          Printf.eprintf
-                            "gbisect: result store %s: %d hits, %d misses, %d written\n"
-                            (Gbisect.Store.dir s) st.Gbisect.Store.hits
-                            st.Gbisect.Store.misses st.Gbisect.Store.writes
-                      | None -> ())
-                    (fun () ->
-                      print_string
-                        (with_obs ~trace ~metrics (fun () ->
-                             e.Gbisect.Registry.run profile)))))
+      let profile =
+        match Gbisect.Profile.by_name profile with
+        | Some p -> p
+        | None -> usage_error (Printf.sprintf "unknown profile %S" profile)
+      in
+      let selected =
+        match ids with
+        | [] -> Gbisect.Registry.all
+        | ids ->
+            List.map
+              (fun id ->
+                match Gbisect.Registry.find id with
+                | Some e -> e
+                | None -> usage_error (Printf.sprintf "unknown experiment %S (try --list)" id))
+              ids
+      in
+      runtime_guard @@ fun () ->
+      let out_file name = Option.map (fun dir -> Filename.concat dir name) out in
+      Option.iter (fun dir -> if not (Sys.file_exists dir) then Sys.mkdir dir 0o755) out;
+      let s =
+        Option.map
+          (fun dir ->
+            Gbisect.Obs.Metrics.set_enabled true;
+            let s = Gbisect.Store.open_store ~readable:(not no_cache) dir in
+            Gbisect.Store.set_current (Some s);
+            s)
+          store
+      in
+      let telemetry =
+        Option.map
+          (fun path ->
+            Gbisect.Obs.Metrics.set_enabled true;
+            let oc = open_out path in
+            Gbisect.Obs.Telemetry.set_writer (Some (Gbisect.Obs.Telemetry.to_channel oc));
+            oc)
+          (out_file "telemetry.jsonl")
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          Option.iter
+            (fun oc ->
+              Gbisect.Obs.Telemetry.set_writer None;
+              close_out oc)
+            telemetry;
+          match s with
+          | Some s ->
+              Gbisect.Store.set_current None;
+              Gbisect.Store.close s;
+              let st = Gbisect.Store.stats s in
+              Printf.eprintf "gbisect: result store %s: %d hits, %d misses, %d written%s\n"
+                (Gbisect.Store.dir s) st.Gbisect.Store.hits st.Gbisect.Store.misses
+                st.Gbisect.Store.writes
+                (if st.Gbisect.Store.dropped > 0 then
+                   Printf.sprintf " (%d corrupt records dropped)" st.Gbisect.Store.dropped
+                 else "")
+          | None -> ())
+        (fun () ->
+          with_obs ~trace ~metrics (fun () ->
+              (* Tables fan out over the pool and come back in the
+                 order asked for. *)
+              List.iter
+                (fun ((e : Gbisect.Registry.experiment), table, seconds) ->
+                  Printf.printf "=== %s — %s ===\n%s\n%!" e.id e.paper_ref table;
+                  Printf.eprintf "gbisect: %s generated in %.1fs\n%!" e.id seconds;
+                  Option.iter (fun path -> write_output path table) (out_file (e.id ^ ".txt")))
+                (Gbisect.Registry.run_selected profile selected)));
+      Option.iter
+        (fun path ->
+          write_output path
+            (Gbisect.Obs.Json.to_string (Gbisect.Obs.Metrics.snapshot_json ()) ^ "\n"))
+        (out_file "metrics.json");
+      Option.iter (parallel_bench profile selected) bench_file
     end
   in
-  let info = Cmd.info "table" ~doc:"Regenerate one of the paper's tables." in
+  let info =
+    Cmd.info "table"
+      ~doc:
+        "Regenerate the paper's tables and figures, every one by default. Stdout holds \
+         only the tables, byte-identical at any --jobs; timings go to stderr."
+  in
   Cmd.v info
     Term.(
-      const run $ id $ list $ profile $ trace_term $ metrics_term $ jobs_term $ store
-      $ resume $ no_cache)
+      const run $ ids $ list $ profile $ trace_term $ metrics_term $ jobs_term $ store
+      $ resume $ no_cache $ out $ parallel_bench_file)
 
 (* ------------------------------------------------------------------ *)
 (* demo                                                                *)
@@ -630,10 +748,6 @@ let read_file path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 let perf_cmd =
-  let suite_term =
-    let doc = "Benchmark suite to run (only $(b,core) exists today)." in
-    Arg.(value & opt string "core" & info [ "suite" ] ~docv:"NAME" ~doc)
-  in
   let runs_term =
     let doc = "Timed runs per bench; the point estimate is the fastest (min-of-k)." in
     Arg.(value & opt int 5 & info [ "runs" ] ~docv:"K" ~doc)
@@ -669,14 +783,10 @@ let perf_cmd =
     let doc = "Print the artifact as one-line JSON on stdout instead of a table." in
     Arg.(value & flag & info [ "json" ] ~doc)
   in
-  let run suite runs out baseline check tolerance json =
-    if suite <> "core" then
-      usage_error (Printf.sprintf "unknown suite %S (only \"core\" exists)" suite);
+  let run runs out baseline check tolerance json =
     if runs < 1 then usage_error "--runs expects a positive integer";
     if tolerance <= 0. then usage_error "--tolerance expects a positive fraction";
     runtime_guard @@ fun () ->
-    (* lint: allow no-wall-clock — benchmarks need the real clock; installed once at startup *)
-    Gbisect.Obs.Clock.set Unix.gettimeofday;
     let scratch =
       Filename.concat (Filename.get_temp_dir_name ())
         (Printf.sprintf "gbisect-perf-%d" (Unix.getpid ()))
@@ -725,7 +835,7 @@ let perf_cmd =
   in
   Cmd.v info
     Term.(
-      const run $ suite_term $ runs_term $ out_term $ baseline_term $ check_term
+      const run $ runs_term $ out_term $ baseline_term $ check_term
       $ tolerance_term $ json_term)
 
 (* ------------------------------------------------------------------ *)
@@ -795,8 +905,6 @@ let scale_cmd =
     if degree <= 0. then usage_error "--degree expects a positive average degree";
     if ml.refine_passes < 1 then usage_error "--refine-passes expects at least 1";
     runtime_guard @@ fun () ->
-    (* lint: allow no-wall-clock — throughput needs the real clock; installed once at startup *)
-    Gbisect.Obs.Clock.set Unix.gettimeofday;
     let model =
       match grid with
       | Some (rows, cols) -> Gbisect.Scale_suite.Grid { rows; cols }
@@ -843,7 +951,8 @@ let lint_cmd =
   let paths_term =
     let doc =
       "Files or directories to lint (directories are walked recursively for .ml and \
-       .mli sources). Defaults to $(b,lib bin bench test)."
+       .mli sources). Defaults to $(b,lib bin test), plus $(b,examples) with \
+       $(b,--program)."
     in
     Arg.(value & pos_all string [] & info [] ~docv:"PATH" ~doc)
   in
@@ -885,11 +994,8 @@ let lint_cmd =
       let paths =
         match paths with
         | [] ->
-            let defaults =
-              if program then [ "lib"; "bin"; "bench"; "test"; "examples"; "lint" ]
-              else [ "lib"; "bin"; "bench"; "test" ]
-            in
-            List.filter Sys.file_exists defaults
+            List.filter Sys.file_exists
+              ([ "lib"; "bin"; "test" ] @ if program then [ "examples" ] else [])
         | ps -> ps
       in
       runtime_guard @@ fun () ->
@@ -973,12 +1079,6 @@ let parse_addr_or_usage s =
   | Ok a -> a
   | Error msg -> usage_error msg
 
-(* serve and bombard need real elapsed time (latency percentiles, the
-   seconds field of responses), not CPU time. *)
-let install_wall_clock () =
-  (* lint: allow no-wall-clock — the daemon/load-generator measure elapsed time; installed once at startup *)
-  Gbisect.Obs.Clock.set Unix.gettimeofday
-
 let serve_cmd =
   let queue_term =
     let doc =
@@ -1015,7 +1115,6 @@ let serve_cmd =
     if no_cache && store <> None then usage_error "--no-cache conflicts with --store";
     let addr = parse_addr_or_usage addr in
     runtime_guard @@ fun () ->
-    install_wall_clock ();
     with_obs ~trace ~metrics @@ fun () ->
     let stopping = Atomic.make false in
     let flip = Sys.Signal_handle (fun _ -> Atomic.set stopping true) in
@@ -1131,7 +1230,6 @@ let bombard_cmd =
     if timeout <= 0.0 then usage_error "--timeout expects a positive number of seconds";
     let addr = parse_addr_or_usage addr in
     runtime_guard @@ fun () ->
-    install_wall_clock ();
     Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
     (* A few corpus seeds make their generator raise; skip them. *)
     let make_case ~seed =
@@ -1203,10 +1301,15 @@ let main_cmd =
       bombard_cmd;
     ]
 
-(* Cmdliner's stock exit codes are 124 (cli error) and 125 (internal
-   error); fold them onto the documented contract: 2 = usage, 1 =
-   runtime failure. *)
 let () =
+  (* Spans, telemetry, table time columns, benchmark artifacts and the
+     daemon's latencies all read Gb_obs.Clock: give them elapsed time,
+     not the library default of CPU time. *)
+  (* lint: allow no-wall-clock — the one place the CLI installs the real clock, before any command runs *)
+  Gbisect.Obs.Clock.set Unix.gettimeofday;
+  (* Cmdliner's stock exit codes are 124 (cli error) and 125 (internal
+     error); fold them onto the documented contract: 2 = usage, 1 =
+     runtime failure. *)
   exit
     (match Cmd.eval main_cmd with
     | 124 -> 2

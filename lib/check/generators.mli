@@ -38,9 +38,9 @@ val edges_repr : Gb_graph.Csr.t -> string
 
 (** {1 Bench corpus helpers}
 
-    The bench harness probes each table on a tiny representative
-    instance; the fuzzer draws its model instances through the same
-    constructors so the two corpora cannot drift apart. *)
+    The [gbisect perf] micro-benchmarks build their model instances
+    with these constructors, and the fuzzer draws its model instances
+    through the same ones, so the two corpora cannot drift apart. *)
 
 val gbreg_instance :
   Gb_prng.Rng.t -> two_n:int -> b:int -> d:int -> Gb_graph.Csr.t
@@ -50,4 +50,4 @@ val gbreg_instance :
 val g2set_instance :
   Gb_prng.Rng.t -> two_n:int -> avg_degree:float -> bis:int -> Gb_graph.Csr.t
 (** A planted-bisection instance parameterised by average degree, as
-    the bench probes and appendix tables specify it. *)
+    the appendix tables specify it. *)

@@ -15,7 +15,7 @@
     All three are read straight off the labelled trajectories in the
     {!Gb_obs.Telemetry.record} returned by {!Runner.run_once_record}
     ("kl.pass", "sa.plateau", "compaction.level") — the same data
-    [bench/main.exe --out DIR] streams to [telemetry.jsonl]. *)
+    [gbisect table --out DIR] streams to [telemetry.jsonl]. *)
 
 val figures : Profile.t -> string
 (** The KL-pass, SA-temperature and multilevel-level charts,

@@ -10,8 +10,6 @@ module Protocol = Gb_serve.Protocol
 module Obs = Gb_obs
 module Json = Gb_obs.Json
 
-let schema_version = 1
-
 type bench_result = {
   bench : string;
   iters : int;
@@ -293,12 +291,9 @@ let bench_to_json b =
     ]
 
 let to_json s =
-  Json.Obj
+  Obs.Proc.artifact ~suite:"core"
     [
-      ("schema_version", Json.Int schema_version);
-      ("suite", Json.String "core");
       ("runs", Json.Int s.runs);
-      ("host", Json.Obj (Obs.Proc.host ()));
       ( "benches",
         Json.Obj (List.map (fun b -> (b.bench, bench_to_json b)) s.results) );
       ( "peak_rss_bytes",
@@ -344,10 +339,10 @@ let check ?(tolerance = 0.05) ~baseline current =
   let base_schema =
     match Json.member "schema_version" baseline with Some (Json.Int v) -> v | _ -> -1
   in
-  if base_schema <> schema_version then begin
+  if base_schema <> Obs.Proc.schema_version then begin
     incr failures;
     line "FAIL  baseline schema_version %d, this binary writes %d" base_schema
-      schema_version
+      Obs.Proc.schema_version
   end
   else begin
     let base_ocaml =

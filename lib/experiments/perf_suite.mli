@@ -25,10 +25,6 @@
     by the same OCaml version, while time regressions are always
     {e warnings} (shared CI runners are too noisy to gate on). *)
 
-val schema_version : int
-(** Format version stamped into every [BENCH_*.json] this repo writes.
-    Bump when the JSON shape changes incompatibly. *)
-
 type bench_result = {
   bench : string;  (** Bench name, e.g. ["kl.pass"]. *)
   iters : int;  (** Operations per run (ns/op divides by this). *)
@@ -56,8 +52,8 @@ val run : ?runs:int -> scratch:string -> unit -> suite_result
     it; the caller owns cleanup). *)
 
 val to_json : suite_result -> Gb_obs.Json.t
-(** Schema-versioned artifact: [schema_version], [suite], [runs],
-    [host], sorted [benches], [peak_rss_bytes]. This is the exact
+(** The {!Gb_obs.Proc.artifact} frame with [suite = "core"], then
+    [runs], sorted [benches] and [peak_rss_bytes]. This is the exact
     shape committed as [results/BENCH_core.json]. *)
 
 val render : suite_result -> string
@@ -80,5 +76,6 @@ val check : ?tolerance:float -> baseline:Gb_obs.Json.t -> suite_result -> verdic
     tolerance is taken as-is and exceeding it is a failure when the
     baseline's [host.ocaml_version] equals this binary's (different
     compilers legitimately allocate differently — downgraded to a
-    warning). A baseline with a different [schema_version] is a
-    failure; benches present on one side only are warnings. *)
+    warning). A baseline whose [schema_version] is not
+    {!Gb_obs.Proc.schema_version} is a failure; benches present on one
+    side only are warnings. *)

@@ -7,10 +7,10 @@
 
     - {!smoke} — tiny instances, 1 replicate; CI-sized.
     - {!quick} — quarter-scale instances (5000 -> 1250), the default of
-      [bench/main.exe]; completes in a few minutes and preserves every
+      [gbisect table]; completes in a few minutes and preserves every
       qualitative shape.
     - {!paper} — the paper's instance sizes and replicate counts
-      ([--full] flag).
+      ([--profile paper]).
 
     All randomness derives from [master_seed], so any table can be
     regenerated exactly. *)

@@ -1,9 +1,8 @@
 (** The experiment registry: every table and figure of the paper's
     evaluation, addressable by the ids DESIGN.md assigns.
 
-    [bench/main.exe] and the CLI's [table] subcommand dispatch through
-    this list; running everything in order regenerates the whole
-    evaluation section. *)
+    [gbisect table] dispatches through this list; running everything in
+    order regenerates the whole evaluation section. *)
 
 type experiment = {
   id : string;  (** e.g. ["table1"], ["gbreg-5000-d3"], ["obs1"]. *)

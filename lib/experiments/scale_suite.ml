@@ -18,8 +18,6 @@ module Obs = Gb_obs
 module Json = Gb_obs.Json
 module Algo = Gb_algo.Algo
 
-let schema_version = 1
-
 type model = Gnp of { n : int; avg_degree : float } | Grid of { rows : int; cols : int }
 
 type algorithm = Mlkl | Mlfm | Fm | Kl
@@ -94,10 +92,8 @@ let run ?ml ~algorithm ~seed model =
   }
 
 let to_json r =
-  Json.Obj
+  Obs.Proc.artifact ~suite:"scale"
     [
-      ("schema_version", Json.Int schema_version);
-      ("host", Json.Obj (Obs.Proc.host ()));
       ("model", model_to_json r.model);
       ("algorithm", Json.String (algorithm_id r.algorithm));
       ("seed", Json.Int r.seed);

@@ -7,8 +7,6 @@
     question — does a multi-million-edge graph build, fit, and bisect —
     so a single run is the measurement. *)
 
-val schema_version : int
-
 type model =
   | Gnp of { n : int; avg_degree : float }
       (** Erdős–Rényi via the geometric-skip sampler. *)
@@ -46,7 +44,8 @@ val run : ?ml:Gb_algo.Algo.ml -> algorithm:algorithm -> seed:int -> model -> res
     refinement passes per level) applies to the multilevel solvers. *)
 
 val to_json : result -> Gb_obs.Json.t
-(** Adds [schema_version] and the {!Gb_obs.Proc.host} fingerprint. *)
+(** The result in the {!Gb_obs.Proc.artifact} frame, [suite =
+    "scale"]. *)
 
 val render : result -> string
 (** One human-readable summary line. *)

@@ -31,4 +31,16 @@ let host () =
     ("word_size", Json.Int Sys.word_size);
     ("os_type", Json.String Sys.os_type);
     ("hostname", Json.String (hostname ()));
+    ("recommended_domains", Json.Int (Domain.recommended_domain_count ()));
   ]
+
+let schema_version = 1
+
+let artifact ~suite fields =
+  Json.Obj
+    ([
+       ("schema_version", Json.Int schema_version);
+       ("suite", Json.String suite);
+       ("host", Json.Obj (host ()));
+     ]
+    @ fields)

@@ -1,5 +1,5 @@
-(** Process-level readings: allocation, peak RSS and the host
-    fingerprint that benchmark artifacts carry. *)
+(** Process-level readings (allocation, peak RSS) and the frame that
+    every benchmark artifact is written in. *)
 
 val allocated_words : unit -> float
 (** Words the calling domain has allocated so far: [Gc.minor_words ()]
@@ -17,7 +17,14 @@ val peak_rss_bytes : unit -> int option
     where procfs is unavailable. Monotone over the process lifetime, so
     it is reported per run. *)
 
-val host : unit -> (string * Json.t) list
-(** Host fingerprint fields ([ocaml_version], [word_size], [os_type],
-    [hostname]) embedded in benchmark artifacts so a baseline is never
-    silently compared across incompatible toolchains. *)
+val schema_version : int
+(** Format version of every [results/BENCH_*.json] artifact. Bump it
+    when an artifact's JSON shape changes incompatibly. *)
+
+val artifact : suite:string -> (string * Json.t) list -> Json.t
+(** The one frame of a benchmark artifact: [schema_version], [suite],
+    then [host] ([ocaml_version], [word_size], [os_type], [hostname],
+    [recommended_domains]), then [fields] in order. The host
+    fingerprint keeps a baseline from being compared silently across
+    incompatible toolchains, and [recommended_domains] says whether a
+    parallel speedup could show at all. *)

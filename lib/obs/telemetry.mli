@@ -5,7 +5,7 @@
     telemetry {!record} carries the sampled trajectory of one run,
     not just its endpoint: which algorithm, on which labelled graph,
     from which start, the cut/cost after every pass or plateau, and a
-    final metrics snapshot. [bench/main.exe --out DIR] appends one
+    final metrics snapshot. [gbisect table --out DIR] appends one
     JSON line per record to [DIR/telemetry.jsonl].
 
     {b Trajectory collection.} Algorithm cores call {!sample} with a

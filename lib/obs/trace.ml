@@ -32,7 +32,6 @@ let set sink =
 let () = at_exit close
 let enabled () = match Atomic.get current with Noop -> false | Writer _ -> true
 
-let set_clock = Clock.set
 let now_us () = Clock.now () *. 1e6
 
 (* One trace_event object per line. pid is constant; tid is the domain

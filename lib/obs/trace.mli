@@ -23,7 +23,7 @@
     Timestamps come from the shared pluggable clock ({!Clock}) so the
     library itself needs no [unix] dependency: the default is
     [Sys.time] (CPU seconds); executables that link [unix] install
-    [Unix.gettimeofday] via {!set_clock} for wall-clock traces.
+    [Unix.gettimeofday] via {!Clock.set} for wall-clock traces.
 
     {b Domain safety.} Spans may be opened on any domain, and are
     finished on the domain that opened them (the allocation reading is
@@ -52,11 +52,6 @@ val close : unit -> unit
 (** Flush and close the current sink and revert to {!noop}. *)
 
 val enabled : unit -> bool
-
-val set_clock : (unit -> float) -> unit
-(** Provide a clock in seconds (e.g. [Unix.gettimeofday]). This is
-    {!Clock.set}: the same clock also times telemetry records and the
-    experiment tables. *)
 
 val start : unit -> span
 (** Begin a span. Free (a null value) when tracing is disabled. *)

@@ -6,8 +6,6 @@ module Gio = Gb_graph.Gio
 module Clock = Gb_obs.Clock
 module Json = Gb_obs.Json
 
-let schema_version = 1
-
 type params = {
   requests : int;
   concurrency : int;
@@ -277,11 +275,8 @@ let run ?(log = ignore) ~make_case p addr =
 (* ------------------------------------------------------------------ *)
 
 let to_json o =
-  Json.Obj
+  Gb_obs.Proc.artifact ~suite:"serve"
     [
-      ("schema_version", Json.Int schema_version);
-      ("suite", Json.String "serve");
-      ("host", Json.Obj (Gb_obs.Proc.host ()));
       ( "params",
         Json.Obj
           [

@@ -76,8 +76,8 @@ val run :
     concurrency < 1, repeat ratio outside [0,1]). *)
 
 val to_json : outcome -> Gb_obs.Json.t
-(** Schema-versioned artifact body for [results/BENCH_serve.json]:
-    [schema_version], [suite = "serve"], host fingerprint, params,
+(** The [results/BENCH_serve.json] artifact: the
+    {!Gb_obs.Proc.artifact} frame with [suite = "serve"], then params,
     counts and latency figures. *)
 
 val render : outcome -> string

@@ -312,6 +312,87 @@ let lint_program_tests =
                 check_bool "fan-out colored" true (contains s "orange"))));
   ]
 
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+let with_temp_dir f =
+  let dir = Filename.temp_dir "gbisect_table" "" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+
+(* What [table] prints for one experiment: header, table, blank line. *)
+let table_block id body =
+  match Gbisect.Registry.find id with
+  | Some e -> Printf.sprintf "=== %s — %s ===\n%s\n" id e.Gbisect.Registry.paper_ref body
+  | None -> Alcotest.failf "no experiment %s" id
+
+let table_tests =
+  let smoke = [ "table"; "table1"; "figures"; "--profile"; "smoke" ] in
+  [
+    case "several ids: same stdout at any --jobs, equal to the single-id runs" (fun () ->
+        let c1, out1, _ = run_cli (smoke @ [ "--jobs"; "1" ]) in
+        let c2, out2, _ = run_cli (smoke @ [ "--jobs"; "2" ]) in
+        check_int "exit --jobs 1" 0 c1;
+        check_int "exit --jobs 2" 0 c2;
+        Alcotest.(check string) "--jobs 1 vs 2" out1 out2;
+        let single id =
+          let code, out, _ = run_cli [ "table"; id; "--profile"; "smoke" ] in
+          check_int ("exit " ^ id) 0 code;
+          out
+        in
+        Alcotest.(check string) "single-id runs in a row" (single "table1" ^ single "figures")
+          out1);
+    case "--out writes the tables, telemetry.jsonl and metrics.json" (fun () ->
+        with_temp_dir (fun dir ->
+            let code, out, _ = run_cli (smoke @ [ "--jobs"; "2"; "--out"; dir ]) in
+            check_int "exit" 0 code;
+            let body id = read_file (Filename.concat dir (id ^ ".txt")) in
+            Alcotest.(check string) "bodies are the stdout tables"
+              (table_block "table1" (body "table1") ^ table_block "figures" (body "figures"))
+              out;
+            let records =
+              String.split_on_char '\n' (read_file (Filename.concat dir "telemetry.jsonl"))
+              |> List.filter (fun l -> l <> "")
+            in
+            check_bool "telemetry records" true (records <> []);
+            List.iter
+              (fun line ->
+                let r = Gbisect.Obs.Json.of_string line in
+                List.iter
+                  (fun key -> check_bool key true (Gbisect.Obs.Json.member key r <> None))
+                  [ "algorithm"; "graph"; "profile"; "start"; "cut"; "seconds"; "balanced";
+                    "trajectory" ])
+              records;
+            ignore (Gbisect.Obs.Json.of_string (read_file (Filename.concat dir "metrics.json")))));
+    case "no id runs every table in --list order" (fun () ->
+        let code, out, _ = run_cli [ "table"; "--profile"; "smoke"; "--jobs"; "2" ] in
+        check_int "exit" 0 code;
+        let headers =
+          String.split_on_char '\n' out
+          |> List.filter (fun l -> String.length l > 4 && String.sub l 0 4 = "=== ")
+        in
+        Alcotest.(check (list string)) "one header per experiment"
+          (List.map
+             (fun (e : Gbisect.Registry.experiment) ->
+               Printf.sprintf "=== %s — %s ===" e.id e.paper_ref)
+             Gbisect.Registry.all)
+          headers);
+    case "--parallel-bench with --store is a usage error (exit 2)" (fun () ->
+        with_temp_dir (fun dir ->
+            let store = Filename.concat dir "store" in
+            let code, _, err =
+              run_cli
+                [ "table"; "figures"; "--profile"; "smoke"; "--parallel-bench";
+                  Filename.concat dir "bench.json"; "--store"; store ]
+            in
+            check_int "exit" 2 code;
+            check_bool "diagnosed" true (contains err "--parallel-bench");
+            check_bool "store not created" false (Sys.file_exists store)));
+  ]
+
 let serve_tests =
   [
     case "serve: unbindable socket path exits 1 with one gbisect: line" (fun () ->
@@ -406,6 +487,7 @@ let () =
       ("perf", perf_tests);
       ("lint", lint_tests);
       ("lint --program", lint_program_tests);
+      ("table", table_tests);
       ("serve", serve_tests);
       ("scale", scale_tests);
     ]

@@ -515,7 +515,7 @@ let driver_tests =
         | None -> Alcotest.fail "could not locate the repo root from the test cwd"
         | Some root ->
             let paths =
-              List.map (Filename.concat root) [ "lib"; "bin"; "bench"; "test" ]
+              List.map (Filename.concat root) [ "lib"; "bin"; "test" ]
             in
             (match Lint.lint_paths paths with
             | Error msg -> Alcotest.failf "lint_paths: %s" msg
@@ -532,7 +532,7 @@ let driver_tests =
             let paths =
               List.filter Sys.file_exists
                 (List.map (Filename.concat root)
-                   [ "lib"; "bin"; "bench"; "test"; "examples"; "lint" ])
+                   [ "lib"; "bin"; "test"; "examples" ])
             in
             (match Lint.lint_program paths with
             | Error msg -> Alcotest.failf "lint_program: %s" msg

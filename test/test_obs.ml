@@ -329,6 +329,21 @@ let proc_tests =
         match Proc.peak_rss_bytes () with
         | Some b -> check_bool "positive" true (b > 0)
         | None -> () (* not linux: procfs absent is a legal answer *));
+    case "artifact frames schema_version, suite, host, then the fields" (fun () ->
+        match Proc.artifact ~suite:"demo" [ ("x", Json.Int 1); ("a", Json.Int 2) ] with
+        | Json.Obj kvs -> (
+            Alcotest.(check (list string))
+              "key order"
+              [ "schema_version"; "suite"; "host"; "x"; "a" ]
+              (List.map fst kvs);
+            check_bool "schema_version" true
+              (List.assoc "schema_version" kvs = Json.Int Proc.schema_version);
+            check_bool "suite" true (List.assoc "suite" kvs = Json.String "demo");
+            match Json.member "recommended_domains" (List.assoc "host" kvs) with
+            | Some (Json.Int d) ->
+                check_int "recommended_domains" (Domain.recommended_domain_count ()) d
+            | _ -> Alcotest.fail "host.recommended_domains missing")
+        | _ -> Alcotest.fail "artifact is not an object");
   ]
 
 (* --- Trace ----------------------------------------------------------------- *)

@@ -22,9 +22,9 @@ let with_jobs n f =
 (* Tables embed wall-clock cells whose rendered widths vary run to run;
    pinning the clock makes whole rendered tables byte-comparable. *)
 let with_constant_clock f =
-  Obs.Trace.set_clock (fun () -> 0.);
+  Obs.Clock.set (fun () -> 0.);
   (* lint: allow no-wall-clock — restores the default clock source after the pinned-clock scope *)
-  Fun.protect ~finally:(fun () -> Obs.Trace.set_clock Sys.time) f
+  Fun.protect ~finally:(fun () -> Obs.Clock.set Sys.time) f
 
 (* --- Pool combinators ------------------------------------------------------ *)
 

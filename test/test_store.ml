@@ -198,9 +198,9 @@ let with_jobs n f =
   Fun.protect ~finally:(fun () -> Pool.set_jobs saved) f
 
 let with_constant_clock f =
-  Obs.Trace.set_clock (fun () -> 0.);
+  Obs.Clock.set (fun () -> 0.);
   (* lint: allow no-wall-clock — restores the default clock source after the pinned-clock scope *)
-  Fun.protect ~finally:(fun () -> Obs.Trace.set_clock Sys.time) f
+  Fun.protect ~finally:(fun () -> Obs.Clock.set Sys.time) f
 
 (* Run one registry experiment, returning the rendered table and the
    telemetry stream in emission order (the writer is what telemetry.jsonl
