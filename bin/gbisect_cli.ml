@@ -591,20 +591,28 @@ let table_cmd =
             s)
           store
       in
+      (* Records arrive in completion order, which depends on --jobs.
+         The writer runs under Telemetry's emit mutex, so appends from
+         pool workers are serialised; the file is written sorted when
+         the run ends. *)
       let telemetry =
         Option.map
           (fun path ->
             Gbisect.Obs.Metrics.set_enabled true;
             let oc = open_out path in
-            Gbisect.Obs.Telemetry.set_writer (Some (Gbisect.Obs.Telemetry.to_channel oc));
-            oc)
+            let records = ref [] in
+            Gbisect.Obs.Telemetry.set_writer (Some (fun r -> records := r :: !records));
+            (oc, records))
           (out_file "telemetry.jsonl")
       in
       Fun.protect
         ~finally:(fun () ->
           Option.iter
-            (fun oc ->
+            (fun (oc, records) ->
               Gbisect.Obs.Telemetry.set_writer None;
+              List.iter
+                (Gbisect.Obs.Telemetry.to_channel oc)
+                (List.sort Gbisect.Obs.Telemetry.compare_by_labels !records);
               close_out oc)
             telemetry;
           match s with

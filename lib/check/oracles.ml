@@ -399,30 +399,35 @@ let replica_exchange rng g =
 (* {1 Matching} *)
 
 let check_matching label g (m : Matching.t) =
-  let* () = require (Matching.is_valid g m) "%s: invalid matching" label in
-  let* () = require (Matching.is_maximal g m) "%s: matching not maximal" label in
+  let n = Csr.n_vertices g and mate = m.Matching.mate in
   let* () =
-    require
-      (List.length m.Matching.pairs = Matching.size m)
-      "%s: pairs/size mismatch" label
+    require (Array.length mate = n) "%s: mate has %d entries for %d vertices" label
+      (Array.length mate) n
   in
-  let seen = Array.make (Csr.n_vertices g) false in
-  List.fold_left
-    (fun acc (u, v) ->
-      let* () = acc in
-      let* () = require (u < v) "%s: pair (%d,%d) not normalised" label u v in
-      let* () = require (Csr.mem_edge g u v) "%s: pair (%d,%d) is not an edge" label u v in
+  (* Walk the partner map: in range, never the vertex itself, an
+     involution, and every matched pair an edge; count the pairs. *)
+  let rec scan u pairs =
+    if u = n then Ok pairs
+    else
+      let v = mate.(u) in
+      if v < 0 then scan (u + 1) pairs
+      else
+        let* () = require (v < n && v <> u) "%s: mate of %d is %d" label u v in
+        let* () =
+          require (mate.(v) = u) "%s: mate is not an involution at (%d,%d)" label u v
+        in
+        let* () = require (Csr.mem_edge g u v) "%s: pair (%d,%d) is not an edge" label u v in
+        scan (u + 1) (if u < v then pairs + 1 else pairs)
+  in
+  match scan 0 0 with
+  | Error _ as e -> e
+  | Ok pairs ->
       let* () =
-        require
-          ((not seen.(u)) && not seen.(v))
-          "%s: vertex reused across pairs at (%d,%d)" label u v
+        require (pairs = Matching.size m) "%s: size %d for %d matched pairs" label
+          (Matching.size m) pairs
       in
-      seen.(u) <- true;
-      seen.(v) <- true;
-      require
-        (m.Matching.mate.(u) = v && m.Matching.mate.(v) = u)
-        "%s: mate array disagrees with pair (%d,%d)" label u v)
-    (Ok ()) m.Matching.pairs
+      let* () = require (Matching.is_valid g m) "%s: is_valid rejects a valid matching" label in
+      require (Matching.is_maximal g m) "%s: matching not maximal" label
 
 let matching_oracle rng g =
   let* () = check_matching "random_maximal" g (Matching.random_maximal rng g) in

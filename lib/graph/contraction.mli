@@ -18,27 +18,18 @@
 type t = {
   coarse : Csr.t;  (** The contracted graph [G']. *)
   fine_to_coarse : int array;  (** [fine_to_coarse.(v)] = coarse id of [v]. *)
-  coarse_to_fine : int array array;
-      (** Members of each coarse vertex (singletons for unmatched), each
-          inner array sorted ascending. *)
 }
 
 val contract : Csr.t -> Matching.t -> t
 (** Contract every matched pair. Coarse vertex ids are assigned in
-    order of the smallest fine member. Total vertex weight and the
+    order of the smallest fine member, and the coarse graph is
+    {!Csr.quotient} by that numbering. Total vertex weight and the
     weight of non-internal edges are preserved. *)
 
 val project_to_fine : t -> 'a array -> 'a array
 (** [project_to_fine c assign] maps a per-coarse-vertex assignment back
     to fine vertices (members inherit their coarse vertex's value). *)
 
-val lift_to_coarse : t -> f:(int array -> 'a) -> 'a array
-(** [lift_to_coarse c ~f] builds a per-coarse-vertex value from each
-    group of fine members. *)
-
 val n_coarse : t -> int
 (** Number of vertices of the contracted graph — [n] minus the number
     of matched pairs. *)
-
-val is_identity : t -> bool
-(** True when the matching was empty (coarse = fine up to relabeling). *)

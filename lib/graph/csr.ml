@@ -405,6 +405,107 @@ let of_unweighted_edges ~n edge_list =
 
 let empty n = build ~what:"Csr.of_edges" ~n ~len:0 [||] [||] (fun _ -> 1)
 
+(* The quotient of [g] by a vertex classing, in linear sweeps and with
+   no comparison sort. Members are grouped by class with one counting
+   sort. Pass 1 walks each class's members, merges their cross edges
+   through [slot] (slot.(d) is the scratch index of the class's entry
+   for d, or -1) and appends each distinct (d, w) unsorted to int32
+   scratch outside the GC heap; a class has at most as many distinct
+   neighbours as its members have edge ends, so 2m entries suffice.
+   Pass 1's counts are the coarse degrees, hence xadj. Pass 2
+   transposes: walking d in ascending order and appending d to each
+   neighbour's slice fills every slice in ascending order, because
+   the merged adjacency is symmetric. *)
+let quotient g ~n cls =
+  let what = "Csr.quotient" in
+  if n < 0 then invalid_arg (what ^ ": negative n");
+  if Array.length cls <> g.n then invalid_arg (what ^ ": class array length");
+  (* More classes than vertices leaves one empty; checked before any
+     allocation proportional to n. *)
+  if n > g.n then invalid_arg (what ^ ": empty class");
+  let start = Array.make (n + 1) 0 in
+  for u = 0 to g.n - 1 do
+    let c = cls.(u) in
+    if c < 0 || c >= n then invalid_arg (what ^ ": class out of range");
+    start.(c) <- start.(c) + 1
+  done;
+  (* start.(c) ends class c; the descending fill below moves it to
+     where class c begins, with members in ascending order. *)
+  for c = 1 to n do
+    start.(c) <- start.(c) + start.(c - 1)
+  done;
+  let members = Array.make g.n 0 in
+  for u = g.n - 1 downto 0 do
+    let c = cls.(u) in
+    start.(c) <- start.(c) - 1;
+    members.(start.(c)) <- u
+  done;
+  let cap = 2 * g.m in
+  let nbr = ia_create cap and wgt = ia_create cap in
+  let slot = Array.make n (-1) in
+  let xadj = ia_create (n + 1) and vwgt = ia_create n in
+  set xadj 0 0;
+  let pos = ref 0 and total_vertex_weight = ref 0 in
+  for c = 0 to n - 1 do
+    if start.(c) = start.(c + 1) then invalid_arg (what ^ ": empty class");
+    let cw = ref 0 in
+    for i = start.(c) to start.(c + 1) - 1 do
+      let u = members.(i) in
+      cw := !cw + get g.vwgt u;
+      for k = get g.xadj u to get g.xadj (u + 1) - 1 do
+        let d = cls.(get g.adjncy k) in
+        if d <> c then begin
+          let s = slot.(d) in
+          if s < 0 then begin
+            slot.(d) <- !pos;
+            set nbr !pos d;
+            set wgt !pos (get g.adjwgt k);
+            incr pos
+          end
+          else begin
+            let w = get wgt s + get g.adjwgt k in
+            if w > max_weight then invalid_arg (what ^ ": merged edge weight out of range");
+            set wgt s w
+          end
+        end
+      done
+    done;
+    if !cw > max_weight then invalid_arg (what ^ ": vertex weight out of range");
+    set vwgt c !cw;
+    total_vertex_weight := !total_vertex_weight + !cw;
+    for k = get xadj c to !pos - 1 do
+      slot.(get nbr k) <- -1
+    done;
+    set xadj (c + 1) !pos
+  done;
+  let tot = !pos in
+  let adjncy = ia_create tot and adjwgt = ia_create tot in
+  (* [slot] becomes the fill cursor of each slice. *)
+  for c = 0 to n - 1 do
+    slot.(c) <- get xadj c
+  done;
+  let total_edge_weight = ref 0 in
+  for d = 0 to n - 1 do
+    for k = get xadj d to get xadj (d + 1) - 1 do
+      let c = get nbr k and w = get wgt k in
+      let f = slot.(c) in
+      set adjncy f d;
+      set adjwgt f w;
+      slot.(c) <- f + 1;
+      if d < c then total_edge_weight := !total_edge_weight + w
+    done
+  done;
+  {
+    n;
+    xadj;
+    adjncy;
+    adjwgt;
+    vwgt;
+    m = tot / 2;
+    total_edge_weight = !total_edge_weight;
+    total_vertex_weight = !total_vertex_weight;
+  }
+
 let pp fmt g =
   (* lint: allow no-float-format — display-only pretty-printer *)
   Format.fprintf fmt "graph: %d vertices, %d edges, avg degree %.2f%s" g.n g.m

@@ -49,6 +49,18 @@ val of_edge_arrays :
 val empty : int -> t
 (** [empty n] has [n] vertices (unit weight) and no edges. *)
 
+val quotient : t -> n:int -> int array -> t
+(** [quotient g ~n cls] is the graph whose vertex [c] is the class
+    [{u | cls.(u) = c}] of [g]'s vertices, for [c] in [0 .. n-1]: a
+    class weighs the sum of its members' weights, edges inside a class
+    vanish, and the edges between two classes merge into one whose
+    weight is their sum. Equal to {!of_edge_arrays} on the mapped
+    cross edges with those vertex weights, built in linear sweeps
+    without sorting.
+    @raise Invalid_argument if [cls] does not have one entry per
+    vertex, a class is out of [0 .. n-1] or empty, or a merged weight
+    exceeds the int32 range. *)
+
 (** {1 Scale limits}
 
     Neighbour ids and adjacency offsets are stored compactly (int32),
@@ -58,6 +70,9 @@ val empty : int -> t
 
 val max_vertices : int
 val max_edges : int
+
+val max_weight : int
+(** Largest vertex or edge weight, merged ones included. *)
 
 val validate_scale : n:int -> m:int -> unit
 (** @raise Failure "graph too large: ..." when either bound is

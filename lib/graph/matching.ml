@@ -1,39 +1,36 @@
 module Rng = Gb_prng.Rng
 
-type t = { mate : int array; pairs : (int * int) list }
+type t = { mate : int array }
 
-let size t = List.length t.pairs
+let size t =
+  let matched = ref 0 in
+  Array.iter (fun v -> if v >= 0 then incr matched) t.mate;
+  !matched / 2
+
 let is_matched t u = t.mate.(u) >= 0
-
-let of_mate mate =
-  let pairs = ref [] in
-  Array.iteri (fun u v -> if v > u then pairs := (u, v) :: !pairs) mate;
-  { mate; pairs = List.rev !pairs }
 
 let random_maximal rng g =
   let n = Csr.n_vertices g in
-  let m = Csr.n_edges g in
-  (* Unboxed endpoint arrays plus a shuffled index permutation instead
-     of a shuffled tuple array: same RNG draw sequence (one draw per
-     position, same length), same visit order, no per-edge boxing. *)
-  let esrc = Array.make (max 1 m) 0 and edst = Array.make (max 1 m) 0 in
+  (* One packed (u lsl 31) lor v per edge, in iter_edges order (u < v
+     < 2^31, so it fits a 63-bit int). Shuffling it makes the same
+     draws as shuffling the index permutation 0..m-1 (one per
+     position), so the edges are visited in that same order. *)
+  let edges = Array.make (Csr.n_edges g) 0 in
   let k = ref 0 in
   Csr.iter_edges g (fun u v _ ->
-      esrc.(!k) <- u;
-      edst.(!k) <- v;
+      edges.(!k) <- (u lsl 31) lor v;
       incr k);
-  let perm = Array.init m (fun i -> i) in
-  Rng.shuffle_in_place rng perm;
+  Rng.shuffle_in_place rng edges;
   let mate = Array.make n (-1) in
   Array.iter
     (fun e ->
-      let u = esrc.(e) and v = edst.(e) in
+      let u = e lsr 31 and v = e land 0x7FFFFFFF in
       if mate.(u) < 0 && mate.(v) < 0 then begin
         mate.(u) <- v;
         mate.(v) <- u
       end)
-    perm;
-  of_mate mate
+    edges;
+  { mate }
 
 let heavy_edge rng g =
   let n = Csr.n_vertices g in
@@ -55,26 +52,21 @@ let heavy_edge rng g =
         end
       end)
     order;
-  of_mate mate
+  { mate }
 
-let empty g = { mate = Array.make (Csr.n_vertices g) (-1); pairs = [] }
+let empty g = { mate = Array.make (Csr.n_vertices g) (-1) }
 
 let is_valid g t =
-  Array.length t.mate = Csr.n_vertices g
-  && List.for_all
-       (fun (u, v) -> u < v && Csr.mem_edge g u v && t.mate.(u) = v && t.mate.(v) = u)
-       t.pairs
+  let n = Csr.n_vertices g in
+  Array.length t.mate = n
   &&
-  let matched_count = ref 0 in
   let ok = ref true in
   Array.iteri
     (fun u v ->
-      if v >= 0 then begin
-        incr matched_count;
-        if v = u || v < 0 || v >= Array.length t.mate || t.mate.(v) <> u then ok := false
-      end)
+      if v >= 0 && (v = u || v >= n || t.mate.(v) <> u || not (Csr.mem_edge g u v)) then
+        ok := false)
     t.mate;
-  !ok && !matched_count = 2 * List.length t.pairs
+  !ok
 
 let is_maximal g t =
   let free_edge = ref false in

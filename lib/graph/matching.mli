@@ -11,13 +11,10 @@
     partitioners (the descendants of this paper); it is provided for the
     ablation benchmark E-X1. *)
 
-type t = {
-  mate : int array;  (** [mate.(u)] is [u]'s partner, or [-1] if unmatched. *)
-  pairs : (int * int) list;  (** The matched edges, each with [fst < snd]. *)
-}
+type t = { mate : int array  (** [mate.(u)] is [u]'s partner, or [-1] if unmatched. *) }
 
 val size : t -> int
-(** Number of matched edges. *)
+(** Number of matched edges: half the matched vertices. *)
 
 val is_matched : t -> int -> bool
 
@@ -32,8 +29,9 @@ val empty : Csr.t -> t
 (** The empty matching (contraction with it is the identity coarsening). *)
 
 val is_valid : Csr.t -> t -> bool
-(** Pairs are edges of the graph, vertex-disjoint, and [mate] is the
-    involution they induce. *)
+(** [mate] has one entry per vertex, every partner is another vertex
+    in range, [mate] is an involution on the matched vertices, and
+    every matched pair is an edge of the graph. *)
 
 val is_maximal : Csr.t -> t -> bool
 (** No edge of the graph has both endpoints unmatched. *)

@@ -187,6 +187,27 @@ let emit r =
       Mutex.protect emit_mutex (fun () ->
           match Atomic.get writer with None -> () | Some w -> w r)
 
+(* Labels first, then the rest of the record without [seconds], the
+   one field that differs between two runs of the same work. *)
+let compare_by_labels (a : record) (b : record) =
+  let c = String.compare a.graph b.graph in
+  if c <> 0 then c
+  else
+    let c = String.compare a.algorithm b.algorithm in
+    if c <> 0 then c
+    else
+      let c = String.compare a.profile b.profile in
+      if c <> 0 then c
+      else
+        let c = Option.compare Int.compare a.seed b.seed in
+        if c <> 0 then c
+        else
+          let c = Int.compare a.start b.start in
+          if c <> 0 then c
+          else
+            let rest r = Json.to_string (to_json { r with seconds = 0. }) in
+            String.compare (rest a) (rest b)
+
 let to_channel oc r =
   output_string oc (Json.to_string (to_json r));
   output_char oc '\n';

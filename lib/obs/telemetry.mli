@@ -29,9 +29,11 @@
     work to the pool and re-establish it per task with {!with_snapshot}
     (the runner does this). {!emit} hands records to the single global
     writer under a mutex, so every [telemetry.jsonl] line is whole even
-    when many domains finish runs simultaneously; record {e order} in
-    the stream follows completion order, which is why consumers key on
-    the [(graph, algorithm, start)] labels rather than on position. *)
+    when many domains finish runs simultaneously. The writer sees
+    records in completion order, which varies with [--jobs];
+    [gbisect table --out] buffers them and writes them sorted by
+    {!compare_by_labels}, so [telemetry.jsonl] is the same at any
+    [--jobs] up to the [seconds] fields. *)
 
 type record = {
   algorithm : string;  (** "KL", "SA", "CKL", ... *)
@@ -106,6 +108,10 @@ val set_writer : (record -> unit) option -> unit
 val writer_installed : unit -> bool
 val emit : record -> unit
 (** Hand a record to the writer; no-op when none is installed. *)
+
+val compare_by_labels : record -> record -> int
+(** Total order on records by [(graph, algorithm, profile, seed,
+    start)], ties broken by the rest of the record except [seconds]. *)
 
 val to_channel : out_channel -> record -> unit
 (** JSONL writer: one [to_json] line per record, flushed. *)

@@ -10,6 +10,26 @@ let rng ?(seed = 424242) () = Rng.create ~seed
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
+(* The matched edges of a matching, each as (u, v) with u < v, in
+   ascending order of u. *)
+let matched_pairs (m : Gbisect.Matching.t) =
+  let pairs = ref [] in
+  Array.iteri (fun u v -> if v > u then pairs := (u, v) :: !pairs) m.Gbisect.Matching.mate;
+  List.rev !pairs
+
+(* The first graph of every fuzz family, with the family's name. *)
+let fuzz_family_graphs () =
+  let module G = Gbisect.Fuzz_generators in
+  List.map
+    (fun family ->
+      let rec first seed =
+        match G.generate ~seed with
+        | { G.family = f; graph; _ } when f = family -> graph
+        | _ | (exception _) -> first (seed + 1)
+      in
+      (family, first 0))
+    G.families
+
 let check_graph_ok g =
   try Graph.check g
   with Failure msg -> Alcotest.failf "graph invariant violated: %s" msg

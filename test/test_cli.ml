@@ -367,6 +367,25 @@ let table_tests =
                     "trajectory" ])
               records;
             ignore (Gbisect.Obs.Json.of_string (read_file (Filename.concat dir "metrics.json")))));
+    case "--out writes the same telemetry.jsonl at any --jobs, seconds aside" (fun () ->
+        (* Each record re-rendered without its "seconds" member. *)
+        let records jobs =
+          with_temp_dir (fun dir ->
+              let code, _, _ = run_cli (smoke @ [ "--jobs"; jobs; "--out"; dir ]) in
+              check_int ("exit --jobs " ^ jobs) 0 code;
+              String.split_on_char '\n' (read_file (Filename.concat dir "telemetry.jsonl"))
+              |> List.filter (fun l -> l <> "")
+              |> List.map (fun line ->
+                     match Gbisect.Obs.Json.of_string line with
+                     | Gbisect.Obs.Json.Obj fields ->
+                         Gbisect.Obs.Json.to_string
+                           (Gbisect.Obs.Json.Obj
+                              (List.filter (fun (k, _) -> k <> "seconds") fields))
+                     | _ -> Alcotest.failf "telemetry line is not an object: %s" line))
+        in
+        let seq = records "1" in
+        check_bool "records" true (seq <> []);
+        Alcotest.(check (list string)) "--jobs 1 vs 2" seq (records "2"));
     case "no id runs every table in --list order" (fun () ->
         let code, out, _ = run_cli [ "table"; "--profile"; "smoke"; "--jobs"; "2" ] in
         check_int "exit" 0 code;

@@ -571,7 +571,7 @@ let matching_tests =
         for seed = 1 to 20 do
           let m = Matching.heavy_edge (Helpers.rng ~seed ()) g in
           check_int "one pair" 1 (Matching.size m);
-          check_bool "light edge avoided" false (List.mem (0, 1) m.Matching.pairs)
+          check_bool "light edge avoided" false (List.mem (0, 1) (Helpers.matched_pairs m))
         done);
   ]
 
@@ -616,22 +616,22 @@ let gen_fuzzed_multigraph =
   return (Graph.of_edges ~n !edges)
 
 let matching_consistent g (m : Matching.t) =
-  (* mate/pairs consistency: pairs normalised, disjoint, real edges,
-     and exactly the non-negative entries of the mate array. *)
+  (* mate/pairs consistency: the pairs read off the mate array are
+     disjoint real edges, cover exactly its non-negative entries, and
+     number [Matching.size]. *)
   let n = Graph.n_vertices g in
+  let pairs = Helpers.matched_pairs m in
   let seen = Array.make n false in
   List.for_all
     (fun (u, v) ->
       let fresh = (not seen.(u)) && not seen.(v) in
       seen.(u) <- true;
       seen.(v) <- true;
-      u < v && fresh && Graph.mem_edge g u v
-      && m.Matching.mate.(u) = v
-      && m.Matching.mate.(v) = u)
-    m.Matching.pairs
+      fresh && Graph.mem_edge g u v && m.Matching.mate.(v) = u)
+    pairs
   && Array.for_all Fun.id
        (Array.init n (fun v -> seen.(v) = (m.Matching.mate.(v) >= 0)))
-  && List.length m.Matching.pairs = Matching.size m
+  && List.length pairs = Matching.size m
 
 let matching_multigraph_tests =
   [
@@ -658,9 +658,7 @@ let contraction_tests =
     case "contracting one edge of a path" (fun () ->
         let g = Classic.path 3 in
         (* Match edge (0,1): coarse graph has 2 vertices, 1 edge. *)
-        let m =
-          Matching.{ mate = [| 1; 0; -1 |]; pairs = [ (0, 1) ] }
-        in
+        let m = Matching.{ mate = [| 1; 0; -1 |] } in
         let c = Contraction.contract g m in
         check_int "coarse n" 2 (Contraction.n_coarse c);
         check_int "coarse m" 1 (Graph.n_edges c.Contraction.coarse);
@@ -671,7 +669,7 @@ let contraction_tests =
         (* Square 0-1-2-3-0; contract (0,1) and (2,3): the two coarse
            vertices are joined by two fine edges -> one weight-2 edge. *)
         let g = Classic.cycle 4 in
-        let m = Matching.{ mate = [| 1; 0; 3; 2 |]; pairs = [ (0, 1); (2, 3) ] } in
+        let m = Matching.{ mate = [| 1; 0; 3; 2 |] } in
         let c = Contraction.contract g m in
         check_int "coarse n" 2 (Contraction.n_coarse c);
         check_int "one merged edge" 1 (Graph.n_edges c.Contraction.coarse);
@@ -679,20 +677,13 @@ let contraction_tests =
     case "empty matching contraction is the identity" (fun () ->
         let g = Classic.petersen () in
         let c = Contraction.contract g (Matching.empty g) in
-        check_bool "identity" true (Contraction.is_identity c);
         check_bool "same graph" true (Graph.equal g c.Contraction.coarse));
     case "project_to_fine inherits values" (fun () ->
         let g = Classic.path 4 in
-        let m = Matching.{ mate = [| 1; 0; 3; 2 |]; pairs = [ (0, 1); (2, 3) ] } in
+        let m = Matching.{ mate = [| 1; 0; 3; 2 |] } in
         let c = Contraction.contract g m in
         Alcotest.(check (array int)) "projection" [| 5; 5; 9; 9 |]
           (Contraction.project_to_fine c [| 5; 9 |]));
-    case "lift_to_coarse sees the member groups" (fun () ->
-        let g = Classic.path 4 in
-        let m = Matching.{ mate = [| 1; 0; 3; 2 |]; pairs = [ (0, 1); (2, 3) ] } in
-        let c = Contraction.contract g m in
-        Alcotest.(check (array int)) "sizes" [| 2; 2 |]
-          (Contraction.lift_to_coarse c ~f:Array.length));
   ]
 
 let contraction_property_tests =
@@ -708,7 +699,7 @@ let contraction_property_tests =
            = Graph.total_edge_weight g
              - List.fold_left
                  (fun acc (u, v) -> acc + Graph.edge_weight g u v)
-                 0 m.Matching.pairs);
+                 0 (Helpers.matched_pairs m));
     Helpers.qtest "cut correspondence: coarse cut = projected fine cut"
       (Helpers.gen_graph ~max_n:30 ()) (fun g ->
         let r = Helpers.rng () in
@@ -729,6 +720,110 @@ let contraction_property_tests =
         let m = Matching.random_maximal (Helpers.rng ()) g in
         let c = Contraction.contract g m in
         Graph.n_vertices c.Contraction.coarse = Graph.n_vertices g - Matching.size m);
+  ]
+
+(* --- Coarsening against the reference ----------------------------------------- *)
+
+module Ref = Coarsen_reference
+
+(* Both contractions of [g] by [mate] agree: equal fine_to_coarse, and
+   coarse graphs equal in structure and in every total. Returns the
+   coarse graph. *)
+let same_contraction what g mate =
+  let c = Contraction.contract g Matching.{ mate } in
+  let r = Ref.contract g (Ref.of_mate mate) in
+  let coarse = c.Contraction.coarse and ref_coarse = r.Ref.coarse in
+  Alcotest.(check (array int)) (what ^ ": fine_to_coarse") r.Ref.fine_to_coarse
+    c.Contraction.fine_to_coarse;
+  check_bool (what ^ ": coarse graph") true (Graph.equal ref_coarse coarse);
+  check_int (what ^ ": n_edges") (Graph.n_edges ref_coarse) (Graph.n_edges coarse);
+  check_int (what ^ ": total_edge_weight") (Graph.total_edge_weight ref_coarse)
+    (Graph.total_edge_weight coarse);
+  check_int (what ^ ": total_vertex_weight") (Graph.total_vertex_weight ref_coarse)
+    (Graph.total_vertex_weight coarse);
+  coarse
+
+(* Random matchings from two equal streams agree, leave the streams in
+   the same state, and contract alike. *)
+let same_random_level what ~rng ~ref_rng g =
+  let m = Matching.random_maximal rng g and r = Ref.random_maximal ref_rng g in
+  Alcotest.(check (array int)) (what ^ ": mate") r.Ref.mate m.Matching.mate;
+  check_int (what ^ ": next draw") (Rng.int ref_rng 1_000_000) (Rng.int rng 1_000_000);
+  same_contraction what g m.Matching.mate
+
+(* Coarsen by random matchings for up to [levels] levels, checking
+   each against the reference; stops when a level no longer shrinks. *)
+let same_hierarchy what ~seed ~levels g =
+  let rng = Helpers.rng ~seed () and ref_rng = Helpers.rng ~seed () in
+  let rec go level g =
+    if level < levels then begin
+      let coarse = same_random_level (Printf.sprintf "%s level %d" what level) ~rng ~ref_rng g in
+      if Graph.n_vertices coarse < Graph.n_vertices g then go (level + 1) coarse
+      else level + 1
+    end
+    else level
+  in
+  go 0 g
+
+(* Heavy-edge and empty matchings contract alike too. *)
+let same_other_matchings what ~seed g =
+  ignore (same_contraction (what ^ " heavy") g (Matching.heavy_edge (Helpers.rng ~seed ()) g).mate);
+  ignore (same_contraction (what ^ " empty") g (Matching.empty g).mate)
+
+let raises_invalid f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
+
+let coarsen_reference_tests =
+  [
+    case "one case of every fuzz family, six levels deep" (fun () ->
+        List.iter
+          (fun (family, g) ->
+            ignore (same_hierarchy family ~seed:3 ~levels:6 g);
+            same_other_matchings family ~seed:3 g)
+          (Helpers.fuzz_family_graphs ()));
+    Helpers.qtest "weighted multigraphs: random, heavy-edge and empty matchings"
+      gen_fuzzed_multigraph (fun g ->
+        ignore (same_hierarchy "multigraph" ~seed:7 ~levels:3 g);
+        same_other_matchings "multigraph" ~seed:7 g;
+        true);
+    case "every level of a Gnp(20k, d=4) hierarchy" (fun () ->
+        let g = Gbisect.Gnp.with_average_degree (Helpers.rng ~seed:20 ()) ~n:20_000 ~avg_degree:4. in
+        let levels = same_hierarchy "gnp" ~seed:21 ~levels:max_int g in
+        check_bool "coarsens several levels" true (levels >= 8);
+        same_other_matchings "gnp" ~seed:22 g);
+    case "a merged weight past max_weight raises in both builds" (fun () ->
+        (* Contracting 0-1 merges edges 0-2 and 1-2 into one edge of
+           weight max_weight + 1; in the second graph it merges vertex
+           weights to max_weight + 1. *)
+        let heavy_edge = Graph.of_edges ~n:3 [ (0, 1, 1); (0, 2, Graph.max_weight); (1, 2, 1) ] in
+        let heavy_vertex =
+          Graph.of_edges ~vertex_weights:[| Graph.max_weight; 1 |] ~n:2 [ (0, 1, 1) ]
+        in
+        List.iter
+          (fun (what, g) ->
+            let mate = Array.init (Graph.n_vertices g) (fun u -> if u < 2 then 1 - u else -1) in
+            check_bool (what ^ ": contract") true
+              (raises_invalid (fun () -> Contraction.contract g Matching.{ mate }));
+            check_bool (what ^ ": reference") true
+              (raises_invalid (fun () -> Ref.contract g (Ref.of_mate mate))))
+          [ ("edge", heavy_edge); ("vertex", heavy_vertex) ]);
+    case "quotient rejects a bad classing" (fun () ->
+        let g = Classic.path 3 in
+        List.iter
+          (fun (what, n, cls) ->
+            check_bool what true (raises_invalid (fun () -> Graph.quotient g ~n cls)))
+          [
+            ("short class array", 2, [| 0; 1 |]);
+            ("class out of range", 2, [| 0; 2; 1 |]);
+            ("negative class", 2, [| 0; -1; 1 |]);
+            ("empty class", 3, [| 0; 0; 2 |]);
+            ("more classes than vertices", 4, [| 0; 1; 2 |]);
+            ("negative n", -1, [| 0; 0; 0 |]);
+          ];
+        check_bool "one class is one vertex of weight 3" true
+          (Graph.equal
+             (Graph.of_edges ~vertex_weights:[| 3 |] ~n:1 [])
+             (Graph.quotient g ~n:1 [| 0; 0; 0 |])));
   ]
 
 (* --- Products --------------------------------------------------------------- *)
@@ -1083,4 +1178,5 @@ let () =
       ("matching multigraphs", matching_multigraph_tests);
       ("contraction", contraction_tests);
       ("contraction properties", contraction_property_tests);
+      ("coarsen reference", coarsen_reference_tests);
     ]

@@ -457,19 +457,6 @@ let print_fm_case (g, side, (c : Fm.config)) =
     (Helpers.graph_print g) (print_sides side) c.max_passes c.until_no_improvement
     c.tolerance
 
-(* The first graph of every fuzz family. *)
-let fuzz_family_graphs () =
-  let module G = Gbisect.Fuzz_generators in
-  List.map
-    (fun family ->
-      let rec first seed =
-        match G.generate ~seed with
-        | { G.family = f; graph; _ } when f = family -> graph
-        | _ | (exception _) -> first (seed + 1)
-      in
-      (family, first 0))
-    G.families
-
 let gnp400 () =
   let r = Helpers.rng ~seed:5 () in
   let g = Gbisect.Gnp.with_average_degree r ~n:400 ~avg_degree:6. in
@@ -488,7 +475,7 @@ let fm_reference_tests =
                   true
                   (same_as_reference ~tolerance:config.tolerance ~config g side))
               configs)
-          (fuzz_family_graphs ()));
+          (Helpers.fuzz_family_graphs ()));
     case "gnp(400) matches the reference" (fun () ->
         let g, side = gnp400 () in
         List.iter
@@ -562,7 +549,7 @@ let kl_reference_tests =
           (fun (family, g) ->
             let side = Helpers.balanced_sides (Helpers.rng ()) g in
             check_bool family true (kl_same_as_reference g side))
-          (fuzz_family_graphs ()));
+          (Helpers.fuzz_family_graphs ()));
     case "gnp(400) matches the reference" (fun () ->
         let g, side = gnp400 () in
         check_bool "same" true (kl_same_as_reference g side));

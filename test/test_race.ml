@@ -261,7 +261,7 @@ let kernel_tests =
                     Matching.random_maximal (Helpers.rng ~seed:c.Generators.seed ()) g
                   in
                   let ct = Contraction.contract g m in
-                  (m.Matching.pairs, ct.Contraction.fine_to_coarse))
+                  (m.Matching.mate, ct.Contraction.fine_to_coarse))
             in
             check_bool c.Generators.family true (at 1 = at 4))
           family_cases);
