@@ -24,8 +24,6 @@ let default =
   }
 
 let quick = { default with cooling = 0.9; size_factor = 4; frozen_after = 3 }
-let thorough = { default with cooling = 0.98; size_factor = 16 }
-
 let validate t =
   let bad msg = invalid_arg ("Schedule: " ^ msg) in
   (match t.initial_temperature with

@@ -53,10 +53,5 @@ val quick : t
 (** A faster, rougher schedule (cooling [0.9], size_factor [4]) for
     tests and the bench harness's reduced profile. *)
 
-val thorough : t
-(** A slower schedule (cooling [0.98], size_factor [16]) for quality
-    studies; this is the flavour whose running time the paper's
-    Observation 4 complains about. *)
-
 val validate : t -> unit
 (** @raise Invalid_argument on out-of-range fields. *)

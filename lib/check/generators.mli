@@ -22,6 +22,8 @@ type case = {
   graph : Gb_graph.Csr.t;
 }
 
+(* lint: allow dead-export — test/test_lock.ml and test/helpers.ml walk
+   every family *)
 val families : string list
 (** Names of every family, in selection order. *)
 

@@ -2,26 +2,22 @@ module Rng = Gb_prng.Rng
 module Lfg = Gb_prng.Lfg
 module Graph = Gb_graph.Csr
 module Builder = Gb_graph.Builder
-module Bitset = Gb_graph.Bitset
 module Classic = Gb_graph.Classic
 module Traverse = Gb_graph.Traverse
 module Graph_io = Gb_graph.Gio
 module Matching = Gb_graph.Matching
 module Subgraph = Gb_graph.Subgraph
 module Contraction = Gb_graph.Contraction
-module Product = Gb_graph.Product
 module Gnp = Gb_models.Gnp
 module Planted = Gb_models.Planted
 module Bregular = Gb_models.Bregular
 module Degree_seq = Gb_models.Degree_seq
 module Geometric = Gb_models.Geometric
-module Small_world = Gb_models.Small_world
 module Bisection = Gb_partition.Bisection
 module Initial = Gb_partition.Initial
 module Exact = Gb_partition.Exact
 module Spectral = Gb_partition.Spectral
 module Cycles = Gb_partition.Cycles
-module Metrics = Gb_partition.Metrics
 module Tree_exact = Gb_partition.Tree_exact
 module Kl = Gb_kl.Kl
 module Fm = Gb_kl.Fm

@@ -12,7 +12,7 @@
       let rng = Gbisect.Rng.create ~seed:42 in
       let g = Gbisect.Classic.grid ~rows:30 ~cols:30 in
       let result = Gbisect.solve ~algorithm:`Ckl rng g in
-      Format.printf "%a@." Gbisect.Bisection.pp result.bisection
+      Printf.printf "cut %d\n" (Gbisect.Bisection.cut result.bisection)
     ]} *)
 
 (** {1 Substrates} *)
@@ -21,14 +21,12 @@ module Rng = Gb_prng.Rng
 module Lfg = Gb_prng.Lfg
 module Graph = Gb_graph.Csr
 module Builder = Gb_graph.Builder
-module Bitset = Gb_graph.Bitset
 module Classic = Gb_graph.Classic
 module Traverse = Gb_graph.Traverse
 module Graph_io = Gb_graph.Gio
 module Matching = Gb_graph.Matching
 module Subgraph = Gb_graph.Subgraph
 module Contraction = Gb_graph.Contraction
-module Product = Gb_graph.Product
 
 (** {1 Random graph models (paper §IV)} *)
 
@@ -37,7 +35,6 @@ module Planted = Gb_models.Planted
 module Bregular = Gb_models.Bregular
 module Degree_seq = Gb_models.Degree_seq
 module Geometric = Gb_models.Geometric
-module Small_world = Gb_models.Small_world
 
 (** {1 Partitions} *)
 
@@ -46,7 +43,6 @@ module Initial = Gb_partition.Initial
 module Exact = Gb_partition.Exact
 module Spectral = Gb_partition.Spectral
 module Cycles = Gb_partition.Cycles
-module Metrics = Gb_partition.Metrics
 module Tree_exact = Gb_partition.Tree_exact
 
 (** {1 Algorithms} *)

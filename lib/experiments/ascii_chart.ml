@@ -64,18 +64,3 @@ let render ~title ?(height = 12) ?(y_label = "") ?(x_label = "") series =
           (Printf.sprintf "%s  y: %s, x: %s (%d points)\n" (String.make 10 ' ') y_label
              x_label (List.length series)));
   Buffer.contents buf
-
-let sparkline series =
-  match series with
-  | [] -> ""
-  | _ ->
-      let ramp = " .:-=+*#" in
-      let data = downsample series in
-      let lo = Array.fold_left min infinity data in
-      let hi = Array.fold_left max neg_infinity data in
-      let span = if hi -. lo < 1e-12 then 1. else hi -. lo in
-      String.init (Array.length data) (fun i ->
-          let level =
-            int_of_float ((data.(i) -. lo) /. span *. float_of_int (String.length ramp - 1))
-          in
-          ramp.[max 0 (min (String.length ramp - 1) level)])

@@ -16,7 +16,3 @@ val render :
     high (default 12), with min/max annotations. Empty series render a
     placeholder line. Wide series are downsampled to at most 72
     columns (max within each bucket, so spikes stay visible). *)
-
-val sparkline : float list -> string
-(** One-line eight-level sparkline (ASCII ramp [" .:-=+*#"]), for table
-    cells. *)

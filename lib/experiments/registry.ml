@@ -198,8 +198,6 @@ let all =
   ]
 
 let find id = List.find_opt (fun e -> e.id = id) all
-let ids () = List.map (fun e -> e.id) all
-
 (* Fan-out point 3: whole experiments run concurrently. Each experiment
    already returns its rendered table as a string — output is therefore
    naturally buffered per experiment — and the result list keeps the

@@ -16,8 +16,6 @@ val all : experiment list
     2000-vertex tables, observations, ablations. *)
 
 val find : string -> experiment option
-val ids : unit -> string list
-
 val run_selected : Profile.t -> experiment list -> (experiment * string * float) list
 (** Run a selection of experiments on the ambient {!Gb_par.Pool}
     ([--jobs]), each experiment's output buffered as its rendered table

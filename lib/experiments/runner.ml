@@ -5,8 +5,6 @@ module Obs = Gb_obs
 module Pool = Gb_par.Pool
 module Algo = Gb_algo.Algo
 
-let paper_four : Algo.t list = [ `Sa; `Csa; `Kl; `Ckl ]
-
 type run = { cut : int; seconds : float; balanced : bool }
 
 (* One run with the profile's annealing schedule: the bisection and the
@@ -70,8 +68,6 @@ let run_once_record ?(start = 0) ?collect profile rng algorithm g =
   in
   Obs.Telemetry.emit record;
   ({ cut; seconds; balanced }, record)
-
-let run_once profile rng algorithm g = fst (run_once_record profile rng algorithm g)
 
 (* Fan-out point 1: the paper's independent random starts. Start [i]
    draws from a stream derived from a base seed and [i] alone, and the

@@ -7,21 +7,11 @@
     implements exactly that, with the start count taken from the
     profile. *)
 
-val paper_four : Gb_algo.Algo.t list
-(** [[`Sa; `Csa; `Kl; `Ckl]] — the paper's column order. *)
-
 type run = {
   cut : int;
   seconds : float;
   balanced : bool;  (** Sanity flag; always [true] for correct algorithms. *)
 }
-
-val run_once : Profile.t -> Gb_prng.Rng.t -> Gb_algo.Algo.t -> Gb_graph.Csr.t -> run
-(** One run of any registered algorithm from one fresh random start,
-    with the profile's annealing schedule, timed on {!Gb_obs.Clock}
-    (wall-clock once the executable installs [Unix.gettimeofday]). The run is
-    wrapped in a trace span and, when a telemetry writer is installed
-    ({!Gb_obs.Telemetry.set_writer}), emits one telemetry record. *)
 
 val run_once_record :
   ?start:int ->
@@ -31,7 +21,12 @@ val run_once_record :
   Gb_algo.Algo.t ->
   Gb_graph.Csr.t ->
   run * Gb_obs.Telemetry.record
-(** Like {!run_once} but also returns the telemetry record: graph and
+(** One run of any registered algorithm from one fresh random start,
+    with the profile's annealing schedule, timed on {!Gb_obs.Clock}
+    (wall-clock once the executable installs [Unix.gettimeofday]) and
+    wrapped in a trace span; when a telemetry writer is installed
+    ({!Gb_obs.Telemetry.set_writer}) it emits its record. Returns the
+    run and the telemetry record: graph and
     seed labels from the ambient {!Gb_obs.Telemetry.with_context}, the
     labelled cut trajectory collected during the run ([kl.pass],
     [sa.plateau], [compaction.level], ...), and the algorithm's final

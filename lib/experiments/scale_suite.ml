@@ -11,7 +11,6 @@
 module Rng = Gb_prng.Rng
 module Csr = Gb_graph.Csr
 module Classic = Gb_graph.Classic
-module Bitset = Gb_graph.Bitset
 module Gnp = Gb_models.Gnp
 module Bisection = Gb_partition.Bisection
 module Obs = Gb_obs
@@ -69,11 +68,7 @@ let run ?ml ~algorithm ~seed model =
   let bisection = o.bisection in
   (* The flat solvers report no "levels": their V-cycle depth is 1. *)
   let levels = match List.assoc_opt "levels" o.stats with Some (Json.Int l) -> l | _ -> 1 in
-  (* Pack the sides into a bitset — n/8 bytes — and cross-check the
-     reported balance from the packed form. *)
-  let packed = Bitset.of_sides (Bisection.sides bisection) in
-  let ones = Bitset.popcount packed in
-  let balanced = abs (Bitset.length packed - ones - ones) <= 1 in
+  let balanced = Bisection.is_balanced bisection in
   let n = Csr.n_vertices g and m = Csr.n_edges g in
   let total = t2 -. t0 in
   {

@@ -38,26 +38,6 @@ let render ~title ?(notes = []) ~header rows =
   let notes_str = String.concat "" (List.map (fun n -> "  note: " ^ n ^ "\n") notes) in
   title ^ "\n" ^ line header ^ sep ^ String.concat "" (List.map line rows) ^ notes_str
 
-let csv_cell c =
-  let needs_quoting =
-    String.exists (fun ch -> ch = ',' || ch = '"' || ch = '\n' || ch = '\r') c
-  in
-  if not needs_quoting then c
-  else begin
-    let buf = Buffer.create (String.length c + 2) in
-    Buffer.add_char buf '"';
-    String.iter
-      (fun ch ->
-        if ch = '"' then Buffer.add_string buf "\"\"" else Buffer.add_char buf ch)
-      c;
-    Buffer.add_char buf '"';
-    Buffer.contents buf
-  end
-
-let to_csv ~header rows =
-  let line cells = String.concat "," (List.map csv_cell cells) ^ "\n" in
-  String.concat "" (List.map line (header :: rows))
-
 let int_cell = string_of_int
 
 (* lint: allow no-float-format — the canonical display-only table cells: fixed precision is the point *)
@@ -73,15 +53,3 @@ let improvement_pct ~base ~improved =
 let mean = function
   | [] -> 0.
   | xs -> List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs)
-
-let stddev = function
-  (* Bessel's n-1 denominator is 0 for a singleton; report a spread of
-     0 rather than letting nan leak into rendered tables and JSON. *)
-  | [] | [ _ ] -> 0.
-  | xs ->
-      let m = mean xs in
-      let var =
-        List.fold_left (fun acc x -> acc +. ((x -. m) *. (x -. m))) 0. xs
-        /. float_of_int (List.length xs - 1)
-      in
-      sqrt var

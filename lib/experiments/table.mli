@@ -19,11 +19,6 @@ val render :
     right-aligning numeric-looking cells. Rows shorter than the header
     are padded with empty cells. *)
 
-val to_csv : header:string list -> string list list -> string
-(** RFC-4180-style CSV of the same data (cells quoted when they contain
-    commas, quotes or newlines; quotes doubled). For piping tables into
-    plotting tools. *)
-
 (** {1 Cell formatting helpers} *)
 
 val int_cell : int -> cell
@@ -41,7 +36,3 @@ val improvement_pct : base:float -> improved:float -> float
 
 val mean : float list -> float
 (** Arithmetic mean; 0 for the empty list. *)
-
-val stddev : float list -> float
-(** Sample standard deviation (Bessel-corrected). Fewer than two
-    samples have no spread to estimate: the result is 0, never nan. *)

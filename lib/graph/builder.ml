@@ -4,7 +4,7 @@
    parallel int arrays (amortised O(1), no per-edge boxing) and parallel
    edges are merged later by the canonical CSR build.
 
-   The membership index needed by [mem_edge]/[add_edge_if_absent] is
+   The membership index needed by [add_edge_if_absent] is
    materialised lazily on first use: streaming ingestion ([add_edge]
    only) never pays for it. Keys pack both endpoints into one int, so
    the index holds unboxed ints only. *)
@@ -16,7 +16,6 @@ type t = {
   mutable wgt : int array;
   mutable len : int; (* appended (not necessarily distinct) edges *)
   mutable index : (int, unit) Hashtbl.t option; (* distinct-edge keys; lazy *)
-  vwgt : int array;
 }
 
 let create ?(expected_edges = 64) n =
@@ -30,10 +29,7 @@ let create ?(expected_edges = 64) n =
     wgt = Array.make cap 0;
     len = 0;
     index = None;
-    vwgt = Array.make n 1;
   }
-
-let n_vertices b = b.n
 
 (* Endpoints fit in 31 bits (Csr.max_vertices), so the pair packs into
    one non-negative int. *)
@@ -49,8 +45,6 @@ let ensure_index b =
       done;
       b.index <- Some idx;
       idx
-
-let n_edges b = Hashtbl.length (ensure_index b)
 
 let check_endpoints b u v =
   if u < 0 || u >= b.n || v < 0 || v >= b.n then
@@ -97,15 +91,5 @@ let add_edge_if_absent b u v =
     end
   end
 
-let mem_edge b u v =
-  check_endpoints b u v;
-  u <> v && Hashtbl.mem (ensure_index b) (key u v)
-
-let set_vertex_weight b u w =
-  if u < 0 || u >= b.n then invalid_arg "Builder.set_vertex_weight: out of range";
-  if w <= 0 then invalid_arg "Builder.set_vertex_weight: non-positive weight";
-  b.vwgt.(u) <- w
-
 let build b =
-  Csr.of_edge_arrays ~vertex_weights:b.vwgt ~edge_weights:b.wgt ~n:b.n ~len:b.len b.src
-    b.dst
+  Csr.of_edge_arrays ~edge_weights:b.wgt ~n:b.n ~len:b.len b.src b.dst

@@ -9,13 +9,6 @@ type t
 val create : ?expected_edges:int -> int -> t
 (** [create n] starts an empty builder on vertices [0 .. n-1]. *)
 
-(* lint: allow dead-export — accessor pair with n_edges; kept for API
-   symmetry with Csr *)
-val n_vertices : t -> int
-
-val n_edges : t -> int
-(** Number of distinct edges added so far. *)
-
 val add_edge : ?weight:int -> t -> int -> int -> unit
 (** [add_edge b u v] inserts edge [{u,v}] (default weight 1); if the
     edge already exists, the weights are summed.
@@ -26,12 +19,6 @@ val add_edge_if_absent : t -> int -> int -> bool
 (** [add_edge_if_absent b u v] inserts a unit edge unless it already
     exists; returns [true] iff it was inserted. Self-loop attempts
     return [false] without raising (convenient in rejection loops). *)
-
-val mem_edge : t -> int -> int -> bool
-
-val set_vertex_weight : t -> int -> int -> unit
-(** Override the default unit vertex weight.
-    @raise Invalid_argument on non-positive weight. *)
 
 val build : t -> Csr.t
 (** Freeze. The builder remains usable afterwards. *)

@@ -18,25 +18,9 @@ let complete n =
   done;
   Csr.of_unweighted_edges ~n !edges
 
-let complete_bipartite a b =
-  require (a >= 1 && b >= 1) "complete_bipartite";
-  let edges = ref [] in
-  for u = 0 to a - 1 do
-    for v = a to a + b - 1 do
-      edges := (u, v) :: !edges
-    done
-  done;
-  Csr.of_unweighted_edges ~n:(a + b) !edges
-
 let star n =
   require (n >= 1) "star";
   Csr.of_unweighted_edges ~n:(n + 1) (List.init n (fun i -> (0, i + 1)))
-
-let wheel n =
-  require (n >= 3) "wheel";
-  let rim = List.init n (fun i -> (i, (i + 1) mod n)) in
-  let spokes = List.init n (fun i -> (i, n)) in
-  Csr.of_unweighted_edges ~n:(n + 1) (rim @ spokes)
 
 let grid ~rows ~cols =
   require (rows >= 1 && cols >= 1) "grid";
@@ -59,18 +43,6 @@ let grid ~rows ~cols =
     done
   done;
   Csr.of_edge_arrays ~n:(rows * cols) ~len:m esrc edst
-
-let torus ~rows ~cols =
-  require (rows >= 3 && cols >= 3) "torus";
-  let id r c = (r * cols) + c in
-  let edges = ref [] in
-  for r = 0 to rows - 1 do
-    for c = 0 to cols - 1 do
-      edges := (id r c, id r ((c + 1) mod cols)) :: !edges;
-      edges := (id r c, id ((r + 1) mod rows) c) :: !edges
-    done
-  done;
-  Csr.of_unweighted_edges ~n:(rows * cols) !edges
 
 let ladder k =
   require (k >= 1) "ladder";
@@ -113,13 +85,6 @@ let hypercube d =
   done;
   Csr.of_unweighted_edges ~n !edges
 
-let petersen () =
-  (* Outer 5-cycle 0..4, inner pentagram 5..9, spokes i - i+5. *)
-  let outer = List.init 5 (fun i -> (i, (i + 1) mod 5)) in
-  let inner = List.init 5 (fun i -> (5 + i, 5 + ((i + 2) mod 5))) in
-  let spokes = List.init 5 (fun i -> (i, i + 5)) in
-  Csr.of_unweighted_edges ~n:10 (outer @ inner @ spokes)
-
 let disjoint_cycles ~count ~len =
   require (count >= 1 && len >= 3) "disjoint_cycles";
   let edges = ref [] in
@@ -133,38 +98,6 @@ let disjoint_cycles ~count ~len =
 
 let grid_of_side n = grid ~rows:n ~cols:n
 
-let grid3d ~x ~y ~z =
-  require (x >= 1 && y >= 1 && z >= 1) "grid3d";
-  let id i j k = (((i * y) + j) * z) + k in
-  let m = ((x - 1) * y * z) + (x * (y - 1) * z) + (x * y * (z - 1)) in
-  let esrc = Array.make (max 1 m) 0 and edst = Array.make (max 1 m) 0 in
-  let c = ref 0 in
-  let push u v =
-    esrc.(!c) <- u;
-    edst.(!c) <- v;
-    incr c
-  in
-  for i = 0 to x - 1 do
-    for j = 0 to y - 1 do
-      for k = 0 to z - 1 do
-        if i + 1 < x then push (id i j k) (id (i + 1) j k);
-        if j + 1 < y then push (id i j k) (id i (j + 1) k);
-        if k + 1 < z then push (id i j k) (id i j (k + 1))
-      done
-    done
-  done;
-  Csr.of_edge_arrays ~n:(x * y * z) ~len:m esrc edst
-
-let barbell m =
-  require (m >= 2) "barbell";
-  let edges = ref [ (0, m) ] in
-  for u = 0 to m - 1 do
-    for v = u + 1 to m - 1 do
-      edges := (u, v) :: (m + u, m + v) :: !edges
-    done
-  done;
-  Csr.of_unweighted_edges ~n:(2 * m) !edges
-
 let caterpillar ~spine ~legs =
   require (spine >= 1 && legs >= 0) "caterpillar";
   let edges = ref [] in
@@ -177,50 +110,3 @@ let caterpillar ~spine ~legs =
     done
   done;
   Csr.of_unweighted_edges ~n:(spine * (legs + 1)) !edges
-
-let cycle_power n k =
-  require (n >= 3 && k >= 1 && 2 * k < n) "cycle_power";
-  let edges = ref [] in
-  for v = 0 to n - 1 do
-    for d = 1 to k do
-      edges := (v, (v + d) mod n) :: !edges
-    done
-  done;
-  Csr.of_unweighted_edges ~n !edges
-
-let complete_multipartite sizes =
-  require (sizes <> [] && List.for_all (fun s -> s >= 1) sizes) "complete_multipartite";
-  let offsets =
-    let acc = ref 0 in
-    List.map
-      (fun s ->
-        let o = !acc in
-        acc := !acc + s;
-        (o, s))
-      sizes
-  in
-  let n = List.fold_left ( + ) 0 sizes in
-  let edges = ref [] in
-  List.iteri
-    (fun i (oi, si) ->
-      List.iteri
-        (fun j (oj, sj) ->
-          if j > i then
-            for a = oi to oi + si - 1 do
-              for b = oj to oj + sj - 1 do
-                edges := (a, b) :: !edges
-              done
-            done)
-        offsets)
-    offsets;
-  Csr.of_unweighted_edges ~n !edges
-
-let crown n =
-  require (n >= 2) "crown";
-  let edges = ref [] in
-  for a = 0 to n - 1 do
-    for b = 0 to n - 1 do
-      if a <> b then edges := (a, n + b) :: !edges
-    done
-  done;
-  Csr.of_unweighted_edges ~n:(2 * n) !edges

@@ -22,21 +22,12 @@ val cycle : int -> Csr.t
 val complete : int -> Csr.t
 (** [complete n] = K_n. *)
 
-val complete_bipartite : int -> int -> Csr.t
-(** [complete_bipartite a b] = K_{a,b}; the left class is [0..a-1]. *)
-
 val star : int -> Csr.t
 (** [star n]: centre [0] joined to [n] leaves ([n+1] vertices). *)
-
-val wheel : int -> Csr.t
-(** [wheel n]: a cycle of [n >= 3] rim vertices plus a hub. *)
 
 val grid : rows:int -> cols:int -> Csr.t
 (** [grid ~rows ~cols]: 4-connected mesh; vertex [(r, c)] has id
     [r * cols + c]. *)
-
-val torus : rows:int -> cols:int -> Csr.t
-(** [grid] with wrap-around rows and columns ([rows, cols >= 3]). *)
 
 val ladder : int -> Csr.t
 (** [ladder k]: the 2 x k grid ([2k] vertices, [3k - 2] edges), the
@@ -57,9 +48,6 @@ val hypercube : int -> Csr.t
 (** [hypercube d]: the d-dimensional cube on [2^d] vertices
     ([0 <= d <= 20]); bisection width [2^(d-1)]. *)
 
-val petersen : unit -> Csr.t
-(** The Petersen graph (10 vertices, 3-regular, bisection width 5). *)
-
 val disjoint_cycles : count:int -> len:int -> Csr.t
 (** [disjoint_cycles ~count ~len]: [count] disjoint cycles of length
     [len >= 3] — the degree-2 regular graphs the paper notes arise from
@@ -68,30 +56,7 @@ val disjoint_cycles : count:int -> len:int -> Csr.t
 val grid_of_side : int -> Csr.t
 (** [grid_of_side n] = [grid ~rows:n ~cols:n] (the paper's "N x N grid"). *)
 
-val grid3d : x:int -> y:int -> z:int -> Csr.t
-(** 6-connected 3-D mesh; vertex [(i,j,k)] has id [(i*y + j)*z + k].
-    Bisection width of a cube cut across the smallest face is that
-    face's area. *)
-
-val barbell : int -> Csr.t
-(** [barbell m]: two [K_m] joined by a single edge ([2m] vertices) —
-    bisection width 1, a classic easy-but-deceptive instance for local
-    search ([m >= 2]). *)
-
 val caterpillar : spine:int -> legs:int -> Csr.t
 (** A path of [spine] vertices, each carrying [legs] pendant leaves
     ([spine * (legs + 1)] vertices). Trees with maximal 'bushiness' —
     bisection width 1 when [spine] is even. *)
-
-val cycle_power : int -> int -> Csr.t
-(** [cycle_power n k]: the k-th power of [C_n] — each vertex joined to
-    its [k] nearest neighbours both ways ([2k]-regular, width [~2k] for
-    a contiguous split; [1 <= k < n / 2]). *)
-
-val complete_multipartite : int list -> Csr.t
-(** [complete_multipartite [s1; s2; ...]]: vertices in classes of the
-    given sizes, edges exactly between different classes. *)
-
-val crown : int -> Csr.t
-(** [crown n]: [K_{n,n}] minus a perfect matching ([n >= 2]);
-    (n-1)-regular bipartite. *)

@@ -16,5 +16,3 @@ let contract g (m : Matching.t) =
 
 let project_to_fine c assign =
   Array.map (fun cv -> assign.(cv)) c.fine_to_coarse
-
-let n_coarse c = Csr.n_vertices c.coarse

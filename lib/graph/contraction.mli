@@ -29,7 +29,3 @@ val contract : Csr.t -> Matching.t -> t
 val project_to_fine : t -> 'a array -> 'a array
 (** [project_to_fine c assign] maps a per-coarse-vertex assignment back
     to fine vertices (members inherit their coarse vertex's value). *)
-
-val n_coarse : t -> int
-(** Number of vertices of the contracted graph — [n] minus the number
-    of matched pairs. *)

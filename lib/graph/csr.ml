@@ -80,12 +80,6 @@ let fold_neighbors g u ~init ~f =
   done;
   !acc
 
-let neighbors g u =
-  let base = get_checked g.xadj u in
-  Array.init (degree g u) (fun i ->
-      let k = base + i in
-      (get g.adjncy k, get g.adjwgt k))
-
 (* Binary search for v in u's sorted slice; returns the adjncy index. *)
 let find_edge g u v =
   let lo = ref (get_checked g.xadj u) and hi = ref (get_checked g.xadj (u + 1) - 1) in
@@ -118,40 +112,7 @@ let fold_edges g ~init ~f =
 
 let edges g = List.rev (fold_edges g ~init:[] ~f:(fun acc u v w -> (u, v, w) :: acc))
 
-let max_degree g =
-  let d = ref 0 in
-  for u = 0 to g.n - 1 do
-    if degree g u > !d then d := degree g u
-  done;
-  !d
-
-let min_degree g =
-  if g.n = 0 then 0
-  else begin
-    let d = ref max_int in
-    for u = 0 to g.n - 1 do
-      if degree g u < !d then d := degree g u
-    done;
-    !d
-  end
-
 let average_degree g = if g.n = 0 then 0. else 2. *. float_of_int g.m /. float_of_int g.n
-
-let is_regular g =
-  g.n = 0
-  ||
-  let d = degree g 0 in
-  let rec loop u = u >= g.n || (degree g u = d && loop (u + 1)) in
-  loop 1
-
-let degree_histogram g =
-  let tbl = Hashtbl.create 16 in
-  for u = 0 to g.n - 1 do
-    let d = degree g u in
-    Hashtbl.replace tbl d (1 + Option.value ~default:0 (Hashtbl.find_opt tbl d))
-  done;
-  Hashtbl.fold (fun d c acc -> (d, c) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
 let ia_all_one (a : ia) =
   let ok = ref true in

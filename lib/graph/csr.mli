@@ -102,9 +102,6 @@ val iter_neighbors : t -> int -> (int -> int -> unit) -> unit
 
 val fold_neighbors : t -> int -> init:'a -> f:('a -> int -> int -> 'a) -> 'a
 
-val neighbors : t -> int -> (int * int) array
-(** Materialised copy of [u]'s adjacency, pairs [(v, w)] sorted by [v]. *)
-
 val mem_edge : t -> int -> int -> bool
 (** O(log degree). *)
 
@@ -123,13 +120,7 @@ val edges : t -> (int * int * int) list
 
 (** {1 Statistics and predicates} *)
 
-val max_degree : t -> int
-val min_degree : t -> int
 val average_degree : t -> float
-val is_regular : t -> bool
-val degree_histogram : t -> (int * int) list
-(** [(degree, count)] pairs, ascending by degree. *)
-
 val is_unit_weighted : t -> bool
 (** All vertex and edge weights are 1. *)
 

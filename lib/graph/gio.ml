@@ -12,59 +12,17 @@ let add_after buf c i =
   Buffer.add_char buf c;
   add_int buf i
 
-(* The one edge-list renderer: "n m", then "u v" or "u v w" per edge.
-   [flush] runs whenever the buffer passes 64 KiB, and once at the end. *)
-let render_edge_list g buf flush =
+let to_edge_list_string g =
+  (* Sized for unit weights: two ids and two separators per edge. *)
+  let id_digits = String.length (string_of_int (Csr.n_vertices g)) in
+  let buf = Buffer.create (32 + ((2 + (2 * id_digits)) * Csr.n_edges g)) in
   add_int buf (Csr.n_vertices g);
   add_after buf ' ' (Csr.n_edges g);
   Csr.iter_edges g (fun u v w ->
       add_after buf '\n' u;
       add_after buf ' ' v;
-      if w <> 1 then add_after buf ' ' w;
-      if Buffer.length buf >= 65536 then flush buf);
+      if w <> 1 then add_after buf ' ' w);
   Buffer.add_char buf '\n';
-  flush buf
-
-let to_edge_list_string g =
-  (* Sized for unit weights: two ids and two separators per edge. *)
-  let id_digits = String.length (string_of_int (Csr.n_vertices g)) in
-  let buf = Buffer.create (32 + ((2 + (2 * id_digits)) * Csr.n_edges g)) in
-  render_edge_list g buf ignore;
-  Buffer.contents buf
-
-let write_edge_list path g =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      (* Stream to the channel in 64 KiB pieces: no whole-graph string. *)
-      render_edge_list g (Buffer.create 65536) (fun buf ->
-          Buffer.output_buffer oc buf;
-          Buffer.clear buf))
-
-let to_metis_string g =
-  let n = Csr.n_vertices g in
-  for v = 0 to n - 1 do
-    if Csr.vertex_weight g v <> 1 then
-      invalid_arg "Gio.to_metis_string: non-unit vertex weights unsupported"
-  done;
-  let weighted =
-    let w = ref false in
-    Csr.iter_edges g (fun _ _ ew -> if ew <> 1 then w := true);
-    !w
-  in
-  let buf = Buffer.create 1024 in
-  add_int buf n;
-  add_after buf ' ' (Csr.n_edges g);
-  Buffer.add_string buf (if weighted then " 1\n" else "\n");
-  for v = 0 to n - 1 do
-    let first = ref true in
-    Csr.iter_neighbors g v (fun u w ->
-        if !first then add_int buf (u + 1) else add_after buf ' ' (u + 1);
-        first := false;
-        if weighted then add_after buf ' ' w);
-    Buffer.add_char buf '\n'
-  done;
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)

@@ -14,8 +14,8 @@
     Both readers accept Windows ("\r\n") line endings. They scan each
     line in place: one tokenizer splits it on ' ' and '\t', a token of
     at most 18 digits is read directly, and any other goes through
-    [int_of_string_opt]. The writers put digits straight into one
-    buffer, and the edge-list rendering is the serve cache key's input.
+    [int_of_string_opt]. The edge-list writer puts digits straight
+    into one buffer; its rendering is the serve cache key's input.
 
     Plus a {b DOT} writer for visual inspection of small graphs
     (Figure 3 of the paper is regenerated this way). *)
@@ -24,16 +24,8 @@ val to_edge_list_string : Csr.t -> string
 val of_edge_list_string : string -> Csr.t
 (** @raise Failure with a line-numbered message on malformed input. *)
 
-val write_edge_list : string -> Csr.t -> unit
-(** [write_edge_list path g]. *)
-
 val read_edge_list : string -> Csr.t
 (** [read_edge_list path]. *)
-
-val to_metis_string : Csr.t -> string
-(** Render in the METIS graph format (fmt "1" when any edge weight is
-    not 1). Vertex weights are not representable in the supported
-    subset. @raise Invalid_argument on non-unit vertex weights. *)
 
 val of_metis_string : string -> Csr.t
 (** Parse the METIS graph format (fmt codes "0"/"00" unweighted and

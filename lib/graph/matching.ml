@@ -7,8 +7,6 @@ let size t =
   Array.iter (fun v -> if v >= 0 then incr matched) t.mate;
   !matched / 2
 
-let is_matched t u = t.mate.(u) >= 0
-
 let random_maximal rng g =
   let n = Csr.n_vertices g in
   (* One packed (u lsl 31) lor v per edge, in iter_edges order (u < v
@@ -53,8 +51,6 @@ let heavy_edge rng g =
       end)
     order;
   { mate }
-
-let empty g = { mate = Array.make (Csr.n_vertices g) (-1) }
 
 let is_valid g t =
   let n = Csr.n_vertices g in

@@ -16,17 +16,12 @@ type t = { mate : int array  (** [mate.(u)] is [u]'s partner, or [-1] if unmatch
 val size : t -> int
 (** Number of matched edges: half the matched vertices. *)
 
-val is_matched : t -> int -> bool
-
 val random_maximal : Gb_prng.Rng.t -> Csr.t -> t
 (** Uniformly random edge order, greedy maximal matching. *)
 
 val heavy_edge : Gb_prng.Rng.t -> Csr.t -> t
 (** Visit vertices in random order; match each free vertex to its free
     neighbour of maximum edge weight (ties broken by smallest id). *)
-
-val empty : Csr.t -> t
-(** The empty matching (contraction with it is the identity coarsening). *)
 
 val is_valid : Csr.t -> t -> bool
 (** [mate] has one entry per vertex, every partner is another vertex

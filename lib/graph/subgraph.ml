@@ -24,15 +24,6 @@ let induced g keep =
     from_parent;
   }
 
-let induced_by_side g (side : int array) s =
-  if Array.length side <> Csr.n_vertices g then
-    invalid_arg "Subgraph.induced_by_side: side length";
-  let keep = ref [] in
-  for v = Csr.n_vertices g - 1 downto 0 do
-    if side.(v) = s then keep := v :: !keep
-  done;
-  induced g (Array.of_list !keep)
-
 let lift_sides t side' =
   if Array.length side' <> Array.length t.to_parent then
     invalid_arg "Subgraph.lift_sides: length mismatch";

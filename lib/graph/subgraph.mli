@@ -18,10 +18,6 @@ val induced : Csr.t -> int array -> t
     ids in [keep]. New ids follow [keep]'s order.
     @raise Invalid_argument on out-of-range or duplicate ids. *)
 
-val induced_by_side : Csr.t -> int array -> int -> t
-(** [induced_by_side g side s]: the subgraph induced by the vertices
-    with [side.(v) = s], in increasing vertex order. *)
-
 val lift_sides : t -> int array -> (int * int) list
 (** [lift_sides sub side'] maps a side assignment on the subgraph back
     to [(parent_vertex, side)] pairs. *)

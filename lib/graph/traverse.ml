@@ -1,59 +1,3 @@
-let bfs_distances g src =
-  let n = Csr.n_vertices g in
-  let dist = Array.make n (-1) in
-  let queue = Queue.create () in
-  dist.(src) <- 0;
-  Queue.add src queue;
-  while not (Queue.is_empty queue) do
-    let u = Queue.take queue in
-    Csr.iter_neighbors g u (fun v _ ->
-        if dist.(v) < 0 then begin
-          dist.(v) <- dist.(u) + 1;
-          Queue.add v queue
-        end)
-  done;
-  dist
-
-let bfs_order g src =
-  let n = Csr.n_vertices g in
-  let seen = Bitset.create n in
-  let queue = Queue.create () in
-  let order = ref [] in
-  Bitset.set seen src;
-  Queue.add src queue;
-  while not (Queue.is_empty queue) do
-    let u = Queue.take queue in
-    order := u :: !order;
-    Csr.iter_neighbors g u (fun v _ ->
-        if not (Bitset.get seen v) then begin
-          Bitset.set seen v;
-          Queue.add v queue
-        end)
-  done;
-  List.rev !order
-
-let dfs_order g src =
-  let n = Csr.n_vertices g in
-  let seen = Bitset.create n in
-  let stack = ref [ src ] in
-  let order = ref [] in
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | u :: rest ->
-        stack := rest;
-        if not (Bitset.get seen u) then begin
-          Bitset.set seen u;
-          order := u :: !order;
-          (* Push in increasing order so the largest id is on top; with
-             the pop order this makes exploration decreasing and
-             deterministic. *)
-          Csr.iter_neighbors g u (fun v _ ->
-              if not (Bitset.get seen v) then stack := v :: !stack)
-        end
-  done;
-  List.rev !order
-
 let components g =
   let n = Csr.n_vertices g in
   let label = Array.make n (-1) in
@@ -76,136 +20,3 @@ let components g =
     end
   done;
   (label, !count)
-
-let component_sizes g =
-  let label, count = components g in
-  let sizes = Array.make count 0 in
-  Array.iter (fun c -> sizes.(c) <- sizes.(c) + 1) label;
-  sizes
-
-let is_connected g =
-  let n = Csr.n_vertices g in
-  n <= 1 || snd (components g) = 1
-
-let is_bipartite g =
-  let n = Csr.n_vertices g in
-  let colour = Array.make n (-1) in
-  let ok = ref true in
-  let queue = Queue.create () in
-  for s = 0 to n - 1 do
-    if !ok && colour.(s) < 0 then begin
-      colour.(s) <- 0;
-      Queue.add s queue;
-      while not (Queue.is_empty queue) do
-        let u = Queue.take queue in
-        Csr.iter_neighbors g u (fun v _ ->
-            if colour.(v) < 0 then begin
-              colour.(v) <- 1 - colour.(u);
-              Queue.add v queue
-            end
-            else if colour.(v) = colour.(u) then ok := false)
-      done
-    end
-  done;
-  !ok
-
-let spanning_forest g =
-  let n = Csr.n_vertices g in
-  let seen = Bitset.create n in
-  let queue = Queue.create () in
-  let edges = ref [] in
-  for s = 0 to n - 1 do
-    if not (Bitset.get seen s) then begin
-      Bitset.set seen s;
-      Queue.add s queue;
-      while not (Queue.is_empty queue) do
-        let u = Queue.take queue in
-        Csr.iter_neighbors g u (fun v _ ->
-            if not (Bitset.get seen v) then begin
-              Bitset.set seen v;
-              edges := (u, v) :: !edges;
-              Queue.add v queue
-            end)
-      done
-    end
-  done;
-  List.rev !edges
-
-(* Iterative low-link DFS shared by bridges and articulation points.
-   Parallel edges are already merged by Csr, so an edge back to the
-   parent is the tree edge itself and must be skipped exactly once —
-   tracked with [parent_edge_used]. With merged multi-edges a parent
-   link seen "again" cannot happen, so a simple parent check suffices. *)
-let low_link g ~on_bridge ~on_articulation =
-  let n = Csr.n_vertices g in
-  let disc = Array.make n (-1) in
-  let low = Array.make n 0 in
-  let parent = Array.make n (-1) in
-  let child_count = Array.make n 0 in
-  let is_articulation = Array.make n false in
-  let timer = ref 0 in
-  for root = 0 to n - 1 do
-    if disc.(root) < 0 then begin
-      (* stack of (vertex, remaining neighbour list) *)
-      let stack = ref [ (root, Array.to_list (Csr.neighbors g root)) ] in
-      disc.(root) <- !timer;
-      low.(root) <- !timer;
-      incr timer;
-      while !stack <> [] do
-        match !stack with
-        | [] -> ()
-        | (v, remaining) :: rest -> (
-            match remaining with
-            | [] ->
-                stack := rest;
-                let p = parent.(v) in
-                if p >= 0 then begin
-                  if low.(v) < low.(p) then low.(p) <- low.(v);
-                  if low.(v) > disc.(p) then on_bridge (min p v, max p v);
-                  if parent.(p) >= 0 && low.(v) >= disc.(p) then is_articulation.(p) <- true
-                end
-            | (u, _) :: tail ->
-                stack := (v, tail) :: rest;
-                if disc.(u) < 0 then begin
-                  parent.(u) <- v;
-                  child_count.(v) <- child_count.(v) + 1;
-                  disc.(u) <- !timer;
-                  low.(u) <- !timer;
-                  incr timer;
-                  stack := (u, Array.to_list (Csr.neighbors g u)) :: !stack
-                end
-                else if u <> parent.(v) && disc.(u) < low.(v) then low.(v) <- disc.(u))
-      done;
-      if child_count.(root) >= 2 then is_articulation.(root) <- true
-    end
-  done;
-  for v = 0 to n - 1 do
-    if is_articulation.(v) then on_articulation v
-  done
-
-let compare_edge (u1, v1) (u2, v2) =
-  match Int.compare u1 u2 with 0 -> Int.compare v1 v2 | c -> c
-
-let bridges g =
-  let acc = ref [] in
-  low_link g ~on_bridge:(fun e -> acc := e :: !acc) ~on_articulation:(fun _ -> ());
-  List.sort compare_edge !acc
-
-let articulation_points g =
-  let acc = ref [] in
-  low_link g ~on_bridge:(fun _ -> ()) ~on_articulation:(fun v -> acc := v :: !acc);
-  List.sort Int.compare !acc
-
-let eccentricity g src =
-  Array.fold_left (fun acc d -> if d > acc then d else acc) 0 (bfs_distances g src)
-
-let diameter g =
-  let n = Csr.n_vertices g in
-  if n = 0 then invalid_arg "Traverse.diameter: empty graph";
-  if not (is_connected g) then invalid_arg "Traverse.diameter: disconnected graph";
-  let best = ref 0 in
-  for u = 0 to n - 1 do
-    let e = eccentricity g u in
-    if e > !best then best := e
-  done;
-  !best

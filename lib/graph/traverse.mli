@@ -1,48 +1,7 @@
-(** Graph traversals and connectivity utilities.
-
-    Used by the generators (to check that planted graphs come out
-    connected when required), by the DFS-stripe initial bisection the
-    paper alludes to for very sparse graphs, and throughout the tests. *)
-
-val bfs_distances : Csr.t -> int -> int array
-(** [bfs_distances g src] is the array of hop distances from [src];
-    unreachable vertices get [-1]. *)
-
-val bfs_order : Csr.t -> int -> int list
-(** Vertices in BFS discovery order from [src] (its component only). *)
-
-val dfs_order : Csr.t -> int -> int list
-(** Vertices in iterative DFS preorder from [src] (its component only).
-    Neighbours are explored in decreasing id order so the order is
-    deterministic. *)
+(** Connected components, for the tree-width DP ({!Gb_partition.Tree_exact})
+    and the fuzz oracles. *)
 
 val components : Csr.t -> int array * int
 (** [components g] is [(label, count)]: [label.(v)] is the component
     index of [v], components are numbered [0 .. count-1] by smallest
     member. *)
-
-val component_sizes : Csr.t -> int array
-(** Sizes indexed by component label. *)
-
-val is_connected : Csr.t -> bool
-
-val is_bipartite : Csr.t -> bool
-
-val spanning_forest : Csr.t -> (int * int) list
-(** BFS forest edges, one list for the whole graph. *)
-
-val bridges : Csr.t -> (int * int) list
-(** All bridge edges (whose removal disconnects their component), as
-    [(u, v)] with [u < v], by iterative low-link DFS. A graph with a
-    bridge and both sides of equal order has bisection width <= the
-    bridge weight — the structure behind the width-1 tree family. *)
-
-val articulation_points : Csr.t -> int list
-(** Cut vertices, ascending. *)
-
-val eccentricity : Csr.t -> int -> int
-(** Max distance from the vertex within its component. *)
-
-val diameter : Csr.t -> int
-(** Exact diameter of a {e connected} graph (all-sources BFS; O(nm)).
-    @raise Invalid_argument if the graph is disconnected or empty. *)

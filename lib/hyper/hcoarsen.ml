@@ -144,33 +144,3 @@ let bisect ?config rng h =
       final_cut = Hgraph.cut_size h side;
       levels = 1;
     } )
-
-let recursive ?config ?(min_cells = 64) ?(max_levels = 20) rng h =
-  if min_cells < 2 then invalid_arg "Hcoarsen.recursive: min_cells < 2";
-  let rec coarsen chain h levels =
-    if Hgraph.n_vertices h <= min_cells || levels >= max_levels then (chain, h)
-    else begin
-      let c = contract h (match_cells rng h) in
-      if 10 * Hgraph.n_vertices c.coarse > 9 * Hgraph.n_vertices h then (chain, h)
-      else coarsen ((h, c) :: chain) c.coarse (levels + 1)
-    end
-  in
-  let chain, coarsest = coarsen [] h 0 in
-  let side, _ = Hfm.refine ?config coarsest (random_sides rng (Hgraph.n_vertices coarsest)) in
-  let coarse_cut = Hgraph.cut_size coarsest side in
-  let coarse_cells = Hgraph.n_vertices coarsest in
-  let side =
-    List.fold_left
-      (fun side (fine, contraction) ->
-        let start = rebalance fine (project contraction side) in
-        fst (Hfm.refine ?config fine start))
-      side chain
-  in
-  ( side,
-    {
-      fine_cells = Hgraph.n_vertices h;
-      coarse_cells;
-      coarse_cut;
-      final_cut = Hgraph.cut_size h side;
-      levels = List.length chain + 1;
-    } )

@@ -11,7 +11,7 @@
     holds exactly — a property test.
 
     [bisect] = one-shot compaction around {!Hfm} (CHFM, the netlist
-    sibling of the paper's CKL); [recursive] = the multilevel variant. *)
+    sibling of the paper's CKL). *)
 
 type contraction = {
   coarse : Hgraph.t;
@@ -47,13 +47,3 @@ val bisect :
   ?config:Hfm.config -> Gb_prng.Rng.t -> Hgraph.t -> int array * stats
 (** CHFM: coarsen once, {!Hfm} on the coarse netlist from a random
     start, project, rebalance, {!Hfm} refine. *)
-
-val recursive :
-  ?config:Hfm.config ->
-  ?min_cells:int ->
-  ?max_levels:int ->
-  Gb_prng.Rng.t ->
-  Hgraph.t ->
-  int array * stats
-(** Multilevel CHFM (default floor 64 cells, 20 levels, 10% shrink
-    cutoff — mirroring {!Gb_compaction.Compaction.recursive}). *)

@@ -35,7 +35,7 @@ let initial_gains h side pins =
   done;
   gains
 
-let one_pass_internal ~tolerance h side0 =
+let one_pass ~tolerance h side0 =
   if tolerance < 2 then invalid_arg "Hfm: tolerance must be >= 2";
   let n = Hgraph.n_vertices h in
   let n_nets = Hgraph.n_nets h in
@@ -139,10 +139,6 @@ let one_pass_internal ~tolerance h side0 =
     (result, !best_gain)
   end
 
-let one_pass ?(tolerance = default_config.tolerance) h side =
-  check_input h side;
-  one_pass_internal ~tolerance h side
-
 let refine ?(config = default_config) h side0 =
   check_input h side0;
   let initial_cut = Hgraph.cut_size h side0 in
@@ -152,7 +148,7 @@ let refine ?(config = default_config) h side0 =
   let passes = ref 0 in
   (try
      while !passes < config.max_passes do
-       let next, gain = one_pass_internal ~tolerance:config.tolerance h !side in
+       let next, gain = one_pass ~tolerance:config.tolerance h !side in
        incr passes;
        pass_gains := gain :: !pass_gains;
        if gain > 0 then begin

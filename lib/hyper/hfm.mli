@@ -18,11 +18,6 @@ type config = {
   tolerance : int;  (** Max [|#side0 - #side1|] during a pass, >= 2. *)
 }
 
-(* lint: allow dead-export — the record callers start from when they
-   override one field of the [?config] argument *)
-val default_config : config
-(** [{ max_passes = 50; until_no_improvement = true; tolerance = 2 }]. *)
-
 type stats = {
   passes : int;
   moves : int;
@@ -30,11 +25,6 @@ type stats = {
   final_cut : int;
   pass_gains : int list;
 }
-
-val one_pass : ?tolerance:int -> Hgraph.t -> int array -> int array * int
-(** Single FM pass from a balanced assignment; returns the new
-    (exactly balanced) assignment and its net-cut decrease.
-    @raise Invalid_argument on invalid or unbalanced input. *)
 
 val refine : ?config:config -> Hgraph.t -> int array -> int array * stats
 

@@ -67,15 +67,6 @@ let iter_vertex_nets h v f =
   done
 
 let net_members h e = Array.sub h.net_mem h.net_ptr.(e) (net_size h e)
-let vertex_nets h v = Array.sub h.vtx_net h.vtx_ptr.(v) (vertex_degree h v)
-
-let max_net_size h =
-  let m = ref 0 in
-  for e = 0 to n_nets h - 1 do
-    if net_size h e > !m then m := net_size h e
-  done;
-  !m
-
 let average_net_size h =
   if n_nets h = 0 then 0. else float_of_int (n_pins h) /. float_of_int (n_nets h)
 
@@ -105,29 +96,6 @@ let cut_size h side =
     if !saw0 && !saw1 then incr cut
   done;
   !cut
-
-let check h =
-  let fail fmt = Printf.ksprintf failwith fmt in
-  let n_nets = n_nets h in
-  if h.net_ptr.(0) <> 0 then fail "net_ptr start";
-  if h.vtx_ptr.(0) <> 0 then fail "vtx_ptr start";
-  if h.net_ptr.(n_nets) <> Array.length h.net_mem then fail "net_ptr end";
-  if h.vtx_ptr.(h.n) <> Array.length h.vtx_net then fail "vtx_ptr end";
-  if Array.length h.net_mem <> Array.length h.vtx_net then fail "pin count mismatch";
-  for e = 0 to n_nets - 1 do
-    for k = h.net_ptr.(e) to h.net_ptr.(e + 1) - 1 do
-      let v = h.net_mem.(k) in
-      if v < 0 || v >= h.n then fail "member out of range";
-      if k > h.net_ptr.(e) && h.net_mem.(k - 1) >= v then fail "net %d not sorted/dedup" e
-    done
-  done;
-  (* Dual consistency: vertex v lists net e iff e lists v. *)
-  for v = 0 to h.n - 1 do
-    iter_vertex_nets h v (fun e ->
-        let found = ref false in
-        iter_net h e (fun u -> if u = v then found := true);
-        if not !found then fail "dual mismatch: vertex %d lists net %d" v e)
-  done
 
 let pp fmt h =
   (* lint: allow no-float-format — display-only pretty-printer *)

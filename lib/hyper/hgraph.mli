@@ -40,11 +40,6 @@ val iter_vertex_nets : t -> int -> (int -> unit) -> unit
 
 val net_members : t -> int -> int array
 
-(* lint: allow dead-export — materializing counterpart of
-   iter_vertex_nets, mirrors net_members on the other axis *)
-val vertex_nets : t -> int -> int array
-
-val max_net_size : t -> int
 val average_net_size : t -> float
 
 val induced : t -> int array -> t
@@ -55,8 +50,5 @@ val induced : t -> int array -> t
 
 val cut_size : t -> int array -> int
 (** Number of nets with members on both sides of the 0/1 assignment. *)
-
-val check : t -> unit
-(** Validate the dual CSR invariants. @raise Failure on violation. *)
 
 val pp : Format.formatter -> t -> unit

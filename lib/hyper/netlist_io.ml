@@ -3,20 +3,6 @@ let split_ws line =
   |> List.concat_map (String.split_on_char '\t')
   |> List.filter (fun s -> s <> "")
 
-let to_string h =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "%d %d\n" (Hgraph.n_vertices h) (Hgraph.n_nets h));
-  for e = 0 to Hgraph.n_nets h - 1 do
-    let first = ref true in
-    Hgraph.iter_net h e (fun v ->
-        if not !first then Buffer.add_char buf ' ';
-        first := false;
-        Buffer.add_string buf (string_of_int v));
-    Buffer.add_char buf '\n'
-  done;
-  Buffer.contents buf
-
 let parse ~one_based ~header_reversed s ~what =
   let fail lineno msg = failwith (Printf.sprintf "%s, line %d: %s" what lineno msg) in
   let parse_int lineno tok =
@@ -77,24 +63,6 @@ let parse ~one_based ~header_reversed s ~what =
 
 let of_string s = parse ~one_based:false ~header_reversed:false s ~what:"netlist"
 let of_hmetis_string s = parse ~one_based:true ~header_reversed:true s ~what:"hmetis"
-
-let to_hmetis_string h =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "%d %d\n" (Hgraph.n_nets h) (Hgraph.n_vertices h));
-  for e = 0 to Hgraph.n_nets h - 1 do
-    let first = ref true in
-    Hgraph.iter_net h e (fun v ->
-        if not !first then Buffer.add_char buf ' ';
-        first := false;
-        Buffer.add_string buf (string_of_int (v + 1)));
-    Buffer.add_char buf '\n'
-  done;
-  Buffer.contents buf
-
-let write path h =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (to_string h))
 
 let read path =
   let ic = open_in path in

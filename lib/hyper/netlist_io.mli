@@ -1,4 +1,4 @@
-(** Plain-text netlist serialisation.
+(** Plain-text netlist readers.
 
     Format (one hypergraph per file):
 
@@ -12,16 +12,12 @@
     {!Gb_graph.Gio}; the hMETIS format is also readable (1-based,
     header "[nets n]" — note the reversed header order!). *)
 
-val to_string : Hgraph.t -> string
 val of_string : string -> Hgraph.t
 (** @raise Failure with a line-numbered message on malformed input. *)
 
-val write : string -> Hgraph.t -> unit
 val read : string -> Hgraph.t
 
 val of_hmetis_string : string -> Hgraph.t
 (** Parse the unweighted hMETIS format: header "[n_nets n_vertices]",
     then one 1-based net line per net.
     @raise Failure on malformed input. *)
-
-val to_hmetis_string : Hgraph.t -> string

@@ -105,9 +105,3 @@ let iter_desc t ~f =
     done;
     decr b
   done
-
-let clear t =
-  Array.fill t.head 0 (Array.length t.head) (-1);
-  Array.fill t.present 0 (Array.length t.present) false;
-  t.max_idx <- -1;
-  t.count <- 0

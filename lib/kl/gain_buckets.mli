@@ -46,7 +46,3 @@ val pop_max : t -> (int * int) option
 val iter_desc : t -> f:(int -> int -> [ `Continue | `Stop ]) -> unit
 (** Visit present vertices in non-increasing gain order until [f]
     answers [`Stop]. [f] must not modify the structure. *)
-
-val clear : t -> unit
-(** Remove every vertex, keeping the capacity and range. O(capacity);
-    the structure is ready for the next pass without reallocation. *)

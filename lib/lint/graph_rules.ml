@@ -127,8 +127,10 @@ let rng_stream_discipline p =
                     ~why:[ n.Program.n_display ]))
 
 (* dead-export: a value the .mli exports that nothing outside its own
-   module references. Operator exports are skipped — their uses are
-   bare symbols the token-level extractor cannot attribute. *)
+   module references, or whose definition no executable reaches (so
+   only tests, or nothing, call it). Operator exports are skipped —
+   their uses are bare symbols the token-level extractor cannot
+   attribute. *)
 let dead_export p =
   Program.module_infos p
   |> List.concat_map (fun m ->
@@ -144,20 +146,26 @@ let dead_export p =
                       applications the token-level extractor cannot
                       attribute, so silence would be a guess *)
                    None
-                 else if
-                   Program.export_used p ~module_key:m.Program.m_key ~name
-                 then None
                  else
-                   Some
-                     (finding ~file:intf ~line ~rule:"dead-export"
-                        ~severity:Rules.Warning
-                        ~message:
-                          (fmt
-                             "`%s` is exported by the interface but never \
-                              referenced outside %s; drop the export or \
-                              pragma-justify the public API"
-                             name m.Program.m_display)
-                        ~why:[]))
+                   let key = m.Program.m_key in
+                   let dead why =
+                     Some
+                       (finding ~file:intf ~line ~rule:"dead-export"
+                          ~severity:Rules.Warning
+                          ~message:
+                            (fmt
+                               "`%s` is exported by the interface but %s; \
+                                drop the export or pragma-justify the public \
+                                API"
+                               name why)
+                          ~why:[])
+                   in
+                   if not (Program.export_used p ~module_key:key ~name) then
+                     dead ("never referenced outside " ^ m.Program.m_display)
+                   else if
+                     not (Program.executable_reachable p ~module_key:key ~name)
+                   then dead "no executable reaches it"
+                   else None)
                m.Program.m_exports)
 
 let check p =

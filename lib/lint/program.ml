@@ -33,6 +33,9 @@ type t = {
   par_parent : int option array;
       (* BFS tree: [Some p] marks parallel-reachable, roots point to
          themselves *)
+  exe_parent : int option array option;
+      (* the same BFS from every definition of an executable module;
+         [None] when no executable stanza is in scope *)
   used_exports : (string, unit) Hashtbl.t;  (* "key::name" referenced
                                                 from another module *)
 }
@@ -49,36 +52,58 @@ let strip_ext path =
       | Some base -> Some (base, `Intf)
       | None -> None)
 
-(* First [(name <ident>)] in a dune file — the library (or executable)
-   name for the directory. Token-free scan: dune files are tiny. *)
-let dune_name content =
+(* A dune file as s-expressions: enough of the grammar (atoms, lists,
+   [;] comments, quoted strings) to read stanza kinds and fields. *)
+type sexp = Atom of string | List of sexp list
+
+let parse_sexps content =
   let n = String.length content in
-  let key = "(name" in
-  let rec find i =
-    if i + 5 >= n then None
-    else if
-      String.sub content i 5 = key
-      && (content.[i + 5] = ' ' || content.[i + 5] = '\n')
-      (* exact "(name" — "(names ...)" of an executables stanza must
-         not match *)
-    then begin
-      let j = ref (i + 5) in
-      while !j < n && (content.[!j] = ' ' || content.[!j] = '\n') do incr j done;
-      let s = !j in
-      while
-        !j < n
-        &&
-        match content.[!j] with
-        | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true
-        | _ -> false
-      do
-        incr j
-      done;
-      if !j > s then Some (String.sub content s (!j - s)) else None
-    end
-    else find (i + 1)
+  let rec items i acc =
+    if i >= n || content.[i] = ')' then (List.rev acc, i + 1)
+    else
+      match content.[i] with
+      | ' ' | '\t' | '\n' | '\r' -> items (i + 1) acc
+      | ';' -> (
+          match String.index_from_opt content i '\n' with
+          | Some j -> items (j + 1) acc
+          | None -> (List.rev acc, n))
+      | '(' ->
+          let sub, j = items (i + 1) [] in
+          items j (List sub :: acc)
+      | '"' ->
+          let rec close j =
+            if j >= n || content.[j] = '"' then j
+            else close (if content.[j] = '\\' then j + 2 else j + 1)
+          in
+          let j = min n (close (i + 1)) in
+          items (j + 1) (Atom (String.sub content (i + 1) (j - i - 1)) :: acc)
+      | _ ->
+          let j = ref i in
+          while
+            !j < n
+            && not (String.contains " \t\n\r();\"" content.[!j])
+          do
+            incr j
+          done;
+          items !j (Atom (String.sub content i (!j - i)) :: acc)
   in
-  find 0
+  fst (items 0 [])
+
+(* [(library (name gb_kl))] is [("library", [("name", ["gb_kl"])])]:
+   each stanza's kind and the atoms of each field. *)
+let dune_stanzas content =
+  let atoms = List.filter_map (function Atom a -> Some a | List _ -> None) in
+  List.filter_map
+    (function
+      | List (Atom kind :: fields) ->
+          Some
+            ( kind,
+              List.filter_map
+                (function
+                  | List (Atom f :: args) -> Some (f, atoms args) | _ -> None)
+                fields )
+      | _ -> None)
+    (parse_sexps content)
 
 let display_of ~lib_names dir base =
   let modname = String.capitalize_ascii base in
@@ -88,15 +113,47 @@ let display_of ~lib_names dir base =
       if String.equal lib modname then lib else lib ^ "." ^ modname
   | None -> modname
 
+(* Does module [key] belong to an [executable]/[executables] stanza?
+   Those are the roots of [dead-export]'s reachability; a [test] or
+   [tests] stanza never is. A stanza without a plain [(modules ...)]
+   list owns its whole directory. *)
+let is_executable_module dunes key =
+  let dir = Filename.dirname key and base = Filename.basename key in
+  List.exists
+    (fun (d, stanzas) ->
+      d = dir
+      && List.exists
+           (fun (kind, fields) ->
+             (kind = "executable" || kind = "executables")
+             &&
+             match List.assoc_opt "modules" fields with
+             | Some mods
+               when List.for_all (fun m -> m <> "" && m.[0] <> ':') mods ->
+                 List.mem base (List.map String.uncapitalize_ascii mods)
+             | _ -> true)
+           stanzas)
+    dunes
+
 let build sources =
   let sources = List.map (fun (p, c) -> (normalize p, c)) sources in
-  let lib_names =
+  let dunes =
     List.filter_map
       (fun (p, c) ->
         if Filename.basename p = "dune" then
-          Option.map (fun nm -> (Filename.dirname p, nm)) (dune_name c)
+          Some (Filename.dirname p, dune_stanzas c)
         else None)
       sources
+  in
+  let lib_names =
+    List.concat_map
+      (fun (dir, stanzas) ->
+        List.filter_map
+          (fun (kind, fields) ->
+            match (kind, List.assoc_opt "name" fields) with
+            | "library", Some (name :: _) -> Some (dir, name)
+            | _ -> None)
+          stanzas)
+      dunes
   in
   let modules = Hashtbl.create 64 in
   let impls = Hashtbl.create 64 and intfs = Hashtbl.create 64 in
@@ -146,7 +203,7 @@ let build sources =
       if not (Hashtbl.mem displays display) then
         Hashtbl.add displays display key)
     keys;
-  (modules, keys, displays)
+  (modules, keys, displays, List.filter (is_executable_module dunes) keys)
 
 (* --- reference resolution ------------------------------------------ *)
 
@@ -315,8 +372,45 @@ let is_par_root node =
        (fun r -> r.Resolve.r_path = [ "Domain"; "spawn" ])
        node.n_def.Resolve.d_refs
 
+(* FIFO BFS along [n_callees] from every node [seed] accepts. A seed is
+   its own parent; unreached nodes stay [None]. *)
+let bfs nodes seed =
+  let parent = Array.make (Array.length nodes) None in
+  let q = Queue.create () in
+  Array.iter
+    (fun node ->
+      if seed node then begin
+        parent.(node.n_id) <- Some node.n_id;
+        Queue.add node.n_id q
+      end)
+    nodes;
+  while not (Queue.is_empty q) do
+    let id = Queue.take q in
+    List.iter
+      (fun callee ->
+        if parent.(callee) = None then begin
+          parent.(callee) <- Some id;
+          Queue.add callee q
+        end)
+      nodes.(id).n_callees
+  done;
+  parent
+
+(* A bare name inside submodule [Sub] (or functor body [Make]) names
+   that submodule's definition first: ["Sub.Inner.f"] calling [g]
+   tries ["Sub.Inner.g"], then ["Sub.g"]. The file's top level is
+   left to {!resolve}. *)
+let rec enclosing_def ctx key scope x =
+  match String.rindex_opt scope '.' with
+  | None -> None
+  | Some k ->
+      let scope = String.sub scope 0 k in
+      let nm = scope ^ "." ^ x in
+      if def_exists ctx key nm then Some (Def (key, nm))
+      else enclosing_def ctx key scope x
+
 let create sources =
-  let modules, module_keys, displays = build sources in
+  let modules, module_keys, displays, exe_keys = build sources in
   let defsets = Hashtbl.create 64 in
   List.iter
     (fun key ->
@@ -373,7 +467,15 @@ let create sources =
       let seen = Hashtbl.create 16 in
       List.iter
         (fun r ->
-          match resolve ctx ~from_key:node.n_module r.Resolve.r_path 0 with
+          let target =
+            match r.Resolve.r_path with
+            | [ x ] when not (is_upper x) -> (
+                match enclosing_def ctx node.n_module node.n_def.Resolve.d_name x with
+                | Some t -> t
+                | None -> resolve ctx ~from_key:node.n_module r.Resolve.r_path 0)
+            | path -> resolve ctx ~from_key:node.n_module path 0
+          in
+          match target with
           | Def (key, name) ->
               (match Hashtbl.find_opt index (key ^ "::" ^ name) with
               | Some id when not (Hashtbl.mem seen id) ->
@@ -409,28 +511,24 @@ let create sources =
           | Ext -> ())
         m.m_extracted.Resolve.x_includes)
     module_keys;
-  (* parallel reachability: FIFO BFS from every Pool/Domain fan-out
-     site; a root's whole body is conservatively inside the region *)
-  let par_parent = Array.make (Array.length nodes) None in
-  let q = Queue.create () in
-  Array.iter
-    (fun node ->
-      if is_par_root node then begin
-        par_parent.(node.n_id) <- Some node.n_id;
-        Queue.add node.n_id q
-      end)
+  (* parallel reachability: from every Pool/Domain fan-out site, a
+     root's whole body conservatively inside the region; liveness: from
+     every definition of an executable *)
+  let par_parent = bfs nodes is_par_root in
+  let exe_parent =
+    if exe_keys = [] then None
+    else Some (bfs nodes (fun n -> List.mem n.n_module exe_keys))
+  in
+  {
+    modules;
+    module_keys;
+    displays;
     nodes;
-  while not (Queue.is_empty q) do
-    let id = Queue.take q in
-    List.iter
-      (fun callee ->
-        if par_parent.(callee) = None then begin
-          par_parent.(callee) <- Some id;
-          Queue.add callee q
-        end)
-      nodes.(id).n_callees
-  done;
-  { modules; module_keys; displays; nodes; index; par_parent; used_exports }
+    index;
+    par_parent;
+    exe_parent;
+    used_exports;
+  }
 
 (* --- queries ------------------------------------------------------- *)
 
@@ -455,6 +553,11 @@ let chain t id =
 let export_used t ~module_key ~name =
   Hashtbl.mem t.used_exports (module_key ^ "::" ^ name)
   || Hashtbl.mem t.used_exports (module_key ^ "::<module>")
+
+let executable_reachable t ~module_key ~name =
+  match (t.exe_parent, Hashtbl.find_opt t.index (module_key ^ "::" ^ name)) with
+  | Some parent, Some id -> parent.(id) <> None
+  | None, _ | _, None -> true
 
 let find_symbol t symbol =
   let matches n =

@@ -1,5 +1,6 @@
-(** Whole-program symbol tables, call graph, and parallel
-    reachability for [gbisect lint --program].
+(** Whole-program symbol tables, call graph, and reachability — from
+    parallel fan-out sites and from executables — for
+    [gbisect lint --program].
 
     Built from raw [(path, content)] pairs — including [dune] files,
     which supply the display names other modules use ([lib/kl/fm.ml]
@@ -56,6 +57,12 @@ val chain : t -> int -> string list
 val export_used : t -> module_key:string -> name:string -> bool
 (** Is the export referenced from any {i other} module (directly, or
     via an [include] of the whole module)? *)
+
+val executable_reachable : t -> module_key:string -> name:string -> bool
+(** Is the definition behind the export reached from some module of an
+    [executable]/[executables] dune stanza ([test]/[tests] stanzas are
+    never roots)? [true] when no executable stanza is in scope, or
+    when the name has no definition in the graph to judge. *)
 
 val find_symbol : t -> string -> node option
 (** For [--why]: match by full display name or by [.]-suffix

@@ -106,12 +106,69 @@ let next_boundary st i =
 let qualified name sc =
   match sc.sc_path with [] -> name | p -> String.concat "." p ^ "." ^ name
 
+(* --- module items -------------------------------------------------- *)
+
+(* After [module X], find what follows the [=]: [struct]/[sig] (open a
+   scope), a module path (an alias — functor applications keep the
+   path up to the argument list), or anything else (skip). *)
+type module_shape =
+  | Opens_scope of int  (* token index just after struct/sig *)
+  | Alias of string list * int
+  | Other
+
+let module_shape st j stop =
+  let rec find_eq k depth =
+    if k >= stop then None
+    else
+      match tok st k with
+      | Some (Tokenizer.Sym "(") -> find_eq (k + 1) (depth + 1)
+      | Some (Tokenizer.Sym ")") -> find_eq (k + 1) (depth - 1)
+      | Some (Tokenizer.Sym "=") when depth = 0 -> Some (k + 1)
+      | Some (Tokenizer.Ident ("struct" | "sig")) when depth = 0 ->
+          (* [module X : sig ... end] in an interface — treat the
+             constraint body as the scope *)
+          Some k
+      | _ -> find_eq (k + 1) depth
+  in
+  match find_eq j 0 with
+  | None -> Other
+  | Some k -> (
+      let rec after_functor k =
+        match tok st k with
+        | Some (Tokenizer.Ident "functor") ->
+            (* skip [(A : S) ->] groups *)
+            let rec skip k depth =
+              match tok st k with
+              | Some (Tokenizer.Sym "(") -> skip (k + 1) (depth + 1)
+              | Some (Tokenizer.Sym ")") -> skip (k + 1) (depth - 1)
+              | Some (Tokenizer.Sym ">")
+                when depth = 0 && tok st (k - 1) = Some (Tokenizer.Sym "-") ->
+                  after_functor (k + 1)
+              | Some _ -> skip (k + 1) depth
+              | None -> Other
+            in
+            skip (k + 1) 0
+        | Some (Tokenizer.Ident ("struct" | "sig")) -> Opens_scope (k + 1)
+        | Some (Tokenizer.Uident u) ->
+            let rec path j acc =
+              match (tok st j, tok st (j + 1)) with
+              | Some (Tokenizer.Sym "."), Some (Tokenizer.Uident u') ->
+                  path (j + 2) (u' :: acc)
+              | _ -> (List.rev acc, j)
+            in
+            let p, j = path (k + 1) [ u ] in
+            Alias (p, j)
+        | _ -> Other
+      in
+      after_functor k)
+
 (* --- reference collection inside a body ---------------------------- *)
 
 (* Tokens after which a lowercase ident is a binder or a label, not a
    use. [fun x y ->] only shields the first binder; later ones are
    collected, do not resolve to anything, and fall away — the cost of
-   not building scopes. *)
+   not building scopes. A [~x]/[?x] label is a use unless a [:] follows:
+   [f ~x] passes the variable [x]. *)
 let binder_context = [ "let"; "and"; "rec"; "fun"; "as"; "method"; "val"; "external" ]
 
 let collect_refs st start stop =
@@ -129,9 +186,30 @@ let collect_refs st start stop =
     | Some (Tokenizer.Uident _) | Some (Tokenizer.Sym ")") -> true
     | _ -> false
   in
+  (* [let module P = M in] aliases met so far in this body; a path
+     through one is rewritten to [M]'s, as a top-level [module P = M]
+     resolves it *)
+  let locals = ref [] in
+  let expand = function
+    | head :: rest as p -> (
+        match List.assoc_opt head !locals with Some tgt -> tgt @ rest | None -> p)
+    | [] -> []
+  in
   let i = ref start in
   while !i < stop do
     (match tok st !i with
+    | Some (Tokenizer.Ident "let")
+      when tok st (!i + 1) = Some (Tokenizer.Ident "module") -> (
+        (* [let module P = M in ...]: not a use of all of [M]; calls
+           through [P] resolve to what they name *)
+        match tok st (!i + 2) with
+        | Some (Tokenizer.Uident x) -> (
+            match module_shape st (!i + 3) stop with
+            | Alias (path, j) ->
+                locals := (x, expand path) :: !locals;
+                i := j
+            | Opens_scope _ | Other -> i := !i + 3)
+        | _ -> i := !i + 2)
     | Some (Tokenizer.Ident "let")
       when tok st (!i + 1) = Some (Tokenizer.Ident "open") ->
         (* [let open M in ...]: conservatively open M for the whole
@@ -145,7 +223,7 @@ let collect_refs st start stop =
           | _ -> (List.rev acc, j)
         in
         let p, j = path (!i + 2) [] in
-        if p <> [] then st.opens <- p :: st.opens;
+        if p <> [] then st.opens <- expand p :: st.opens;
         i := j
     | Some (Tokenizer.Uident u) when not (after_path_dot !i) ->
         (* A module path: Uident (. Uident)* [. ident]. *)
@@ -159,18 +237,18 @@ let collect_refs st start stop =
               (List.rev (id :: acc), j + 2)
           | Some (Tokenizer.Sym "."), Some (Tokenizer.Sym "(") ->
               (* [M.( ... )]: a local open. *)
-              st.opens <- List.rev acc :: st.opens;
+              st.opens <- expand (List.rev acc) :: st.opens;
               (List.rev acc, j + 2)
           | _ -> (List.rev acc, j)
         in
         let p, j = walk (!i + 1) [ u ] in
-        add p ln;
+        add (expand p) ln;
         i := j
     | Some (Tokenizer.Ident id) when not (is_keyword id) ->
         let prev_binder =
           match tok st (!i - 1) with
           | Some (Tokenizer.Ident k) -> List.mem k binder_context
-          | Some (Tokenizer.Sym ("~" | "?")) -> true
+          | Some (Tokenizer.Sym ("~" | "?")) -> tok st (!i + 1) = Some (Tokenizer.Sym ":")
           | _ -> false
         in
         if (not prev_binder) && not (after_path_dot !i) then
@@ -179,6 +257,28 @@ let collect_refs st start stop =
     | _ -> incr i)
   done;
   List.rev !refs
+
+(* References in the defaults of a binding head's optional parameters,
+   [?(x = e)]: code the binding runs, like its body. *)
+let default_refs st j body =
+  let rec group k depth eq =
+    match tok st k with
+    | None -> (eq, k)
+    | Some (Tokenizer.Sym "(") -> group (k + 1) (depth + 1) eq
+    | Some (Tokenizer.Sym ")") when depth = 1 -> (eq, k)
+    | Some (Tokenizer.Sym ")") -> group (k + 1) (depth - 1) eq
+    | Some (Tokenizer.Sym "=") when depth = 1 && eq < 0 -> group (k + 1) depth k
+    | Some _ -> group (k + 1) depth eq
+  in
+  let rec go k acc =
+    if k >= body then acc
+    else if tok st k = Some (Tokenizer.Sym "?") && tok st (k + 1) = Some (Tokenizer.Sym "(")
+    then
+      let eq, close = group (k + 2) 1 (-1) in
+      go (close + 1) (if eq < 0 then acc else acc @ collect_refs st (eq + 1) close)
+    else go (k + 1) acc
+  in
+  go j []
 
 (* --- mutable-state shape of a right-hand side ---------------------- *)
 
@@ -203,6 +303,22 @@ let rhs_mutable st start stop =
   go start
 
 (* --- let-item heads ------------------------------------------------ *)
+
+(* Past any [[@...]] attribute groups from [j]: [let[@inline] f] binds
+   [f], not [inline]. *)
+let rec skip_attributes st j =
+  match (tok st j, tok st (j + 1)) with
+  | Some (Tokenizer.Sym "["), Some (Tokenizer.Sym "@") ->
+      let rec close k depth =
+        match tok st k with
+        | None -> k
+        | Some (Tokenizer.Sym "[") -> close (k + 1) (depth + 1)
+        | Some (Tokenizer.Sym "]") when depth = 1 -> k + 1
+        | Some (Tokenizer.Sym "]") -> close (k + 1) (depth - 1)
+        | Some _ -> close (k + 1) depth
+      in
+      skip_attributes st (close (j + 1) 1)
+  | _ -> j
 
 (* Scan a binding head from [j] (after [let [rec]]) to the [=] that
    starts the body, at bracket depth 0. Returns the bound names, the
@@ -274,62 +390,6 @@ let scan_head st j stop =
    with Exit -> ());
   (!names, !body, !rng, !params)
 
-(* --- module items -------------------------------------------------- *)
-
-(* After [module X], find what follows the [=]: [struct]/[sig] (open a
-   scope), a module path (an alias — functor applications keep the
-   path up to the argument list), or anything else (skip). *)
-type module_shape =
-  | Opens_scope of int  (* token index just after struct/sig *)
-  | Alias of string list * int
-  | Other
-
-let module_shape st j stop =
-  let rec find_eq k depth =
-    if k >= stop then None
-    else
-      match tok st k with
-      | Some (Tokenizer.Sym "(") -> find_eq (k + 1) (depth + 1)
-      | Some (Tokenizer.Sym ")") -> find_eq (k + 1) (depth - 1)
-      | Some (Tokenizer.Sym "=") when depth = 0 -> Some (k + 1)
-      | Some (Tokenizer.Ident ("struct" | "sig")) when depth = 0 ->
-          (* [module X : sig ... end] in an interface — treat the
-             constraint body as the scope *)
-          Some k
-      | _ -> find_eq (k + 1) depth
-  in
-  match find_eq j 0 with
-  | None -> Other
-  | Some k -> (
-      let rec after_functor k =
-        match tok st k with
-        | Some (Tokenizer.Ident "functor") ->
-            (* skip [(A : S) ->] groups *)
-            let rec skip k depth =
-              match tok st k with
-              | Some (Tokenizer.Sym "(") -> skip (k + 1) (depth + 1)
-              | Some (Tokenizer.Sym ")") -> skip (k + 1) (depth - 1)
-              | Some (Tokenizer.Sym ">")
-                when depth = 0 && tok st (k - 1) = Some (Tokenizer.Sym "-") ->
-                  after_functor (k + 1)
-              | Some _ -> skip (k + 1) depth
-              | None -> Other
-            in
-            skip (k + 1) 0
-        | Some (Tokenizer.Ident ("struct" | "sig")) -> Opens_scope (k + 1)
-        | Some (Tokenizer.Uident u) ->
-            let rec path j acc =
-              match (tok st j, tok st (j + 1)) with
-              | Some (Tokenizer.Sym "."), Some (Tokenizer.Uident u') ->
-                  path (j + 2) (u' :: acc)
-              | _ -> (List.rev acc, j)
-            in
-            let p, j = path (k + 1) [ u ] in
-            Alias (p, j)
-        | _ -> Other
-      in
-      after_functor k)
-
 (* --- the extractor ------------------------------------------------- *)
 
 let extract (lexed : Tokenizer.t) =
@@ -381,12 +441,14 @@ let extract (lexed : Tokenizer.t) =
       | Some (Tokenizer.Ident ("let" | "and" as kw)) ->
           let is_let = kw = "let" in
           if is_let || st.last_item_was_let then begin
+            let j = skip_attributes st (!i + 1) in
             let j =
-              if tok st (!i + 1) = Some (Tokenizer.Ident "rec") then !i + 2
-              else !i + 1
+              if tok st j = Some (Tokenizer.Ident "rec") then
+                skip_attributes st (j + 1)
+              else j
             in
             let names, body, rng, params = scan_head st j stop in
-            let refs = collect_refs st body stop in
+            let refs = default_refs st j body @ collect_refs st body stop in
             let mut = (not params) && rhs_mutable st body stop in
             (match names with
             | [] ->

@@ -382,7 +382,8 @@ let program_rules =
     {
       p_name = "dead-export";
       p_severity = Warning;
-      p_summary = "mli-exported value with no reference outside its module";
+      p_summary =
+        "mli-exported value no other module references, or no executable reaches";
     };
   ]
 

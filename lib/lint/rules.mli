@@ -101,8 +101,11 @@ val apply_pragmas : ?program:bool -> scanned -> extra:finding list -> finding li
     fire under [lint --program]. *)
 
 val pragma_covers : pragma -> rule:string -> line:int -> bool
+(* lint: allow dead-export — test/test_lint.ml marks a pragma used *)
 val pragma_mark_used : pragma -> unit
+(* lint: allow dead-export — test/test_lint.ml reads the parsed line *)
 val pragma_line : pragma -> int
+(* lint: allow dead-export — test/test_lint.ml reads the parsed rules *)
 val pragma_rules : pragma -> string list
 
 val enclosing_binding : Tokenizer.t -> int -> (string * string) option

@@ -11,10 +11,6 @@ let feasible { two_n; b; d } =
   else if (n * d - b) land 1 = 1 then Error "n * d - b must be even"
   else Ok ()
 
-let planted_sides { two_n; _ } =
-  let n = two_n / 2 in
-  Array.init two_n (fun v -> if v < n then 0 else 1)
-
 let nearest_feasible_b { two_n; b; d } =
   let n = two_n / 2 in
   let b = max 0 (min b (n * d)) in

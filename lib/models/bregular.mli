@@ -34,9 +34,6 @@ val feasible : params -> (unit, string) result
 val generate : Gb_prng.Rng.t -> params -> Gb_graph.Csr.t
 (** @raise Invalid_argument when [feasible] fails (with its reason). *)
 
-val planted_sides : params -> int array
-(** [0] for the first half, [1] for the second. *)
-
 val nearest_feasible_b : params -> int
 (** Round [b] to the closest value with [n d - b] even (the parity the
     construction needs), clamped to [\[0, n d\]]. Convenience for

@@ -66,5 +66,3 @@ let with_average_degree rng ~n ~avg_degree =
   if not (p >= 0. && p <= 1.) then
     invalid_arg "Gnp.with_average_degree: implied p out of [0,1]";
   generate rng ~n ~p
-
-let expected_edges ~n ~p = p *. float_of_int (n * (n - 1) / 2)

@@ -24,5 +24,3 @@ val with_average_degree : Gb_prng.Rng.t -> n:int -> avg_degree:float -> Gb_graph
 
 val p_for_average_degree : n:int -> avg_degree:float -> float
 (** The [p] used by {!with_average_degree}. *)
-
-val expected_edges : n:int -> p:float -> float

@@ -32,11 +32,6 @@ let planted_sides params =
   let n = params.two_n / 2 in
   Array.init params.two_n (fun v -> if v < n then 0 else 1)
 
-let expected_average_degree { two_n; p_a; p_b; bis } =
-  let n = float_of_int (two_n / 2) in
-  let within = (n *. (n -. 1.) /. 2.) *. (p_a +. p_b) in
-  (2. *. (within +. float_of_int bis)) /. float_of_int two_n
-
 let params_for_average_degree ~two_n ~avg_degree ~bis =
   if two_n < 4 || two_n mod 2 <> 0 then
     invalid_arg "Planted.params_for_average_degree: two_n";

@@ -33,5 +33,3 @@ val params_for_average_degree :
     cross edges: [p = (avg_degree - 2 bis / 2n) * n / (n (n - 1))].
     Used to reproduce the appendix tables "with average degree 2.5 / 3
     / 3.5 / 4". @raise Invalid_argument if infeasible. *)
-
-val expected_average_degree : params -> float

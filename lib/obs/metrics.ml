@@ -21,8 +21,6 @@ type histogram_snapshot = {
 
 let switch = Atomic.make false
 let set_enabled b = Atomic.set switch b
-let enabled () = Atomic.get switch
-
 (* Lock-free float accumulators: retry the compare-and-set until our
    read was not overtaken. Atomic.t boxes the float, and we CAS against
    the exact box we read, so the loop is ABA-safe. *)
@@ -60,8 +58,6 @@ let counter name =
 
 let incr c = if Atomic.get switch then ignore (Atomic.fetch_and_add c.c_value 1)
 let add c n = if Atomic.get switch then ignore (Atomic.fetch_and_add c.c_value n)
-let value c = Atomic.get c.c_value
-
 let histogram name =
   intern histogram_registry name (fun () ->
       {

@@ -159,7 +159,6 @@ let with_snapshot snapshot f =
   Domain.DLS.set context_key snapshot;
   Fun.protect ~finally:(fun () -> Domain.DLS.set context_key previous) f
 
-let context_profile () = (Domain.DLS.get context_key).profile
 let context_graph () = (Domain.DLS.get context_key).graph
 let context_seed () = (Domain.DLS.get context_key).seed
 

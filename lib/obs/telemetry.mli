@@ -76,7 +76,6 @@ val with_context :
   ?profile:string -> ?graph:string -> ?seed:int -> (unit -> 'a) -> 'a
 (** Scope harness labels; omitted fields inherit the enclosing scope. *)
 
-val context_profile : unit -> string option
 val context_graph : unit -> string option
 val context_seed : unit -> int option
 

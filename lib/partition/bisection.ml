@@ -41,16 +41,11 @@ let all_gains g (side : int array) =
       end);
   gains
 
-let swap_gain g side a b =
-  if side.(a) = side.(b) then invalid_arg "Bisection.swap_gain: same side";
-  gain g side a + gain g side b - (2 * Csr.edge_weight g a b)
-
 let is_count_balanced side =
   let c0, c1 = side_counts side in
   abs (c0 - c1) <= 1
 
 type t = {
-  graph : Csr.t;
   side_arr : int array;
   cut_val : int;
   counts_val : int * int;
@@ -61,7 +56,6 @@ let of_sides g side =
   validate_sides g side;
   let side = Array.copy side in
   {
-    graph = g;
     side_arr = side;
     cut_val = compute_cut g side;
     counts_val = side_counts side;
@@ -73,13 +67,7 @@ let side t v = t.side_arr.(v)
 let cut t = t.cut_val
 let counts t = t.counts_val
 let weights t = t.weights_val
-let graph t = t.graph
 let is_balanced t = is_count_balanced t.side_arr
-
-let pp fmt t =
-  let c0, c1 = t.counts_val in
-  Format.fprintf fmt "bisection: cut %d, sides %d/%d%s" t.cut_val c0 c1
-    (if is_balanced t then "" else " (UNBALANCED)")
 
 (* Each move picks the (max gain, lowest index) vertex of the heavy
    side. The old implementation rescanned all n vertices per move —

@@ -32,12 +32,6 @@ val gain : Gb_graph.Csr.t -> int array -> int -> int
 val all_gains : Gb_graph.Csr.t -> int array -> int array
 (** Every vertex's gain, in one O(m) sweep over the edges. *)
 
-val swap_gain : Gb_graph.Csr.t -> int array -> int -> int -> int
-(** [swap_gain g side a b] for [a], [b] on opposite sides: decrease of
-    the cut if they exchanged sides — the paper's
-    [g_ab = g_a + g_b - 2 w(a,b)].
-    @raise Invalid_argument if they are on the same side. *)
-
 val validate_sides : Gb_graph.Csr.t -> int array -> unit
 (** @raise Invalid_argument if lengths mismatch or entries are not 0/1. *)
 
@@ -58,11 +52,8 @@ val side : t -> int -> int
 val cut : t -> int
 val counts : t -> int * int
 val weights : t -> int * int
-val graph : t -> Gb_graph.Csr.t
 val is_balanced : t -> bool
 (** Count balance (the paper's definition). *)
-
-val pp : Format.formatter -> t -> unit
 
 (** {1 Repair} *)
 

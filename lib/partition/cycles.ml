@@ -43,11 +43,6 @@ let is_cycle_collection g =
      the walk covers each component consistently (cycle length >= 3). *)
   List.for_all (fun c -> Array.length c >= 3) (cycles_of g)
 
-let cycle_lengths g =
-  if not (is_two_regular g) then
-    invalid_arg "Cycles: graph is not 2-regular";
-  List.map Array.length (cycles_of g)
-
 type choice = Unused | Whole | Split of int
 
 (* dp.(x) = minimum number of split cycles so that whole cycles plus one

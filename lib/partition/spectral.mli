@@ -18,10 +18,6 @@ type config = {
   tolerance : float;  (** Early stop on iterate movement (default 1e-7). *)
 }
 
-(* lint: allow dead-export — the record callers start from when they
-   override one field of the [?config] argument *)
-val default_config : config
-
 val fiedler_vector : ?config:config -> Gb_graph.Csr.t -> float array
 (** Approximate Fiedler vector, unit norm, mean zero. Deterministic
     (fixed internal start vector). On an edgeless or trivially small

@@ -53,7 +53,6 @@ let create ~seed =
   done;
   t
 
-let copy t = { state = Array.copy t.state; pos = t.pos }
 let next = raw_next
 
 let derive_seed t =
@@ -63,8 +62,6 @@ let derive_seed t =
   let lo = raw_next t in
   (hi lsl bits) lor lo
 
-let split t = create ~seed:(derive_seed t)
-
 let mix_seed base salt =
   (* One SplitMix scramble of [base] perturbed by [salt] times the
      golden-ratio increment: for a fixed base, distinct salts give
@@ -72,18 +69,3 @@ let mix_seed base salt =
      output sequence from a counter). *)
   let _, z = splitmix_next (base + (salt * 0x1E3779B97F4A7C15)) in
   z land max_int
-
-let self_test () =
-  let g1 = create ~seed:42 and g2 = create ~seed:42 in
-  let deterministic = ref true and in_range = ref true in
-  for _ = 1 to 1000 do
-    let a = next g1 and b = next g2 in
-    if a <> b then deterministic := false;
-    if a < 0 || a >= modulus then in_range := false
-  done;
-  let g3 = create ~seed:43 in
-  let differs = ref false in
-  for _ = 1 to 1000 do
-    if next g1 <> next g3 then differs := true
-  done;
-  !deterministic && !in_range && !differs

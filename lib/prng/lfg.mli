@@ -26,10 +26,6 @@ val create : seed:int -> t
     seed (only the low 30 bits and sign are significant; seeds that
     collide modulo [2^30] yield identical streams). *)
 
-val copy : t -> t
-(** [copy g] is an independent generator with the same current state:
-    both copies produce the same subsequent stream until one advances. *)
-
 val next : t -> int
 (** [next g] returns the next raw 30-bit output, uniform on
     [0, 2^30 - 1], and advances the state. *)
@@ -39,11 +35,6 @@ val bits : int
 
 val modulus : int
 (** [2 ^ bits]. Outputs of {!next} lie in [\[0, modulus)]. *)
-
-val split : t -> t
-(** [split g] derives a new generator seeded from [g]'s stream and
-    advances [g]. The two streams are (statistically) independent;
-    used to give each experiment replica its own stream. *)
 
 val derive_seed : t -> int
 (** [derive_seed g] draws two outputs from [g] and packs them into a
@@ -59,8 +50,3 @@ val mix_seed : int -> int -> int
     over the same base give decorrelated seeds, so
     [create ~seed:(mix_seed base i)] is an independent stream per task
     [i] — the seed-splitting scheme documented in PARALLELISM.md. *)
-
-val self_test : unit -> bool
-(** Quick internal consistency check: regenerates a fixed seed's prefix
-    and verifies determinism, output range and that the two halves of
-    the warm-up buffer differ. Used by the test suite. *)

@@ -1,10 +1,6 @@
 type t = { core : Lfg.t }
 
 let create ~seed = { core = Lfg.create ~seed }
-let of_lfg core = { core }
-let copy t = { core = Lfg.copy t.core }
-let split t = { core = Lfg.split t.core }
-
 let derive_seed t = Lfg.derive_seed t.core
 let substream_seed ~base i = Lfg.mix_seed base i
 let substream ~base i = create ~seed:(Lfg.mix_seed base i)
@@ -64,14 +60,6 @@ let geometric_skip t p =
     in
     int_of_float (Float.floor (log u /. log (1. -. p)))
 
-let exponential t lambda =
-  if lambda <= 0. then invalid_arg "Rng.exponential";
-  let rec positive () =
-    let v = 1. -. float t 1. in
-    if v > 0. then v else positive ()
-  in
-  -.log (positive ()) /. lambda
-
 let shuffle_in_place t a =
   for i = Array.length a - 1 downto 1 do
     let j = int t (i + 1) in
@@ -79,11 +67,6 @@ let shuffle_in_place t a =
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
-
-let shuffle t a =
-  let b = Array.copy a in
-  shuffle_in_place t b;
-  b
 
 let permutation t n =
   let a = Array.init n (fun i -> i) in

@@ -11,17 +11,6 @@ type t
 val create : seed:int -> t
 (** [create ~seed] makes a fresh stream. Equal seeds give equal streams. *)
 
-val of_lfg : Lfg.t -> t
-(** Wrap an existing core generator (shares and advances its state). *)
-
-(* lint: allow dead-export — snapshot/restore surface of the generator
-   API, the replay counterpart of split *)
-val copy : t -> t
-(** Independent snapshot of the current state. *)
-
-val split : t -> t
-(** Child stream, statistically independent of the parent's future. *)
-
 (** {1 Deterministic fan-out (seed splitting)}
 
     A parallel best-of-k or replicate loop must give task [i] the same
@@ -71,17 +60,10 @@ val geometric_skip : t -> float -> int
     O(edges) rather than O(n^2) trials.
     @raise Invalid_argument unless [0 < p <= 1]. *)
 
-val exponential : t -> float -> float
-(** [exponential t lambda] samples Exp(lambda).
-    @raise Invalid_argument if [lambda <= 0]. *)
-
 (** {1 Collections} *)
 
 val shuffle_in_place : t -> 'a array -> unit
 (** Uniform (Fisher-Yates) shuffle. *)
-
-val shuffle : t -> 'a array -> 'a array
-(** Copying variant of {!shuffle_in_place}. *)
 
 val permutation : t -> int -> int array
 (** [permutation t n] is a uniform permutation of [0 .. n-1]. *)

@@ -15,16 +15,6 @@ type params = {
   timeout_seconds : float;
 }
 
-let default_params =
-  {
-    requests = 200;
-    concurrency = 8;
-    repeat_ratio = 0.3;
-    starts = 1;
-    seed = 1;
-    timeout_seconds = 10.0;
-  }
-
 type outcome = {
   params : params;
   issued : int;

@@ -23,10 +23,6 @@ type params = {
                                 connection is declared dead. *)
 }
 
-val default_params : params
-(** 200 requests, 8 connections, repeat ratio 0.3, 1 start, seed 1,
-    10 s timeout. *)
-
 type outcome = {
   params : params;
   issued : int;  (** Requests actually written (= [requests] unless

@@ -24,11 +24,13 @@ val send : t -> Protocol.request -> unit
 (** Write one request line (blocking).
     @raise Failure if the connection died. *)
 
+(* lint: allow dead-export — test/test_serve.ml drives the daemon with it *)
 val recv : ?timeout:float -> t -> Protocol.response
 (** Block until one complete response line arrives and parse it.
     @raise Failure on EOF, a protocol violation, or after [timeout]
     seconds (default: wait forever). *)
 
+(* lint: allow dead-export — test/test_serve.ml drives the daemon with it *)
 val call : ?timeout:float -> t -> Protocol.request -> Protocol.response
 (** {!send} then {!recv}. *)
 

@@ -88,10 +88,6 @@ type request =
   | Stats of string option
   | Shutdown of string option
 
-let request_id = function
-  | Solve s -> s.id
-  | Ping id | Stats id | Shutdown id -> id
-
 type error_code =
   | Bad_request
   | Unsupported
@@ -148,8 +144,6 @@ type reply =
   | Failed of error_code * string
 
 type response = { rid : string option; reply : reply }
-
-let ok r = match r.reply with Failed _ -> false | _ -> true
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)

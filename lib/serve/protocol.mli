@@ -48,9 +48,6 @@ type algorithm = Gb_algo.Algo.t
 
 type graph_format = Edge_list | Metis
 
-val format_id : graph_format -> string
-(** ["edge-list"] or ["metis"]. *)
-
 type solve = {
   id : string option;  (** Client correlation tag, echoed verbatim. *)
   format : graph_format;
@@ -65,8 +62,6 @@ type request =
   | Ping of string option  (** Liveness probe; [id] echoed. *)
   | Stats of string option  (** Server counters snapshot. *)
   | Shutdown of string option  (** Ask the daemon to stop cleanly. *)
-
-val request_id : request -> string option
 
 (** {1 Responses} *)
 
@@ -114,9 +109,6 @@ type reply =
   | Failed of error_code * string
 
 type response = { rid : string option; reply : reply }
-
-val ok : response -> bool
-(** [true] unless the reply is [Failed]. *)
 
 (** {1 Codec}
 

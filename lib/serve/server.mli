@@ -67,6 +67,7 @@ val handle : t -> Protocol.request -> Protocol.response
     handling live in {!serve}, which owns the transport. *)
 
 val stats : t -> Protocol.stats
+(* lint: allow dead-export — test/test_serve.ml watches the drain flag *)
 val stopping : t -> bool
 
 val serve : ?stop:(unit -> bool) -> t -> addr -> Protocol.stats

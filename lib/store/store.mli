@@ -91,6 +91,7 @@ val add : t -> key -> Gb_obs.Json.t -> unit
     @raise Invalid_argument if [value] contains a non-finite float —
     a store must never launder [nan]/[inf] into later runs. *)
 
+(* lint: allow dead-export — test/test_store.ml counts loaded records *)
 val length : t -> int
 (** Number of records currently loaded/written. *)
 

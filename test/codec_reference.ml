@@ -4,7 +4,8 @@
    copied verbatim. The codec reference suite in test_serve.ml demands
    that the live codecs return exactly what these return: the same
    graph or the same exception and message, the same bytes, the same
-   frames. *)
+   frames. The METIS writer has no live counterpart; the tests render
+   METIS input with it. *)
 
 module Gio = struct
   module Csr = Gbisect.Graph
@@ -124,17 +125,6 @@ module Gio = struct
 
   let of_edge_list_string s = parse_edge_list (iter_string_lines s)
   let read_edge_list path = parse_edge_list (iter_file_lines path)
-
-  let write_edge_list path g =
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        (* Stream straight to the channel — no whole-graph string. *)
-        Printf.fprintf oc "%d %d\n" (Csr.n_vertices g) (Csr.n_edges g);
-        Csr.iter_edges g (fun u v w ->
-            if w = 1 then Printf.fprintf oc "%d %d\n" u v
-            else Printf.fprintf oc "%d %d %d\n" u v w))
 
   (* ------------------------------------------------------------------ *)
   (* METIS format                                                        *)

@@ -100,6 +100,24 @@ let contains haystack needle =
   let rec at i = i + nn <= nh && (String.sub haystack i nn = needle || at (i + 1)) in
   nn = 0 || at 0
 
+(* A netlist as the readers take it: "n nets", then one 0-based net per
+   line; with [~hmetis], "nets n" and 1-based members. *)
+let netlist_text ?(hmetis = false) h =
+  let module H = Gbisect.Hgraph in
+  let n = H.n_vertices h and m = H.n_nets h in
+  let net e =
+    String.concat " "
+      (List.map (fun v -> string_of_int (if hmetis then v + 1 else v))
+         (Array.to_list (H.net_members h e)))
+  in
+  String.concat "\n"
+    ((if hmetis then Printf.sprintf "%d %d" m n else Printf.sprintf "%d %d" n m)
+    :: List.init m net)
+  ^ "\n"
+
+(* Every vertex has degree [d]. *)
+let regular g d = List.for_all (fun v -> Graph.degree g v = d) (List.init (Graph.n_vertices g) Fun.id)
+
 (* Exhaustively verify a bisection's cached values against recomputation. *)
 let check_bisection_consistent g b =
   let side = Bisection.sides b in

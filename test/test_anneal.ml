@@ -20,9 +20,7 @@ let check_bool = Helpers.check_bool
 let schedule_tests =
   [
     case "default validates" (fun () -> Schedule.validate Schedule.default);
-    case "quick and thorough validate" (fun () ->
-        Schedule.validate Schedule.quick;
-        Schedule.validate Schedule.thorough);
+    case "quick validates" (fun () -> Schedule.validate Schedule.quick);
     case "bad fields are rejected" (fun () ->
         let bad fields name =
           match Schedule.validate fields with
@@ -166,7 +164,7 @@ let sa_bisect_tests =
     case "refine from the planted bisection stays at or below it" (fun () ->
         let params = Gbisect.Bregular.{ two_n = 200; b = 4; d = 4 } in
         let g = Gbisect.Bregular.generate (Helpers.rng ()) params in
-        let planted = Gbisect.Bregular.planted_sides params in
+        let planted = Array.init 200 (fun v -> if v < 100 then 0 else 1) in
         let side, _ = Sa_bisect.refine ~config:quick_config (Helpers.rng ()) g planted in
         check_bool "no worse than planted" true (Bisection.compute_cut g side <= 4));
     case "unbalanced start is rejected" (fun () ->
@@ -384,18 +382,6 @@ let threshold_same_as_reference ~seed g side =
       { Threshold.default_schedule with initial_threshold = `Fixed 0.5; max_levels = 3 };
     ]
 
-let first_of_every_family () =
-  let module G = Gbisect.Fuzz_generators in
-  List.map
-    (fun family ->
-      let rec first seed =
-        match G.generate ~seed with
-        | { G.family = f; graph; _ } when String.equal f family -> graph
-        | _ | (exception _) -> first (seed + 1)
-      in
-      (family, first 0))
-    G.families
-
 (* Weighted multigraphs with odd and even n: repeated pairs become
    parallel edges, merged with summed weights. *)
 let gen_reference_case =
@@ -427,7 +413,7 @@ let reference_tests =
           (fun (family, g) ->
             let side = Helpers.balanced_sides (Helpers.rng ()) g in
             check_bool family true (same_as_reference ~seed:11 g side))
-          (first_of_every_family ()));
+          (Helpers.fuzz_family_graphs ()));
     case "gnp(400) matches the reference" (fun () ->
         let r = Helpers.rng ~seed:5 () in
         let g = Gbisect.Gnp.with_average_degree r ~n:400 ~avg_degree:6. in
@@ -440,7 +426,7 @@ let reference_tests =
           (fun (family, g) ->
             let side = Helpers.balanced_sides (Helpers.rng ()) g in
             check_bool family true (threshold_same_as_reference ~seed:13 g side))
-          (("gnp(400)", gnp) :: first_of_every_family ()));
+          (("gnp(400)", gnp) :: Helpers.fuzz_family_graphs ()));
     Helpers.qtest_pair ~count:100 "weighted multigraphs match the reference"
       gen_reference_case print_reference_case (fun (g, side, seed) ->
         same_as_reference ~seed g side);

@@ -14,6 +14,32 @@ let case = Helpers.case
 let check_int = Helpers.check_int
 let check_bool = Helpers.check_bool
 
+(* The dual-incidence invariant through the public API: every net's
+   members are sorted, distinct and in range, each vertex lists only nets
+   holding it, and both sides count the same pins. *)
+let check_hgraph h =
+  let n = Hgraph.n_vertices h and incidences = ref 0 in
+  for e = 0 to Hgraph.n_nets h - 1 do
+    let m = Hgraph.net_members h e in
+    Array.iteri
+      (fun k v ->
+        if v < 0 || v >= n || (k > 0 && m.(k - 1) >= v) then Alcotest.failf "net %d malformed" e)
+      m
+  done;
+  for v = 0 to n - 1 do
+    Hgraph.iter_vertex_nets h v (fun e ->
+        incr incidences;
+        if not (Array.mem v (Hgraph.net_members h e)) then
+          Alcotest.failf "dual mismatch: vertex %d lists net %d" v e)
+  done;
+  check_int "pins" (Hgraph.n_pins h) !incidences
+
+(* One HFM pass, through [refine]: the new sides and the cut decrease. *)
+let one_pass h side =
+  let config = { Hfm.max_passes = 1; until_no_improvement = true; tolerance = 2 } in
+  let next, stats = Hfm.refine ~config h side in
+  (next, stats.Hfm.initial_cut - stats.Hfm.final_cut)
+
 (* A small reference netlist: 6 cells, nets {0,1,2} {2,3} {3,4,5} {0,5}. *)
 let sample () = Hgraph.of_nets ~n:6 [ [ 0; 1; 2 ]; [ 2; 3 ]; [ 3; 4; 5 ]; [ 0; 5 ] ]
 
@@ -40,13 +66,12 @@ let hgraph_tests =
   [
     case "construction and sizes" (fun () ->
         let h = sample () in
-        Hgraph.check h;
+        check_hgraph h;
         check_int "n" 6 (Hgraph.n_vertices h);
         check_int "nets" 4 (Hgraph.n_nets h);
         check_int "pins" 10 (Hgraph.n_pins h);
         check_int "net 0 size" 3 (Hgraph.net_size h 0);
         check_int "vertex 0 degree" 2 (Hgraph.vertex_degree h 0);
-        check_int "max net" 3 (Hgraph.max_net_size h);
         Alcotest.(check (float 1e-9)) "avg net" 2.5 (Hgraph.average_net_size h));
     case "members and incidences are sorted" (fun () ->
         let h = Hgraph.of_nets ~n:5 [ [ 4; 0; 2 ] ] in
@@ -75,7 +100,7 @@ let hgraph_properties =
   [
     qnetlist "check passes on random netlists" (fun (n, nets) ->
         let h = Hgraph.of_nets ~n nets in
-        Hgraph.check h;
+        check_hgraph h;
         true);
     qnetlist "pin count = sum of net sizes = sum of degrees" (fun (n, nets) ->
         let h = Hgraph.of_nets ~n nets in
@@ -89,7 +114,7 @@ let hgraph_properties =
         !by_nets = Hgraph.n_pins h && !by_deg = Hgraph.n_pins h);
     qnetlist "netlist IO round trip" (fun (n, nets) ->
         let h = Hgraph.of_nets ~n nets in
-        let h' = Netlist_io.of_string (Netlist_io.to_string h) in
+        let h' = Netlist_io.of_string (Helpers.netlist_text h) in
         Hgraph.n_vertices h' = n
         && Hgraph.n_nets h' = Hgraph.n_nets h
         && List.for_all
@@ -97,7 +122,7 @@ let hgraph_properties =
              (List.init (Hgraph.n_nets h) Fun.id));
     qnetlist "hmetis IO round trip" (fun (n, nets) ->
         let h = Hgraph.of_nets ~n nets in
-        let h' = Netlist_io.of_hmetis_string (Netlist_io.to_hmetis_string h) in
+        let h' = Netlist_io.of_hmetis_string (Helpers.netlist_text ~hmetis:true h) in
         Hgraph.n_nets h' = Hgraph.n_nets h
         && List.for_all
              (fun e -> Hgraph.net_members h e = Hgraph.net_members h' e)
@@ -184,7 +209,7 @@ let hfm_tests =
     case "pass invariants on the sample netlist" (fun () ->
         let h = sample () in
         let side = [| 0; 1; 0; 1; 0; 1 |] in
-        let next, gain = Hfm.one_pass h side in
+        let next, gain = one_pass h side in
         check_bool "gain >= 0" true (gain >= 0);
         check_int "cut decreases by gain" (Hgraph.cut_size h side - gain)
           (Hgraph.cut_size h next);
@@ -205,7 +230,7 @@ let hfm_tests =
         let h = sample () in
         Alcotest.check_raises "unbalanced"
           (Invalid_argument "Hfm: input bisection is not balanced") (fun () ->
-            ignore (Hfm.one_pass h [| 0; 0; 0; 0; 0; 1 |])));
+            ignore (one_pass h [| 0; 0; 0; 0; 0; 1 |])));
     case "stats are coherent" (fun () ->
         let h = Random_netlist.generate (Helpers.rng ()) Random_netlist.default_params in
         let side, stats = Hfm.run (Helpers.rng ()) h in
@@ -237,7 +262,7 @@ let hfm_properties =
         let h = Hgraph.of_nets ~n nets in
         let rng = Rng.create ~seed:(n * 31) in
         let side = random_sides rng n in
-        let next, gain = Hfm.one_pass h side in
+        let next, gain = one_pass h side in
         gain >= 0
         && Hgraph.cut_size h next = Hgraph.cut_size h side - gain
         && Bisection.is_count_balanced next);
@@ -272,11 +297,12 @@ let netlist_model_tests =
     case "sizes follow the parameters" (fun () ->
         let p = Random_netlist.default_params in
         let h = Random_netlist.generate (Helpers.rng ()) p in
-        Hgraph.check h;
+        check_hgraph h;
         check_int "cells" (p.Random_netlist.blocks * p.Random_netlist.cells_per_block)
           (Hgraph.n_vertices h);
         check_bool "has nets" true (Hgraph.n_nets h > 0);
-        check_bool "net sizes >= 2" true (Hgraph.max_net_size h >= 2));
+        check_bool "net sizes >= 2" true
+          (List.exists (fun e -> Hgraph.net_size h e >= 2) (List.init (Hgraph.n_nets h) Fun.id)));
     case "block split cuts only global nets" (fun () ->
         let p = Random_netlist.default_params in
         let h = Random_netlist.generate (Helpers.rng ()) p in
@@ -327,7 +353,7 @@ let hcoarsen_tests =
         (* a path-like netlist of 2-pin nets *)
         let h = Hgraph.of_nets ~n:6 [ [ 0; 1 ]; [ 1; 2 ]; [ 2; 3 ]; [ 3; 4 ]; [ 4; 5 ] ] in
         let c = Hcoarsen.contract h (Hcoarsen.match_cells (Helpers.rng ()) h) in
-        Hgraph.check c.Hcoarsen.coarse;
+        check_hgraph c.Hcoarsen.coarse;
         check_bool "shrank" true (Hgraph.n_vertices c.Hcoarsen.coarse < 6));
     case "contract rejects bad mates" (fun () ->
         let h = sample () in
@@ -353,14 +379,6 @@ let hcoarsen_tests =
           (Printf.sprintf "CHFM %d <= HFM %d + slack" !chfm_sum !flat_sum)
           true
           (!chfm_sum <= !flat_sum + 5));
-    case "recursive reaches a floor and returns balanced sides" (fun () ->
-        let p = Random_netlist.default_params in
-        let h = Random_netlist.generate (Helpers.rng ()) p in
-        let side, stats = Hcoarsen.recursive ~min_cells:32 (Helpers.rng ()) h in
-        check_bool "levels > 1" true (stats.Hcoarsen.levels > 1);
-        check_bool "coarse small" true (stats.Hcoarsen.coarse_cells <= 128);
-        check_bool "balanced" true (Bisection.is_count_balanced side);
-        check_int "cut bookkeeping" (Hgraph.cut_size h side) stats.Hcoarsen.final_cut);
   ]
 
 let hcoarsen_properties =
@@ -436,7 +454,7 @@ let placement_tests =
         (* keep cells 0,1,2: nets {0,1,2} keeps 3 pins; {2,3} -> 1 pin drops;
            {3,4,5} -> 0; {0,5} -> 1 drops. *)
         let sub = Hgraph.induced h [| 0; 1; 2 |] in
-        Hgraph.check sub;
+        check_hgraph sub;
         check_int "one net" 1 (Hgraph.n_nets sub);
         check_int "three pins" 3 (Hgraph.n_pins sub));
   ]

@@ -100,7 +100,8 @@ let pipeline_tests =
         Fun.protect
           ~finally:(fun () -> Sys.remove path)
           (fun () ->
-            Gbisect.Netlist_io.write path h;
+            Out_channel.with_open_bin path (fun oc ->
+                output_string oc (Helpers.netlist_text h));
             let h' = Gbisect.Netlist_io.read path in
             check_int "nets survive" (Gbisect.Hgraph.n_nets h) (Gbisect.Hgraph.n_nets h');
             let side, stats = Gbisect.Hfm.run (Helpers.rng ()) h' in
@@ -258,7 +259,7 @@ let entry_point_tests =
                   (sides solved.bisection) s.side
             | _ -> Alcotest.failf "%s: serve did not solve" e.id);
             let direct = (e.run ~sa (Rng.create ~seed:7) g).bisection in
-            let runner = Gbisect.Runner.run_once profile (Rng.create ~seed:7) algorithm g in
+            let runner, _ = Gbisect.Runner.run_once_record profile (Rng.create ~seed:7) algorithm g in
             check_int (e.id ^ ": runner = registry") (Bisection.cut direct) runner.cut;
             let kway =
               Gbisect.Kway.partition ~k:2

@@ -298,20 +298,46 @@ let extractor_tests =
 
 (* A three-module library where a Pool.map thunk reaches mutable module
    state two calls away — the same shape CI's fault-injection fixture
-   uses. [variant] swaps the fan-out line. *)
-let fixture ~par =
-  let run_body =
-    if par then "let run xs = Gb_par.Pool.map (fun _ -> Fix_mid.note ()) xs\n"
-    else "let run xs = List.map (fun _ -> Fix_mid.note ()) xs\n"
-  in
+   uses. [~par:false] swaps the fan-out for List.map; [state] and [mid]
+   swap in a call shape the resolver must follow. *)
+let race_fixture ?(par = true) ?(state = "let cell = ref 0\nlet touch () = incr cell\n")
+    ?(mid = "let note () = Fix_state.touch ()\n") () =
   [
     ("fix/dune", "(library\n (name fix))\n");
-    ("fix/fix_state.ml", "let cell = ref 0\nlet touch () = incr cell\n");
-    ("fix/fix_mid.ml", "let note () = Fix_state.touch ()\n");
-    ("fix/fix_par.ml", run_body);
+    ("fix/fix_state.ml", state);
+    ("fix/fix_mid.ml", mid);
+    ( "fix/fix_par.ml",
+      Printf.sprintf "let run xs = %s (fun _ -> Fix_mid.note ()) xs\n"
+        (if par then "Gb_par.Pool.map" else "List.map") );
   ]
 
 let graph_findings sources = Graph_rules.check (Program.create sources)
+
+let check_race label sources =
+  match List.filter (fun f -> f.Rules.rule = "par-unsafe-state") (graph_findings sources) with
+  | [ f ] -> check_bool (label ^ ": chain has >= 2 hops") true (List.length f.Rules.why >= 2)
+  | fs -> Alcotest.failf "%s: expected 1 par-unsafe-state, got %d" label (List.length fs)
+
+(* A library export [used] that an executable calls through [Fix_mid],
+   and [test_only] that only a tests stanza calls. [~exe:false] leaves
+   the executable out of scope. *)
+let liveness_fixture ~exe =
+  [
+    ("lib/dune", "(library\n (name fix))\n");
+    ("lib/fix_api.ml", "let used x = x + 1\nlet test_only x = x - 1\n");
+    ("lib/fix_api.mli", "val used : int -> int\nval test_only : int -> int\n");
+    ("lib/fix_mid.ml", "let note x = Fix_api.used x\n");
+    ("lib/fix_mid.mli", "val note : int -> int\n");
+    ("test/dune", "(tests\n (names t)\n (libraries fix))\n");
+    ("test/t.ml", "let () = ignore (Fix.Fix_api.test_only (Fix.Fix_mid.note 1))\n");
+  ]
+  @
+  if exe then
+    [
+      ("bin/dune", "(executable\n (name main)\n (libraries fix))\n");
+      ("bin/main.ml", "let () = print_int (Fix.Fix_mid.note 1)\n");
+    ]
+  else []
 
 let program_rule_tests =
   [
@@ -319,7 +345,7 @@ let program_rule_tests =
         match
           List.filter
             (fun f -> f.Rules.rule = "par-unsafe-state")
-            (graph_findings (fixture ~par:true))
+            (graph_findings (race_fixture ()))
         with
         | [ f ] ->
             check_bool "at the defining file" true
@@ -334,7 +360,7 @@ let program_rule_tests =
         check_bool "no finding" true
           (List.for_all
              (fun f -> f.Rules.rule <> "par-unsafe-state")
-             (graph_findings (fixture ~par:false))));
+             (graph_findings (race_fixture ~par:false ()))));
     case "par-ambient-rng: Random inside a worker, at the draw line" (fun () ->
         let sources =
           [
@@ -398,6 +424,55 @@ let program_rule_tests =
             check_bool "names the dead export" true
               (Helpers.contains f.Rules.message "`unused`")
         | fs -> Alcotest.failf "expected 1 finding, got %d" (List.length fs));
+    case "call graph: a let[@inline] binding keeps its name" (fun () ->
+        check_race "attribute"
+          (race_fixture ~state:"let cell = ref 0\nlet[@inline] touch () = incr cell\n" ()));
+    case "call graph: calls through a let-module alias resolve" (fun () ->
+        (* a same-named alias in an earlier definition must not capture [P] *)
+        check_race "local alias"
+          (("fix/fix_other.ml", "let touch () = ()\n")
+          :: race_fixture
+               ~mid:
+                 "let quiet () =\n\
+                 \  let module P = Fix_other in\n\
+                 \  P.touch ()\n\n\
+                  let note () =\n\
+                 \  let module P = Fix_state in\n\
+                 \  P.touch ()\n"
+               ()));
+    case "call graph: bare calls inside a submodule resolve" (fun () ->
+        check_race "submodule"
+          (race_fixture ~state:"let cell = ref 0\n"
+             ~mid:
+               "module S = struct\n\
+               \  let touch () = incr Fix_state.cell\n\
+               \  let go () = touch ()\n\
+                end\n\n\
+                let note () = S.go ()\n"
+             ()));
+    case "call graph: punned labels and optional defaults are uses" (fun () ->
+        check_race "punned label"
+          (race_fixture ~state:"let cell = ref 0\n"
+             ~mid:
+               "let cell = Fix_state.cell\n\
+                let bump ~cell:c = incr c\n\
+                let note () = bump ~cell\n"
+             ());
+        check_race "optional default"
+          (race_fixture ~state:"let cell = ref 0\n"
+             ~mid:"let bump ?(c = Fix_state.cell) () = incr c\nlet note () = bump ()\n"
+             ()));
+    case "dead-export: an export only a tests stanza calls is dead" (fun () ->
+        match graph_findings (liveness_fixture ~exe:true) with
+        | [ f ] ->
+            Alcotest.(check string) "rule" "dead-export" f.Rules.rule;
+            check_bool "names the test-only export" true
+              (Helpers.contains f.Rules.message "`test_only`");
+            check_bool "says no executable reaches it" true
+              (Helpers.contains f.Rules.message "no executable")
+        | fs -> Alcotest.failf "expected 1 finding, got %d" (List.length fs));
+    case "dead-export: with no executable in scope, references suffice" (fun () ->
+        check_rules "no finding" [] (graph_findings (liveness_fixture ~exe:false)));
     case "every program rule name is registered" (fun () ->
         List.iter
           (fun r -> check_bool r true (Rules.program_rule_name r))
@@ -408,7 +483,7 @@ let program_rule_tests =
         check_bool "file-local rule is not a program rule" true
           (not (Rules.program_rule_name "no-ambient-random")));
     case "chains answer --why through the graph" (fun () ->
-        let p = Program.create (fixture ~par:true) in
+        let p = Program.create (race_fixture ()) in
         match Program.find_symbol p "Fix_state.touch" with
         | None -> Alcotest.fail "touch not found"
         | Some n ->

@@ -36,7 +36,7 @@ let gnp_tests =
         for seed = 1 to 30 do
           total := !total + Graph.n_edges (Gnp.generate (Helpers.rng ~seed ()) ~n:400 ~p:0.01)
         done;
-        let expected = 30. *. Gnp.expected_edges ~n:400 ~p:0.01 in
+        let expected = 30. *. 0.01 *. float_of_int (400 * 399 / 2) in
         check_bool
           (Printf.sprintf "total %d near %.0f" !total expected)
           true
@@ -108,9 +108,12 @@ let planted_tests =
         check_bool "A denser than B" true (deg_side 0 199 > 3 * deg_side 200 399));
     case "params_for_average_degree achieves the degree" (fun () ->
         let params = Planted.params_for_average_degree ~two_n:2000 ~avg_degree:3.5 ~bis:32 in
-        Alcotest.(check (float 0.01))
-          "expected degree" 3.5
-          (Planted.expected_average_degree params);
+        let expected =
+          let n = float_of_int (params.two_n / 2) in
+          (n *. (n -. 1.) *. (params.p_a +. params.p_b) +. (2. *. float_of_int params.bis))
+          /. float_of_int params.two_n
+        in
+        Alcotest.(check (float 0.01)) "expected degree" 3.5 expected;
         let g = Planted.generate (Helpers.rng ()) params in
         let avg = Graph.average_degree g in
         check_bool (Printf.sprintf "measured %.2f near 3.5" avg) true
@@ -168,7 +171,7 @@ let degree_seq_tests =
             check_bool
               (Printf.sprintf "%d-regular on %d" d n)
               true
-              (Graph.is_regular g && (n = 0 || Graph.degree g 0 = d)))
+              (Helpers.regular g d))
           [ (10, 3); (50, 4); (100, 3); (64, 6); (20, 19); (8, 2) ]);
     case "random_regular rejects infeasible parameters" (fun () ->
         Alcotest.check_raises "odd product" (Invalid_argument "Degree_seq.random_regular")
@@ -177,7 +180,7 @@ let degree_seq_tests =
           (fun () -> ignore (Degree_seq.random_regular (Helpers.rng ()) ~n:4 ~d:4)));
     case "dense regular graphs are realisable (swap repair)" (fun () ->
         let g = Degree_seq.random_regular (Helpers.rng ()) ~n:12 ~d:9 in
-        check_bool "9-regular" true (Graph.is_regular g && Graph.degree g 0 = 9));
+        check_bool "9-regular" true (Helpers.regular g 9));
   ]
 
 (* --- Bregular ------------------------------------------------------------ *)
@@ -210,8 +213,8 @@ let bregular_tests =
             check_bool
               (Printf.sprintf "regular (%d,%d,%d)" two_n b d)
               true
-              (Graph.is_regular g && Graph.degree g 0 = d);
-            let sides = Bregular.planted_sides params in
+              (Helpers.regular g d);
+            let sides = Array.init two_n (fun v -> if v < two_n / 2 then 0 else 1) in
             check_int "planted cut" b (Bisection.compute_cut g sides))
           [ (100, 4, 3); (100, 0, 4); (200, 16, 3); (64, 8, 5); (100, 10, 4) ]);
     case "generate rejects infeasible parameters" (fun () ->
@@ -221,9 +224,11 @@ let bregular_tests =
     case "degree-2 instances are disjoint cycles (paper remark)" (fun () ->
         let params = Bregular.{ two_n = 100; b = 2; d = 2 } in
         let g = Bregular.generate (Helpers.rng ()) params in
-        check_bool "2-regular" true (Graph.is_regular g && Graph.degree g 0 = 2);
+        check_bool "2-regular" true (Helpers.regular g 2);
         (* every component of a 2-regular simple graph is a cycle *)
-        let sizes = Traverse.component_sizes g in
+        let label, count = Traverse.components g in
+        let sizes = Array.make count 0 in
+        Array.iter (fun c -> sizes.(c) <- sizes.(c) + 1) label;
         Array.iter (fun s -> check_bool "cycle length >= 3" true (s >= 3)) sizes);
     case "planted cut is near-optimal for small b (spot check)" (fun () ->
         (* On a small instance the exact solver confirms width <= b. *)
@@ -303,59 +308,6 @@ let geometric_tests =
         check_bool "equal" true (Graph.equal g1 g2));
   ]
 
-(* --- Small world ------------------------------------------------------------ *)
-
-module Small_world = Gbisect.Small_world
-
-let small_world_tests =
-  [
-    case "beta = 0 is exactly the ring lattice" (fun () ->
-        let g = Small_world.generate (Helpers.rng ()) { n = 20; k = 3; beta = 0. } in
-        check_bool "lattice" true (Graph.equal g (Gbisect.Classic.cycle_power 20 3)));
-    case "graphs validate across beta" (fun () ->
-        List.iter
-          (fun beta ->
-            let g = Small_world.generate (Helpers.rng ()) { n = 100; k = 2; beta } in
-            Helpers.check_graph_ok g;
-            (* rewiring may merge a few edges; never exceeds n * k *)
-            check_bool
-              (Printf.sprintf "beta %.1f edge count" beta)
-              true
-              (Graph.n_edges g <= 200 && Graph.n_edges g >= 190))
-          [ 0.; 0.1; 0.5; 1.0 ]);
-    case "rewiring shrinks the diameter" (fun () ->
-        let lattice = Small_world.generate (Helpers.rng ()) { n = 200; k = 2; beta = 0. } in
-        let rewired = Small_world.generate (Helpers.rng ()) { n = 200; k = 2; beta = 0.2 } in
-        if Gbisect.Traverse.is_connected rewired then
-          check_bool "smaller world" true
-            (Gbisect.Traverse.diameter rewired < Gbisect.Traverse.diameter lattice));
-    case "rewiring grows the bisection width (easy -> hard axis)" (fun () ->
-        let width beta =
-          let g = Small_world.generate (Helpers.rng ()) { n = 300; k = 2; beta } in
-          let b, _ = Gbisect.Kl.run (Helpers.rng ()) g in
-          Bisection.cut b
-        in
-        check_bool "lattice easier than rewired" true (width 0. < width 1.0));
-    case "parameter validation" (fun () ->
-        List.iter
-          (fun p ->
-            match Small_world.validate_params p with
-            | exception Invalid_argument _ -> ()
-            | () -> Alcotest.fail "accepted bad params")
-          [
-            Small_world.{ n = 2; k = 1; beta = 0.5 };
-            Small_world.{ n = 10; k = 5; beta = 0.5 };
-            Small_world.{ n = 10; k = 0; beta = 0.5 };
-            Small_world.{ n = 10; k = 2; beta = 1.5 };
-          ]);
-    case "determinism" (fun () ->
-        let p = Small_world.{ n = 60; k = 2; beta = 0.3 } in
-        check_bool "equal" true
-          (Graph.equal
-             (Small_world.generate (Helpers.rng ~seed:8 ()) p)
-             (Small_world.generate (Helpers.rng ~seed:8 ()) p)));
-  ]
-
 let () =
   Alcotest.run "models"
     [
@@ -364,5 +316,4 @@ let () =
       ("degree_seq", degree_seq_tests);
       ("bregular", bregular_tests);
       ("geometric", geometric_tests);
-      ("small world", small_world_tests);
     ]

@@ -36,17 +36,6 @@ let cut_tests =
         check_int "gain 0" 0 (Bisection.gain g [| 0; 0; 1 |] 0);
         check_int "gain 1" (-1) (Bisection.gain g [| 0; 0; 1 |] 1);
         check_int "gain 2" 1 (Bisection.gain g [| 0; 0; 1 |] 2));
-    case "swap_gain matches the paper's g_ab formula" (fun () ->
-        (* adjacent pair: g_ab = g_a + g_b - 2 w(a,b). *)
-        let g = Graph.of_unweighted_edges ~n:4 [ (0, 2); (0, 1); (2, 3) ] in
-        let side = [| 0; 0; 1; 1 |] in
-        let expected =
-          Bisection.gain g side 0 + Bisection.gain g side 2 - (2 * Graph.edge_weight g 0 2)
-        in
-        check_int "formula" expected (Bisection.swap_gain g side 0 2));
-    case "swap_gain rejects same-side pairs" (fun () ->
-        Alcotest.check_raises "same side" (Invalid_argument "Bisection.swap_gain: same side")
-          (fun () -> ignore (Bisection.swap_gain (path4 ()) [| 0; 0; 1; 1 |] 0 1)));
     case "validate_sides rejects junk" (fun () ->
         Alcotest.check_raises "length"
           (Invalid_argument "Bisection: side array length mismatch") (fun () ->
@@ -73,7 +62,7 @@ let gain_property_tests =
         let gain = Bisection.gain g side v in
         side.(v) <- 1 - side.(v);
         Bisection.compute_cut g side = before - gain);
-    Helpers.qtest "swapping (a, b) changes the cut by -swap_gain"
+    Helpers.qtest "swapping (a, b) changes the cut by -g_ab"
       (Helpers.gen_even_graph ()) (fun g ->
         let r = Helpers.rng () in
         let side = Helpers.balanced_sides r g in
@@ -85,7 +74,11 @@ let gain_property_tests =
           if side.(v) = 1 && !b < 0 then b := v
         done;
         let before = Bisection.compute_cut g side in
-        let gain = Bisection.swap_gain g side !a !b in
+        (* the paper's g_ab = g_a + g_b - 2 w(a,b) *)
+        let gain =
+          Bisection.gain g side !a + Bisection.gain g side !b
+          - (2 * Graph.edge_weight g !a !b)
+        in
         side.(!a) <- 1;
         side.(!b) <- 0;
         Bisection.compute_cut g side = before - gain);
@@ -229,9 +222,9 @@ let initial_tests =
                (fun (u, v, _) -> if side.(u) = 0 && side.(v) = 0 then [ (u, v) ] else [])
                (Graph.edges g))
         in
-        (* BFS within side 0 from its first member must reach all of side 0. *)
-        let dist = Gbisect.Traverse.bfs_distances sub (List.hd !members) in
-        check_bool "connected half" true (List.for_all (fun v -> dist.(v) >= 0) !members));
+        let label, _ = Gbisect.Traverse.components sub in
+        let first = label.(List.hd !members) in
+        check_bool "connected half" true (List.for_all (fun v -> label.(v) = first) !members));
     case "dfs_stripe cuts a cycle at two points" (fun () ->
         let g = Classic.cycle 40 in
         let side = Initial.dfs_stripe (Helpers.rng ()) g in
@@ -269,7 +262,9 @@ let exact_tests =
         check_int "cycle" 2 (Exact.bisection_width (Classic.cycle 10));
         check_int "ladder" 2 (Exact.bisection_width (Classic.ladder 6));
         check_int "complete K6" 9 (Exact.bisection_width (Classic.complete 6));
-        check_int "K4,4 (split pairs)" 8 (Exact.bisection_width (Classic.complete_bipartite 4 4));
+        check_int "K4,4 (split pairs)" 8 (Exact.bisection_width
+             (Graph.of_unweighted_edges ~n:8
+                (List.concat_map (fun u -> List.init 4 (fun j -> (u, 4 + j))) [ 0; 1; 2; 3 ])));
         check_int "grid 4x4" 4 (Exact.bisection_width (Classic.grid ~rows:4 ~cols:4));
         check_int "star (centre alone)" 2 (Exact.bisection_width (Classic.star 4));
         check_int "two triangles" 0
@@ -388,74 +383,9 @@ let brute_force_tests =
         check_int "2x3 grid" 3 (enumerated_width (Classic.grid ~rows:2 ~cols:3)));
   ]
 
-(* --- Metrics ------------------------------------------------------------------ *)
-
-module Metrics = Gbisect.Metrics
-
-let metrics_tests =
-  [
-    case "metrics of the canonical ladder split" (fun () ->
-        let g = Classic.ladder 4 in
-        (* contiguous halves: columns 0-1 vs 2-3 *)
-        let side = Array.init 8 (fun v -> if v mod 4 < 2 then 0 else 1) in
-        let m = Metrics.compute g side in
-        check_int "cut" 2 m.Metrics.cut;
-        Alcotest.(check (pair int int)) "counts" (4, 4) m.Metrics.counts;
-        Alcotest.(check (float 1e-9)) "imbalance" 0. m.Metrics.imbalance;
-        check_int "boundary" 4 m.Metrics.boundary_vertices;
-        Alcotest.(check (pair int int)) "components" (1, 1) m.Metrics.components_within;
-        Alcotest.(check (pair int int)) "internal" (4, 4) m.Metrics.internal_edges);
-    case "conductance of an even split of a cycle" (fun () ->
-        let g = Classic.cycle 8 in
-        let side = Array.init 8 (fun v -> if v < 4 then 0 else 1) in
-        let m = Metrics.compute g side in
-        (* cut 2, each side volume 8 *)
-        Alcotest.(check (float 1e-9)) "phi" 0.25 m.Metrics.conductance);
-    case "imbalance reflects vertex weights" (fun () ->
-        let g = Graph.of_edges ~vertex_weights:[| 3; 1; 1; 1 |] ~n:4 [] in
-        let m = Metrics.compute g [| 0; 0; 1; 1 |] in
-        (* weights 4 vs 2: max/half - 1 = 4/3 - 1 *)
-        Alcotest.(check (float 1e-9)) "imbalance" (4. /. 3. -. 1.) m.Metrics.imbalance);
-    case "scattered side shows multiple components" (fun () ->
-        let g = Classic.path 6 in
-        let m = Metrics.compute g [| 0; 1; 0; 1; 0; 1 |] in
-        Alcotest.(check (pair int int)) "components" (3, 3) m.Metrics.components_within;
-        check_int "boundary everywhere" 6 m.Metrics.boundary_vertices);
-    case "compare_cuts ranks by cut first" (fun () ->
-        let g = Classic.cycle 6 in
-        let good = Metrics.compute g [| 0; 0; 0; 1; 1; 1 |] in
-        let bad = Metrics.compute g [| 0; 1; 0; 1; 0; 1 |] in
-        check_bool "good < bad" true (Metrics.compare_cuts good bad < 0));
-    case "pp renders" (fun () ->
-        let g = Classic.cycle 6 in
-        let m = Metrics.compute g [| 0; 0; 0; 1; 1; 1 |] in
-        check_bool "mentions cut" true
-          (Helpers.contains (Format.asprintf "%a" Metrics.pp m) "cut 2"));
-  ]
-
-let metrics_properties =
-  [
-    Helpers.qtest ~count:100 "cut + internal edges = total edge weight"
-      (Helpers.gen_weighted_graph ()) (fun g ->
-        let r = Helpers.rng () in
-        let side = Array.init (Graph.n_vertices g) (fun _ -> Rng.int r 2) in
-        let m = Metrics.compute g side in
-        let i0, i1 = m.Metrics.internal_edges in
-        m.Metrics.cut + i0 + i1 = Graph.total_edge_weight g);
-    Helpers.qtest ~count:100 "metrics cut agrees with Bisection.compute_cut"
-      (Helpers.gen_weighted_graph ()) (fun g ->
-        let r = Helpers.rng () in
-        let side = Array.init (Graph.n_vertices g) (fun _ -> Rng.int r 2) in
-        (Metrics.compute g side).Metrics.cut = Bisection.compute_cut g side);
-  ]
-
-(* --- Cycles solver is tested in test_extensions; width sanity here. ---------- *)
-
 let () =
   Alcotest.run "partition"
     [
-      ("metrics", metrics_tests);
-      ("metrics properties", metrics_properties);
       ("cuts and gains", cut_tests);
       ("gain properties", gain_property_tests);
       ("packaged", packaged_tests);

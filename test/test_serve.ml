@@ -580,11 +580,12 @@ let plan_tests =
     case "a 2000-request plan matches its pinned digest" (fun () ->
         let params =
           {
-            Gbisect.Bombard.default_params with
-            requests = 2000;
+            Gbisect.Bombard.requests = 2000;
             concurrency = 2;
             repeat_ratio = 0.7;
+            starts = 1;
             seed = 3;
+            timeout_seconds = 10.0;
           }
         in
         let plan = Gbisect.Bombard.build_plan ~make_case params in
