@@ -8,7 +8,7 @@
 
    Run with:  dune exec examples/special_graphs.exe *)
 
-let algorithms = [ `Sa; `Csa; `Kl; `Ckl ]
+let algorithms = Gbisect.Runner.paper_four
 
 let report name graph ~optimal rng =
   Format.printf "%s (%d vertices, optimal width %s):@." name

@@ -44,3 +44,7 @@ val collect : Profile.t -> seed_tag:string -> row list -> row_data list
 
 val run : Profile.t -> title:string -> ?notes:string list -> seed_tag:string -> row list -> string
 (** [collect] followed by the table formatter. *)
+
+val header : string list
+(** The column header used by the table formatter (exposed for the
+    tests). *)

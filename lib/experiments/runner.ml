@@ -5,6 +5,8 @@ module Obs = Gb_obs
 module Pool = Gb_par.Pool
 module Algo = Gb_algo.Algo
 
+let paper_four : Algo.t list = [ `Sa; `Csa; `Kl; `Ckl ]
+
 type run = { cut : int; seconds : float; balanced : bool }
 
 (* One run with the profile's annealing schedule: the bisection and the

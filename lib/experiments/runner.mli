@@ -7,6 +7,9 @@
     implements exactly that, with the start count taken from the
     profile. *)
 
+val paper_four : Gb_algo.Algo.t list
+(** [[`Sa; `Csa; `Kl; `Ckl]] — the paper's column order. *)
+
 type run = {
   cut : int;
   seconds : float;

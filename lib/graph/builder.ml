@@ -4,7 +4,7 @@
    parallel int arrays (amortised O(1), no per-edge boxing) and parallel
    edges are merged later by the canonical CSR build.
 
-   The membership index needed by [add_edge_if_absent] is
+   The membership index needed by [mem_edge]/[add_edge_if_absent] is
    materialised lazily on first use: streaming ingestion ([add_edge]
    only) never pays for it. Keys pack both endpoints into one int, so
    the index holds unboxed ints only. *)
@@ -90,6 +90,10 @@ let add_edge_if_absent b u v =
       true
     end
   end
+
+let mem_edge b u v =
+  check_endpoints b u v;
+  u <> v && Hashtbl.mem (ensure_index b) (key u v)
 
 let build b =
   Csr.of_edge_arrays ~edge_weights:b.wgt ~n:b.n ~len:b.len b.src b.dst

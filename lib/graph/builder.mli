@@ -20,5 +20,9 @@ val add_edge_if_absent : t -> int -> int -> bool
     exists; returns [true] iff it was inserted. Self-loop attempts
     return [false] without raising (convenient in rejection loops). *)
 
+(* lint: allow dead-export — test/test_graph.ml reads the membership
+   index add_edge_if_absent relies on *)
+val mem_edge : t -> int -> int -> bool
+
 val build : t -> Csr.t
 (** Freeze. The builder remains usable afterwards. *)

@@ -41,6 +41,10 @@ let all_gains g (side : int array) =
       end);
   gains
 
+let swap_gain g side a b =
+  if side.(a) = side.(b) then invalid_arg "Bisection.swap_gain: same side";
+  gain g side a + gain g side b - (2 * Csr.edge_weight g a b)
+
 let is_count_balanced side =
   let c0, c1 = side_counts side in
   abs (c0 - c1) <= 1

@@ -32,6 +32,14 @@ val gain : Gb_graph.Csr.t -> int array -> int -> int
 val all_gains : Gb_graph.Csr.t -> int array -> int array
 (** Every vertex's gain, in one O(m) sweep over the edges. *)
 
+(* lint: allow dead-export — test/test_partition.ml and test/test_kl.ml
+   check cut deltas and KL's best pair against it *)
+val swap_gain : Gb_graph.Csr.t -> int array -> int -> int -> int
+(** [swap_gain g side a b] for [a], [b] on opposite sides: decrease of
+    the cut if they exchanged sides — the paper's
+    [g_ab = g_a + g_b - 2 w(a,b)].
+    @raise Invalid_argument if they are on the same side. *)
+
 val validate_sides : Gb_graph.Csr.t -> int array -> unit
 (** @raise Invalid_argument if lengths mismatch or entries are not 0/1. *)
 

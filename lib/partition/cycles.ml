@@ -43,6 +43,10 @@ let is_cycle_collection g =
      the walk covers each component consistently (cycle length >= 3). *)
   List.for_all (fun c -> Array.length c >= 3) (cycles_of g)
 
+let cycle_lengths g =
+  if not (is_two_regular g) then invalid_arg "Cycles: graph is not 2-regular";
+  List.map Array.length (cycles_of g)
+
 type choice = Unused | Whole | Split of int
 
 (* dp.(x) = minimum number of split cycles so that whole cycles plus one
@@ -102,15 +106,13 @@ let check_unit_edges g =
     invalid_arg "Cycles: edge weights must all be 1 (width counts cut edges)"
 
 let bisection_width g =
-  if not (is_two_regular g) then invalid_arg "Cycles: graph is not 2-regular";
+  let lengths = cycle_lengths g in
   check_unit_edges g;
   let n = Csr.n_vertices g in
   if n = 0 then 0
-  else begin
-    let lengths = List.map Array.length (cycles_of g) in
+  else
     let splits, _ = solve_dp lengths (n / 2) in
     2 * splits
-  end
 
 let best_bisection g =
   if not (is_two_regular g) then invalid_arg "Cycles: graph is not 2-regular";

@@ -22,6 +22,10 @@
 val is_cycle_collection : Gb_graph.Csr.t -> bool
 (** 2-regular and simple (every component a chordless cycle). *)
 
+val cycle_lengths : Gb_graph.Csr.t -> int list
+(** Lengths of the cycles, in discovery order.
+    @raise Invalid_argument if the graph is not a cycle collection. *)
+
 val bisection_width : Gb_graph.Csr.t -> int
 (** The exact minimum cut over balanced bisections: [2 * s*].
     @raise Invalid_argument if the graph is not a cycle collection, or

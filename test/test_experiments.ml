@@ -91,6 +91,9 @@ let runner_tests =
             | None -> Alcotest.failf "failed on %s" e.name)
           Algo.all;
         check_bool "unknown" true (Algo.of_id "zzz" = None));
+    case "paper_four is SA CSA KL CKL" (fun () ->
+        Alcotest.(check (list string)) "order" [ "SA"; "CSA"; "KL"; "CKL" ]
+          (List.map Algo.name Runner.paper_four));
     case "run_once returns balanced runs for every algorithm" (fun () ->
         let g = Classic.grid ~rows:6 ~cols:6 in
         List.iter
@@ -212,6 +215,12 @@ let sign_test_tests =
         let s = Format.asprintf "%a" Sign_test.pp t in
         check_bool "mentions wins" true (Helpers.contains s "2");
         check_bool "non-empty" true (String.length s > 10));
+    case "paper_table header matches the quad column layout" (fun () ->
+        let h = Gb_experiments.Paper_table.header in
+        check_bool "has an instance column" true (List.mem "instance" h);
+        List.iter
+          (fun col -> check_bool col true (List.mem col h))
+          [ "bsa"; "bcsa"; "bkl"; "bckl" ]);
   ]
 
 (* --- ASCII charts ------------------------------------------------------------ *)

@@ -229,6 +229,10 @@ let cycles_tests =
           (Cycles.is_cycle_collection (Classic.grid ~rows:3 ~cols:3));
         check_bool "empty graph is (vacuously)" true
           (Cycles.is_cycle_collection (Graph.empty 0)));
+    case "cycle_lengths finds each component" (fun () ->
+        let g = Classic.disjoint_cycles ~count:3 ~len:4 in
+        Alcotest.(check (list int)) "three fours" [ 4; 4; 4 ] (Cycles.cycle_lengths g);
+        Alcotest.(check (list int)) "single" [ 9 ] (Cycles.cycle_lengths (Classic.cycle 9)));
     case "single cycle must be split once: width 2" (fun () ->
         List.iter
           (fun n -> check_int (Printf.sprintf "C%d" n) 2 (Cycles.bisection_width (Classic.cycle n)))

@@ -142,6 +142,11 @@ let builder_tests =
         check_bool "second" false (Builder.add_edge_if_absent b 1 0);
         check_bool "self-loop" false (Builder.add_edge_if_absent b 2 2);
         check_int "one edge" 1 (Graph.n_edges (Builder.build b)));
+    case "mem_edge tracks state" (fun () ->
+        let b = Builder.create 3 in
+        check_bool "absent" false (Builder.mem_edge b 0 1);
+        Builder.add_edge b 0 1;
+        check_bool "present" true (Builder.mem_edge b 0 1));
     case "rejects self loops and bad weights" (fun () ->
         let b = Builder.create 3 in
         Alcotest.check_raises "loop" (Invalid_argument "Builder.add_edge: self-loop")
@@ -863,6 +868,11 @@ let streaming_tests =
         let s = to_metis g in
         with_temp_file s (fun path ->
             Graph.equal (Gio.read_metis path) (Gio.of_metis_string s)));
+    Helpers.qtest ~count:60 "streaming write then read round-trips"
+      (Helpers.gen_graph ())
+      (fun g ->
+        with_temp_file (Gio.to_edge_list_string g) (fun path ->
+            Graph.equal g (Gio.read_edge_list path)));
   ]
 
 let () =

@@ -226,10 +226,7 @@ let kl_pass_properties =
         for a = 0 to n - 1 do
           for b = 0 to n - 1 do
             if side.(a) = 0 && side.(b) = 1 then
-              best :=
-                max !best
-                  (Bisection.gain g side a + Bisection.gain g side b
-                  - (2 * Graph.edge_weight g a b))
+              best := max !best (Bisection.swap_gain g side a b)
           done
         done;
         gain >= !best);

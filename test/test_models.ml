@@ -308,6 +308,38 @@ let geometric_tests =
         check_bool "equal" true (Graph.equal g1 g2));
   ]
 
+(* --- Every model --------------------------------------------------------- *)
+
+(* One sweep over all five generators with parameters drawn from the
+   seed: each output must pass [Graph.check] with unit weights and the
+   requested vertex count, and the regular models must hit their degree. *)
+let every_model_tests =
+  [
+    case "random parameters give valid simple graphs" (fun () ->
+        for seed = 1 to 40 do
+          let rng = Helpers.rng ~seed () in
+          let two_n = 2 * (2 + (seed mod 19)) in
+          let half = two_n / 2 in
+          let d = 1 + (seed mod (half - 1)) in
+          let ok label g =
+            Helpers.check_graph_ok g;
+            check_int (Printf.sprintf "%s n (seed %d)" label seed) two_n (Graph.n_vertices g);
+            check_bool (label ^ " unit weights") true (Graph.is_unit_weighted g)
+          in
+          ok "gnp" (Gnp.generate rng ~n:two_n ~p:0.2);
+          let bis = seed mod ((half * half) + 1) in
+          ok "planted" (Planted.generate rng { two_n; p_a = 0.3; p_b = 0.1; bis });
+          let regular = Degree_seq.random_regular rng ~n:two_n ~d in
+          ok "random_regular" regular;
+          check_bool "random_regular degree" true (Helpers.regular regular d);
+          let b = Bregular.nearest_feasible_b { two_n; b = seed; d } in
+          let breg = Bregular.generate rng { two_n; b; d } in
+          ok "bregular" breg;
+          check_bool "bregular degree" true (Helpers.regular breg d);
+          ok "geometric" (Geometric.generate rng ~n:two_n ~radius:0.3)
+        done);
+  ]
+
 let () =
   Alcotest.run "models"
     [
@@ -316,4 +348,5 @@ let () =
       ("degree_seq", degree_seq_tests);
       ("bregular", bregular_tests);
       ("geometric", geometric_tests);
+      ("every model", every_model_tests);
     ]

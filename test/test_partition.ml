@@ -36,6 +36,17 @@ let cut_tests =
         check_int "gain 0" 0 (Bisection.gain g [| 0; 0; 1 |] 0);
         check_int "gain 1" (-1) (Bisection.gain g [| 0; 0; 1 |] 1);
         check_int "gain 2" 1 (Bisection.gain g [| 0; 0; 1 |] 2));
+    case "swap_gain matches the paper's g_ab formula" (fun () ->
+        (* adjacent pair: g_ab = g_a + g_b - 2 w(a,b). *)
+        let g = Graph.of_unweighted_edges ~n:4 [ (0, 2); (0, 1); (2, 3) ] in
+        let side = [| 0; 0; 1; 1 |] in
+        let expected =
+          Bisection.gain g side 0 + Bisection.gain g side 2 - (2 * Graph.edge_weight g 0 2)
+        in
+        check_int "formula" expected (Bisection.swap_gain g side 0 2));
+    case "swap_gain rejects same-side pairs" (fun () ->
+        Alcotest.check_raises "same side" (Invalid_argument "Bisection.swap_gain: same side")
+          (fun () -> ignore (Bisection.swap_gain (path4 ()) [| 0; 0; 1; 1 |] 0 1)));
     case "validate_sides rejects junk" (fun () ->
         Alcotest.check_raises "length"
           (Invalid_argument "Bisection: side array length mismatch") (fun () ->
@@ -62,7 +73,7 @@ let gain_property_tests =
         let gain = Bisection.gain g side v in
         side.(v) <- 1 - side.(v);
         Bisection.compute_cut g side = before - gain);
-    Helpers.qtest "swapping (a, b) changes the cut by -g_ab"
+    Helpers.qtest "swapping (a, b) changes the cut by -swap_gain"
       (Helpers.gen_even_graph ()) (fun g ->
         let r = Helpers.rng () in
         let side = Helpers.balanced_sides r g in
@@ -74,11 +85,7 @@ let gain_property_tests =
           if side.(v) = 1 && !b < 0 then b := v
         done;
         let before = Bisection.compute_cut g side in
-        (* the paper's g_ab = g_a + g_b - 2 w(a,b) *)
-        let gain =
-          Bisection.gain g side !a + Bisection.gain g side !b
-          - (2 * Graph.edge_weight g !a !b)
-        in
+        let gain = Bisection.swap_gain g side !a !b in
         side.(!a) <- 1;
         side.(!b) <- 0;
         Bisection.compute_cut g side = before - gain);
