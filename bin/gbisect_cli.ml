@@ -446,19 +446,16 @@ let parallel_bench profile selected file =
     let v = f () in
     (Gbisect.Obs.Clock.now () -. t0, v)
   in
+  let domains = Domain.recommended_domain_count () in
   let row id f =
     let seq, v1 = timed 1 f in
     let par, vn = timed jobs f in
-    Printf.eprintf "gbisect: %s sequential %.2fs, parallel(%d) %.2fs, speedup %.2fx\n%!" id
-      seq jobs par (seq /. par);
-    ( v1,
-      vn,
-      [
-        ("id", Json.String id);
-        ("sequential_s", Json.Float seq);
-        ("parallel_s", Json.Float par);
-        ("speedup", Json.Float (seq /. par));
-      ] )
+    let r = Gbisect.Obs.Proc.parallel_row ~domains ~id ~sequential:seq ~parallel:par in
+    Printf.eprintf "gbisect: %s sequential %.2fs, parallel(%d) %.2fs%s\n%!" id seq jobs par
+      (match List.assoc_opt "speedup" r with
+      | Some (Json.Float s) -> Printf.sprintf ", speedup %.2fx" s
+      | _ -> "");
+    (v1, vn, r)
   in
   let tables =
     List.map

@@ -29,7 +29,9 @@ module Problem = struct
      profile compiles libraries -opaque, and only an inlined [delta] or
      [cost] hands the loop an unboxed float. *)
   type state = {
-    graph : Csr.t;
+    xadj : Csr.ia; (* the graph's slices, walked by [apply] *)
+    adjncy : Csr.ia;
+    adjwgt : Csr.ia;
     side : int array;
     gains : int array;
     mutable cut : int;
@@ -37,13 +39,11 @@ module Problem = struct
     mutable c1 : int;
     alpha : float;
     balance_slack : int; (* n mod 2: allowed count difference *)
-    mutable dest : int; (* the side the vertex being flipped goes to *)
-    update : int -> int -> unit; (* neighbour gain update in [apply] *)
   }
 
   type move = int (* the vertex to flip *)
 
-  let size st = Csr.n_vertices st.graph
+  let size st = Array.length st.side
 
   let[@inline] cost st =
     let d = float_of_int (st.c0 - st.c1) in
@@ -57,53 +57,47 @@ module Problem = struct
     let d' = if st.side.(v) = 0 then d - 2 else d + 2 in
     float_of_int (-gain) +. (st.alpha *. float_of_int ((d' * d') - (d * d)))
 
-  (* Flipping a vertex to [dest] changes the gain of each neighbour [u]
-     by -2w when [u] now shares its side and by +2w otherwise. *)
-  let update st u w =
-    st.gains.(u) <- (st.gains.(u) + if st.side.(u) = st.dest then -2 * w else 2 * w)
+  (* Indices come from [xadj] or are vertex ids below n. *)
+  let get (a : Csr.ia) k = Int32.to_int (Bigarray.Array1.unsafe_get a k)
 
+  (* Flipping [v] to [dest] changes the gain of each neighbour [u] by
+     -2w when [u] now shares its side and by +2w otherwise:
+     (4 (side lxor dest) - 2) w, walked over [v]'s slice. *)
   let[@inline] apply st v =
     let gain = st.gains.(v) in
     let s = st.side.(v) in
+    let dest = 1 - s in
     st.cut <- st.cut - gain;
-    if s = 0 then begin
-      st.c0 <- st.c0 - 1;
-      st.c1 <- st.c1 + 1
-    end
-    else begin
-      st.c1 <- st.c1 - 1;
-      st.c0 <- st.c0 + 1
-    end;
-    st.side.(v) <- 1 - s;
+    st.c0 <- st.c0 + (s - dest);
+    st.c1 <- st.c1 + (dest - s);
+    st.side.(v) <- dest;
     st.gains.(v) <- -gain;
-    st.dest <- 1 - s;
-    Csr.iter_neighbors st.graph v st.update
+    let side = st.side and gains = st.gains in
+    for k = get st.xadj v to get st.xadj (v + 1) - 1 do
+      let u = get st.adjncy k in
+      gains.(u) <- gains.(u) + (((4 * (side.(u) lxor dest)) - 2) * get st.adjwgt k)
+    done
 
   let[@inline] feasible st = abs (st.c0 - st.c1) <= st.balance_slack
 
-  let snapshot st =
-    let side = Array.copy st.side and gains = Array.copy st.gains in
-    let rec st' = { st with side; gains; update = (fun u w -> update st' u w) } in
-    st'
+  let snapshot st = { st with side = Array.copy st.side; gains = Array.copy st.gains }
 
   let make config g side =
     let c0, c1 = Bisection.side_counts side in
     let side = Array.copy side in
-    let rec st =
-      {
-        graph = g;
-        side;
-        gains = Bisection.all_gains g side;
-        cut = Bisection.compute_cut g side;
-        c0;
-        c1;
-        alpha = config.imbalance_factor;
-        balance_slack = Csr.n_vertices g land 1;
-        dest = 0;
-        update = (fun u w -> update st u w);
-      }
-    in
-    st
+    let xadj, adjncy, adjwgt = Csr.adjacency g in
+    {
+      xadj;
+      adjncy;
+      adjwgt;
+      side;
+      gains = Bisection.all_gains g side;
+      cut = Bisection.compute_cut g side;
+      c0;
+      c1;
+      alpha = config.imbalance_factor;
+      balance_slack = Csr.n_vertices g land 1;
+    }
 
   let sides st = Array.copy st.side
 end

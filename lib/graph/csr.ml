@@ -80,6 +80,8 @@ let fold_neighbors g u ~init ~f =
   done;
   !acc
 
+let adjacency g = (g.xadj, g.adjncy, g.adjwgt)
+
 (* Binary search for v in u's sorted slice; returns the adjncy index. *)
 let find_edge g u v =
   let lo = ref (get_checked g.xadj u) and hi = ref (get_checked g.xadj (u + 1) - 1) in

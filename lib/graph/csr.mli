@@ -102,6 +102,16 @@ val iter_neighbors : t -> int -> (int -> int -> unit) -> unit
 
 val fold_neighbors : t -> int -> init:'a -> f:('a -> int -> int -> 'a) -> 'a
 
+type ia = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+val adjacency : t -> ia * ia * ia
+(** [adjacency g] is [(xadj, adjncy, adjwgt)], the graph's own arrays
+    (not copies): vertex [u]'s neighbours are [adjncy.{k}], with
+    weights [adjwgt.{k}], for [k] from [xadj.{u}] to [xadj.{u+1} - 1],
+    in increasing order of neighbour. Every edge appears in both
+    endpoints' slices. For kernels that walk slices without a closure
+    call per neighbour; they must not write to the arrays. *)
+
 val mem_edge : t -> int -> int -> bool
 (** O(log degree). *)
 

@@ -25,12 +25,11 @@ let one_pass ?(tolerance = default_config.tolerance) g side =
 
 let refine ?(config = default_config) g side0 =
   check_input g side0;
-  let initial_cut = Bisection.compute_cut g side0 in
   let ws = Workspace.create g side0 in
+  let initial_cut = Workspace.cut ws in
   let pass_gains = ref [] in
   let moves = ref 0 in
   let passes = ref 0 in
-  let cut = ref initial_cut in
   Gb_obs.Telemetry.sample "fm.pass" (float_of_int initial_cut);
   (try
      while !passes < config.max_passes do
@@ -41,20 +40,18 @@ let refine ?(config = default_config) g side0 =
        (* A vertex moves at most once per pass, so the kept prefix is
           exactly the set of vertices that changed side. *)
        moves := !moves + kept;
-       cut := !cut - gain;
-       Gb_obs.Telemetry.sample "fm.pass" (float_of_int !cut);
+       Gb_obs.Telemetry.sample "fm.pass" (float_of_int (Workspace.cut ws));
        Gb_obs.Trace.finish span "fm.pass"
          ~args:[ ("pass", Gb_obs.Json.Int !passes); ("gain", Gb_obs.Json.Int gain) ];
        if gain <= 0 && config.until_no_improvement then raise Exit
      done
    with Exit -> ());
-  let final_cut = Bisection.compute_cut g (Workspace.side ws) in
   ( Workspace.side ws,
     {
       passes = !passes;
       moves = !moves;
       initial_cut;
-      final_cut;
+      final_cut = Workspace.cut ws;
       pass_gains = List.rev !pass_gains;
     } )
 

@@ -13,11 +13,13 @@
     exercised by the ablation benchmarks; it slots anywhere {!Kl} does,
     including under compaction.
 
-    {b Cost.} A [refine] call allocates one {!Workspace}: seven n-sized
-    arrays and [2 (2 Delta + 1)] bucket heads, [Delta] the maximum
-    weighted degree, and computes every gain once (O(m)). Each pass
-    then costs O(n + Delta) to reset the buckets and insert every
-    vertex, O(deg v) per moved vertex to update its unlocked
+    {b Cost.} A [refine] call allocates one {!Workspace}: seven words
+    per vertex (committed side and gains, a four-int pass record, the
+    move log) and [2 (2 Delta + 1)] bucket heads, [Delta] the maximum
+    weighted degree, and computes every gain and the cut in one O(m)
+    sweep; the stats' cuts come from it and from the passes' gains.
+    Each pass then costs O(n + Delta) to reset the buckets and insert
+    every vertex, O(deg v) per moved vertex to update its unlocked
     neighbours, and O(deg v) per kept move to carry the committed
     gains to the next pass. A pass allocates no array, option or
     closure. *)

@@ -34,12 +34,11 @@ let one_pass g side =
 
 let refine ?(config = default_config) g side0 =
   check_input g side0;
-  let initial_cut = Bisection.compute_cut g side0 in
   let ws = Workspace.create g side0 in
+  let initial_cut = Workspace.cut ws in
   let pass_gains = ref [] in
   let swaps = ref 0 in
   let passes = ref 0 in
-  let cut = ref initial_cut in
   Obs.Telemetry.sample "kl.pass" (float_of_int initial_cut);
   (try
      while !passes < config.max_passes do
@@ -52,32 +51,31 @@ let refine ?(config = default_config) g side0 =
        (* A vertex swaps at most once per pass, so the kept prefix is
           exactly the set of exchanges that changed sides. *)
        swaps := !swaps + kept;
-       cut := !cut - gain;
+       let cut = Workspace.cut ws in
        Obs.Metrics.incr m_passes;
        Obs.Metrics.add m_pairs_scanned scanned;
        Obs.Metrics.add m_bucket_updates updates;
        Obs.Metrics.add m_swaps kept;
        Obs.Metrics.observe h_swaps_per_pass (float_of_int kept);
-       Obs.Telemetry.sample "kl.pass" (float_of_int !cut);
+       Obs.Telemetry.sample "kl.pass" (float_of_int cut);
        Obs.Trace.finish span "kl.pass"
          ~args:
            [
              ("pass", Obs.Json.Int !passes);
              ("gain", Obs.Json.Int gain);
-             ("cut", Obs.Json.Int !cut);
+             ("cut", Obs.Json.Int cut);
              ("pairs_scanned", Obs.Json.Int scanned);
              ("bucket_updates", Obs.Json.Int updates);
            ];
        if gain <= 0 && config.until_no_improvement then raise Exit
      done
    with Exit -> ());
-  let final_cut = Bisection.compute_cut g (Workspace.side ws) in
   ( Workspace.side ws,
     {
       passes = !passes;
       swaps = !swaps;
       initial_cut;
-      final_cut;
+      final_cut = Workspace.cut ws;
       pass_gains = List.rev !pass_gains;
     } )
 

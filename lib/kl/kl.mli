@@ -21,8 +21,8 @@
     coarse-graph weight imbalance is repaired after projection).
 
     {b Cost.} A [refine] call allocates one workspace, as {!Fm} does,
-    and computes every gain once (O(m)); a pass allocates no array,
-    option or closure. *)
+    and computes every gain and the cut in one O(m) sweep; a pass
+    allocates no array, option or closure. *)
 
 type config = {
   max_passes : int;  (** Hard cap on passes (safety net). *)

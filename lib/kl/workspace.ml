@@ -1,52 +1,73 @@
 module Csr = Gb_graph.Csr
-module Bisection = Gb_partition.Bisection
 
 (* Everything a pass needs, allocated once per [refine] call. Between
-   passes [side] and [gains] describe the committed assignment; a pass
-   moves vertices in place and undoes what it does not keep. The
-   buckets are the Gain_buckets layout for both sides in one head
-   array: bucket [b] of side [s] (gain [b - range]) starts at
-   [head.(s * width + b)], [next]/[prev] link vertex ids with -1 as the
-   terminator, and [prev.(v) = -2 - i] marks [v] as the first vertex of
-   [head.(i)]. They live here, next to both move loops, because the
-   default profile compiles libraries -opaque and a call into another
-   module would never be inlined. *)
+   passes [side] and [gains] describe the committed assignment and
+   [cut] its cut. A pass never writes them: it works on [pass], four
+   ints per vertex at [4 v] — the vertex's side and gain during the
+   pass, then its [next] and [prev] bucket links — so that updating a
+   neighbour touches one record. The buckets are the Gain_buckets
+   layout for both sides in one head array: bucket [b] of side [s]
+   (gain [b - range]) starts at [head.(s * width + b)], the links hold
+   vertex ids with -1 as the terminator, [prev = -2 - i] marks the
+   first vertex of [head.(i)], and [prev = -1] a vertex the pass has
+   moved, which is in no bucket. The passes live here and walk the CSR
+   slices themselves because the default profile compiles libraries
+   -opaque: a call into another module, or through a closure, is never
+   inlined. *)
 type t = {
-  g : Csr.t;
+  xadj : Csr.ia;
+  adjncy : Csr.ia;
+  adjwgt : Csr.ia;
   side : int array;
   gains : int array;
-  pass_gains : int array; (* exact for the vertices a pass has not locked *)
-  locked : bool array;
+  mutable cut : int;
+  pass : int array;
   range : int; (* every gain lies in [-range, range] *)
   width : int; (* buckets per side, 2 * range + 1 *)
   head : int array;
-  next : int array;
-  prev : int array;
   top : int array; (* per side: highest bucket that may be non-empty, or -1 *)
-  count : int array; (* vertices per side during a pass *)
   log : int array; (* the pass's moves, in order *)
-  mutable dest : int; (* the side the vertex being moved goes to *)
   mutable scanned : int; (* KL candidate pairs evaluated this pass *)
   mutable updates : int; (* neighbour gain updates this pass *)
-  relink : int -> int -> unit; (* neighbour update during a pass *)
-  replay : int -> int -> unit; (* neighbour update on the committed gains *)
 }
 
-let insert ws v s gain =
+(* Offsets within a vertex's [pass] record. *)
+let side_at v = 4 * v
+let gain_at v = (4 * v) + 1
+let next_at v = (4 * v) + 2
+let prev_at v = (4 * v) + 3
+
+(* [pass] holds 4n ints and every vertex id that reaches it is below n:
+   it comes from the CSR, from a bucket link or from a loop over the
+   vertices. So record accesses skip the bounds check. *)
+let pget (p : int array) i = Array.unsafe_get p i
+let pset (p : int array) i x = Array.unsafe_set p i x
+
+(* Indices come from [xadj] or are vertex ids below n. *)
+let get (a : Csr.ia) k = Int32.to_int (Bigarray.Array1.unsafe_get a k)
+
+let[@inline] insert ws v s gain =
   if gain < -ws.range || gain > ws.range then invalid_arg "Workspace: gain out of range";
+  let p = ws.pass in
   let b = gain + ws.range in
   let i = (s * ws.width) + b in
   let h = ws.head.(i) in
-  ws.next.(v) <- h;
-  ws.prev.(v) <- -2 - i;
-  if h >= 0 then ws.prev.(h) <- v;
+  pset p (next_at v) h;
+  pset p (prev_at v) (-2 - i);
+  if h >= 0 then pset p (prev_at h) v;
   ws.head.(i) <- v;
   if b > ws.top.(s) then ws.top.(s) <- b
 
-let remove ws v =
-  let nxt = ws.next.(v) and prv = ws.prev.(v) in
-  if prv <= -2 then ws.head.(-2 - prv) <- nxt else ws.next.(prv) <- nxt;
-  if nxt >= 0 then ws.prev.(nxt) <- prv
+let[@inline] remove ws v =
+  let p = ws.pass in
+  let nxt = pget p (next_at v) and prv = pget p (prev_at v) in
+  if prv <= -2 then ws.head.(-2 - prv) <- nxt else pset p (next_at prv) nxt;
+  if nxt >= 0 then pset p (prev_at nxt) prv
+
+(* Take [v] out of its bucket for good: the pass has moved it. *)
+let[@inline] lock ws v =
+  remove ws v;
+  pset ws.pass (prev_at v) (-1)
 
 (* The highest non-empty bucket of side [s], or -1. [top] only ever
    overestimates it, so settling on demand finds the true maximum. *)
@@ -59,112 +80,106 @@ let settle ws s =
   ws.top.(s) <- !t;
   !t
 
-(* Moving a vertex to [dest] changes the gain of each neighbour [u] by
-   -2w when [u] now shares its side and by +2w otherwise. Edge weights
-   are at least 1, so every update moves [u] to another bucket. *)
-let relink ws u w =
-  if not ws.locked.(u) then begin
-    let s = ws.side.(u) in
-    let gain = ws.pass_gains.(u) + if s = ws.dest then -2 * w else 2 * w in
-    ws.pass_gains.(u) <- gain;
-    ws.updates <- ws.updates + 1;
-    remove ws u;
-    insert ws u s gain
-  end
-
-let replay ws u w =
-  ws.gains.(u) <- (ws.gains.(u) + if ws.side.(u) = ws.dest then -2 * w else 2 * w)
-
 let create g side0 =
   let n = Csr.n_vertices g in
-  let range =
-    let r = ref 1 in
-    for v = 0 to n - 1 do
-      let d = Csr.weighted_degree g v in
-      if d > !r then r := d
+  if Array.length side0 <> n then invalid_arg "Workspace.create: side length mismatch";
+  let xadj, adjncy, adjwgt = Csr.adjacency g in
+  let side = Array.copy side0 and gains = Array.make n 0 in
+  (* One sweep gives every gain, the largest weighted degree and twice
+     the cut: [v]'s gain is its external weight minus its internal
+     weight, and the cut counts each external edge from both ends. *)
+  let range = ref 1 and twice_cut = ref 0 in
+  for v = 0 to n - 1 do
+    let s = side.(v) in
+    let degree = ref 0 and outside = ref 0 in
+    for k = get xadj v to get xadj (v + 1) - 1 do
+      let w = get adjwgt k in
+      degree := !degree + w;
+      outside := !outside + ((s lxor side.(get adjncy k)) * w)
     done;
-    !r
-  in
-  let width = (2 * range) + 1 in
-  let side = Array.copy side0
-  and gains = Bisection.all_gains g side0
-  and pass_gains = Array.make n 0
-  and locked = Array.make n false
-  and head = Array.make (2 * width) (-1)
-  and next = Array.make n (-1)
-  and prev = Array.make n (-1)
-  and log = Array.make n 0 in
-  let rec ws =
-    {
-      g;
-      side;
-      gains;
-      pass_gains;
-      locked;
-      range;
-      width;
-      head;
-      next;
-      prev;
-      top = [| -1; -1 |];
-      count = [| 0; 0 |];
-      log;
-      dest = 0;
-      scanned = 0;
-      updates = 0;
-      relink = (fun u w -> relink ws u w);
-      replay = (fun u w -> replay ws u w);
-    }
-  in
-  ws
+    gains.(v) <- (2 * !outside) - !degree;
+    twice_cut := !twice_cut + !outside;
+    if !degree > !range then range := !degree
+  done;
+  let width = (2 * !range) + 1 in
+  {
+    xadj;
+    adjncy;
+    adjwgt;
+    side;
+    gains;
+    cut = !twice_cut / 2;
+    pass = Array.make (4 * n) 0;
+    range = !range;
+    width;
+    head = Array.make (2 * width) (-1);
+    top = [| -1; -1 |];
+    log = Array.make n 0;
+    scanned = 0;
+    updates = 0;
+  }
 
 let side ws = ws.side
+let cut ws = ws.cut
 let pairs_scanned ws = ws.scanned
 let bucket_updates ws = ws.updates
 
 (* Start a pass from the committed assignment: vertices enter their
    buckets in id order at the head, so within a bucket the latest
-   insertion goes first. *)
+   insertion goes first. Returns the number of vertices on side 1. *)
 let reset ws =
-  let n = Array.length ws.side in
-  let c = ws.count in
-  Array.blit ws.gains 0 ws.pass_gains 0 n;
+  let p = ws.pass in
   Array.fill ws.head 0 (Array.length ws.head) (-1);
   ws.top.(0) <- -1;
   ws.top.(1) <- -1;
-  c.(0) <- 0;
-  c.(1) <- 0;
   ws.scanned <- 0;
   ws.updates <- 0;
-  for v = 0 to n - 1 do
-    let s = ws.side.(v) in
-    c.(s) <- c.(s) + 1;
-    insert ws v s ws.pass_gains.(v)
-  done
-
-(* Undo the pass's [moved] moves, then replay the first [kept] onto the
-   committed side and gains with the same +-2w update as
-   [Bisection.rebalance_in_place]. *)
-let commit ws ~moved ~kept =
-  for i = moved - 1 downto 0 do
-    let v = ws.log.(i) in
-    ws.side.(v) <- 1 - ws.side.(v);
-    ws.locked.(v) <- false
+  let ones = ref 0 in
+  for v = 0 to Array.length ws.side - 1 do
+    let s = ws.side.(v) and gain = ws.gains.(v) in
+    ones := !ones + s;
+    pset p (side_at v) s;
+    pset p (gain_at v) gain;
+    insert ws v s gain
   done;
+  !ones
+
+(* Move [v], already locked, to side [dest]. Each neighbour [u] still in
+   a bucket loses 2w when it now shares [v]'s side and gains 2w
+   otherwise: (4 (side lxor dest) - 2) w. Edge weights are at least 1,
+   so every update moves [u] to another bucket. *)
+let flip ws v dest =
+  let p = ws.pass in
+  pset p (side_at v) dest;
+  let updates = ref 0 in
+  for k = get ws.xadj v to get ws.xadj (v + 1) - 1 do
+    let u = get ws.adjncy k in
+    if pget p (prev_at u) <> -1 then begin
+      let s = pget p (side_at u) in
+      let gain = pget p (gain_at u) + (((4 * (s lxor dest)) - 2) * get ws.adjwgt k) in
+      pset p (gain_at u) gain;
+      incr updates;
+      remove ws u;
+      insert ws u s gain
+    end
+  done;
+  ws.updates <- ws.updates + !updates
+
+(* Replay the pass's first [kept] moves onto the committed side and
+   gains with the same update, and take the pass's [gain] off the cut. *)
+let commit ws ~kept gain =
+  let side = ws.side and gains = ws.gains in
   for i = 0 to kept - 1 do
     let v = ws.log.(i) in
-    let s = 1 - ws.side.(v) in
-    ws.side.(v) <- s;
-    ws.dest <- s;
-    ws.gains.(v) <- -ws.gains.(v);
-    Csr.iter_neighbors ws.g v ws.replay
-  done
-
-(* Move [v], locked and out of its bucket, to side [dest]. *)
-let flip ws v dest =
-  ws.side.(v) <- dest;
-  ws.dest <- dest;
-  Csr.iter_neighbors ws.g v ws.relink
+    let dest = 1 - side.(v) in
+    side.(v) <- dest;
+    gains.(v) <- -gains.(v);
+    for k = get ws.xadj v to get ws.xadj (v + 1) - 1 do
+      let u = get ws.adjncy k in
+      gains.(u) <- gains.(u) + (((4 * (side.(u) lxor dest)) - 2) * get ws.adjwgt k)
+    done
+  done;
+  ws.cut <- ws.cut - gain
 
 (* One FM pass. Each step moves the unlocked vertex of maximal gain
    whose move keeps |c0 - c1| <= tolerance; on equal gains the heavier
@@ -173,44 +188,58 @@ let flip ws v dest =
    prefix gains). Returns the gain and the length of the kept prefix. *)
 let fm_pass ws ~tolerance =
   if tolerance < 2 then invalid_arg "Fm: tolerance must be >= 2";
-  reset ws;
-  let c = ws.count in
-  let commit_tol = Array.length ws.side land 1 in
+  let n = Array.length ws.side in
+  let c1 = ref (reset ws) in
+  let c0 = ref (n - !c1) in
+  let commit_tol = n land 1 in
   let moved = ref 0 and running = ref 0 and best = ref 0 and kept = ref 0 in
   let continue = ref true in
   while !continue do
     (* A move from side s is legal if afterwards |c0 - c1| <= tolerance. *)
-    let t0 =
-      if c.(0) > 0 && abs (c.(0) - 1 - (c.(1) + 1)) <= tolerance then settle ws 0 else -1
-    and t1 =
-      if c.(1) > 0 && abs (c.(1) - 1 - (c.(0) + 1)) <= tolerance then settle ws 1 else -1
-    in
+    let t0 = if !c0 > 0 && abs (!c0 - 1 - (!c1 + 1)) <= tolerance then settle ws 0 else -1
+    and t1 = if !c1 > 0 && abs (!c1 - 1 - (!c0 + 1)) <= tolerance then settle ws 1 else -1 in
     if t0 < 0 && t1 < 0 then continue := false
     else begin
       let from =
         if t1 < 0 || t0 > t1 then 0
         else if t0 < 0 || t1 > t0 then 1
-        else if c.(0) >= c.(1) then 0
+        else if !c0 >= !c1 then 0
         else 1
       in
       let t = if from = 0 then t0 else t1 in
       let v = ws.head.((from * ws.width) + t) in
-      remove ws v;
-      ws.locked.(v) <- true;
-      c.(from) <- c.(from) - 1;
-      c.(1 - from) <- c.(1 - from) + 1;
+      lock ws v;
+      let d = 1 - (2 * from) in
+      c0 := !c0 - d;
+      c1 := !c1 + d;
       flip ws v (1 - from);
       running := !running + (t - ws.range);
       ws.log.(!moved) <- v;
       incr moved;
-      if abs (c.(0) - c.(1)) <= commit_tol && !running > !best then begin
+      if abs (!c0 - !c1) <= commit_tol && !running > !best then begin
         best := !running;
         kept := !moved
       end
     end
   done;
-  commit ws ~moved:!moved ~kept:!kept;
+  commit ws ~kept:!kept !best;
   (!best, !kept)
+
+(* The weight of edge {a, b}, or 0: a binary search of a's sorted
+   slice. *)
+let edge_weight ws a b =
+  let lo = ref (get ws.xadj a) and hi = ref (get ws.xadj (a + 1) - 1) and w = ref 0 in
+  while !lo <= !hi do
+    let mid = (!lo + !hi) / 2 in
+    let x = get ws.adjncy mid in
+    if x < b then lo := mid + 1
+    else if x > b then hi := mid - 1
+    else begin
+      w := get ws.adjwgt mid;
+      lo := !hi + 1
+    end
+  done;
+  !w
 
 (* One KL pass of min(c0, c1) swaps. Each step takes the unlocked pair
    (a, b), a on side 0 and b on side 1, of maximal g_a + g_b - 2w(a, b):
@@ -223,9 +252,9 @@ let fm_pass ws ~tolerance =
    strictly best positive total gain. Returns the gain and the number
    of kept pairs. *)
 let kl_pass ws =
-  reset ws;
-  let range = ws.range in
-  let steps = min ws.count.(0) ws.count.(1) in
+  let ones = reset ws in
+  let p = ws.pass and range = ws.range in
+  let steps = min (Array.length ws.side - ones) ones in
   let pairs = ref 0 and running = ref 0 and best = ref 0 and kept = ref 0 in
   while !pairs < steps do
     let max_b = settle ws 1 - range in
@@ -241,25 +270,23 @@ let kl_pass ws =
           let b = ref ws.head.(ws.width + !tb) in
           while !b >= 0 && gab > !pick do
             ws.scanned <- ws.scanned + 1;
-            let cand = gab - (2 * Csr.edge_weight ws.g !a !b) in
+            let cand = gab - (2 * edge_weight ws !a !b) in
             if cand > !pick then begin
               pick := cand;
               pick_a := !a;
               pick_b := !b
             end;
-            b := ws.next.(!b)
+            b := pget p (next_at !b)
           done;
           decr tb
         done;
-        a := ws.next.(!a)
+        a := pget p (next_at !a)
       done;
       decr ta
     done;
     let a = !pick_a and b = !pick_b in
-    remove ws a;
-    remove ws b;
-    ws.locked.(a) <- true;
-    ws.locked.(b) <- true;
+    lock ws a;
+    lock ws b;
     flip ws a 1;
     flip ws b 0;
     running := !running + !pick;
@@ -271,5 +298,5 @@ let kl_pass ws =
       kept := !pairs
     end
   done;
-  commit ws ~moved:(2 * !pairs) ~kept:(2 * !kept);
+  commit ws ~kept:(2 * !kept) !best;
   (!best, !kept)

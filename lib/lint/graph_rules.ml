@@ -128,9 +128,10 @@ let rng_stream_discipline p =
 
 (* dead-export: a value the .mli exports that nothing outside its own
    module references, or whose definition no executable reaches (so
-   only tests, or nothing, call it). Operator exports are skipped —
-   their uses are bare symbols the token-level extractor cannot
-   attribute. *)
+   only tests, or nothing, call it). A plain submodule's members are
+   judged too; module types and functor signatures export nothing
+   ({!Resolve.exports}). Operator exports are skipped — their uses are
+   bare symbols the token-level extractor cannot attribute. *)
 let dead_export p =
   Program.module_infos p
   |> List.concat_map (fun m ->
@@ -140,12 +141,6 @@ let dead_export p =
              List.filter_map
                (fun (name, line) ->
                  if Resolve.is_operator_name name then None
-                 else if String.contains name '.' then
-                   (* a submodule-signature export (usually a functor
-                      result, e.g. Make.run) — its uses go through
-                      applications the token-level extractor cannot
-                      attribute, so silence would be a guess *)
-                   None
                  else
                    let key = m.Program.m_key in
                    let dead why =

@@ -46,6 +46,7 @@ type scope = {
   sc_path : string list;  (* submodule path, outermost first *)
   sc_col : int;  (* column of the [module] keyword; -1 at the top *)
   mutable sc_item_col : int option;  (* column of the scope's items *)
+  sc_opaque : bool;  (* in an interface: a module type or functor signature *)
 }
 
 type state = {
@@ -397,7 +398,7 @@ let extract (lexed : Tokenizer.t) =
     {
       lexed;
       n = Array.length lexed.Tokenizer.tokens;
-      scopes = [ { sc_path = []; sc_col = -1; sc_item_col = Some 0 } ];
+      scopes = [ { sc_path = []; sc_col = -1; sc_item_col = Some 0; sc_opaque = false } ];
       defs = [];
       aliases = [];
       opens = [];
@@ -478,6 +479,7 @@ let extract (lexed : Tokenizer.t) =
                       sc_path = sc.sc_path @ [ x ];
                       sc_col = col st !i;
                       sc_item_col = None;
+                      sc_opaque = false;
                     }
                     :: st.scopes;
                   i := body_start
@@ -532,7 +534,7 @@ let exports (lexed : Tokenizer.t) =
     {
       lexed;
       n = Array.length lexed.Tokenizer.tokens;
-      scopes = [ { sc_path = []; sc_col = -1; sc_item_col = Some 0 } ];
+      scopes = [ { sc_path = []; sc_col = -1; sc_item_col = Some 0; sc_opaque = false } ];
       defs = [];
       aliases = [];
       opens = [];
@@ -552,6 +554,7 @@ let exports (lexed : Tokenizer.t) =
       let stop = next_boundary st !i in
       let ln = line st !i in
       (match tok st !i with
+      | Some (Tokenizer.Ident ("val" | "external")) when (scope st).sc_opaque -> i := stop
       | Some (Tokenizer.Ident ("val" | "external")) ->
           (match (tok st (!i + 1), tok st (!i + 2)) with
           | Some (Tokenizer.Ident name), _ when not (is_keyword name) ->
@@ -584,11 +587,19 @@ let exports (lexed : Tokenizer.t) =
               match module_shape st (j + 1) st.n with
               | Opens_scope body_start ->
                   let sc = scope st in
+                  (* only [module X : sig] is plain; a module type or a
+                     functor's parameter or result is opaque *)
+                  let plain =
+                    j = !i + 1
+                    && tok st (j + 1) = Some (Tokenizer.Sym ":")
+                    && tok st (j + 2) = Some (Tokenizer.Ident "sig")
+                  in
                   st.scopes <-
                     {
                       sc_path = sc.sc_path @ [ x ];
                       sc_col = col st !i;
                       sc_item_col = None;
+                      sc_opaque = sc.sc_opaque || not plain;
                     }
                     :: st.scopes;
                   i := body_start

@@ -42,8 +42,11 @@ type extracted = {
 val extract : Tokenizer.t -> extracted
 
 val exports : Tokenizer.t -> (string * int) list
-(** [val]/[external] names (with line) declared by an interface,
-    submodule signatures contributing ["X.name"]. *)
+(** [val]/[external] names (with line) declared by an interface, a
+    plain [module X : sig ... end] contributing ["X.name"]. Members of
+    a module type or of a functor's parameter or result signature are
+    left out: their uses go through functor applications the extractor
+    cannot attribute. *)
 
 val is_operator_name : string -> bool
 (** Operator defs/exports are named ["( <op> )"]; their uses appear as

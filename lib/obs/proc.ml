@@ -44,3 +44,11 @@ let artifact ~suite fields =
        ("host", Json.Obj (host ()));
      ]
     @ fields)
+
+let parallel_row ~domains ~id ~sequential ~parallel =
+  [
+    ("id", Json.String id);
+    ("sequential_s", Json.Float sequential);
+    ("parallel_s", Json.Float parallel);
+  ]
+  @ if domains > 1 then [ ("speedup", Json.Float (sequential /. parallel)) ] else []

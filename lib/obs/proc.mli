@@ -28,3 +28,11 @@ val artifact : suite:string -> (string * Json.t) list -> Json.t
     fingerprint keeps a baseline from being compared silently across
     incompatible toolchains, and [recommended_domains] says whether a
     parallel speedup could show at all. *)
+
+val parallel_row :
+  domains:int -> id:string -> sequential:float -> parallel:float -> (string * Json.t) list
+(** One timed row of the [parallel] artifact: [id], [sequential_s],
+    [parallel_s], then [speedup] ([sequential /. parallel]) only when
+    [domains], the host's [recommended_domains], is above 1. On a
+    one-domain host the parallel run's domains take turns on one CPU,
+    so the ratio is no speedup and the field is left out. *)

@@ -6,10 +6,23 @@ let validate_sides g side =
   if Array.exists (fun s -> s <> 0 && s <> 1) side then
     invalid_arg "Bisection: sides must be 0 or 1"
 
+(* Indices come from [xadj] or are vertex ids below n. *)
+let get (a : Csr.ia) k = Int32.to_int (Bigarray.Array1.unsafe_get a k)
+
+(* The kernels below walk the CSR slices without a closure call per
+   neighbour, and count an edge {u, v} from both of its ends with
+   [Bool.to_int (side.(u) <> side.(v))] rather than a branch, for any
+   labels, not only 0 and 1. *)
 let compute_cut g (side : int array) =
-  let cut = ref 0 in
-  Csr.iter_edges g (fun u v w -> if side.(u) <> side.(v) then cut := !cut + w);
-  !cut
+  let xadj, adjncy, adjwgt = Csr.adjacency g in
+  let twice = ref 0 in
+  for u = 0 to Csr.n_vertices g - 1 do
+    let s = side.(u) in
+    for k = get xadj u to get xadj (u + 1) - 1 do
+      twice := !twice + (Bool.to_int (side.(get adjncy k) <> s) * get adjwgt k)
+    done
+  done;
+  !twice / 2
 
 let side_counts side =
   let ones = Array.fold_left ( + ) 0 side in
@@ -28,17 +41,18 @@ let gain g (side : int array) v =
   Csr.fold_neighbors g v ~init:0 ~f:(fun acc u w ->
       if side.(u) = side.(v) then acc - w else acc + w)
 
+(* [u]'s gain from its own slice: -w per neighbour on its side, +w per
+   neighbour on another. *)
 let all_gains g (side : int array) =
+  let xadj, adjncy, adjwgt = Csr.adjacency g in
   let gains = Array.make (Csr.n_vertices g) 0 in
-  Csr.iter_edges g (fun u v w ->
-      if side.(u) = side.(v) then begin
-        gains.(u) <- gains.(u) - w;
-        gains.(v) <- gains.(v) - w
-      end
-      else begin
-        gains.(u) <- gains.(u) + w;
-        gains.(v) <- gains.(v) + w
-      end);
+  for u = 0 to Array.length gains - 1 do
+    let s = side.(u) and acc = ref 0 in
+    for k = get xadj u to get xadj (u + 1) - 1 do
+      acc := !acc + (((2 * Bool.to_int (side.(get adjncy k) <> s)) - 1) * get adjwgt k)
+    done;
+    gains.(u) <- !acc
+  done;
   gains
 
 let swap_gain g side a b =
@@ -94,6 +108,7 @@ let rebalance_in_place g side =
     (* Maintain gains incrementally: moving u flips the contribution of
        each incident edge, changing neighbour gains by +-2w. *)
     let gains = all_gains g side in
+    let xadj, adjncy, adjwgt = Csr.adjacency g in
     let n = Array.length side in
     let hg = ref (Array.make (max 16 n) 0) in
     let hv = ref (Array.make (max 16 n) 0) in
@@ -165,12 +180,15 @@ let rebalance_in_place g side =
         if side.(v) = from_side && gains.(v) = gv then v else next ()
       in
       let v = next () in
-      side.(v) <- 1 - from_side;
+      let dest = 1 - from_side in
+      side.(v) <- dest;
       gains.(v) <- -gains.(v);
-      Csr.iter_neighbors g v (fun u w ->
-          if side.(u) = side.(v) then gains.(u) <- gains.(u) - (2 * w)
-          else gains.(u) <- gains.(u) + (2 * w);
-          if side.(u) = from_side then push gains.(u) u)
+      for k = get xadj v to get xadj (v + 1) - 1 do
+        let u = get adjncy k in
+        let s = side.(u) in
+        gains.(u) <- gains.(u) + (((4 * (s lxor dest)) - 2) * get adjwgt k);
+        if s = from_side then push gains.(u) u
+      done
     done
   end
 

@@ -35,6 +35,8 @@ module Frames : sig
       completed, in order. [`Oversized n] reports a discarded line
       that had reached [n] bytes. *)
 
+  (* lint: allow dead-export — test/test_serve.ml and test/test_codec.ml
+     check the bytes a partial line leaves buffered *)
   val pending : t -> int
   (** Bytes buffered towards the next (incomplete) line. *)
 end

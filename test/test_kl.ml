@@ -549,6 +549,103 @@ let kl_reference_tests =
       (fun (g, side) -> kl_same_as_reference g side);
   ]
 
+(* --- What every refine keeps -------------------------------------------------- *)
+
+module Sa_bisect = Gbisect.Sa_bisect
+
+(* A structurally equal graph of its own. *)
+let copy_graph g =
+  let n = Graph.n_vertices g in
+  Graph.of_edges ~vertex_weights:(Array.init n (Graph.vertex_weight g)) ~n (Graph.edges g)
+
+(* The cut and the gains summed one edge at a time. *)
+let naive_cut g side =
+  List.fold_left
+    (fun acc (u, v, w) -> if side.(u) <> side.(v) then acc + w else acc)
+    0 (Graph.edges g)
+
+let naive_gains g side =
+  let gains = Array.make (Graph.n_vertices g) 0 in
+  List.iter
+    (fun (u, v, w) ->
+      let d = if side.(u) = side.(v) then -w else w in
+      gains.(u) <- gains.(u) + d;
+      gains.(v) <- gains.(v) + d)
+    (Graph.edges g);
+  gains
+
+let quick_sa = { Sa_bisect.imbalance_factor = 0.05; schedule = Gbisect.Schedule.quick }
+
+(* From a balanced start drawn from [r]: the cuts in the FM, KL and SA
+   stats are those of the input and of the returned sides; the cut
+   kernel agrees with the per-edge sum on labels 0..3 and 0/1, and the
+   gain kernel on 0/1; and no refiner changed the graph. *)
+let invariants r g =
+  let n = Graph.n_vertices g in
+  let before = copy_graph g in
+  let side0 = Helpers.balanced_sides r g in
+  let cut0 = Bisection.compute_cut g side0 in
+  let fm_side, fm = Fm.refine g side0 in
+  let kl_side, kl = Kl.refine g side0 in
+  (* Sa_bisect.refine draws its first move with Rng.int n, which
+     refuses n = 0, so the graph without vertices skips SA. *)
+  let sa_cuts =
+    if n = 0 then []
+    else
+      let sa_side, sa = Sa_bisect.refine ~config:quick_sa r g side0 in
+      [
+        ("sa initial_cut", sa.initial_cut = cut0);
+        ("sa final_cut", sa.final_cut = Bisection.compute_cut g sa_side);
+      ]
+  in
+  let labels = Array.init n (fun _ -> Rng.int r 4) in
+  let bits = Array.init n (fun _ -> Rng.int r 2) in
+  [
+    ("fm initial_cut", fm.initial_cut = cut0);
+    ("fm final_cut", fm.final_cut = Bisection.compute_cut g fm_side);
+    ("kl initial_cut", kl.initial_cut = cut0);
+    ("kl final_cut", kl.final_cut = Bisection.compute_cut g kl_side);
+    ("cut of labels 0..3", Bisection.compute_cut g labels = naive_cut g labels);
+    ("cut of labels 0/1", Bisection.compute_cut g bits = naive_cut g bits);
+    ("gains", Bisection.all_gains g bits = naive_gains g bits);
+    ("graph unchanged", Graph.equal g before);
+  ]
+  @ sa_cuts
+
+let check_invariants what r g =
+  List.iter (fun (name, ok) -> check_bool (what ^ ": " ^ name) true ok) (invariants r g)
+
+(* Every level of a V-cycle's coarsening of Gnp(20000, d=4), finest
+   first, contracted as Compaction.recursive contracts them. *)
+let gnp_hierarchy () =
+  let r = Helpers.rng ~seed:20 () in
+  let rec levels acc g =
+    let n = Graph.n_vertices g in
+    if n <= 64 then List.rev (g :: acc)
+    else
+      let c = Gbisect.Contraction.contract g (Gbisect.Matching.random_maximal r g) in
+      let coarse = c.Gbisect.Contraction.coarse in
+      if 10 * Graph.n_vertices coarse > 9 * n then List.rev (g :: acc)
+      else levels (g :: acc) coarse
+  in
+  levels [] (Gbisect.Gnp.with_average_degree r ~n:20_000 ~avg_degree:4.)
+
+let invariant_tests =
+  [
+    case "every fuzz family" (fun () ->
+        let r = Helpers.rng () in
+        List.iter (fun (family, g) -> check_invariants family r g) (Helpers.fuzz_family_graphs ()));
+    case "every level of a gnp(20000) hierarchy" (fun () ->
+        let r = Helpers.rng () in
+        let levels = gnp_hierarchy () in
+        check_bool "several levels" true (List.length levels > 5);
+        List.iteri (fun i g -> check_invariants (Printf.sprintf "level %d" i) r g) levels);
+    Helpers.qtest_pair ~count:300 "weighted multigraphs" gen_kl_case
+      (fun (g, side) ->
+        Printf.sprintf "%s sides [%s]" (Helpers.graph_print g) (print_sides side))
+      (fun (g, _) -> List.for_all snd (invariants (Helpers.rng ()) g));
+  ]
+
 let () =
   Alcotest.run "kl"
     [
@@ -560,4 +657,5 @@ let () =
       ("fm properties", fm_properties);
       ("fm reference", fm_reference_tests);
       ("kl reference", kl_reference_tests);
+      ("refine invariants", invariant_tests);
     ]

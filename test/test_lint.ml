@@ -339,6 +339,20 @@ let liveness_fixture ~exe =
     ]
   else []
 
+(* A library whose interface [mli] and implementation [ml] are
+   exercised by a tests stanza running [test], beside an executable
+   that calls none of it. *)
+let submodule_fixture ~mli ~ml ~test =
+  [
+    ("lib/dune", "(library\n (name fix))\n");
+    ("lib/fix_api.ml", ml);
+    ("lib/fix_api.mli", mli);
+    ("test/dune", "(tests\n (names t)\n (libraries fix))\n");
+    ("test/t.ml", test);
+    ("bin/dune", "(executable\n (name main)\n (libraries fix))\n");
+    ("bin/main.ml", "let () = print_int 1\n");
+  ]
+
 let program_rule_tests =
   [
     case "par-unsafe-state: mutable state reached through two modules" (fun () ->
@@ -473,6 +487,33 @@ let program_rule_tests =
         | fs -> Alcotest.failf "expected 1 finding, got %d" (List.length fs));
     case "dead-export: with no executable in scope, references suffice" (fun () ->
         check_rules "no finding" [] (graph_findings (liveness_fixture ~exe:false)));
+    case "dead-export: a plain submodule's test-only member is dead" (fun () ->
+        let sources =
+          submodule_fixture
+            ~mli:"module Sub : sig\n  val test_only : int -> int\nend\n"
+            ~ml:"module Sub = struct\n  let test_only x = x - 1\nend\n"
+            ~test:"let () = print_int (Fix.Fix_api.Sub.test_only 1)\n"
+        in
+        match graph_findings sources with
+        | [ f ] ->
+            Alcotest.(check string) "rule" "dead-export" f.Rules.rule;
+            check_bool "names the member" true
+              (Helpers.contains f.Rules.message "`Sub.test_only`");
+            check_int "at its val" 2 f.Rules.line
+        | fs -> Alcotest.failf "expected 1 finding, got %d" (List.length fs));
+    case "dead-export: module type and functor members are not judged" (fun () ->
+        let sig_s = "module type S = sig\n  val size : int\nend\n\n" in
+        let sources =
+          submodule_fixture
+            ~mli:(sig_s ^ "module Make (P : S) : sig\n  val test_only : int -> int\nend\n")
+            ~ml:
+              (sig_s
+             ^ "module Make (P : S) = struct\n  let test_only x = x + P.size\nend\n")
+            ~test:
+              "module M = Fix.Fix_api.Make (struct let size = 1 end)\n\
+               let () = print_int (M.test_only 1)\n"
+        in
+        check_rules "no finding" [] (graph_findings sources));
     case "every program rule name is registered" (fun () ->
         List.iter
           (fun r -> check_bool r true (Rules.program_rule_name r))

@@ -346,6 +346,16 @@ let proc_tests =
                 check_int "recommended_domains" (Domain.recommended_domain_count ()) d
             | _ -> Alcotest.fail "host.recommended_domains missing")
         | _ -> Alcotest.fail "artifact is not an object");
+    case "parallel rows claim a speedup only on a multi-domain host" (fun () ->
+        let row domains = Proc.parallel_row ~domains ~id:"t" ~sequential:3. ~parallel:2. in
+        Alcotest.(check (list string))
+          "one domain" [ "id"; "sequential_s"; "parallel_s" ] (List.map fst (row 1));
+        Alcotest.(check (list string))
+          "two domains"
+          [ "id"; "sequential_s"; "parallel_s"; "speedup" ]
+          (List.map fst (row 2));
+        check_bool "speedup is sequential / parallel" true
+          (List.assoc "speedup" (row 2) = Json.Float 1.5));
   ]
 
 (* --- Trace ----------------------------------------------------------------- *)
