@@ -201,6 +201,26 @@ let ml_max_levels =
   ml_flag "ml-max-levels" (fun m -> m.max_levels)
     "Multilevel (mlkl/mlfm): maximum coarsening depth."
 
+(* --max-rss of solve and scale: a peak-RSS budget checked once the
+   solve is done, failing (exit 1) when the peak is over it. *)
+let max_rss_term =
+  let doc =
+    "Fail (exit 1) if the process's peak resident set exceeds this many mebibytes; \
+     checked after the solve."
+  in
+  Arg.(value & opt (some int) None & info [ "max-rss" ] ~docv:"MB" ~doc)
+
+let check_max_rss max_rss peak =
+  match (max_rss, peak) with
+  | Some budget_mb, Some peak when peak > budget_mb * 1024 * 1024 ->
+      failwith
+        (Printf.sprintf "peak RSS %d MiB exceeds the --max-rss budget of %d MiB"
+           (peak / (1024 * 1024))
+           budget_mb)
+  | Some _, None ->
+      Printf.eprintf "gbisect: warning: --max-rss unsupported (no /proc/self/status)\n"
+  | _ -> ()
+
 let solve_cmd =
   let file =
     let doc = "Graph file (edge list, or METIS if named *.graph)." in
@@ -215,21 +235,8 @@ let solve_cmd =
     Arg.(value & opt int 2 & info [ "starts" ] ~docv:"INT" ~doc)
   in
   let ml =
-    let coarse_starts =
-      ml_flag "ml-coarse-starts" (fun m -> m.coarse_starts)
-        "Multilevel (mlkl/mlfm): best-of-k initial partitions at the coarsest level."
-    in
-    let ml min_vertices max_levels coarse_starts =
-      { Gbisect.Algo.default_ml with min_vertices; max_levels; coarse_starts }
-    in
-    Term.(const ml $ ml_min_vertices $ ml_max_levels $ coarse_starts)
-  in
-  let max_rss =
-    let doc =
-      "Fail (exit 1) if the process's peak resident set exceeds this many mebibytes; \
-       checked after the solve."
-    in
-    Arg.(value & opt (some int) None & info [ "max-rss" ] ~docv:"MB" ~doc)
+    let ml min_vertices max_levels = { Gbisect.Algo.default_ml with min_vertices; max_levels } in
+    Term.(const ml $ ml_min_vertices $ ml_max_levels)
   in
   let dot =
     let doc = "Also write a DOT rendering with the cut highlighted." in
@@ -243,15 +250,7 @@ let solve_cmd =
     let result =
       with_obs ~trace ~metrics (fun () -> Gbisect.solve ~algorithm ~starts ~ml rng graph)
     in
-    (match (max_rss, Gbisect.Obs.Proc.peak_rss_bytes ()) with
-    | Some budget_mb, Some peak when peak > budget_mb * 1024 * 1024 ->
-        failwith
-          (Printf.sprintf "peak RSS %d MiB exceeds the --max-rss budget of %d MiB"
-             (peak / (1024 * 1024))
-             budget_mb)
-    | Some _, None ->
-        Printf.eprintf "gbisect: warning: --max-rss unsupported (no /proc/self/status)\n"
-    | _ -> ());
+    check_max_rss max_rss (Gbisect.Obs.Proc.peak_rss_bytes ());
     let bisection = result.Gbisect.bisection in
     Printf.printf "%s on %s: cut %d (%d+%d vertices), %.3fs\n"
       (Gbisect.Algo.name algorithm)
@@ -275,7 +274,7 @@ let solve_cmd =
   let info = Cmd.info "solve" ~doc:"Bisect a graph file." in
   Cmd.v info
     Term.(
-      const run $ file $ algorithm $ starts $ ml $ max_rss $ seed_term $ dot $ trace_term
+      const run $ file $ algorithm $ starts $ ml $ max_rss_term $ seed_term $ dot $ trace_term
       $ metrics_term $ jobs_term)
 
 (* ------------------------------------------------------------------ *)
@@ -878,13 +877,9 @@ let scale_cmd =
          refinement is superlinear in the instance size for <2% extra cut)."
     in
     let ml min_vertices max_levels refine_passes =
-      { Gbisect.Algo.default_ml with min_vertices; max_levels; refine_passes }
+      { Gbisect.Algo.min_vertices; max_levels; refine_passes }
     in
     Term.(const ml $ ml_min_vertices $ ml_max_levels $ refine_passes)
-  in
-  let max_rss_term =
-    let doc = "Fail (exit 1) if peak RSS exceeds this many mebibytes." in
-    Arg.(value & opt (some int) None & info [ "max-rss" ] ~docv:"MB" ~doc)
   in
   let out_term =
     let doc =
@@ -924,15 +919,7 @@ let scale_cmd =
     if json then
       print_endline (Gbisect.Obs.Json.to_string (Gbisect.Scale_suite.to_json result))
     else print_endline (Gbisect.Scale_suite.render result);
-    (match (max_rss, result.Gbisect.Scale_suite.peak_rss_bytes) with
-    | Some budget_mb, Some peak when peak > budget_mb * 1024 * 1024 ->
-        failwith
-          (Printf.sprintf "peak RSS %d MiB exceeds the --max-rss budget of %d MiB"
-             (peak / (1024 * 1024))
-             budget_mb)
-    | Some _, None ->
-        Printf.eprintf "gbisect: warning: --max-rss unsupported (no /proc/self/status)\n"
-    | _ -> ());
+    check_max_rss max_rss result.Gbisect.Scale_suite.peak_rss_bytes;
     if not result.Gbisect.Scale_suite.balanced then
       failwith "scale solve produced an unbalanced bisection"
   in

@@ -11,9 +11,9 @@ module Pool = Gb_par.Pool
 
 type t = [ `Kl | `Sa | `Ckl | `Csa | `Fm | `Multilevel | `Mlfm | `Xsa ]
 
-type ml = { min_vertices : int; max_levels : int; coarse_starts : int; refine_passes : int }
+type ml = { min_vertices : int; max_levels : int; refine_passes : int }
 
-let default_ml = { min_vertices = 64; max_levels = 20; coarse_starts = 1; refine_passes = 4 }
+let default_ml = { min_vertices = 64; max_levels = 20; refine_passes = 4 }
 
 type outcome = {
   bisection : Bisection.t;
@@ -92,7 +92,7 @@ let multilevel refiner ml rng g =
   let ml = Option.value ml ~default:default_ml in
   compaction
     (Compaction.recursive ~min_vertices:ml.min_vertices ~max_levels:ml.max_levels
-       ~coarse_starts:ml.coarse_starts ~refiner:(refiner ml.refine_passes) rng g)
+       ~refiner:(refiner ml.refine_passes) rng g)
 
 let kl_refiner max_passes = Compaction.kl_refiner ~config:{ Kl.default_config with max_passes } ()
 let fm_refiner max_passes = Compaction.fm_refiner ~config:{ Fm.default_config with max_passes } ()

@@ -14,17 +14,15 @@ type t = [ `Kl | `Sa | `Ckl | `Csa | `Fm | `Multilevel | `Mlfm | `Xsa ]
 type ml = {
   min_vertices : int;  (** Stop coarsening below this many vertices. *)
   max_levels : int;  (** Maximum coarsening depth. *)
-  coarse_starts : int;  (** Best-of-k initial partitions at the coarsest level. *)
   refine_passes : int;  (** Refinement pass cap at every level. *)
 }
 (** The V-cycle settings of [`Multilevel] and [`Mlfm]; see
     {!Gb_compaction.Compaction.recursive}. *)
 
 val default_ml : ml
-(** [{ min_vertices = 64; max_levels = 20; coarse_starts = 1;
-    refine_passes = 4 }]. Four passes per level cost about 1 % of cut
-    against refining to quiescence, and keep the solve linear in the
-    instance size. *)
+(** [{ min_vertices = 64; max_levels = 20; refine_passes = 4 }]. Four
+    passes per level cost about 1 % of cut against refining to
+    quiescence, and keep the solve linear in the instance size. *)
 
 type outcome = {
   bisection : Gb_partition.Bisection.t;

@@ -244,33 +244,57 @@ let anneal schedule trace rng (st : Problem.state) =
       plateaus = List.rev !plateaus;
     } )
 
+(* A graph without vertices has one assignment, the empty one.
+   Calibration and moves draw a vertex, so it comes back before any
+   draw, with nothing counted. *)
+let no_vertices =
+  {
+    sa =
+      {
+        Sa.temperatures = 0;
+        attempted = 0;
+        accepted = 0;
+        uphill_accepted = 0;
+        initial_temperature = 0.;
+        final_temperature = 0.;
+        frozen = true;
+        plateaus = [];
+      };
+    best_was_snapshot = true;
+    initial_cut = 0;
+    final_cut = 0;
+  }
+
 let refine ?(config = default_config) ?trace rng g side0 =
   Bisection.validate_sides g side0;
   if config.imbalance_factor <= 0. then
     invalid_arg "Sa_bisect: imbalance_factor must be positive";
   let c0, c1 = Bisection.side_counts side0 in
   if abs (c0 - c1) > 1 then invalid_arg "Sa_bisect: input bisection is not balanced";
-  let st = Problem.make config g side0 in
-  let initial_cut = st.cut in
-  let best_side, sa =
-    Obs.Trace.with_span "sa.anneal"
-      ~args:
-        [
-          ("vertices", Obs.Json.Int (Csr.n_vertices g));
-          ("initial_cut", Obs.Json.Int initial_cut);
-        ]
-      (fun () -> anneal config.schedule trace rng st)
-  in
-  (* The better of the best balanced state seen and the final state,
-     greedily rebalanced; the best state wins ties. *)
-  let best_cut = Bisection.compute_cut g best_side in
-  Bisection.rebalance_in_place g st.side;
-  let rebalanced_cut = Bisection.compute_cut g st.side in
-  let side, best_was_snapshot, final_cut =
-    if best_cut <= rebalanced_cut then (best_side, true, best_cut)
-    else (st.side, false, rebalanced_cut)
-  in
-  (side, { sa; best_was_snapshot; initial_cut; final_cut })
+  if Csr.n_vertices g = 0 then ([||], no_vertices)
+  else begin
+    let st = Problem.make config g side0 in
+    let initial_cut = st.cut in
+    let best_side, sa =
+      Obs.Trace.with_span "sa.anneal"
+        ~args:
+          [
+            ("vertices", Obs.Json.Int (Csr.n_vertices g));
+            ("initial_cut", Obs.Json.Int initial_cut);
+          ]
+        (fun () -> anneal config.schedule trace rng st)
+    in
+    (* The better of the best balanced state seen and the final state,
+       greedily rebalanced; the best state wins ties. *)
+    let best_cut = Bisection.compute_cut g best_side in
+    Bisection.rebalance_in_place g st.side;
+    let rebalanced_cut = Bisection.compute_cut g st.side in
+    let side, best_was_snapshot, final_cut =
+      if best_cut <= rebalanced_cut then (best_side, true, best_cut)
+      else (st.side, false, rebalanced_cut)
+    in
+    (side, { sa; best_was_snapshot; initial_cut; final_cut })
+  end
 
 let run ?config ?trace rng g =
   let side0 = Gb_partition.Initial.random rng g in

@@ -63,7 +63,8 @@ val refine :
 (** Anneal from the given balanced assignment; returns a balanced
     assignment in an array of its own (never worse than rebalancing the
     input would be only in expectation — SA is stochastic). [trace]
-    fires after every temperature.
+    fires after every temperature. A graph without vertices gets the
+    empty assignment back, with zero counters, before any draw.
     @raise Invalid_argument if the input is invalid or unbalanced. *)
 
 val run :

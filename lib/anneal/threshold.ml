@@ -129,17 +129,26 @@ let refine ?schedule ?(imbalance_factor = 0.05) rng g side0 =
   if imbalance_factor <= 0. then invalid_arg "Threshold: imbalance_factor must be positive";
   let c0, c1 = Bisection.side_counts side0 in
   if abs (c0 - c1) > 1 then invalid_arg "Threshold: input bisection is not balanced";
-  let config = { Sa_bisect.default_config with imbalance_factor } in
-  let state = Sa_bisect.Problem.make config g side0 in
-  let result = Bisect_engine.run ?schedule rng state in
-  let best_side = Sa_bisect.Problem.sides result.Bisect_engine.best in
-  let final_side = Bisection.rebalance g (Sa_bisect.Problem.sides result.Bisect_engine.final) in
-  let best_side = Bisection.rebalance g best_side in
-  let side =
-    if Bisection.compute_cut g best_side <= Bisection.compute_cut g final_side then best_side
-    else final_side
-  in
-  (side, result.Bisect_engine.stats)
+  (* As in Sa_bisect.refine: without vertices there is nothing to draw. *)
+  if Gb_graph.Csr.n_vertices g = 0 then
+    ( [||],
+      { levels = 0; attempted = 0; accepted = 0; initial_threshold = 0.; final_threshold = 0. }
+    )
+  else begin
+    let config = { Sa_bisect.default_config with imbalance_factor } in
+    let state = Sa_bisect.Problem.make config g side0 in
+    let result = Bisect_engine.run ?schedule rng state in
+    let best_side = Sa_bisect.Problem.sides result.Bisect_engine.best in
+    let final_side =
+      Bisection.rebalance g (Sa_bisect.Problem.sides result.Bisect_engine.final)
+    in
+    let best_side = Bisection.rebalance g best_side in
+    let side =
+      if Bisection.compute_cut g best_side <= Bisection.compute_cut g final_side then best_side
+      else final_side
+    in
+    (side, result.Bisect_engine.stats)
+  end
 
 let run ?schedule ?imbalance_factor rng g =
   let side0 = Gb_partition.Initial.random rng g in

@@ -56,7 +56,8 @@ val refine :
   int array ->
   int array * stats
 (** Threshold-accepting bisection on {!Sa_bisect.Problem}: same search
-    space, penalty and balance repair as {!Sa_bisect.refine}.
+    space, penalty and balance repair as {!Sa_bisect.refine}. A graph
+    without vertices gets the empty assignment back before any draw.
     @raise Invalid_argument on invalid or unbalanced input. *)
 
 val run :

@@ -86,11 +86,10 @@ let bisect ?(policy = Random_matching) ~refiner rng g =
       levels = 1;
     } )
 
-let recursive ?(policy = Random_matching) ?(min_vertices = 64) ?(max_levels = 20)
-    ?(coarse_starts = 1) ?observer ~refiner rng g =
+let recursive ?(policy = Random_matching) ?(min_vertices = 64) ?(max_levels = 20) ?observer
+    ~refiner rng g =
   if min_vertices < 2 then invalid_arg "Compaction.recursive: min_vertices < 2";
   if max_levels < 1 then invalid_arg "Compaction.recursive: max_levels < 1";
-  if coarse_starts < 1 then invalid_arg "Compaction.recursive: coarse_starts < 1";
   (* Coarsening phase. *)
   let rec coarsen hierarchy g levels =
     if Csr.n_vertices g <= min_vertices || levels >= max_levels then (hierarchy, g)
@@ -107,26 +106,11 @@ let recursive ?(policy = Random_matching) ?(min_vertices = 64) ?(max_levels = 20
   in
   let coarse_vertices = Csr.n_vertices coarsest in
   let coarse_average_degree = Csr.average_degree coarsest in
-  (* Bisect the coarsest level. *)
-  (* Best of [coarse_starts] sequential attempts (tie → first). The
-     coarsest graph is tiny, so extra starts cost little and the RNG
-     draw order with the default of 1 is exactly the old single-start
-     sequence — the determinism contract is preserved. *)
+  (* Bisect the coarsest level from a random balanced start. *)
   let side =
     Obs.Trace.with_span "compaction.coarse_refine"
       ~args:[ ("vertices", Obs.Json.Int coarse_vertices) ]
-      (fun () ->
-        let best = ref (refiner rng coarsest (Initial.random rng coarsest)) in
-        let best_cut = ref (Bisection.compute_cut coarsest !best) in
-        for _ = 2 to coarse_starts do
-          let cand = refiner rng coarsest (Initial.random rng coarsest) in
-          let c = Bisection.compute_cut coarsest cand in
-          if c < !best_cut then begin
-            best := cand;
-            best_cut := c
-          end
-        done;
-        !best)
+      (fun () -> refiner rng coarsest (Initial.random rng coarsest))
   in
   let coarse_cut = Bisection.compute_cut coarsest side in
   Obs.Telemetry.sample "compaction.level" (float_of_int coarse_cut);

@@ -61,7 +61,6 @@ val recursive :
   ?policy:policy ->
   ?min_vertices:int ->
   ?max_levels:int ->
-  ?coarse_starts:int ->
   ?observer:
     (level:int ->
     fine:Gb_graph.Csr.t ->
@@ -79,11 +78,6 @@ val recursive :
     shrinks the graph by less than 10 %), bisect the coarsest graph,
     then project-rebalance-refine level by level. [levels] in the
     returned stats counts coarsening steps + 1.
-
-    [coarse_starts] (default 1) takes the best of that many sequential
-    initial-partition + refine attempts on the coarsest graph, ties
-    resolved to the earliest attempt. The default reproduces the
-    single-start draw sequence bit for bit.
 
     [observer] is invoked once per uncoarsening step, coarsest first
     ([level] counts 1, 2, ...), with the level's fine and coarse

@@ -1,9 +1,8 @@
-module Rng = Gb_prng.Rng
 module Bregular = Gb_models.Bregular
 module Compaction = Gb_compaction.Compaction
 module Bisection = Gb_partition.Bisection
 
-let corpus profile =
+let gbreg_corpus profile settings =
   let two_n = Profile.scaled profile 2000 in
   List.filter_map
     (fun (d, b) ->
@@ -16,86 +15,67 @@ let corpus profile =
             ( Printf.sprintf "gbreg(%d,%d,%d)" two_n params.Bregular.b d,
               params.Bregular.b,
               fun rng -> Bregular.generate rng params ))
-    [ (3, 4); (3, 16); (3, 64); (4, 16) ]
+    settings
 
-let timed f =
-  let t0 = Gb_obs.Clock.now () in
-  let r = f () in
-  (r, Gb_obs.Clock.now () -. t0)
-
-(* The compaction/multilevel trial loop is a parallel fan-out point:
-   each replicate owns a seed derived from the master seed and its
-   (variant, index) labels, so the trials are order-independent and run
-   on the ambient pool with bit-identical averages at any job count. *)
-let averaged profile name run_variant make =
-  let replicates = max 2 profile.Profile.replicates in
-  let trials =
-    Gb_par.Pool.init
-      (Gb_par.Pool.current ())
-      replicates
-      (fun j ->
-        let seed =
-          Rng.seed_of_string
-            (Printf.sprintf "%d/ablate/%s/%d" profile.Profile.master_seed name j)
-        in
-        let rng = Rng.create ~seed in
-        let g = make rng in
-        let (bisection : Bisection.t), t = timed (fun () -> run_variant rng g) in
-        (float_of_int (Bisection.cut bisection), t))
+(* One cell row per (family, variant), each variant seeded by its own
+   label; a table row shows every variant's mean cut and time. *)
+let variant_rows profile variants =
+  let corpus = gbreg_corpus profile [ (3, 4); (3, 16); (3, 64); (4, 16) ] in
+  let cells =
+    Cell.run profile ~tag:"ablate" Cell.floats
+      (List.concat_map
+         (fun (name, _, make) ->
+           List.map
+             (fun (variant, run) ->
+               let label = name ^ "/" ^ variant in
+               {
+                 Cell.label;
+                 replicates = max 2 profile.Profile.replicates;
+                 seed = Cell.seed profile "ablate" label;
+                 compute =
+                   (fun rng ->
+                     let g = make rng in
+                     let bisection, t = Runner.timed (fun () -> run rng g) in
+                     [| float_of_int (Bisection.cut bisection); t |]);
+               })
+             variants)
+         corpus)
   in
-  let cuts = Array.to_list (Array.map fst trials) in
-  let secs = Array.to_list (Array.map snd trials) in
-  (Table.mean cuts, Table.mean secs)
+  let means =
+    List.map
+      (fun replicates ->
+        let m = Cell.column_means replicates in
+        [ Table.float_cell ~decimals:1 m.(0); Table.seconds_cell m.(1) ])
+      cells
+  in
+  let k = List.length variants in
+  List.mapi
+    (fun i (name, b, _) ->
+      name :: Table.int_cell b :: List.concat (List.filteri (fun c _ -> c / k = i) means))
+    corpus
 
 let matching_policy profile =
   let kl = Compaction.kl_refiner () in
   let variant policy rng g = fst (Compaction.bisect ~policy ~refiner:kl rng g) in
-  let rows =
-    List.map
-      (fun (name, b, make) ->
-        let random_cut, random_t = averaged profile (name ^ "/rand") (variant Compaction.Random_matching) make in
-        let heavy_cut, heavy_t = averaged profile (name ^ "/heavy") (variant Compaction.Heavy_edge_matching) make in
-        [
-          name;
-          Table.int_cell b;
-          Table.float_cell ~decimals:1 random_cut;
-          Table.seconds_cell random_t;
-          Table.float_cell ~decimals:1 heavy_cut;
-          Table.seconds_cell heavy_t;
-        ])
-      (corpus profile)
-  in
   Table.render ~title:"Ablation E-X1: CKL matching policy (random maximal vs heavy-edge)"
     ~notes:[ "paper uses random maximal matching; cuts averaged over replicates" ]
     ~header:[ "family"; "b"; "cut(random)"; "t(random)"; "cut(heavy)"; "t(heavy)" ]
-    rows
+    (variant_rows profile
+       [
+         ("rand", variant Compaction.Random_matching);
+         ("heavy", variant Compaction.Heavy_edge_matching);
+       ])
 
 let recursion_depth profile =
   let kl = Compaction.kl_refiner () in
-  let one_shot rng g = fst (Compaction.bisect ~refiner:kl rng g) in
-  let multilevel rng g = fst (Compaction.recursive ~refiner:kl rng g) in
-  let plain rng g = fst (Gb_kl.Kl.run rng g) in
-  let rows =
-    List.map
-      (fun (name, b, make) ->
-        let kl_cut, kl_t = averaged profile (name ^ "/kl") plain make in
-        let ckl_cut, ckl_t = averaged profile (name ^ "/ckl") one_shot make in
-        let ml_cut, ml_t = averaged profile (name ^ "/ml") multilevel make in
-        [
-          name;
-          Table.int_cell b;
-          Table.float_cell ~decimals:1 kl_cut;
-          Table.seconds_cell kl_t;
-          Table.float_cell ~decimals:1 ckl_cut;
-          Table.seconds_cell ckl_t;
-          Table.float_cell ~decimals:1 ml_cut;
-          Table.seconds_cell ml_t;
-        ])
-      (corpus profile)
-  in
   Table.render
     ~title:"Ablation E-X2: plain KL vs one-shot compaction vs recursive (multilevel)"
     ~notes:[ "recursive compaction is the extension that became multilevel partitioning" ]
     ~header:
       [ "family"; "b"; "cut(KL)"; "t(KL)"; "cut(CKL)"; "t(CKL)"; "cut(MLKL)"; "t(MLKL)" ]
-    rows
+    (variant_rows profile
+       [
+         ("kl", fun rng g -> fst (Gb_kl.Kl.run rng g));
+         ("ckl", fun rng g -> fst (Compaction.bisect ~refiner:kl rng g));
+         ("ml", fun rng g -> fst (Compaction.recursive ~refiner:kl rng g));
+       ])

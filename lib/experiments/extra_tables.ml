@@ -1,68 +1,9 @@
-module Rng = Gb_prng.Rng
 module Bisection = Gb_partition.Bisection
 module Hgraph = Gb_hyper.Hgraph
 module Hfm = Gb_hyper.Hfm
 module Expansion = Gb_hyper.Expansion
 module Random_netlist = Gb_hyper.Random_netlist
 module Geometric = Gb_models.Geometric
-
-module Store = Gb_store.Store
-module Json = Gb_obs.Json
-
-let timed f =
-  let t0 = Gb_obs.Clock.now () in
-  let r = f () in
-  (r, Gb_obs.Clock.now () -. t0)
-
-(* ---------------------------------------------------------------- *)
-(* Result-store integration. These tables do not go through
-   Runner/Paper_table — each replicate measures several algorithms in
-   one pass over one instance — so the cell here is the whole
-   replicate's measurement vector: the per-algorithm cuts (and, for the
-   netlist table, seconds). Keys follow the Paper_table schema. *)
-
-let cell_key profile ~table ~row ~replicate ~seed =
-  Store.key
-    [
-      ("kind", "extra-cell");
-      ("profile", Profile.fingerprint profile);
-      ("table", table);
-      ("row", row);
-      ("replicate", string_of_int replicate);
-      ("seed", string_of_int seed);
-    ]
-
-let floats_to_json a = Json.List (Array.to_list a |> List.map (fun x -> Json.Float x))
-
-let floats_of_json ~len = function
-  | Json.List xs when List.length xs = len ->
-      let xs = List.map Json.to_float xs in
-      if List.exists Option.is_none xs then None
-      else Some (Array.of_list (List.map Option.get xs))
-  | _ -> None
-
-let series_to_json series =
-  Json.Obj (List.map (fun (name, a) -> (name, floats_to_json a)) series)
-
-(* [names] with expected lengths, in order; None on any mismatch. *)
-let series_of_json ~names j =
-  let fields =
-    List.map (fun (name, len) -> Option.bind (Json.member name j) (floats_of_json ~len)) names
-  in
-  if List.exists Option.is_none fields then None else Some (List.map Option.get fields)
-
-let through_store key ~encode ~decode compute =
-  match Store.current () with
-  | None -> compute ()
-  | Some store -> (
-      match Option.bind (Store.find store key) decode with
-      | Some v -> v
-      | None ->
-          let v = compute () in
-          Store.add store key (encode v);
-          v)
-
-(* ---------------------------------------------------------------- *)
 
 let netlist_params profile =
   let scale = max 1 (Profile.scaled profile 2048 / 512) in
@@ -85,83 +26,52 @@ let netlist_params profile =
   ]
 
 let netlist_table profile =
+  let params = netlist_params profile in
+  let cells =
+    Cell.run profile ~tag:"netlist" Cell.floats
+      (List.map
+         (fun (name, params) ->
+           {
+             Cell.label = name;
+             replicates = max 2 profile.Profile.replicates;
+             seed = Cell.seed profile "netlist" name;
+             compute =
+               (fun rng ->
+                 let h = Random_netlist.generate rng params in
+                 let cut side = float_of_int (Hgraph.cut_size h side) in
+                 (* hypergraph FM on the true objective *)
+                 let (side, _), t_hfm = Runner.timed (fun () -> Hfm.run rng h) in
+                 let hfm = cut side in
+                 (* clique expansion + KL, then + CKL *)
+                 let clique = Expansion.clique h in
+                 let (b, _), t_kl = Runner.timed (fun () -> Gb_kl.Kl.run rng clique) in
+                 let clique_kl = cut (Bisection.sides b) in
+                 let clique_ckl =
+                   cut (Bisection.sides (fst (Gb_compaction.Compaction.ckl rng clique)))
+                 in
+                 (* star expansion + KL, cells rebalanced *)
+                 let star, _cells = Expansion.star h in
+                 let b, _ = Gb_kl.Kl.run rng star in
+                 let cells = Expansion.star_cells_only h (Bisection.sides b) in
+                 let star_kl = cut (Bisection.rebalance clique cells) in
+                 (* compacted hypergraph FM (CHFM) *)
+                 let _, stats = Gb_hyper.Hcoarsen.bisect rng h in
+                 let chfm = float_of_int stats.Gb_hyper.Hcoarsen.final_cut in
+                 let planted = cut (Random_netlist.block_sides params) in
+                 [| planted; hfm; chfm; clique_kl; clique_ckl; star_kl; t_hfm; t_kl |]);
+           })
+         params)
+  in
   let rows =
-    List.map
-      (fun (name, params) ->
-        let replicates = max 2 profile.Profile.replicates in
-        let sums = Array.make 5 0. and times = Array.make 5 0. in
-        let replicate_cell j =
-          let seed =
-            Rng.seed_of_string
-              (Printf.sprintf "%d/netlist/%s/%d" profile.Profile.master_seed name j)
-          in
-          let compute () =
-            let cuts = Array.make 5 0. and secs = Array.make 5 0. in
-            let rng = Rng.create ~seed in
-            let h = Random_netlist.generate rng params in
-            let record i cut t =
-              cuts.(i) <- float_of_int cut;
-              secs.(i) <- t
-            in
-            (* 0: hypergraph FM on the true objective *)
-            let (side, _), t = timed (fun () -> Hfm.run rng h) in
-            record 0 (Hgraph.cut_size h side) t;
-            (* 1: clique expansion + KL *)
-            let clique = Expansion.clique h in
-            let (b, _), t = timed (fun () -> Gb_kl.Kl.run rng clique) in
-            record 1 (Hgraph.cut_size h (Bisection.sides b)) t;
-            (* 2: clique expansion + CKL *)
-            let (b, _), t = timed (fun () -> Gb_compaction.Compaction.ckl rng clique) in
-            record 2 (Hgraph.cut_size h (Bisection.sides b)) t;
-            (* 3: star expansion + KL, cells rebalanced *)
-            let star, _cells = Expansion.star h in
-            let (b, _), t = timed (fun () -> Gb_kl.Kl.run rng star) in
-            let cells = Expansion.star_cells_only h (Bisection.sides b) in
-            let cells = Bisection.rebalance clique cells in
-            record 3 (Hgraph.cut_size h cells) t;
-            (* 4: compacted hypergraph FM (CHFM) *)
-            let (_, stats), t = timed (fun () -> Gb_hyper.Hcoarsen.bisect rng h) in
-            record 4 stats.Gb_hyper.Hcoarsen.final_cut t;
-            (cuts, secs)
-          in
-          through_store
-            (cell_key profile ~table:"netlist" ~row:name ~replicate:j ~seed)
-            ~encode:(fun (cuts, secs) ->
-              series_to_json [ ("cuts", cuts); ("seconds", secs) ])
-            ~decode:(fun j ->
-              match series_of_json ~names:[ ("cuts", 5); ("seconds", 5) ] j with
-              | Some [ cuts; secs ] -> Some (cuts, secs)
-              | _ -> None)
-            compute
-        in
-        for j = 0 to replicates - 1 do
-          let cuts, secs = replicate_cell j in
-          Array.iteri (fun i c -> sums.(i) <- sums.(i) +. c) cuts;
-          Array.iteri (fun i t -> times.(i) <- times.(i) +. t) secs
-        done;
-        let k = float_of_int replicates in
-        let planted =
-          (* cut of the planted block split, averaged too *)
-          let seed =
-            Rng.seed_of_string
-              (Printf.sprintf "%d/netlist/%s/0" profile.Profile.master_seed name)
-          in
-          let rng = Rng.create ~seed in
-          let h = Random_netlist.generate rng params in
-          Hgraph.cut_size h (Random_netlist.block_sides params)
-        in
-        [
-          name;
-          Table.int_cell planted;
-          Table.float_cell ~decimals:1 (sums.(0) /. k);
-          Table.float_cell ~decimals:1 (sums.(4) /. k);
-          Table.float_cell ~decimals:1 (sums.(1) /. k);
-          Table.float_cell ~decimals:1 (sums.(2) /. k);
-          Table.float_cell ~decimals:1 (sums.(3) /. k);
-          Table.seconds_cell (times.(0) /. k);
-          Table.seconds_cell (times.(1) /. k);
-        ])
-      (netlist_params profile)
+    List.map2
+      (fun (name, _) replicates ->
+        let m = Cell.column_means replicates in
+        name
+        (* the planted split of the first replicate's netlist *)
+        :: Table.int_cell (int_of_float (List.hd replicates).(0))
+        :: List.map (fun i -> Table.float_cell ~decimals:1 m.(i)) [ 1; 2; 3; 4; 5 ]
+        @ [ Table.seconds_cell m.(6); Table.seconds_cell m.(7) ])
+      params cells
   in
   Table.render
     ~title:"Extension E-X4: true net cut — hypergraph FM vs graph expansions + KL/CKL"
@@ -182,65 +92,46 @@ let geometric_table profile =
   let rows =
     List.map
       (fun avg_degree ->
-        let replicates = max 2 profile.Profile.replicates in
-        let sums = Array.make 5 0. in
-        let replicate_cell j =
-          let seed =
-            Rng.seed_of_string
-              (* lint: allow no-float-format — degree is a literal constant; %g renders it identically on every run *)
-              (Printf.sprintf "%d/geom/%g/%d" profile.Profile.master_seed avg_degree j)
-          in
-          let compute () =
-            let cuts = Array.make 5 0. in
-            let rng = Rng.create ~seed in
-            let radius = Geometric.radius_for_average_degree ~n:two_n ~avg_degree in
-            let g, points = Geometric.generate_with_points rng ~n:two_n ~radius in
-            cuts.(0) <- float_of_int (Geometric.strip_cut g points);
-            let record i bisection = cuts.(i) <- float_of_int (Bisection.cut bisection) in
-            record 1 (fst (Gb_kl.Kl.run rng g));
-            record 2 (fst (Gb_compaction.Compaction.ckl rng g));
-            record 3
-              (fst
-                 (Gb_anneal.Sa_bisect.run
-                    ~config:
-                      { Gb_anneal.Sa_bisect.default_config with
-                        schedule = profile.Profile.sa_schedule
-                      }
-                    rng g));
-            record 4
-              (fst
-                 (Gb_compaction.Compaction.recursive
-                    ~refiner:(Gb_compaction.Compaction.kl_refiner ())
-                    rng g));
-            cuts
-          in
-          through_store
-            (cell_key profile ~table:"geometric"
-               (* lint: allow no-float-format — degree is a literal constant; %g renders it identically on every run *)
-               ~row:(Printf.sprintf "avg-deg-%g" avg_degree)
-               ~replicate:j ~seed)
-            ~encode:(fun cuts -> series_to_json [ ("cuts", cuts) ])
-            ~decode:(fun j ->
-              match series_of_json ~names:[ ("cuts", 5) ] j with
-              | Some [ cuts ] -> Some cuts
-              | _ -> None)
-            compute
-        in
-        for j = 0 to replicates - 1 do
-          let cuts = replicate_cell j in
-          Array.iteri (fun i c -> sums.(i) <- sums.(i) +. c) cuts
-        done;
-        let k = float_of_int replicates in
-        [
+        {
           (* lint: allow no-float-format — display-only row label built from a literal degree *)
-          Printf.sprintf "avg deg %g" avg_degree;
-          Table.float_cell ~decimals:1 (sums.(0) /. k);
-          Table.float_cell ~decimals:1 (sums.(1) /. k);
-          Table.float_cell ~decimals:1 (sums.(2) /. k);
-          Table.float_cell ~decimals:1 (sums.(3) /. k);
-          Table.float_cell ~decimals:1 (sums.(4) /. k);
-        ])
+          Cell.label = Printf.sprintf "avg deg %g" avg_degree;
+          replicates = max 2 profile.Profile.replicates;
+          (* lint: allow no-float-format — degree is a literal constant; %g renders it identically on every run *)
+          seed = Cell.seed profile "geom" (Printf.sprintf "%g" avg_degree);
+          compute =
+            (fun rng ->
+              let radius = Geometric.radius_for_average_degree ~n:two_n ~avg_degree in
+              let g, points = Geometric.generate_with_points rng ~n:two_n ~radius in
+              let strip = Geometric.strip_cut g points in
+              let cut (b, _) = float_of_int (Bisection.cut b) in
+              let kl = cut (Gb_kl.Kl.run rng g) in
+              let ckl = cut (Gb_compaction.Compaction.ckl rng g) in
+              let sa =
+                cut
+                  (Gb_anneal.Sa_bisect.run
+                     ~config:
+                       { Gb_anneal.Sa_bisect.default_config with
+                         schedule = profile.Profile.sa_schedule
+                       }
+                     rng g)
+              in
+              let mlkl =
+                cut
+                  (Gb_compaction.Compaction.recursive
+                     ~refiner:(Gb_compaction.Compaction.kl_refiner ())
+                     rng g)
+              in
+              [| float_of_int strip; kl; ckl; sa; mlkl |]);
+        })
       [ 4.0; 6.0; 8.0 ]
+  in
+  let rows =
+    List.map2
+      (fun row replicates ->
+        row.Cell.label
+        :: List.map (Table.float_cell ~decimals:1) (Array.to_list (Cell.column_means replicates)))
+      rows
+      (Cell.run profile ~tag:"geometric" Cell.floats rows)
   in
   Table.render
     ~title:

@@ -1,4 +1,3 @@
-module Rng = Gb_prng.Rng
 module Bregular = Gb_models.Bregular
 
 let degree_sweep profile =
@@ -66,68 +65,44 @@ let compaction_sweep profile =
 (* Mixed corpus head-to-head: who wins on quality, and the time ratio. *)
 let kl_vs_sa profile =
   let two_n = Profile.scaled profile 2000 in
+  let row label make = { Paper_table.label; expected = ""; replicate_factor = 1; make } in
+  let gbreg d rng =
+    let params = Bregular.{ two_n; b = 16; d } in
+    Bregular.generate rng { params with Bregular.b = Bregular.nearest_feasible_b params }
+  in
   let corpus =
     [
-      ( "gbreg d=3",
-        fun rng ->
-          let params = Bregular.{ two_n; b = 16; d = 3 } in
-          let params = { params with Bregular.b = Bregular.nearest_feasible_b params } in
-          Bregular.generate rng params );
-      ( "gbreg d=4",
-        fun rng ->
-          let params = Bregular.{ two_n; b = 16; d = 4 } in
-          let params = { params with Bregular.b = Bregular.nearest_feasible_b params } in
-          Bregular.generate rng params );
-      ( "g2set deg 3",
-        fun rng ->
+      row "gbreg d=3" (gbreg 3);
+      row "gbreg d=4" (gbreg 4);
+      row "g2set deg 3" (fun rng ->
           Gb_models.Planted.generate rng
-            (Gb_models.Planted.params_for_average_degree ~two_n ~avg_degree:3.0 ~bis:16) );
-      ("ladder", fun _rng -> Gb_graph.Classic.ladder (two_n / 2));
-      ( "grid",
-        fun _rng ->
+            (Gb_models.Planted.params_for_average_degree ~two_n ~avg_degree:3.0 ~bis:16));
+      row "ladder" (fun _rng -> Gb_graph.Classic.ladder (two_n / 2));
+      row "grid" (fun _rng ->
           let side = int_of_float (sqrt (float_of_int two_n)) in
-          Gb_graph.Classic.grid_of_side side );
-      ( "btree",
-        fun _rng ->
+          Gb_graph.Classic.grid_of_side side);
+      row "btree" (fun _rng ->
           let rec depth_for d = if (1 lsl (d + 1)) - 1 > two_n then d - 1 else depth_for (d + 1) in
-          Gb_graph.Classic.binary_tree ~depth:(depth_for 3) );
+          Gb_graph.Classic.binary_tree ~depth:(depth_for 3));
     ]
   in
   let rows =
-    List.concat_map
-      (fun (family, make) ->
-        let replicates = max 1 profile.Profile.replicates in
-        let quads =
-          List.init replicates (fun j ->
-              let seed =
-                Rng.seed_of_string
-                  (Printf.sprintf "%d/obs4/%s/%d" profile.Profile.master_seed family j)
-              in
-              Gb_obs.Telemetry.with_context
-                ~graph:(Printf.sprintf "obs4/%s/rep%d" family j)
-                ~seed
-                (fun () ->
-                  let rng = Rng.create ~seed in
-                  let g = make rng in
-                  Runner.paper_quad profile rng g))
-        in
-        let q = Runner.averaged_quads quads in
+    List.map
+      (fun { Paper_table.row; quad = q } ->
         let open Runner in
         let ratio = if q.bkl.seconds > 0. then q.bsa.seconds /. q.bkl.seconds else 0. in
         let winner a b = if a < b then "SA" else if b < a then "KL" else "tie" in
         [
-          [
-            family;
-            Table.int_cell q.bsa.cut;
-            Table.int_cell q.bkl.cut;
-            winner q.bsa.cut q.bkl.cut;
-            Table.int_cell q.bcsa.cut;
-            Table.int_cell q.bckl.cut;
-            winner q.bcsa.cut q.bckl.cut;
-            Table.float_cell ~decimals:1 ratio;
-          ];
+          row.Paper_table.label;
+          Table.int_cell q.bsa.cut;
+          Table.int_cell q.bkl.cut;
+          winner q.bsa.cut q.bkl.cut;
+          Table.int_cell q.bcsa.cut;
+          Table.int_cell q.bckl.cut;
+          winner q.bcsa.cut q.bckl.cut;
+          Table.float_cell ~decimals:1 ratio;
         ])
-      corpus
+      (Paper_table.collect profile ~seed_tag:"obs4" corpus)
   in
   Table.render
     ~title:

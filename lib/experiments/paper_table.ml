@@ -1,129 +1,26 @@
-module Rng = Gb_prng.Rng
-module Store = Gb_store.Store
-module Telemetry = Gb_obs.Telemetry
-
 type row = {
   label : string;
   expected : string;
   replicate_factor : int;
-  make : Rng.t -> Gb_graph.Csr.t;
+  make : Gb_prng.Rng.t -> Gb_graph.Csr.t;
 }
 
 type row_data = { row : row; quad : Runner.quad }
 
-let row_seed profile ~seed_tag row j =
-  Rng.seed_of_string
-    (Printf.sprintf "%d/%s/%s/%d" profile.Profile.master_seed seed_tag row.label j)
-
-(* ------------------------------------------------------------------ *)
-(* Result-store integration. The cell is one (row, replicate) quad —
-   the unit the table averages — keyed by its full coordinates. The
-   cached value carries the quad and the telemetry records the cell
-   emitted, so a cache hit replays the records and an interrupted run
-   resumed with --store produces byte-identical tables AND telemetry to
-   an uninterrupted one. Cells computed with and without a telemetry
-   writer carry different trajectories, hence the "telemetry" key
-   field: toggling --out never replays trajectory-less records. *)
-
-let cell_key profile ~seed_tag row j ~seed ~telemetry =
-  Store.key
-    [
-      ("kind", "paper-quad");
-      ("profile", Profile.fingerprint profile);
-      ("table", seed_tag);
-      ("row", row.label);
-      ("replicate", string_of_int j);
-      ("seed", string_of_int seed);
-      ("telemetry", if telemetry then "on" else "off");
-    ]
-
-let cell_to_json quad records =
-  Gb_obs.Json.Obj
-    [
-      ("quad", Runner.quad_to_json quad);
-      ("records", Gb_obs.Json.List (List.map Telemetry.to_json records));
-    ]
-
-let cell_of_json j =
-  match
-    ( Option.bind (Gb_obs.Json.member "quad" j) Runner.quad_of_json,
-      Gb_obs.Json.member "records" j )
-  with
-  | Some quad, Some (Gb_obs.Json.List records) ->
-      let records = List.map Telemetry.of_json records in
-      if List.exists Option.is_none records then None
-      else Some (quad, List.map Option.get records)
-  | _ -> None
-
-(* Compute one cell through the ambient store: replay on a hit, record
-   on a miss. [compute] runs under a tap that captures the records the
-   runner emits (the tap travels to pool workers inside the telemetry
-   snapshot, so inner start fan-outs are captured too). *)
-let through_store key compute =
-  match Store.current () with
-  | None -> compute ()
-  | Some store -> (
-      match Option.bind (Store.find store key) cell_of_json with
-      | Some (quad, records) ->
-          List.iter Telemetry.emit records;
-          quad
-      | None ->
-          let mutex = Mutex.create () in
-          let records = ref [] in
-          let quad =
-            Telemetry.with_tap
-              (fun r -> Mutex.protect mutex (fun () -> records := r :: !records))
-              compute
-          in
-          Store.add store key (cell_to_json quad (List.rev !records));
-          quad)
-
-(* Fan-out point 2: the replicate trial loop. Every (row, replicate)
-   cell already owns an independent seed derived from the master seed
-   and its labels — execution order was never load-bearing — so the
-   whole row x replicate product is flattened into one task array and
-   run on the ambient pool. Results are regrouped by row in input
-   order, so the averaged quads (and the rendered table) are identical
-   at any job count. *)
 let collect profile ~seed_tag rows =
-  let tasks =
-    List.concat_map
-      (fun row ->
-        let replicates = max 1 (profile.Profile.replicates * row.replicate_factor) in
-        List.init replicates (fun j -> (row, j)))
-      rows
+  let cells =
+    Cell.run profile ~tag:seed_tag Runner.quads
+      (List.map
+         (fun row ->
+           {
+             Cell.label = row.label;
+             replicates = profile.Profile.replicates * row.replicate_factor;
+             seed = Cell.seed profile seed_tag row.label;
+             compute = (fun rng -> Runner.paper_quad profile rng (row.make rng));
+           })
+         rows)
   in
-  let context = Gb_obs.Telemetry.capture () in
-  let telemetry = Gb_obs.Telemetry.writer_installed () in
-  let quads =
-    Gb_par.Pool.map_list
-      (Gb_par.Pool.current ())
-      (fun (row, j) ->
-        let seed = row_seed profile ~seed_tag row j in
-        Gb_obs.Telemetry.with_snapshot context (fun () ->
-            Gb_obs.Telemetry.with_context
-              ~graph:(Printf.sprintf "%s/%s/rep%d" seed_tag row.label j)
-              ~seed
-              (fun () ->
-                through_store (cell_key profile ~seed_tag row j ~seed ~telemetry)
-                  (fun () ->
-                    let rng = Rng.create ~seed in
-                    let g = row.make rng in
-                    Runner.paper_quad profile rng g))))
-      tasks
-  in
-  (* Regroup the flat result list back into one averaged quad per row;
-     tasks were emitted row-major so each row owns a contiguous run. *)
-  let rec regroup rows quads =
-    match rows with
-    | [] -> []
-    | row :: rest ->
-        let replicates = max 1 (profile.Profile.replicates * row.replicate_factor) in
-        let mine = List.filteri (fun i _ -> i < replicates) quads in
-        let others = List.filteri (fun i _ -> i >= replicates) quads in
-        { row; quad = Runner.averaged_quads mine } :: regroup rest others
-  in
-  regroup rows quads
+  List.map2 (fun row quads -> { row; quad = Runner.averaged_quads quads }) rows cells
 
 let header =
   [

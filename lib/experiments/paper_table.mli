@@ -27,20 +27,11 @@ type row_data = {
 }
 
 val collect : Profile.t -> seed_tag:string -> row list -> row_data list
-(** Run the measurements only (no formatting). The RNG for row [i],
-    replicate [j] is seeded from [(master_seed, seed_tag, label, j)] so
-    tables are reproducible independently of execution order — which is
-    also what lets the whole row x replicate product run as one flat
-    task array on the ambient {!Gb_par.Pool} ([--jobs]) with results
-    regrouped in row order: the collected data is bit-identical at any
-    job count.
-
-    When an ambient {!Gb_store.Store} is installed ([--store DIR]),
-    each (row, replicate) cell is looked up before being computed and
-    persisted after: a cache hit returns the stored quad (timings
-    included) and replays the cell's telemetry records, so an
-    interrupted run resumed against the same store renders the table an
-    uninterrupted run would have rendered, byte for byte. *)
+(** Run the measurements only (no formatting): one {!Cell} per (row,
+    replicate), tagged [seed_tag], with replicate [j] of a row seeded
+    from [(master_seed, seed_tag, label, j)], so the data is the same
+    in any execution order, at any [--jobs], and replayed from the
+    result store when one is installed. *)
 
 val run : Profile.t -> title:string -> ?notes:string list -> seed_tag:string -> row list -> string
 (** [collect] followed by the table formatter. *)

@@ -198,28 +198,17 @@ let all =
   ]
 
 let find id = List.find_opt (fun e -> e.id = id) all
-(* Fan-out point 3: whole experiments run concurrently. Each experiment
-   already returns its rendered table as a string — output is therefore
-   naturally buffered per experiment — and the result list keeps the
-   input (presentation) order, so the harness prints exactly what a
-   sequential run prints. Experiments are seeded from the master seed
-   and their own labels, never from shared stream state, so the tables
-   are bit-identical at any job count. When a single experiment is
-   selected the pool runs it inline in the caller, leaving the domains
-   free for that experiment's inner fan-outs (replicates, starts). *)
+(* Experiments run one after the other: the cells inside each table
+   are what fans out (Cell.run), and a cell shared by two tables (table1
+   and the grid, ladder and tree appendix tables) is computed by the
+   first and replayed by the second whatever --jobs is. *)
 let run_selected profile experiments =
-  let context = Gb_obs.Telemetry.capture () in
-  Gb_par.Pool.map_list
-    (Gb_par.Pool.current ())
+  List.map
     (fun e ->
-      Gb_obs.Telemetry.with_snapshot context (fun () ->
-          let t0 = Gb_obs.Clock.now () in
-          let table = e.run profile in
-          (* Individual cells are already durable (atomic renames); a
-             per-experiment sync just keeps the advisory index fresh so
-             a later kill between experiments leaves a tidy store. *)
-          (match Gb_store.Store.current () with
-          | Some store -> Gb_store.Store.sync store
-          | None -> ());
-          (e, table, Gb_obs.Clock.now () -. t0)))
+      let table, seconds = Runner.timed (fun () -> e.run profile) in
+      (* Individual cells are already durable (atomic renames); a
+         per-experiment sync just keeps the advisory index fresh so a
+         later kill between experiments leaves a tidy store. *)
+      Option.iter Gb_store.Store.sync (Gb_store.Store.current ());
+      (e, table, seconds))
     experiments

@@ -17,16 +17,14 @@ val all : experiment list
 
 val find : string -> experiment option
 val run_selected : Profile.t -> experiment list -> (experiment * string * float) list
-(** Run a selection of experiments on the ambient {!Gb_par.Pool}
-    ([--jobs]), each experiment's output buffered as its rendered table
-    string, and return [(experiment, table, seconds)] in the {e input}
-    (presentation) order regardless of completion order. Rendered
-    tables are bit-identical to a sequential run (timing columns aside
-    — see PARALLELISM.md); a single-experiment selection runs inline so
-    its inner fan-out points can use the domains instead.
+(** Run a selection of experiments in order and return
+    [(experiment, table, seconds)] for each. The fan-out is inside the
+    tables: every cell of a table runs on the ambient {!Gb_par.Pool}
+    ([--jobs]) through {!Cell.run}, so the rendered tables are the same
+    at any job count (timing columns aside — see PARALLELISM.md).
 
     When an ambient {!Gb_store.Store} is installed ([--store DIR]),
-    every (row, replicate) cell an experiment computes is persisted as
-    it completes and reused on re-runs, so an interrupted selection
-    resumed against the same store reproduces the uninterrupted output;
-    the store's advisory index is refreshed after each experiment. *)
+    every cell is persisted as it completes and reused on re-runs, so
+    an interrupted selection resumed against the same store reproduces
+    the uninterrupted output, and a warm rerun computes nothing; the
+    store's advisory index is refreshed after each experiment. *)

@@ -16,6 +16,11 @@ let run_algorithm (profile : Profile.t) rng algorithm g =
   let o = (Algo.find algorithm).run ~sa rng g in
   (o.bisection, o.stats)
 
+let timed f =
+  let t0 = Obs.Clock.now () in
+  let r = f () in
+  (r, Obs.Clock.now () -. t0)
+
 let run_once_record ?(start = 0) ?collect profile rng algorithm g =
   (* Collecting a trajectory costs an allocation per pass/plateau, so
      only do it when someone will read it: an installed telemetry
@@ -23,14 +28,13 @@ let run_once_record ?(start = 0) ?collect profile rng algorithm g =
   let collect =
     match collect with Some c -> c | None -> Obs.Telemetry.writer_installed ()
   in
-  let t0 = Obs.Clock.now () in
   let span = Obs.Trace.start () in
-  let (bisection, detail), trajectory =
-    if collect then
-      Obs.Telemetry.with_collector (fun () -> run_algorithm profile rng algorithm g)
-    else (run_algorithm profile rng algorithm g, [])
+  let ((bisection, detail), trajectory), seconds =
+    timed (fun () ->
+        if collect then
+          Obs.Telemetry.with_collector (fun () -> run_algorithm profile rng algorithm g)
+        else (run_algorithm profile rng algorithm g, []))
   in
-  let seconds = Obs.Clock.now () -. t0 in
   (* Always-on oracle (O(m), negligible next to any trial): the
      result's cached cut, counts and balance must survive a
      from-scratch recompute. Catches stale incremental accounting at
@@ -133,6 +137,8 @@ let quad_of_json j =
   match (field "bsa", field "bcsa", field "bkl", field "bckl") with
   | Some bsa, Some bcsa, Some bkl, Some bckl -> Some { bsa; bcsa; bkl; bckl }
   | _ -> None
+
+let quads = { Cell.encode = quad_to_json; decode = quad_of_json }
 
 let paper_quad profile rng g =
   let bsa = best_of_starts profile rng `Sa g in

@@ -10,6 +10,9 @@
 val paper_four : Gb_algo.Algo.t list
 (** [[`Sa; `Csa; `Kl; `Ckl]] — the paper's column order. *)
 
+val timed : (unit -> 'a) -> 'a * float
+(** [timed f] is [f ()] and the seconds it took on {!Gb_obs.Clock}. *)
+
 type run = {
   cut : int;
   seconds : float;
@@ -55,17 +58,12 @@ val best_of_starts : Profile.t -> Gb_prng.Rng.t -> Gb_algo.Algo.t -> Gb_graph.Cs
     bit-identical at every job count — only the wall-clock differs.
     See PARALLELISM.md. *)
 
-val run_to_json : run -> Gb_obs.Json.t
-val run_of_json : Gb_obs.Json.t -> run option
-(** Result-store codecs. A cached cell round-trips the whole [run] —
-    including [seconds] — so a resumed table reproduces even its timing
-    columns byte for byte. [run_of_json] is [None] on shape mismatch
-    (the store entry is then recomputed). *)
-
 type quad = { bsa : run; bcsa : run; bkl : run; bckl : run }
 
-val quad_to_json : quad -> Gb_obs.Json.t
-val quad_of_json : Gb_obs.Json.t -> quad option
+val quads : quad Cell.codec
+(** The result-store codec of a quad. It keeps the whole of each
+    [run], [seconds] included, so a table replayed from the store
+    reproduces even its timing columns byte for byte. *)
 
 val paper_quad : Profile.t -> Gb_prng.Rng.t -> Gb_graph.Csr.t -> quad
 (** {!best_of_starts} for the paper's four algorithms on one graph. *)

@@ -1,5 +1,3 @@
-module Rng = Gb_prng.Rng
-
 type t = {
   wins_a : int;
   wins_b : int;
@@ -55,37 +53,33 @@ let pp fmt t =
 let obs4_sign_table profile =
   let two_n = Profile.scaled profile 2000 in
   let instances = max 10 (5 * profile.Profile.replicates) in
-  let corpus degree j =
-    let seed =
-      Rng.seed_of_string
-        (* lint: allow no-float-format — degree is a literal constant; %g renders it identically on every run *)
-        (Printf.sprintf "%d/signtest/%g/%d" profile.Profile.master_seed degree j)
-    in
-    let rng = Rng.create ~seed in
-    let params =
-      Gb_models.Planted.params_for_average_degree ~two_n ~avg_degree:degree ~bis:16
-    in
-    (rng, Gb_models.Planted.generate rng params)
+  let degrees = [ 2.5; 3.0; 3.5 ] in
+  let cells =
+    Cell.run profile ~tag:"signtest" Runner.quads
+      (List.map
+         (fun degree ->
+           let params =
+             Gb_models.Planted.params_for_average_degree ~two_n ~avg_degree:degree ~bis:16
+           in
+           {
+             (* lint: allow no-float-format — degree is a literal constant; %g renders it identically on every run *)
+             Cell.label = Printf.sprintf "deg%g" degree;
+             replicates = instances;
+             (* lint: allow no-float-format — degree is a literal constant; %g renders it identically on every run *)
+             seed = Cell.seed profile "signtest" (Printf.sprintf "%g" degree);
+             compute =
+               (fun rng -> Runner.paper_quad profile rng (Gb_models.Planted.generate rng params));
+           })
+         degrees)
   in
-  let row degree =
-    let kl_vs_sa = ref [] and ckl_vs_csa = ref [] in
-    for j = 0 to instances - 1 do
-      let rng, g = corpus degree j in
-      let quad =
-        Gb_obs.Telemetry.with_context
-          (* lint: allow no-float-format — degree is a literal constant; %g renders it identically on every run *)
-          ~graph:(Printf.sprintf "signtest/deg%g/rep%d" degree j)
-          (fun () -> Runner.paper_quad profile rng g)
-      in
-      kl_vs_sa := (quad.Runner.bkl.Runner.cut, quad.Runner.bsa.Runner.cut) :: !kl_vs_sa;
-      ckl_vs_csa := (quad.Runner.bckl.Runner.cut, quad.Runner.bcsa.Runner.cut) :: !ckl_vs_csa
-    done;
-    let plain = of_pairs !kl_vs_sa and compacted = of_pairs !ckl_vs_csa in
+  let row degree quads =
+    let pairs versus = of_pairs (List.map versus quads) in
+    let open Runner in
     [
       (* lint: allow no-float-format — display-only row label built from a literal degree *)
       Printf.sprintf "avg deg %g" degree;
-      Format.asprintf "%a" pp plain;
-      Format.asprintf "%a" pp compacted;
+      Format.asprintf "%a" pp (pairs (fun q -> (q.bkl.cut, q.bsa.cut)));
+      Format.asprintf "%a" pp (pairs (fun q -> (q.bckl.cut, q.bcsa.cut)));
     ]
   in
   Table.render
@@ -99,4 +93,4 @@ let obs4_sign_table profile =
         "time'; with compaction 'no big difference in the quality of the solutions'";
       ]
     ~header:[ "instance"; "KL vs SA (wins-losses)"; "CKL vs CSA" ]
-    [ row 2.5; row 3.0; row 3.5 ]
+    (List.map2 row degrees cells)

@@ -1,10 +1,9 @@
 (** Deterministic multicore fan-out over OCaml 5 domains.
 
-    The experiment harness has three embarrassingly parallel fan-out
-    points — independent random starts ({!Gb_experiments.Runner}),
-    replicate trial loops ({!Gb_experiments.Paper_table}, ablations),
-    and whole experiments ({!Gb_experiments.Registry}) — and all of
-    them share one requirement: {e the parallel schedule must never be
+    The experiment harness has two embarrassingly parallel fan-out
+    points — the cells of a table ({!Gb_experiments.Cell}) and the
+    independent random starts of one run ({!Gb_experiments.Runner}) —
+    and both share one requirement: {e the parallel schedule must never be
     observable in the results}. A pool therefore provides order-preserving
     combinators only: tasks are indexed, every task owns its inputs (in
     particular its own RNG stream, derived from a base seed and the task
@@ -22,16 +21,15 @@
     domains ([n - 1] spawned), and a pool costs nothing until used —
     domains are spawned per call and joined before the call returns.
 
-    {b Nesting.} Fan-out points nest (the registry runs experiments
-    whose tables run replicates whose runs have starts). A task that is
+    {b Nesting.} Fan-out points nest (a table's cells run algorithms
+    from several starts). A task that is
     already executing on a pool worker runs any nested pool call
     sequentially, so the domain count stays bounded by the outermost
     fan-out and nested calls cannot deadlock. Because every combinator
     is deterministic, collapsing an inner level to sequential never
     changes its results. Single-task calls (and 1-domain pools) run
     inline in the caller {e without} claiming worker status, so a
-    registry run of one experiment still parallelises that experiment's
-    inner loops.
+    table of one cell still runs that cell's starts in parallel.
 
     {b Exceptions.} If a task raises, the first exception (by claim
     order) is re-raised in the caller after all domains are joined;

@@ -113,10 +113,9 @@ val stats : t -> stats
 
 (** {1 The ambient store}
 
-    Executables surface [--store DIR] once; the harness fan-out points
-    ({!Gb_experiments.Paper_table}, {!Gb_experiments.Extra_tables})
-    read the ambient store back rather than threading it through every
-    signature. The reference is a plain cross-domain global (pool
+    Executables surface [--store DIR] once; the harness's cell engine
+    ({!Gb_experiments.Cell}) reads the ambient store back rather than
+    threading it through every signature. The reference is a plain cross-domain global (pool
     workers see it), set once at startup. *)
 
 val set_current : t option -> unit

@@ -106,6 +106,19 @@ let solve_tests =
             check_int "exit" 0 code;
             check_bool "cut reported" true (contains out "cut ");
             Alcotest.(check string) "stderr" "" err));
+    case "every algorithm solves a graph without vertices: cut 0" (fun () ->
+        let path = Filename.temp_file "gbisect_empty" ".txt" in
+        Fun.protect
+          ~finally:(fun () -> Sys.remove path)
+          (fun () ->
+            write_file path "0 0\n";
+            List.iter
+              (fun id ->
+                let code, out, err = run_cli [ "solve"; path; "-a"; id ] in
+                check_int (id ^ " exit") 0 code;
+                check_bool (id ^ " cut 0") true (contains out ": cut 0 (0+0 vertices)");
+                Alcotest.(check string) (id ^ " stderr") "" err)
+              Gbisect.Algo.ids));
     case "solve on a missing file is a usage error (exit 2)" (fun () ->
         let code, _, _ = run_cli [ "solve"; "/nonexistent/graph.txt" ] in
         check_int "exit" 2 code);

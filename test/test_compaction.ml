@@ -171,30 +171,6 @@ let recursive_tests =
           (List.length !seen);
         check_bool "levels run 1..levels-1 coarsest-first" true
           (List.rev !seen = List.init (stats.Compaction.levels - 1) (fun i -> i + 1)));
-    case "coarse_starts = 1 is the default result" (fun () ->
-        let g = Classic.grid ~rows:12 ~cols:12 in
-        let run k =
-          Bisection.cut
-            (fst (Compaction.recursive ~coarse_starts:k ~refiner:kl (Helpers.rng ()) g))
-        in
-        check_int "identical" (run 1) (run 1);
-        let b1, _ = Compaction.recursive ~refiner:kl (Helpers.rng ()) g in
-        let b2, _ = Compaction.recursive ~coarse_starts:1 ~refiner:kl (Helpers.rng ()) g in
-        check_bool "byte-identical sides" true
-          (Bisection.sides b1 = Bisection.sides b2));
-    case "coarse_starts > 1 stays valid and balanced" (fun () ->
-        let g = Classic.grid ~rows:12 ~cols:12 in
-        let b, _ =
-          Compaction.recursive ~coarse_starts:4 ~refiner:kl (Helpers.rng ()) g
-        in
-        Helpers.check_bisection_consistent g b;
-        check_bool "balanced" true (Bisection.is_balanced b));
-    case "coarse_starts < 1 rejected" (fun () ->
-        Alcotest.check_raises "coarse_starts"
-          (Invalid_argument "Compaction.recursive: coarse_starts < 1") (fun () ->
-            ignore
-              (Compaction.recursive ~coarse_starts:0 ~refiner:kl (Helpers.rng ())
-                 (Classic.path 8))));
   ]
 
 let compaction_properties =

@@ -65,12 +65,10 @@ let table_tests =
         Alcotest.(check (float 1e-9)) "empty mean" 0. (Table.mean []));
     case "run and quad JSON codecs invert" (fun () ->
         let run cut = { Runner.cut; seconds = 0.125 *. float_of_int cut; balanced = cut mod 2 = 0 } in
-        let r = run 9 in
-        check_bool "run" true (Runner.run_of_json (Runner.run_to_json r) = Some r);
         let q = { Runner.bsa = run 4; bcsa = run 3; bkl = run 8; bckl = run 1 } in
-        check_bool "quad" true (Runner.quad_of_json (Runner.quad_to_json q) = Some q);
-        check_bool "mismatch is None" true
-          (Runner.quad_of_json (Runner.run_to_json r) = None));
+        check_bool "quad" true (Runner.quads.decode (Runner.quads.encode q) = Some q);
+        let bsa_only = Gbisect.Obs.Json.Obj [ ("bsa", Runner.quads.encode q) ] in
+        check_bool "mismatch is None" true (Runner.quads.decode bsa_only = None));
     case "cells format" (fun () ->
         Alcotest.(check string) "int" "42" (Table.int_cell 42);
         Alcotest.(check string) "pct" "12.5%" (Table.pct_cell 12.5);

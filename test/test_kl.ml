@@ -587,17 +587,7 @@ let invariants r g =
   let cut0 = Bisection.compute_cut g side0 in
   let fm_side, fm = Fm.refine g side0 in
   let kl_side, kl = Kl.refine g side0 in
-  (* Sa_bisect.refine draws its first move with Rng.int n, which
-     refuses n = 0, so the graph without vertices skips SA. *)
-  let sa_cuts =
-    if n = 0 then []
-    else
-      let sa_side, sa = Sa_bisect.refine ~config:quick_sa r g side0 in
-      [
-        ("sa initial_cut", sa.initial_cut = cut0);
-        ("sa final_cut", sa.final_cut = Bisection.compute_cut g sa_side);
-      ]
-  in
+  let sa_side, sa = Sa_bisect.refine ~config:quick_sa r g side0 in
   let labels = Array.init n (fun _ -> Rng.int r 4) in
   let bits = Array.init n (fun _ -> Rng.int r 2) in
   [
@@ -605,12 +595,13 @@ let invariants r g =
     ("fm final_cut", fm.final_cut = Bisection.compute_cut g fm_side);
     ("kl initial_cut", kl.initial_cut = cut0);
     ("kl final_cut", kl.final_cut = Bisection.compute_cut g kl_side);
+    ("sa initial_cut", sa.initial_cut = cut0);
+    ("sa final_cut", sa.final_cut = Bisection.compute_cut g sa_side);
     ("cut of labels 0..3", Bisection.compute_cut g labels = naive_cut g labels);
     ("cut of labels 0/1", Bisection.compute_cut g bits = naive_cut g bits);
     ("gains", Bisection.all_gains g bits = naive_gains g bits);
     ("graph unchanged", Graph.equal g before);
   ]
-  @ sa_cuts
 
 let check_invariants what r g =
   List.iter (fun (name, ok) -> check_bool (what ^ ": " ^ name) true ok) (invariants r g)

@@ -296,7 +296,72 @@ let resume_case id =
               check_bool "jobs 4 telemetry (sorted)" true
                 (sorted_stream telemetry_cold = sorted_stream telemetry_par))))
 
-let resume_tests = [ resume_case "table1"; resume_case "geometric" ]
+(* A clock that moves on every read, so a timing cell a warm run
+   recomputed, or a record it emitted afresh, differs from the cold
+   run's. *)
+let with_ticking_clock f =
+  let ticks = Atomic.make 0 in
+  Obs.Clock.set (fun () -> float_of_int (Atomic.fetch_and_add ticks 1) *. 1e-3);
+  (* lint: allow no-wall-clock — restores the default clock source after the ticking-clock scope *)
+  Fun.protect ~finally:(fun () -> Obs.Clock.set Sys.time) f
+
+(* Every registered table at the smoke profile through [store], as
+   `gbisect table --store` runs them: the rendered tables, the
+   telemetry stream in emission order, and the store's counts. *)
+let run_all ~jobs store =
+  let records = ref [] in
+  let m = Mutex.create () in
+  let tables =
+    with_jobs jobs (fun () ->
+        with_ticking_clock (fun () ->
+            Store.set_current (Some store);
+            Telemetry.set_writer
+              (Some (fun r -> Mutex.protect m (fun () -> records := r :: !records)));
+            Fun.protect
+              ~finally:(fun () ->
+                Telemetry.set_writer None;
+                Store.set_current None)
+              (fun () ->
+                List.map
+                  (fun (_, table, _) -> table)
+                  (Registry.run_selected Profile.smoke Registry.all))))
+  in
+  Store.close store;
+  (tables, List.rev !records, Store.stats store)
+
+let counter name = Option.value ~default:0 (List.assoc_opt name (Obs.Metrics.counters ()))
+
+let warm_tests =
+  [
+    case "a warm rerun of every table recomputes nothing" (fun () ->
+        with_dir (fun dir ->
+            let tables_cold, telemetry_cold, _ = run_all ~jobs:1 (Store.open_store dir) in
+            Obs.Metrics.set_enabled true;
+            Obs.Metrics.reset ();
+            let tables_warm, telemetry_warm, st =
+              Fun.protect
+                ~finally:(fun () -> Obs.Metrics.set_enabled false)
+                (fun () -> run_all ~jobs:1 (Store.open_store dir))
+            in
+            check_int "misses" 0 st.Store.misses;
+            check_int "writes" 0 st.Store.writes;
+            List.iter
+              (fun name -> check_int name 0 (counter name))
+              [ "kl.passes"; "sa.plateaus"; "compaction.matchings" ];
+            Alcotest.(check (list string)) "tables" tables_cold tables_warm;
+            check_same_stream "telemetry stream" telemetry_cold telemetry_warm));
+    case "a cold run reads and writes the same cells at jobs 1 and 2" (fun () ->
+        with_dir (fun dir_1 ->
+            with_dir (fun dir_2 ->
+                let _, _, st1 = run_all ~jobs:1 (Store.open_store dir_1) in
+                let _, _, st2 = run_all ~jobs:2 (Store.open_store dir_2) in
+                check_bool "some cells are shared between tables" true (st1.Store.hits > 0);
+                check_int "hits" st1.Store.hits st2.Store.hits;
+                check_int "misses" st1.Store.misses st2.Store.misses;
+                check_int "writes" st1.Store.writes st2.Store.writes)));
+  ]
+
+let resume_tests = [ resume_case "table1"; resume_case "geometric" ] @ warm_tests
 
 let () =
   Alcotest.run "store"
