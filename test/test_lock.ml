@@ -9,7 +9,12 @@
    - "cut CASE ALGO CUT": the fixed-seed cut of every algorithm on one
      case of each fuzz family with at least 2 vertices, and on
      Gnp(2000, d=4), which coarsens deep enough to exercise the
-     multilevel refinement budget.
+     multilevel refinement budget;
+   - "span PARENT/NAME COUNT", "trace RUN MD5" and "telemetry RUN MD5":
+     the shape of three traced runs (see [traced_runs]): how often each
+     span or instant occurs under each parent ("-" at top level), a
+     digest of each run's events, and a digest of the table run's
+     telemetry records.
 
    To re-baseline after an intended behaviour change, run
    [GBISECT_LOCK_WRITE=$PWD/test/lock.golden dune exec test/test_lock.exe]
@@ -88,6 +93,169 @@ let cuts () =
         algorithms)
     (family_cases () @ [ gnp_case () ])
 
+(* Three traced runs at --jobs 1 under a clock that advances on every
+   read, so that every span has its own start and end and nesting can be
+   read back from the timestamps:
+   - "tables": table1 and figures at the smoke profile, with a telemetry
+     writer installed;
+   - "serve": two identical ckl solves through [Serve.handle] with a
+     store (the second is a cache hit), then a ping;
+   - "solve": one mlfm and one xsa solve of a small Gnp.
+   The digests leave out what the clock and the allocator decide: an
+   event's [ts], [dur] and [alloc_words], a record's [seconds]. *)
+
+let with_ticking_clock f =
+  let ticks = Atomic.make 0 in
+  Obs.Clock.set (fun () -> float_of_int (Atomic.fetch_and_add ticks 1) *. 1e-3);
+  (* lint: allow no-wall-clock — restores the default clock source after the ticking-clock scope *)
+  Fun.protect ~finally:(fun () -> Obs.Clock.set Sys.time) f
+
+let with_jobs n f =
+  let saved = Gbisect.Pool.jobs () in
+  Gbisect.Pool.set_jobs n;
+  Fun.protect ~finally:(fun () -> Gbisect.Pool.set_jobs saved) f
+
+(* The trace events [f] emits, parsed, in emission order. *)
+let events_of f =
+  let buf = Buffer.create 4096 in
+  Obs.Trace.set (Obs.Trace.of_writer (Buffer.add_string buf));
+  Fun.protect ~finally:Obs.Trace.close f;
+  String.split_on_char '\n' (Buffer.contents buf)
+  |> List.filter (fun l -> l <> "")
+  |> List.map Obs.Json.of_string
+
+let without keys = function
+  | Obs.Json.Obj fields ->
+      Obs.Json.Obj (List.filter (fun (k, _) -> not (List.mem k keys)) fields)
+  | j -> j
+
+let digest_lines lines = Digest.to_hex (Digest.string (String.concat "\n" lines))
+
+let event_digest events =
+  let masked = function
+    | Obs.Json.Obj fields ->
+        Obs.Json.Obj
+          (List.filter_map
+             (function
+               | ("ts" | "dur"), _ -> None
+               | "args", args -> Some ("args", without [ "alloc_words" ] args)
+               | field -> Some field)
+             fields)
+    | j -> j
+  in
+  digest_lines (List.map (fun e -> Obs.Json.to_string (masked e)) events)
+
+(* Each event's parent is the innermost complete event of its thread
+   that encloses it. *)
+let parented events =
+  let field k e = Option.get (Obs.Json.member k e) in
+  let num k e = Option.value ~default:0. (Option.bind (Obs.Json.member k e) Obs.Json.to_float) in
+  let str k e = match field k e with Obs.Json.String s -> s | _ -> "?" in
+  let tid e = Obs.Json.to_string (field "tid" e) in
+  let sorted =
+    List.stable_sort
+      (fun a b ->
+        match String.compare (tid a) (tid b) with
+        | 0 -> (
+            match Float.compare (num "ts" a) (num "ts" b) with
+            | 0 -> Float.compare (num "dur" b) (num "dur" a)
+            | c -> c)
+        | c -> c)
+      events
+  in
+  let open_spans = ref [] in
+  List.map
+    (fun e ->
+      let ts = num "ts" e in
+      open_spans :=
+        List.filter (fun (t, _, stop) -> t = tid e && stop >= ts) !open_spans;
+      let parent = match !open_spans with (_, name, _) :: _ -> name | [] -> "-" in
+      if str "ph" e = "X" then open_spans := (tid e, str "name" e, ts +. num "dur" e) :: !open_spans;
+      (parent, str "name" e))
+    sorted
+
+let rec rm_rf path =
+  match Sys.is_directory path with
+  | true ->
+      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+      Sys.rmdir path
+  | false -> Sys.remove path
+  | exception Sys_error _ -> ()
+
+(* The table run's events and telemetry records, in emission order. *)
+let table_run () =
+  let records = ref [] in
+  Obs.Telemetry.set_writer (Some (fun r -> records := r :: !records));
+  let events =
+    Fun.protect
+      ~finally:(fun () -> Obs.Telemetry.set_writer None)
+      (fun () ->
+        events_of (fun () ->
+            ignore
+              (Registry.run_selected Profile.smoke
+                 (List.filter_map Registry.find [ "table1"; "figures" ]))))
+  in
+  (events, List.rev !records)
+
+let serve_run graph =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "gbisect-lock-%d" (Unix.getpid ()))
+  in
+  let store = Gbisect.Store.open_store dir in
+  Fun.protect
+    ~finally:(fun () ->
+      Gbisect.Store.close store;
+      rm_rf dir)
+    (fun () ->
+      let module P = Gbisect.Serve_protocol in
+      let server =
+        Gbisect.Serve.create { Gbisect.Serve.default_config with store = Some store }
+      in
+      let data = Gbisect.Graph_io.to_edge_list_string graph in
+      let solve =
+        P.Solve { id = None; format = P.Edge_list; data; algorithm = `Ckl; starts = 2; seed = 1 }
+      in
+      events_of (fun () ->
+          List.iter
+            (fun r -> ignore (Gbisect.Serve.handle server r))
+            [ solve; solve; P.Ping None ]))
+
+let solve_run graph =
+  events_of (fun () ->
+      List.iter
+        (fun algorithm ->
+          ignore (Gbisect.solve ~algorithm ~starts:1 (Gbisect.Rng.create ~seed:1) graph))
+        [ `Mlfm; `Xsa ])
+
+let traced_runs () =
+  with_jobs 1 @@ fun () ->
+  with_ticking_clock @@ fun () ->
+  let tables, records = table_run () in
+  let graph =
+    Gbisect.Gnp.with_average_degree (Gbisect.Rng.create ~seed:5) ~n:300 ~avg_degree:4.
+  in
+  let runs = [ ("tables", tables); ("serve", serve_run graph); ("solve", solve_run graph) ] in
+  let counts = Hashtbl.create 64 in
+  List.iter
+    (fun key ->
+      Hashtbl.replace counts key (1 + Option.value ~default:0 (Hashtbl.find_opt counts key)))
+    (List.concat_map (fun (_, events) -> parented events) runs);
+  let spans =
+    Hashtbl.fold
+      (fun (parent, name) n acc -> Printf.sprintf "span %s/%s %d" parent name n :: acc)
+      counts []
+  in
+  List.sort String.compare spans
+  @ List.map (fun (run, events) -> Printf.sprintf "trace %s %s" run (event_digest events)) runs
+  @ [
+      Printf.sprintf "telemetry tables %s"
+        (digest_lines
+           (List.map
+              (fun r -> Obs.Json.to_string (without [ "seconds" ] (Obs.Telemetry.to_json r)))
+              records));
+    ]
+
 let check_lines what expected actual =
   let key line =
     match String.rindex_opt line ' ' with Some i -> String.sub line 0 i | None -> line
@@ -118,7 +286,7 @@ let () =
         "# Behaviour lock for test/test_lock.ml; regenerate only for an intended change.\n";
       List.iter
         (fun l -> output_string oc (l ^ "\n"))
-        (fingerprints @ tables () @ cuts ());
+        (fingerprints @ tables () @ cuts () @ traced_runs ());
       close_out oc
   | None ->
       let golden = read_lines golden_path in
@@ -133,5 +301,12 @@ let () =
                   fingerprints);
               case "every smoke table renders byte-identically" "table" tables;
               case "fixed-seed cuts of every algorithm are unchanged" "cut" cuts;
+              Helpers.case "traced runs keep their spans, events and records" (fun () ->
+                  let lines = traced_runs () in
+                  List.iter
+                    (fun what ->
+                      check_lines what golden
+                        (List.filter (String.starts_with ~prefix:(what ^ " ")) lines))
+                    [ "span"; "trace"; "telemetry" ]);
             ] );
         ]
