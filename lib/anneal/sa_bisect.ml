@@ -125,7 +125,7 @@ let calibrate rng st fraction =
    The start is the first best. Flips accepted since the last best go
    into [log]; a new best writes their current sides into [best_side],
    or copies the whole side array once more than n have piled up. *)
-let anneal schedule trace rng (st : Problem.state) =
+let anneal schedule rng (st : Problem.state) =
   Schedule.validate schedule;
   let t0 =
     match schedule.Schedule.initial_temperature with
@@ -213,8 +213,8 @@ let anneal schedule trace rng (st : Problem.state) =
     Obs.Metrics.add m_accepted_downhill (!accepted_here - !uphill_here);
     Obs.Metrics.add m_rejected_uphill (!attempted_here - !accepted_here);
     Obs.Metrics.observe h_acceptance (100. *. acceptance);
-    Obs.Telemetry.sample "sa.plateau" !best_cost;
-    Obs.Trace.finish span "sa.plateau"
+    Obs.Telemetry.sample Obs.Span.sa_plateau !best_cost;
+    Obs.Trace.finish span Obs.Span.sa_plateau
       ~args:
         [
           ("plateau", Obs.Json.Int !temperatures);
@@ -224,9 +224,6 @@ let anneal schedule trace rng (st : Problem.state) =
           ("acceptance", Obs.Json.Float acceptance);
           ("best_cost", Obs.Json.Float !best_cost);
         ];
-    (match trace with
-    | Some f -> f ~temperature:!temperature ~acceptance ~best_cost:!best_cost
-    | None -> ());
     if acceptance < schedule.Schedule.min_acceptance && not !improved_best then incr cold_streak
     else cold_streak := 0;
     if !cold_streak >= schedule.Schedule.frozen_after then frozen := true
@@ -265,7 +262,7 @@ let no_vertices =
     final_cut = 0;
   }
 
-let refine ?(config = default_config) ?trace rng g side0 =
+let refine ?(config = default_config) rng g side0 =
   Bisection.validate_sides g side0;
   if config.imbalance_factor <= 0. then
     invalid_arg "Sa_bisect: imbalance_factor must be positive";
@@ -276,13 +273,13 @@ let refine ?(config = default_config) ?trace rng g side0 =
     let st = Problem.make config g side0 in
     let initial_cut = st.cut in
     let best_side, sa =
-      Obs.Trace.with_span "sa.anneal"
+      Obs.Trace.with_span Obs.Span.sa_anneal
         ~args:
           [
             ("vertices", Obs.Json.Int (Csr.n_vertices g));
             ("initial_cut", Obs.Json.Int initial_cut);
           ]
-        (fun () -> anneal config.schedule trace rng st)
+        (fun () -> anneal config.schedule rng st)
     in
     (* The better of the best balanced state seen and the final state,
        greedily rebalanced; the best state wins ties. *)
@@ -296,7 +293,7 @@ let refine ?(config = default_config) ?trace rng g side0 =
     (side, { sa; best_was_snapshot; initial_cut; final_cut })
   end
 
-let run ?config ?trace rng g =
+let run ?config rng g =
   let side0 = Gb_partition.Initial.random rng g in
-  let side, stats = refine ?config ?trace rng g side0 in
+  let side, stats = refine ?config rng g side0 in
   (Bisection.of_sides g side, stats)

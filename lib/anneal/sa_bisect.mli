@@ -55,21 +55,20 @@ type stats = {
 
 val refine :
   ?config:config ->
-  ?trace:(temperature:float -> acceptance:float -> best_cost:float -> unit) ->
   Gb_prng.Rng.t ->
   Gb_graph.Csr.t ->
   int array ->
   int array * stats
 (** Anneal from the given balanced assignment; returns a balanced
     assignment in an array of its own (never worse than rebalancing the
-    input would be only in expectation — SA is stochastic). [trace]
-    fires after every temperature. A graph without vertices gets the
-    empty assignment back, with zero counters, before any draw.
+    input would be only in expectation — SA is stochastic). The
+    returned stats hold one {!Sa.plateau} per temperature. A graph
+    without vertices gets the empty assignment back, with zero
+    counters, before any draw.
     @raise Invalid_argument if the input is invalid or unbalanced. *)
 
 val run :
   ?config:config ->
-  ?trace:(temperature:float -> acceptance:float -> best_cost:float -> unit) ->
   Gb_prng.Rng.t ->
   Gb_graph.Csr.t ->
   Gb_partition.Bisection.t * stats

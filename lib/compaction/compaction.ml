@@ -15,12 +15,12 @@ let h_contraction_pct = Obs.Metrics.histogram "compaction.contraction_ratio_pct"
    coarse/fine vertex ratio. *)
 let contract_level policy match_with rng g =
   let matching =
-    Obs.Trace.with_span "compaction.match" (fun () -> match_with policy rng g)
+    Obs.Trace.with_span Obs.Span.compaction_match (fun () -> match_with policy rng g)
   in
   Obs.Metrics.incr m_matchings;
   Obs.Metrics.observe h_matching_size (float_of_int (Matching.size matching));
   let contraction =
-    Obs.Trace.with_span "compaction.contract" (fun () -> Contraction.contract g matching)
+    Obs.Trace.with_span Obs.Span.compaction_contract (fun () -> Contraction.contract g matching)
   in
   let ratio =
     float_of_int (Csr.n_vertices contraction.Contraction.coarse)
@@ -54,27 +54,27 @@ let bisect ?(policy = Random_matching) ~refiner rng g =
   (* Step 3: bisect the contracted graph from a random start. *)
   let coarse_start = Initial.random rng coarse in
   let coarse_side =
-    Obs.Trace.with_span "compaction.coarse_refine"
+    Obs.Trace.with_span Obs.Span.compaction_coarse_refine
       ~args:[ ("vertices", Obs.Json.Int (Csr.n_vertices coarse)) ]
       (fun () -> refiner rng coarse coarse_start)
   in
   let coarse_cut = Bisection.compute_cut coarse coarse_side in
-  Obs.Telemetry.sample "compaction.level" (float_of_int coarse_cut);
+  Obs.Telemetry.sample Obs.Span.compaction_level (float_of_int coarse_cut);
   (* Step 4: uncompact and repair count balance. *)
   let start =
-    Obs.Trace.with_span "compaction.project" (fun () ->
+    Obs.Trace.with_span Obs.Span.compaction_project (fun () ->
         Bisection.rebalance g (Contraction.project_to_fine contraction coarse_side))
   in
   let projected_cut = Bisection.compute_cut g start in
-  Obs.Telemetry.sample "compaction.projected" (float_of_int projected_cut);
+  Obs.Telemetry.sample Obs.Span.compaction_projected (float_of_int projected_cut);
   (* Step 5: refine on the original graph. *)
   let final_side =
-    Obs.Trace.with_span "compaction.refine"
+    Obs.Trace.with_span Obs.Span.compaction_refine
       ~args:[ ("vertices", Obs.Json.Int (Csr.n_vertices g)) ]
       (fun () -> refiner rng g start)
   in
   let final_cut = Bisection.compute_cut g final_side in
-  Obs.Telemetry.sample "compaction.level" (float_of_int final_cut);
+  Obs.Telemetry.sample Obs.Span.compaction_level (float_of_int final_cut);
   ( Bisection.of_sides g final_side,
     {
       fine_vertices = Csr.n_vertices g;
@@ -102,18 +102,18 @@ let recursive ?(policy = Random_matching) ?(min_vertices = 64) ?(max_levels = 20
     end
   in
   let hierarchy, coarsest =
-    Obs.Trace.with_span "compaction.coarsen" (fun () -> coarsen [] g 0)
+    Obs.Trace.with_span Obs.Span.compaction_coarsen (fun () -> coarsen [] g 0)
   in
   let coarse_vertices = Csr.n_vertices coarsest in
   let coarse_average_degree = Csr.average_degree coarsest in
   (* Bisect the coarsest level from a random balanced start. *)
   let side =
-    Obs.Trace.with_span "compaction.coarse_refine"
+    Obs.Trace.with_span Obs.Span.compaction_coarse_refine
       ~args:[ ("vertices", Obs.Json.Int coarse_vertices) ]
       (fun () -> refiner rng coarsest (Initial.random rng coarsest))
   in
   let coarse_cut = Bisection.compute_cut coarsest side in
-  Obs.Telemetry.sample "compaction.level" (float_of_int coarse_cut);
+  Obs.Telemetry.sample Obs.Span.compaction_level (float_of_int coarse_cut);
   (* Pair each contraction with the fine graph it was applied to:
      [hierarchy] is coarsest-contraction-first, so rebuild finest-first
      from the original graph, then walk it coarsest-first to refine up. *)
@@ -130,7 +130,7 @@ let recursive ?(policy = Random_matching) ?(min_vertices = 64) ?(max_levels = 20
   let side =
     List.fold_left
       (fun side (fine_g, contraction) ->
-        Obs.Trace.with_span "compaction.uncoarsen"
+        Obs.Trace.with_span Obs.Span.compaction_uncoarsen
           ~args:[ ("vertices", Obs.Json.Int (Csr.n_vertices fine_g)) ]
           (fun () ->
             incr level_no;
@@ -145,12 +145,12 @@ let recursive ?(policy = Random_matching) ?(min_vertices = 64) ?(max_levels = 20
             (* Only the finest level's projected cut reaches the stats. *)
             if !level_no = finest_level || Obs.Telemetry.collecting () then begin
               projected_cut := Bisection.compute_cut fine_g start;
-              Obs.Telemetry.sample "compaction.projected" (float_of_int !projected_cut)
+              Obs.Telemetry.sample Obs.Span.compaction_projected (float_of_int !projected_cut)
             end;
             let refined = refiner rng fine_g start in
             (* compute_cut is pure; only pay for it when collecting. *)
             if Obs.Telemetry.collecting () then
-              Obs.Telemetry.sample "compaction.level"
+              Obs.Telemetry.sample Obs.Span.compaction_level
                 (float_of_int (Bisection.compute_cut fine_g refined));
             refined))
       side (List.rev finest_first)

@@ -1,11 +1,14 @@
 module Rng = Gb_prng.Rng
 module Bregular = Gb_models.Bregular
 module Telemetry = Gb_obs.Telemetry
+module Span = Gb_obs.Span
 
 (* One labelled trajectory out of a telemetry record: the cores sample
-   "kl.pass" after every KL pass, "sa.plateau" after every temperature
-   plateau, "compaction.level" after every refined level. *)
+   [Span.kl_pass] after every KL pass, [Span.sa_plateau] after every
+   temperature plateau, [Span.compaction_level] after every refined
+   level. *)
 let series label (record : Telemetry.record) =
+  let label = Span.name label in
   List.filter_map
     (fun (k, v) -> if String.equal k label then Some v else None)
     record.Telemetry.trajectory
@@ -43,20 +46,20 @@ let figures profile =
       (List.find (fun (r : Telemetry.record) -> String.equal r.algorithm algorithm) records)
   in
   (* CKL runs KL twice — on the contracted graph, then on the original
-     from the projected start — so its "kl.pass" trajectory shows the
+     from the projected start — so its kl.pass trajectory shows the
      coarse passes followed by the (few) fine ones. *)
   Ascii_chart.render
     ~title:
       (Printf.sprintf
          "Figure: KL cut vs pass, Gbreg(%d, %d, 3) — random start (planted cut %d)" two_n b b)
-    ~y_label:"cut" ~x_label:"pass" (trajectory "KL" "kl.pass")
+    ~y_label:"cut" ~x_label:"pass" (trajectory "KL" Span.kl_pass)
   ^ Ascii_chart.render
       ~title:"          same instance — compacted (CKL), coarse then fine passes"
-      ~y_label:"cut" ~x_label:"pass" (trajectory "CKL" "kl.pass")
+      ~y_label:"cut" ~x_label:"pass" (trajectory "CKL" Span.kl_pass)
   ^ "\n"
   ^ Ascii_chart.render
       ~title:(Printf.sprintf "Figure: SA best cost vs temperature index, Gbreg(%d, %d, 3)" two_n b)
-      ~y_label:"best cost" ~x_label:"temperature index" (trajectory "SA" "sa.plateau")
+      ~y_label:"best cost" ~x_label:"temperature index" (trajectory "SA" Span.sa_plateau)
   ^ "\n"
   ^ Ascii_chart.render
       ~title:
@@ -65,4 +68,4 @@ let figures profile =
             coarsest to finest"
            two_n b)
       ~y_label:"cut after refinement" ~x_label:"level"
-      (trajectory "MLKL" "compaction.level")
+      (trajectory "MLKL" Span.compaction_level)

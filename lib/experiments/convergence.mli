@@ -14,7 +14,8 @@
 
     All three are read straight off the labelled trajectories in the
     {!Gb_obs.Telemetry.record} returned by {!Runner.run_once_record}
-    ("kl.pass", "sa.plateau", "compaction.level") — the same data
+    ({!Gb_obs.Span.kl_pass}, {!Gb_obs.Span.sa_plateau},
+    {!Gb_obs.Span.compaction_level}) — the same data
     [gbisect table --out DIR] streams to [telemetry.jsonl]. *)
 
 val figures : Profile.t -> string

@@ -129,21 +129,21 @@ let bench_gain_buckets ~runs =
       drain ())
 
 let bench_kl_pass ~runs =
-  let name = "kl.pass" in
+  let name = Obs.Span.(name kl_pass) in
   let rng = Rng.create ~seed:(seed_for name) in
   let g = Generators.gbreg_instance rng ~two_n:1000 ~b:50 ~d:4 in
   let side = Initial.random rng g in
   measure ~runs name ~iters:1 (fun () -> Gb_kl.Kl.one_pass g side)
 
 let bench_fm_pass ~runs =
-  let name = "fm.pass" in
+  let name = Obs.Span.(name fm_pass) in
   let rng = Rng.create ~seed:(seed_for name) in
   let g = Generators.gbreg_instance rng ~two_n:1000 ~b:50 ~d:4 in
   let side = Initial.random rng g in
   measure ~runs name ~iters:1 (fun () -> Gb_kl.Fm.one_pass g side)
 
 let bench_sa_plateau ~runs =
-  let name = "sa.plateau" in
+  let name = Obs.Span.(name sa_plateau) in
   let setup_rng = Rng.create ~seed:(seed_for name) in
   let g = Generators.g2set_instance setup_rng ~two_n:300 ~avg_degree:4.0 ~bis:30 in
   let side = Initial.random setup_rng g in

@@ -26,7 +26,9 @@
     {e warnings} (shared CI runners are too noisy to gate on). *)
 
 type bench_result = {
-  bench : string;  (** Bench name, e.g. ["kl.pass"]. *)
+  bench : string;
+      (** Bench name; the KL, FM and SA benches carry the name of the
+          span they time ({!Gb_obs.Span.kl_pass}, ...). *)
   iters : int;  (** Operations per run (ns/op divides by this). *)
   ns_per_op : float;  (** Min-of-k wall nanoseconds per operation. *)
   ns_median : float;  (** Median over the k runs. *)

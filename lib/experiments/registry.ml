@@ -5,23 +5,19 @@ type experiment = {
   run : Profile.t -> string;
 }
 
-(* Every experiment runs under a trace span and with its profile name
-   in the ambient telemetry context, so records emitted from deep
-   inside the tables carry the right labels. *)
+(* Every experiment runs under a trace span. *)
 let traced e =
   {
     e with
     run =
       (fun profile ->
-        Gb_obs.Trace.with_span "experiment"
+        Gb_obs.Trace.with_span Gb_obs.Span.experiment
           ~args:
             [
               ("id", Gb_obs.Json.String e.id);
               ("profile", Gb_obs.Json.String profile.Profile.name);
             ]
-          (fun () ->
-            Gb_obs.Telemetry.with_context ~profile:profile.Profile.name (fun () ->
-                e.run profile)));
+          (fun () -> e.run profile));
   }
 
 let all =

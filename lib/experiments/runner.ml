@@ -47,7 +47,7 @@ let run_once_record ?(start = 0) ?collect profile rng algorithm g =
            (Algo.name algorithm) msg));
   let cut = Bisection.cut bisection in
   let balanced = Bisection.is_balanced bisection in
-  Obs.Trace.finish span "runner.trial"
+  Obs.Trace.finish span Obs.Span.runner_trial
     ~args:
       [
         ("algorithm", Obs.Json.String (Algo.name algorithm));

@@ -30,7 +30,7 @@ let refine ?(config = default_config) g side0 =
   let pass_gains = ref [] in
   let moves = ref 0 in
   let passes = ref 0 in
-  Gb_obs.Telemetry.sample "fm.pass" (float_of_int initial_cut);
+  Gb_obs.Telemetry.sample Gb_obs.Span.fm_pass (float_of_int initial_cut);
   (try
      while !passes < config.max_passes do
        let span = Gb_obs.Trace.start () in
@@ -40,8 +40,8 @@ let refine ?(config = default_config) g side0 =
        (* A vertex moves at most once per pass, so the kept prefix is
           exactly the set of vertices that changed side. *)
        moves := !moves + kept;
-       Gb_obs.Telemetry.sample "fm.pass" (float_of_int (Workspace.cut ws));
-       Gb_obs.Trace.finish span "fm.pass"
+       Gb_obs.Telemetry.sample Gb_obs.Span.fm_pass (float_of_int (Workspace.cut ws));
+       Gb_obs.Trace.finish span Gb_obs.Span.fm_pass
          ~args:[ ("pass", Gb_obs.Json.Int !passes); ("gain", Gb_obs.Json.Int gain) ];
        if gain <= 0 && config.until_no_improvement then raise Exit
      done

@@ -39,7 +39,7 @@ let refine ?(config = default_config) g side0 =
   let pass_gains = ref [] in
   let swaps = ref 0 in
   let passes = ref 0 in
-  Obs.Telemetry.sample "kl.pass" (float_of_int initial_cut);
+  Obs.Telemetry.sample Obs.Span.kl_pass (float_of_int initial_cut);
   (try
      while !passes < config.max_passes do
        let span = Obs.Trace.start () in
@@ -57,8 +57,8 @@ let refine ?(config = default_config) g side0 =
        Obs.Metrics.add m_bucket_updates updates;
        Obs.Metrics.add m_swaps kept;
        Obs.Metrics.observe h_swaps_per_pass (float_of_int kept);
-       Obs.Telemetry.sample "kl.pass" (float_of_int cut);
-       Obs.Trace.finish span "kl.pass"
+       Obs.Telemetry.sample Obs.Span.kl_pass (float_of_int cut);
+       Obs.Trace.finish span Obs.Span.kl_pass
          ~args:
            [
              ("pass", Obs.Json.Int !passes);

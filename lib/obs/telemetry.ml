@@ -99,7 +99,7 @@ let collector_key : (string * float) list ref option Domain.DLS.key =
 let sample label v =
   match Domain.DLS.get collector_key with
   | None -> ()
-  | Some points -> points := (label, v) :: !points
+  | Some points -> points := (Span.name label, v) :: !points
 
 let collecting () = Domain.DLS.get collector_key <> None
 
@@ -120,7 +120,6 @@ let with_collector f =
    task (the pool cannot do this itself: it knows nothing about obs).  *)
 
 type context = {
-  profile : string option;
   graph : string option;
   seed : int option;
   (* Cell-scoped record capture (the result store's miss path). Part of
@@ -133,15 +132,14 @@ type context = {
 type snapshot = context
 
 let context_key : context Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { profile = None; graph = None; seed = None; tap = None })
+  Domain.DLS.new_key (fun () -> { graph = None; seed = None; tap = None })
 
-let with_context ?profile ?graph ?seed f =
+let with_context ?graph ?seed f =
   let previous = Domain.DLS.get context_key in
   let pick fresh inherited = match fresh with Some _ -> fresh | None -> inherited in
   Domain.DLS.set context_key
     {
       previous with
-      profile = pick profile previous.profile;
       graph = pick graph previous.graph;
       seed = pick seed previous.seed;
     };

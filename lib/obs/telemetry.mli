@@ -9,8 +9,8 @@
     JSON line per record to [DIR/telemetry.jsonl].
 
     {b Trajectory collection.} Algorithm cores call {!sample} with a
-    label ("kl.pass", "sa.plateau", "compaction.level") at each
-    structural step. Samples go to the innermost active collector
+    label from {!Span} ({!Span.kl_pass}, {!Span.sa_plateau},
+    {!Span.compaction_level}, ...) at each structural step. Samples go to the innermost active collector
     ({!with_collector}, installed by the experiment runner around each
     trial) and are dropped — one global read — when none is active, so
     instrumented libraries never pay for telemetry they did not ask
@@ -45,8 +45,9 @@ type record = {
   seconds : float;
   balanced : bool;
   trajectory : (string * float) list;
-      (** Labelled samples in recording order, e.g.
-          [("kl.pass", cut-after-pass)]. *)
+      (** Labelled samples in recording order, each label the
+          {!Span.name} it was sampled under, e.g.
+          [(Span.name Span.kl_pass, cut-after-pass)]. *)
   metrics : (string * Json.t) list;  (** Algorithm-specific final stats. *)
 }
 
@@ -60,8 +61,9 @@ val of_json : Json.t -> record option
 
 (* {2 Collector} *)
 
-val sample : string -> float -> unit
-(** Record a labelled trajectory point; no-op without a collector. *)
+val sample : Span.t -> float -> unit
+(** Record a trajectory point labelled with the span's {!Span.name};
+    no-op without a collector. *)
 
 val collecting : unit -> bool
 
@@ -72,8 +74,7 @@ val with_collector : (unit -> 'a) -> 'a * (string * float) list
 
 (* {2 Context} *)
 
-val with_context :
-  ?profile:string -> ?graph:string -> ?seed:int -> (unit -> 'a) -> 'a
+val with_context : ?graph:string -> ?seed:int -> (unit -> 'a) -> 'a
 (** Scope harness labels; omitted fields inherit the enclosing scope. *)
 
 val context_graph : unit -> string option

@@ -42,7 +42,7 @@ let emit ~ph ?dur ?(args = []) ~ts name =
   | Writer _ ->
       let fields =
         [
-          ("name", Json.String name);
+          ("name", Json.String (Span.name name));
           ("cat", Json.String "gbisect");
           ("ph", Json.String ph);
           (* integral µs: full precision survives the compact float

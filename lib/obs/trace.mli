@@ -5,7 +5,8 @@
     the active sink turns each into one JSON event per line in the
     Chrome trace-event format ([ph:"X"] complete events and [ph:"i"]
     instants), loadable as-is in {{:https://ui.perfetto.dev}Perfetto}
-    or [chrome://tracing].
+    or [chrome://tracing]. Every event is named by a {!Span.t}, so the
+    names a trace can hold are exactly those {!Span} lists.
 
     Every complete event carries one arg, [alloc_words]: the words the
     emitting domain allocated between {!start} and {!finish}
@@ -58,16 +59,17 @@ val enabled : unit -> bool
 val start : unit -> span
 (** Begin a span. Free (a null value) when tracing is disabled. *)
 
-val finish : ?args:(string * Json.t) list -> span -> string -> unit
-(** [finish span name] emits a complete event covering the time since
-    [start], with [alloc_words] appended to [args]. The name is given
+val finish : ?args:(string * Json.t) list -> span -> Span.t -> unit
+(** [finish span name] emits a complete event named [Span.name name]
+    covering the time since [start], with [alloc_words] appended to
+    [args]. The name is given
     at the end so that end-of-span values (a pass's gain, a plateau's
     acceptance) can be attached as args. Finish a span on the domain
     that started it: the allocation reading is per domain. *)
 
-val with_span : ?args:(string * Json.t) list -> string -> (unit -> 'a) -> 'a
+val with_span : ?args:(string * Json.t) list -> Span.t -> (unit -> 'a) -> 'a
 (** Run a thunk inside a span; the event is emitted even if the thunk
     raises. *)
 
-val instant : ?args:(string * Json.t) list -> string -> unit
+val instant : ?args:(string * Json.t) list -> Span.t -> unit
 (** A zero-duration point event. *)

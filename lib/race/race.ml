@@ -43,11 +43,4 @@ let run ~backends rng g =
   Array.iteri
     (fun i e -> if e.cut < entries.(!winner_index).cut then winner_index := i)
     entries;
-  (* Telemetry from the orchestrator, in portfolio order, after the
-     barrier — keeps the sample stream deterministic. *)
-  Array.iter
-    (fun e ->
-      if Obs.Telemetry.collecting () then
-        Obs.Telemetry.sample ("race." ^ e.backend ^ ".cut") (float_of_int e.cut))
-    entries;
   { winner = entries.(!winner_index); winner_index = !winner_index; entries }

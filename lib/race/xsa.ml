@@ -157,7 +157,7 @@ let run ?(config = default_config) ?(record = false) rng g =
     let swaps_attempted = ref 0 and swaps_accepted = ref 0 in
     let pool = Pool.current () in
     for round = 0 to config.rounds - 1 do
-      Obs.Trace.with_span "xsa.round"
+      Obs.Trace.with_span Obs.Span.xsa_round
         ~args:[ ("round", Obs.Json.Int round); ("chains", Obs.Json.Int k) ]
         (fun () ->
           (* Chains are independent within a round: fan out on the
@@ -183,12 +183,7 @@ let run ?(config = default_config) ?(record = false) rng g =
               incr swaps_accepted
             end;
             i := !i + 2
-          done);
-      if Obs.Telemetry.collecting () then begin
-        let best = ref infinity in
-        Array.iter (fun s -> if s.best_cost < !best then best := s.best_cost) slots;
-        Obs.Telemetry.sample "xsa.round_best" !best
-      end
+          done)
     done;
     (* Per slot, the better of the tracked balanced snapshot and the
        greedily rebalanced final state (snapshot wins ties), then the

@@ -12,6 +12,7 @@ module Algo = Gb_algo.Algo
 module Store = Gb_store.Store
 module Metrics = Gb_obs.Metrics
 module Trace = Gb_obs.Trace
+module Span = Gb_obs.Span
 module Clock = Gb_obs.Clock
 module Json = Gb_obs.Json
 
@@ -189,17 +190,17 @@ let solve_reply t (s : Protocol.solve) : Protocol.reply =
             Metrics.incr m_cache_hits;
             t.solved <- t.solved + 1;
             Metrics.incr m_solved;
-            Trace.instant "serve.cache_hit";
+            Trace.instant Span.serve_cache_hit;
             Protocol.Solved { solved with cached = true }
         | None -> (
             let span = Trace.start () in
             let t0 = Clock.now () in
             match Algo.solve ~starts:s.starts s.algorithm (Rng.create ~seed:s.seed) g with
             | exception (Failure msg | Invalid_argument msg) ->
-                Trace.finish span "serve.solve";
+                Trace.finish span Span.serve_solve;
                 fail Bad_request ("solve: " ^ msg)
             | exception e ->
-                Trace.finish span "serve.solve";
+                Trace.finish span Span.serve_solve;
                 fail Internal (Printexc.to_string e)
             | b ->
                 let seconds = Clock.now () -. t0 in
@@ -218,7 +219,7 @@ let solve_reply t (s : Protocol.solve) : Protocol.reply =
                 in
                 Trace.finish
                   ~args:[ ("cut", Json.Int solved.cut); ("n", Json.Int (n0 + n1)) ]
-                  span "serve.solve";
+                  span Span.serve_solve;
                 t.cache_misses <- t.cache_misses + 1;
                 Metrics.incr m_cache_misses;
                 t.solved <- t.solved + 1;

@@ -126,7 +126,7 @@ let refine ?(config = default_config) g side0 =
   let moves = ref 0 in
   let passes = ref 0 in
   let cut = ref initial_cut in
-  Gb_obs.Telemetry.sample "fm.pass" (float_of_int initial_cut);
+  Gb_obs.Telemetry.sample Gb_obs.Span.fm_pass (float_of_int initial_cut);
   (try
      while !passes < config.max_passes do
        let span = Gb_obs.Trace.start () in
@@ -138,8 +138,8 @@ let refine ?(config = default_config) g side0 =
          side := next;
          cut := !cut - gain
        end;
-       Gb_obs.Telemetry.sample "fm.pass" (float_of_int !cut);
-       Gb_obs.Trace.finish span "fm.pass"
+       Gb_obs.Telemetry.sample Gb_obs.Span.fm_pass (float_of_int !cut);
+       Gb_obs.Trace.finish span Gb_obs.Span.fm_pass
          ~args:[ ("pass", Gb_obs.Json.Int !passes); ("gain", Gb_obs.Json.Int gain) ];
        if gain <= 0 && config.until_no_improvement then raise Exit
      done

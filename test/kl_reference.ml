@@ -157,7 +157,7 @@ let refine ?(config = default_config) g side0 =
   let swaps = ref 0 in
   let passes = ref 0 in
   let cut = ref initial_cut in
-  Obs.Telemetry.sample "kl.pass" (float_of_int initial_cut);
+  Obs.Telemetry.sample Obs.Span.kl_pass (float_of_int initial_cut);
   (try
      while !passes < config.max_passes do
        let span = Obs.Trace.start () in
@@ -178,8 +178,8 @@ let refine ?(config = default_config) g side0 =
        Obs.Metrics.add m_swaps (if gain > 0 then counters.committed else 0);
        Obs.Metrics.observe h_swaps_per_pass
          (float_of_int (if gain > 0 then counters.committed else 0));
-       Obs.Telemetry.sample "kl.pass" (float_of_int !cut);
-       Obs.Trace.finish span "kl.pass"
+       Obs.Telemetry.sample Obs.Span.kl_pass (float_of_int !cut);
+       Obs.Trace.finish span Obs.Span.kl_pass
          ~args:
            [
              ("pass", Obs.Json.Int !passes);

@@ -150,8 +150,8 @@ module Make (P : Problem) = struct
       Obs.Metrics.add m_accepted_downhill (!accepted_here - !uphill_here);
       Obs.Metrics.add m_rejected_uphill (!attempted_here - !accepted_here);
       Obs.Metrics.observe h_acceptance (100. *. acceptance);
-      Obs.Telemetry.sample "sa.plateau" !best_cost;
-      Obs.Trace.finish span "sa.plateau"
+      Obs.Telemetry.sample Obs.Span.sa_plateau !best_cost;
+      Obs.Trace.finish span Obs.Span.sa_plateau
         ~args:
           [
             ("plateau", Obs.Json.Int !temperatures);
@@ -274,7 +274,7 @@ let refine ?(config = default_config) ?trace rng g side0 =
   let initial_cut = Bisection.compute_cut g side0 in
   let state = make_state config g side0 in
   let result =
-    Gbisect.Obs.Trace.with_span "sa.anneal"
+    Gbisect.Obs.Trace.with_span Gbisect.Obs.Span.sa_anneal
       ~args:
         [
           ("vertices", Gbisect.Obs.Json.Int (Csr.n_vertices g));

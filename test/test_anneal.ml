@@ -107,12 +107,19 @@ let engine_tests =
         let _, stats = Sa_bisect.refine ~config (Helpers.rng ()) g side0 in
         check_bool "stopped at cap" true (stats.Sa_bisect.sa.Sa.temperatures <= 3);
         check_bool "not flagged frozen" true (not stats.Sa_bisect.sa.Sa.frozen));
-    case "trace fires once per temperature" (fun () ->
+    case "plateaus hold one record per temperature" (fun () ->
         let g, side0 = annealing_input 20 in
-        let calls = ref 0 in
-        let trace ~temperature:_ ~acceptance:_ ~best_cost:_ = incr calls in
-        let _, stats = Sa_bisect.refine ~trace (Helpers.rng ()) g side0 in
-        check_int "trace count" stats.Sa_bisect.sa.Sa.temperatures !calls);
+        let _, stats = Sa_bisect.refine (Helpers.rng ()) g side0 in
+        let s = stats.Sa_bisect.sa in
+        check_int "plateau count" s.Sa.temperatures (List.length s.Sa.plateaus);
+        let rec cooling = function
+          | (a : Sa.plateau) :: (b :: _ as rest) ->
+              Float.compare a.temperature b.temperature > 0 && cooling rest
+          | _ -> true
+        in
+        check_bool "first at t0" true
+          (Float.equal (List.hd s.Sa.plateaus).temperature s.Sa.initial_temperature);
+        check_bool "each colder than the last" true (cooling s.Sa.plateaus));
     case "fixed initial temperature is used" (fun () ->
         let g, side0 = annealing_input 20 in
         let config = with_schedule (fixed_temperature 3.25) in
@@ -321,9 +328,8 @@ let threshold_tests =
 (* --- Against the reference --------------------------------------------------- *)
 
 (* Sa_bisect.refine and Threshold.refine must return exactly what the
-   verbatim engine in sa_reference.ml returns: the same sides, the same
-   stats with every plateau record, floats compared bit for bit, and
-   the same trace-callback sequence. *)
+   verbatim engine in sa_reference.ml returns: the same sides and the
+   same stats with every plateau record, floats compared bit for bit. *)
 
 let bits = Int64.bits_of_float
 
@@ -348,15 +354,11 @@ let reference_schedules =
     ("fixed low", fixed_temperature ~max_temperatures:2 0.5);
   ]
 
-(* One anneal, reduced to comparable values: the sides, the stats and
-   the trace calls, or the message of the exception it raised. *)
+(* One anneal, reduced to comparable values: the sides and the stats,
+   or the message of the exception it raised. *)
 let outcome refine =
-  let calls = ref [] in
-  let trace ~temperature ~acceptance ~best_cost =
-    calls := (bits temperature, bits acceptance, bits best_cost) :: !calls
-  in
-  match refine trace with
-  | side, stats -> Ok (side, stats_key stats, List.rev !calls)
+  match refine () with
+  | side, stats -> Ok (side, stats_key stats)
   | exception Invalid_argument msg -> Error msg
 
 (* The twins part in one place, on purpose: on a graph without
@@ -369,11 +371,11 @@ let same_as_reference ~seed g side =
   List.for_all
     (fun (_, schedule) ->
       let config = { Sa_bisect.imbalance_factor = 0.05; schedule } in
-      outcome (fun trace -> Sa_bisect.refine ~config ~trace (Rng.create ~seed) g side)
+      outcome (fun () -> Sa_bisect.refine ~config (Rng.create ~seed) g side)
       =
       if no_vertices g then
-        Ok ([||], ((0, 0, 0, 0), (bits 0., bits 0., true), [], (true, 0, 0)), [])
-      else outcome (fun trace -> Sa_reference.refine ~config ~trace (Rng.create ~seed) g side))
+        Ok ([||], ((0, 0, 0, 0), (bits 0., bits 0., true), [], (true, 0, 0)))
+      else outcome (fun () -> Sa_reference.refine ~config (Rng.create ~seed) g side))
     reference_schedules
 
 let threshold_same_as_reference ~seed g side =

@@ -6,6 +6,7 @@ module Obs = Gbisect.Obs
 module Json = Obs.Json
 module Metrics = Obs.Metrics
 module Trace = Obs.Trace
+module Span = Obs.Span
 module Telemetry = Obs.Telemetry
 module Clock = Obs.Clock
 module Proc = Obs.Proc
@@ -209,7 +210,7 @@ let metrics_tests =
                     if not (Float.is_finite t && t >= 0.) then Atomic.set healthy false;
                     if Pool.jobs () < 1 then Atomic.set healthy false;
                     Telemetry.emit record;
-                    Trace.with_span "hammer" (fun () -> Trace.instant "tick")
+                    Trace.with_span Span.runner_trial (fun () -> Trace.instant Span.serve_cache_hit)
                   done
                 in
                 let other = Domain.spawn installer in
@@ -372,9 +373,9 @@ let trace_lines f =
 let alloc_words event =
   Option.bind (Option.bind (Json.member "args" event) (Json.member "alloc_words")) Json.to_float
 
-(* The alloc_words of the one event [Trace.with_span "probe" f] emits. *)
+(* The alloc_words of the one event [Trace.with_span _ f] emits. *)
 let span_words f =
-  match trace_lines (fun () -> Trace.with_span "probe" f) with
+  match trace_lines (fun () -> Trace.with_span Span.experiment f) with
   | [ line ] -> (
       match alloc_words (Json.of_string line) with
       | Some w -> w
@@ -386,9 +387,9 @@ let trace_tests =
     case "spans emit valid trace_event JSON lines" (fun () ->
         let lines =
           trace_lines (fun () ->
-              Trace.with_span "outer"
+              Trace.with_span Span.experiment
                 ~args:[ ("k", Json.Int 1) ]
-                (fun () -> Trace.instant "tick"))
+                (fun () -> Trace.instant Span.serve_cache_hit))
         in
         check_int "two events" 2 (List.length lines);
         List.iter
@@ -401,7 +402,9 @@ let trace_tests =
         (* the span line is a complete event with a duration *)
         let span =
           List.find
-            (fun l -> Json.member "name" (Json.of_string l) = Some (Json.String "outer"))
+            (fun l ->
+              Json.member "name" (Json.of_string l)
+              = Some (Json.String (Span.name Span.experiment)))
             lines
         in
         check_bool "ph X" true (Json.member "ph" (Json.of_string span) = Some (Json.String "X"));
@@ -416,7 +419,8 @@ let trace_tests =
         let names =
           List.filter_map (fun l -> Json.member "name" (Json.of_string l)) lines
         in
-        check_bool "has kl.pass span" true (List.mem (Json.String "kl.pass") names));
+        check_bool "has kl.pass span" true
+          (List.mem (Json.String (Span.name Span.kl_pass)) names));
     case "a span's alloc_words covers Array.make 10_000 0." (fun () ->
         let words = span_words (fun () -> ignore (Sys.opaque_identity (Array.make 10_000 0.))) in
         check_bool "at least 10_001 words" true (words >= 10_001.));
@@ -425,7 +429,7 @@ let trace_tests =
     case "every complete event carries alloc_words and no instant does" (fun () ->
         let lines =
           trace_lines (fun () ->
-              Trace.instant "before";
+              Trace.instant Span.serve_cache_hit;
               ignore
                 ((Gbisect.Algo.find `Mlfm).run (Rng.create ~seed:2)
                    (Classic.grid ~rows:16 ~cols:16)))
@@ -445,7 +449,7 @@ let trace_tests =
             Trace.set Trace.noop;
             check_bool "disabled" false (Trace.enabled ());
             (* must be harmless without a sink *)
-            Trace.with_span "ignored" (fun () -> ())));
+            Trace.with_span Span.experiment (fun () -> ())));
   ]
 
 (* --- Determinism: observability must never change results ------------------ *)
@@ -500,7 +504,7 @@ let telemetry_tests =
             cut = 2;
             seconds = 0.5;
             balanced = true;
-            trajectory = [ ("kl.pass", 10.); ("kl.pass", 2.) ];
+            trajectory = [ (Span.name Span.kl_pass, 10.); (Span.name Span.kl_pass, 2.) ];
             metrics = [ ("passes", Json.Int 2) ];
           }
         in
@@ -522,7 +526,8 @@ let telemetry_tests =
             cut = 11;
             seconds = 1.25;
             balanced = false;
-            trajectory = [ ("kl.pass", 20.); ("compaction.level", 3.) ];
+            trajectory =
+              [ (Span.name Span.kl_pass, 20.); (Span.name Span.compaction_level, 3.) ];
             metrics = [ ("passes", Json.Int 4); ("plateau", Json.Bool false) ];
           }
         in
@@ -580,8 +585,10 @@ let telemetry_tests =
     case "with_context scopes and inherits labels" (fun () ->
         Telemetry.with_context ~graph:"g1" ~seed:9 (fun () ->
             check_bool "graph" true (Telemetry.context_graph () = Some "g1");
-            Telemetry.with_context ~profile:"p" (fun () ->
-                check_bool "inherited seed" true (Telemetry.context_seed () = Some 9)));
+            Telemetry.with_context ~seed:10 (fun () ->
+                check_bool "inherited graph" true (Telemetry.context_graph () = Some "g1");
+                check_bool "inner seed" true (Telemetry.context_seed () = Some 10));
+            check_bool "outer seed" true (Telemetry.context_seed () = Some 9));
         check_bool "restored" true (Telemetry.context_graph () = None));
     case "runner emits one record per start with a trajectory" (fun () ->
         pristine (fun () ->
@@ -603,7 +610,9 @@ let telemetry_tests =
                 check_int "start index" i r.Telemetry.start;
                 Alcotest.(check string) "graph label" "ladder-16" r.Telemetry.graph;
                 check_bool "has kl.pass samples" true
-                  (List.exists (fun (k, _) -> k = "kl.pass") r.Telemetry.trajectory))
+                  (List.exists
+                     (fun (k, _) -> k = Span.name Span.kl_pass)
+                     r.Telemetry.trajectory))
               records;
             (* the best-of-starts cut is one of the per-start cuts *)
             check_bool "best cut among records" true
