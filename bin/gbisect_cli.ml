@@ -91,6 +91,19 @@ let usage_error msg =
   Printf.eprintf "gbisect: %s\n" msg;
   exit 2
 
+(* An int flag whose value must pass [ok]: anything else is a usage
+   error naming the flag. Cmdliner evaluates the term before the
+   command body runs, so a bad value exits 2 before any input is read. *)
+let checked_int ~flag ok expects term =
+  let check v =
+    if ok v then v else usage_error (Printf.sprintf "%s expects %s, got %d" flag expects v)
+  in
+  Term.(const check $ term)
+
+let starts_term ~default ~docv doc =
+  checked_int ~flag:"--starts" (fun s -> s >= 1) "at least 1"
+    Arg.(value & opt int default & info [ "starts" ] ~docv ~doc)
+
 let with_obs ~trace ~metrics f =
   (match trace with
   | Some file -> (
@@ -189,16 +202,18 @@ let algorithm_conv =
 let algorithm_ids = String.concat ", " Gbisect.Algo.ids
 
 (* The V-cycle flags of solve and scale, defaulting to the registry's
-   settings. Each command offers a subset; the rest keep the default. *)
-let ml_flag name field doc =
-  Arg.(value & opt int (field Gbisect.Algo.default_ml) & info [ name ] ~docv:"INT" ~doc)
+   settings and checked against the least value the V-cycle accepts.
+   Each command offers a subset; the rest keep the default. *)
+let ml_flag name field ~least doc =
+  checked_int ~flag:("--" ^ name) (fun v -> v >= least) (Printf.sprintf "at least %d" least)
+    Arg.(value & opt int (field Gbisect.Algo.default_ml) & info [ name ] ~docv:"INT" ~doc)
 
 let ml_min_vertices =
-  ml_flag "ml-min-vertices" (fun m -> m.min_vertices)
+  ml_flag "ml-min-vertices" (fun m -> m.min_vertices) ~least:2
     "Multilevel (mlkl/mlfm): stop coarsening below this many vertices."
 
 let ml_max_levels =
-  ml_flag "ml-max-levels" (fun m -> m.max_levels)
+  ml_flag "ml-max-levels" (fun m -> m.max_levels) ~least:1
     "Multilevel (mlkl/mlfm): maximum coarsening depth."
 
 (* --max-rss of solve and scale: a peak-RSS budget checked once the
@@ -231,8 +246,7 @@ let solve_cmd =
     Arg.(value & opt algorithm_conv `Ckl & info [ "a"; "algorithm" ] ~docv:"ALGO" ~doc)
   in
   let starts =
-    let doc = "Number of random starts (best is kept)." in
-    Arg.(value & opt int 2 & info [ "starts" ] ~docv:"INT" ~doc)
+    starts_term ~default:2 ~docv:"INT" "Number of random starts (best is kept)."
   in
   let ml =
     let ml min_vertices max_levels = { Gbisect.Algo.default_ml with min_vertices; max_levels } in
@@ -296,8 +310,7 @@ let race_cmd =
     Arg.(value & opt string default & info [ "portfolio" ] ~docv:"LIST" ~doc)
   in
   let starts =
-    let doc = "Random starts per backend (best is kept)." in
-    Arg.(value & opt int 1 & info [ "starts" ] ~docv:"INT" ~doc)
+    starts_term ~default:1 ~docv:"INT" "Random starts per backend (best is kept)."
   in
   let run file portfolio starts seed trace metrics jobs =
     runtime_guard @@ fun () ->
@@ -360,7 +373,8 @@ let kway_cmd =
   in
   let k =
     let doc = "Number of parts (a power of two)." in
-    Arg.(value & opt int 4 & info [ "k" ] ~docv:"INT" ~doc)
+    checked_int ~flag:"-k" Gbisect.Kway.is_power_of_two "a power of two"
+      Arg.(value & opt int 4 & info [ "k" ] ~docv:"INT" ~doc)
   in
   let algorithm =
     let doc = "Per-level bisection solver: " ^ algorithm_ids ^ "." in
@@ -872,7 +886,7 @@ let scale_cmd =
   in
   let ml_term =
     let refine_passes =
-      ml_flag "refine-passes" (fun m -> m.refine_passes)
+      ml_flag "refine-passes" (fun m -> m.refine_passes) ~least:1
         "Per-level refinement pass cap for the multilevel solvers (unbounded \
          refinement is superlinear in the instance size for <2% extra cut)."
     in
@@ -903,7 +917,6 @@ let scale_cmd =
     in
     if n < 2 then usage_error "--n expects at least 2 vertices";
     if degree <= 0. then usage_error "--degree expects a positive average degree";
-    if ml.refine_passes < 1 then usage_error "--refine-passes expects at least 1";
     runtime_guard @@ fun () ->
     let model =
       match grid with
@@ -1195,8 +1208,7 @@ let bombard_cmd =
     Arg.(value & opt float 0.3 & info [ "repeat" ] ~docv:"FRACTION" ~doc)
   in
   let starts_term =
-    let doc = "Best-of-k starts attached to every job." in
-    Arg.(value & opt int 1 & info [ "starts" ] ~docv:"K" ~doc)
+    starts_term ~default:1 ~docv:"K" "Best-of-k starts attached to every job."
   in
   let timeout_term =
     let doc = "Per-response deadline in seconds before a connection is declared dead." in
@@ -1216,17 +1228,15 @@ let bombard_cmd =
   let run addr requests concurrency repeat starts timeout out json seed =
     if requests < 1 then usage_error "--requests expects a positive integer";
     if concurrency < 1 then usage_error "--concurrency expects a positive integer";
-    if starts < 1 then usage_error "--starts expects a positive integer";
     if not (repeat >= 0.0 && repeat <= 1.0) then
       usage_error "--repeat expects a fraction within [0,1]";
     if timeout <= 0.0 then usage_error "--timeout expects a positive number of seconds";
     let addr = parse_addr_or_usage addr in
     runtime_guard @@ fun () ->
     Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-    (* A few corpus seeds make their generator raise; skip them. *)
+    (* The daemon refuses graphs of fewer than 2 vertices; skip them. *)
     let make_case ~seed =
       match Gbisect.Fuzz_generators.generate ~seed with
-      | exception Failure _ -> None
       | { graph; _ } when Gbisect.Graph.n_vertices graph < 2 -> None
       | { family; graph; _ } -> Some (family, graph)
     in

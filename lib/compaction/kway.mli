@@ -26,6 +26,9 @@ type result = {
       (** Cut added by each level, coarsest first; sums to [total_cut]. *)
 }
 
+val is_power_of_two : int -> bool
+(** [k >= 1] and a power of two: the part counts {!partition} accepts. *)
+
 val partition : k:int -> solver:solver -> Gb_prng.Rng.t -> Gb_graph.Csr.t -> result
 (** [partition ~k ~solver rng g].
     @raise Invalid_argument unless [k] is a power of two, [>= 1], and

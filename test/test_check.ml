@@ -48,6 +48,14 @@ let generator_tests =
     case "edges_repr is parseable back by eye: fixed fixture" (fun () ->
         let g = Graph.of_edges ~n:3 [ (0, 1, 2); (1, 2, 1) ] in
         Alcotest.(check string) "repr" "n=3: 0-1(2) 1-2(1)" (Generators.edges_repr g));
+    case "an unrealisable gbreg draw is the empty graph" (fun () ->
+        List.iter
+          (fun seed ->
+            let c = Generators.generate ~seed in
+            Alcotest.(check string) "family" "gbreg" c.Generators.family;
+            check_int (Printf.sprintf "seed %d vertices" seed) 0
+              (Graph.n_vertices c.Generators.graph))
+          [ 1062; 5045; 9392 ]);
   ]
 
 let oracle_tests =

@@ -94,6 +94,11 @@ let fuzz_tests =
         check_int "exit a" 0 c1;
         check_int "exit b" 0 c2;
         Alcotest.(check string) "stdout identical" out1 out2);
+    case "--replay of an unrealisable gbreg draw finds nothing" (fun () ->
+        let code, out, err = run_cli [ "fuzz"; "--replay"; "1062" ] in
+        check_int "exit" 0 code;
+        check_bool "report on stdout" true (contains out "0 finding(s)");
+        Alcotest.(check string) "stderr" "" err);
   ]
 
 let solve_tests =
@@ -148,6 +153,36 @@ let solve_tests =
                 check_int id 0 code;
                 check_bool (id ^ " reports the cut") true (contains out "total cut"))
               Gbisect.Algo.ids));
+    case "bad --starts, -k and V-cycle values exit 2 before the graph is read" (fun () ->
+        (* The graph file is malformed, so reading it first would exit 1. *)
+        let path = Filename.temp_file "gbisect_bad" ".txt" in
+        Fun.protect
+          ~finally:(fun () -> Sys.remove path)
+          (fun () ->
+            write_file path "this is not a graph\n";
+            List.iter
+              (fun (args, flag) ->
+                let what = String.concat " " args in
+                let code, _, err = run_cli args in
+                check_int (what ^ ": exit") 2 code;
+                check_int (what ^ ": one diagnostic") 1 (List.length (gbisect_lines err));
+                check_bool (what ^ ": names the flag") true (contains err (flag ^ " expects")))
+              [
+                ([ "solve"; path; "--starts"; "0" ], "--starts");
+                ([ "race"; path; "--starts"; "0" ], "--starts");
+                ([ "bombard"; "--starts"; "0" ], "--starts");
+                ([ "kway"; path; "-k"; "3" ], "-k");
+                ([ "kway"; path; "-k"; "0" ], "-k");
+                ([ "solve"; path; "-a"; "mlkl"; "--ml-max-levels"; "0" ], "--ml-max-levels");
+                ([ "solve"; path; "-a"; "kl"; "--ml-min-vertices"; "1" ], "--ml-min-vertices");
+                ([ "scale"; "-n"; "2000"; "--ml-min-vertices"; "1" ], "--ml-min-vertices");
+                ([ "scale"; "-n"; "2000"; "--ml-max-levels"; "0" ], "--ml-max-levels");
+              ]));
+    case "kway -k above the vertex count is a runtime failure (exit 1)" (fun () ->
+        with_graph_file (fun path ->
+            let code, _, err = run_cli [ "kway"; path; "-k"; "8" ] in
+            check_int "exit" 1 code;
+            check_int "one diagnostic line" 1 (List.length (gbisect_lines err))));
   ]
 
 let perf_tests =
@@ -448,8 +483,8 @@ let serve_tests =
         check_int "one diagnostic line" 1 (List.length (gbisect_lines err)));
     case "bombard: a plan over raising corpus seeds still reaches the connect" (fun () ->
         (* 32000 requests draw about 9600 corpus seeds, some of whose
-           generators raise; the plan skips them and the run fails only
-           at the unreachable address. *)
+           graphs have fewer than 2 vertices; the plan skips them and
+           the run fails only at the unreachable address. *)
         let code, _, err =
           run_cli
             [ "bombard"; "unix:/missing"; "-n"; "32000"; "-c"; "2"; "--repeat"; "0.7"; "--seed"; "3" ]
