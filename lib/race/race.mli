@@ -10,8 +10,7 @@
     RNG discipline matches [Gbisect.solve]: one {!Gb_prng.Rng.derive_seed}
     draw, then backend [i] runs on [substream ~base i], so every heat
     sees the same stream however the pool schedules it. Each heat
-    records its wall-clock in {!entry.seconds} and reports its cut as a
-    [race.<name>.cut] telemetry sample. *)
+    records its wall-clock in {!entry.seconds}. *)
 
 type backend = {
   name : string;  (** Wire id shown in reports (e.g. ["xsa"]). *)
