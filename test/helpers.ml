@@ -10,6 +10,38 @@ let rng ?(seed = 424242) () = Rng.create ~seed
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
+(* --- Ambient state ---------------------------------------------------- *)
+
+let with_jobs n f =
+  let saved = Gbisect.Pool.jobs () in
+  Gbisect.Pool.set_jobs n;
+  Fun.protect ~finally:(fun () -> Gbisect.Pool.set_jobs saved) f
+
+(* Seconds cells read the clock; pinning it makes every table a pure
+   function of the code. *)
+let with_constant_clock f =
+  Gbisect.Obs.Clock.set (fun () -> 0.);
+  (* lint: allow no-wall-clock — restores the default clock source after the pinned-clock scope *)
+  Fun.protect ~finally:(fun () -> Gbisect.Obs.Clock.set Sys.time) f
+
+(* A clock that moves on every read: every span gets its own start and
+   end, and a timing cell a warm run recomputed, or a record it emitted
+   afresh, differs from the cold run's. *)
+let with_ticking_clock f =
+  let ticks = Atomic.make 0 in
+  Gbisect.Obs.Clock.set (fun () -> float_of_int (Atomic.fetch_and_add ticks 1) *. 1e-3);
+  (* lint: allow no-wall-clock — restores the default clock source after the ticking-clock scope *)
+  Fun.protect ~finally:(fun () -> Gbisect.Obs.Clock.set Sys.time) f
+
+(* Remove a file or a directory tree; a missing path is not an error. *)
+let rec rm_rf path =
+  match Sys.is_directory path with
+  | true ->
+      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+      Sys.rmdir path
+  | false -> Sys.remove path
+  | exception Sys_error _ -> ()
+
 (* The matched edges of a matching, each as (u, v) with u < v, in
    ascending order of u. *)
 let matched_pairs (m : Gbisect.Matching.t) =

@@ -360,16 +360,9 @@ let lint_program_tests =
                 check_bool "fan-out colored" true (contains s "orange"))));
   ]
 
-let rec rm_rf path =
-  if Sys.is_directory path then begin
-    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-    Sys.rmdir path
-  end
-  else Sys.remove path
-
 let with_temp_dir f =
   let dir = Filename.temp_dir "gbisect_table" "" in
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+  Fun.protect ~finally:(fun () -> Helpers.rm_rf dir) (fun () -> f dir)
 
 (* What [table] prints for one experiment: header, table, blank line. *)
 let table_block id body =

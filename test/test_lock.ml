@@ -48,15 +48,8 @@ let fingerprints =
     (fun (p : Profile.t) -> Printf.sprintf "fingerprint %s %s" p.name (Profile.fingerprint p))
     [ Profile.smoke; Profile.quick; Profile.paper ]
 
-(* Seconds cells read the clock; pinning it makes every table a pure
-   function of the code. *)
-let with_constant_clock f =
-  Obs.Clock.set (fun () -> 0.);
-  (* lint: allow no-wall-clock — restores the default clock source after the pinned-clock scope *)
-  Fun.protect ~finally:(fun () -> Obs.Clock.set Sys.time) f
-
 let tables () =
-  with_constant_clock (fun () ->
+  Helpers.with_constant_clock (fun () ->
       List.map
         (fun (e : Registry.experiment) ->
           Printf.sprintf "table %s %s" e.id
@@ -103,17 +96,6 @@ let cuts () =
    - "solve": one mlfm and one xsa solve of a small Gnp.
    The digests leave out what the clock and the allocator decide: an
    event's [ts], [dur] and [alloc_words], a record's [seconds]. *)
-
-let with_ticking_clock f =
-  let ticks = Atomic.make 0 in
-  Obs.Clock.set (fun () -> float_of_int (Atomic.fetch_and_add ticks 1) *. 1e-3);
-  (* lint: allow no-wall-clock — restores the default clock source after the ticking-clock scope *)
-  Fun.protect ~finally:(fun () -> Obs.Clock.set Sys.time) f
-
-let with_jobs n f =
-  let saved = Gbisect.Pool.jobs () in
-  Gbisect.Pool.set_jobs n;
-  Fun.protect ~finally:(fun () -> Gbisect.Pool.set_jobs saved) f
 
 (* The trace events [f] emits, parsed, in emission order. *)
 let events_of f =
@@ -174,14 +156,6 @@ let parented events =
       (parent, str "name" e))
     sorted
 
-let rec rm_rf path =
-  match Sys.is_directory path with
-  | true ->
-      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-      Sys.rmdir path
-  | false -> Sys.remove path
-  | exception Sys_error _ -> ()
-
 (* The table run's events and telemetry records, in emission order. *)
 let table_run () =
   let records = ref [] in
@@ -206,7 +180,7 @@ let serve_run graph =
   Fun.protect
     ~finally:(fun () ->
       Gbisect.Store.close store;
-      rm_rf dir)
+      Helpers.rm_rf dir)
     (fun () ->
       let module P = Gbisect.Serve_protocol in
       let server =
@@ -229,8 +203,8 @@ let solve_run graph =
         [ `Mlfm; `Xsa ])
 
 let traced_runs () =
-  with_jobs 1 @@ fun () ->
-  with_ticking_clock @@ fun () ->
+  Helpers.with_jobs 1 @@ fun () ->
+  Helpers.with_ticking_clock @@ fun () ->
   let tables, records = table_run () in
   let graph =
     Gbisect.Gnp.with_average_degree (Gbisect.Rng.create ~seed:5) ~n:300 ~avg_degree:4.

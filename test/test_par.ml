@@ -14,17 +14,8 @@ let case = Helpers.case
 let check_int = Helpers.check_int
 let check_bool = Helpers.check_bool
 
-let with_jobs n f =
-  let saved = Pool.jobs () in
-  Pool.set_jobs n;
-  Fun.protect ~finally:(fun () -> Pool.set_jobs saved) f
-
-(* Tables embed wall-clock cells whose rendered widths vary run to run;
-   pinning the clock makes whole rendered tables byte-comparable. *)
-let with_constant_clock f =
-  Obs.Clock.set (fun () -> 0.);
-  (* lint: allow no-wall-clock — restores the default clock source after the pinned-clock scope *)
-  Fun.protect ~finally:(fun () -> Obs.Clock.set Sys.time) f
+let with_jobs = Helpers.with_jobs
+let with_constant_clock = Helpers.with_constant_clock
 
 (* --- Pool combinators ------------------------------------------------------ *)
 

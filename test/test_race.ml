@@ -18,10 +18,7 @@ let case = Helpers.case
 let check_int = Helpers.check_int
 let check_bool = Helpers.check_bool
 
-let with_jobs n f =
-  let saved = Pool.jobs () in
-  Pool.set_jobs n;
-  Fun.protect ~finally:(fun () -> Pool.set_jobs saved) f
+let with_jobs = Helpers.with_jobs
 
 (* A fingerprint of everything seed-determined in an xsa run: the
    returned bisection and every schedule-independent stats field

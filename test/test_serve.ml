@@ -227,18 +227,10 @@ let with_store f =
       (Printf.sprintf "gbisect-test-serve-%d-%d" (Unix.getpid ()) (uniq ()))
   in
   let store = Gbisect.Store.open_store ~readable:true dir in
-  let rec rm_rf path =
-    match Sys.is_directory path with
-    | exception Sys_error _ -> ()
-    | true ->
-        Array.iter (fun x -> rm_rf (Filename.concat path x)) (Sys.readdir path);
-        Sys.rmdir path
-    | false -> Sys.remove path
-  in
   Fun.protect
     ~finally:(fun () ->
       Gbisect.Store.close store;
-      rm_rf dir)
+      Helpers.rm_rf dir)
     (fun () -> f store)
 
 let handle_tests =
@@ -439,15 +431,7 @@ let with_daemon ?(args = []) f =
       (* Belt and braces: if the test already reaped it, this is ESRCH. *)
       (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
       (try ignore (Unix.waitpid [ Unix.WNOHANG ] pid) with Unix.Unix_error _ -> ());
-      let rec rm_rf path =
-        match Sys.is_directory path with
-        | exception Sys_error _ -> ()
-        | true ->
-            Array.iter (fun x -> rm_rf (Filename.concat path x)) (Sys.readdir path);
-            Sys.rmdir path
-        | false -> Sys.remove path
-      in
-      rm_rf dir)
+      Helpers.rm_rf dir)
     (fun () ->
       wait_for_socket sock;
       f sock;

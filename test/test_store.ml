@@ -20,13 +20,7 @@ let check_bool = Helpers.check_bool
 
 let seq = ref 0
 
-let rec rm_rf path =
-  match Sys.is_directory path with
-  | true ->
-      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-      Sys.rmdir path
-  | false -> Sys.remove path
-  | exception Sys_error _ -> ()
+let rm_rf = Helpers.rm_rf
 
 let with_dir f =
   incr seq;
@@ -192,15 +186,8 @@ let store_tests =
 
 (* --- interrupt / resume byte-identity -------------------------------------- *)
 
-let with_jobs n f =
-  let saved = Pool.jobs () in
-  Pool.set_jobs n;
-  Fun.protect ~finally:(fun () -> Pool.set_jobs saved) f
-
-let with_constant_clock f =
-  Obs.Clock.set (fun () -> 0.);
-  (* lint: allow no-wall-clock — restores the default clock source after the pinned-clock scope *)
-  Fun.protect ~finally:(fun () -> Obs.Clock.set Sys.time) f
+let with_jobs = Helpers.with_jobs
+let with_constant_clock = Helpers.with_constant_clock
 
 (* Run one registry experiment, returning the rendered table and the
    telemetry stream in emission order (the writer is what telemetry.jsonl
@@ -296,14 +283,7 @@ let resume_case id =
               check_bool "jobs 4 telemetry (sorted)" true
                 (sorted_stream telemetry_cold = sorted_stream telemetry_par))))
 
-(* A clock that moves on every read, so a timing cell a warm run
-   recomputed, or a record it emitted afresh, differs from the cold
-   run's. *)
-let with_ticking_clock f =
-  let ticks = Atomic.make 0 in
-  Obs.Clock.set (fun () -> float_of_int (Atomic.fetch_and_add ticks 1) *. 1e-3);
-  (* lint: allow no-wall-clock — restores the default clock source after the ticking-clock scope *)
-  Fun.protect ~finally:(fun () -> Obs.Clock.set Sys.time) f
+let with_ticking_clock = Helpers.with_ticking_clock
 
 (* Every registered table at the smoke profile through [store], as
    `gbisect table --store` runs them: the rendered tables, the
