@@ -5,7 +5,6 @@ type experiment = {
   run : Profile.t -> string;
 }
 
-(* Every experiment runs under a trace span. *)
 let traced e =
   {
     e with
