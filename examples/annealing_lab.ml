@@ -19,12 +19,11 @@ let () =
     params.Gbisect.Bregular.b;
 
   let run name schedule =
-    let config = { Gbisect.Sa_bisect.default_config with schedule } in
     let t0 = Sys.time () in
     let best = ref max_int and attempts = ref 0 in
     for seed = 1 to 2 do
       let rng = Gbisect.Rng.create ~seed in
-      let b, stats = Gbisect.Sa_bisect.run ~config rng graph in
+      let b, stats = Gbisect.Sa_bisect.run ~schedule rng graph in
       best := min !best (Gbisect.Bisection.cut b);
       attempts := !attempts + stats.Gbisect.Sa_bisect.sa.Gbisect.Sa.attempted
     done;

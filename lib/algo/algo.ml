@@ -3,6 +3,7 @@ module Csr = Gb_graph.Csr
 module Bisection = Gb_partition.Bisection
 module Kl = Gb_kl.Kl
 module Fm = Gb_kl.Fm
+module Schedule = Gb_anneal.Schedule
 module Sa_bisect = Gb_anneal.Sa_bisect
 module Compaction = Gb_compaction.Compaction
 module Xsa = Gb_race.Xsa
@@ -25,7 +26,7 @@ type entry = {
   algorithm : t;
   id : string;
   name : string;
-  run : ?sa:Sa_bisect.config -> ?xsa:Xsa.config -> ?ml:ml -> Rng.t -> Csr.t -> outcome;
+  run : ?schedule:Schedule.t -> ?xsa:Xsa.config -> ?ml:ml -> Rng.t -> Csr.t -> outcome;
 }
 
 (* Each algorithm's final stats, in the field order telemetry records
@@ -94,21 +95,25 @@ let multilevel refiner ml rng g =
     (Compaction.recursive ~min_vertices:ml.min_vertices ~max_levels:ml.max_levels
        ~refiner:(refiner ml.refine_passes) rng g)
 
-let kl_refiner max_passes = Compaction.kl_refiner ~config:{ Kl.default_config with max_passes } ()
-let fm_refiner max_passes = Compaction.fm_refiner ~config:{ Fm.default_config with max_passes } ()
+let kl_refiner max_passes = Compaction.kl_refiner ~max_passes ()
+let fm_refiner max_passes = Compaction.fm_refiner ~max_passes ()
 let entry algorithm id name run = { algorithm; id; name; run }
 
 let all =
   [
-    entry `Kl "kl" "KL" (fun ?sa:_ ?xsa:_ ?ml:_ rng g -> kl (Kl.run rng g));
-    entry `Sa "sa" "SA" (fun ?sa:config ?xsa:_ ?ml:_ rng g -> sa (Sa_bisect.run ?config rng g));
-    entry `Ckl "ckl" "CKL" (fun ?sa:_ ?xsa:_ ?ml:_ rng g -> compaction (Compaction.ckl rng g));
-    entry `Csa "csa" "CSA" (fun ?sa:config ?xsa:_ ?ml:_ rng g ->
-        compaction (Compaction.csa ?config rng g));
-    entry `Fm "fm" "FM" (fun ?sa:_ ?xsa:_ ?ml:_ rng g -> fm (Fm.run rng g));
-    entry `Multilevel "mlkl" "MLKL" (fun ?sa:_ ?xsa:_ ?ml rng g -> multilevel kl_refiner ml rng g);
-    entry `Mlfm "mlfm" "MLFM" (fun ?sa:_ ?xsa:_ ?ml rng g -> multilevel fm_refiner ml rng g);
-    entry `Xsa "xsa" "XSA" (fun ?sa:_ ?xsa:config ?ml:_ rng g -> xsa (Xsa.run ?config rng g));
+    entry `Kl "kl" "KL" (fun ?schedule:_ ?xsa:_ ?ml:_ rng g -> kl (Kl.run rng g));
+    entry `Sa "sa" "SA" (fun ?schedule ?xsa:_ ?ml:_ rng g -> sa (Sa_bisect.run ?schedule rng g));
+    entry `Ckl "ckl" "CKL" (fun ?schedule:_ ?xsa:_ ?ml:_ rng g ->
+        compaction (Compaction.ckl rng g));
+    entry `Csa "csa" "CSA" (fun ?schedule ?xsa:_ ?ml:_ rng g ->
+        compaction (Compaction.csa ?schedule rng g));
+    entry `Fm "fm" "FM" (fun ?schedule:_ ?xsa:_ ?ml:_ rng g -> fm (Fm.run rng g));
+    entry `Multilevel "mlkl" "MLKL" (fun ?schedule:_ ?xsa:_ ?ml rng g ->
+        multilevel kl_refiner ml rng g);
+    entry `Mlfm "mlfm" "MLFM" (fun ?schedule:_ ?xsa:_ ?ml rng g ->
+        multilevel fm_refiner ml rng g);
+    entry `Xsa "xsa" "XSA" (fun ?schedule:_ ?xsa:config ?ml:_ rng g ->
+        xsa (Xsa.run ?config rng g));
   ]
 
 let find (a : t) = List.find (fun e -> e.algorithm = a) all

@@ -36,7 +36,7 @@ type entry = {
   id : string;  (** Wire id: ["kl"], ["sa"], ..., ["mlkl"], ["mlfm"], ["xsa"]. *)
   name : string;  (** Display name in tables: ["KL"], ..., ["MLKL"]. *)
   run :
-    ?sa:Gb_anneal.Sa_bisect.config ->
+    ?schedule:Gb_anneal.Schedule.t ->
     ?xsa:Gb_race.Xsa.config ->
     ?ml:ml ->
     Gb_prng.Rng.t ->

@@ -11,9 +11,8 @@ let m_rejected_uphill = Obs.Metrics.counter "sa.rejected_uphill"
 let m_plateaus = Obs.Metrics.counter "sa.plateaus"
 let h_acceptance = Obs.Metrics.histogram "sa.plateau_acceptance_pct"
 
-type config = { imbalance_factor : float; schedule : Schedule.t }
-
-let default_config = { imbalance_factor = 0.05; schedule = Schedule.default }
+(* The weight of the squared imbalance in the cost, Johnson et al.'s. *)
+let alpha = 0.05
 
 type stats = {
   sa : Sa.stats;
@@ -37,7 +36,6 @@ module Problem = struct
     mutable cut : int;
     mutable c0 : int;
     mutable c1 : int;
-    alpha : float;
     balance_slack : int; (* n mod 2: allowed count difference *)
   }
 
@@ -47,7 +45,7 @@ module Problem = struct
 
   let[@inline] cost st =
     let d = float_of_int (st.c0 - st.c1) in
-    float_of_int st.cut +. (st.alpha *. d *. d)
+    float_of_int st.cut +. (alpha *. d *. d)
 
   let[@inline] random_move rng st = Rng.int rng (Array.length st.side)
 
@@ -55,7 +53,7 @@ module Problem = struct
     let gain = st.gains.(v) in
     let d = st.c0 - st.c1 in
     let d' = if st.side.(v) = 0 then d - 2 else d + 2 in
-    float_of_int (-gain) +. (st.alpha *. float_of_int ((d' * d') - (d * d)))
+    float_of_int (-gain) +. (alpha *. float_of_int ((d' * d') - (d * d)))
 
   (* Indices come from [xadj] or are vertex ids below n. *)
   let get (a : Csr.ia) k = Int32.to_int (Bigarray.Array1.unsafe_get a k)
@@ -82,7 +80,7 @@ module Problem = struct
 
   let snapshot st = { st with side = Array.copy st.side; gains = Array.copy st.gains }
 
-  let make config g side =
+  let make g side =
     let c0, c1 = Bisection.side_counts side in
     let side = Array.copy side in
     let xadj, adjncy, adjwgt = Csr.adjacency g in
@@ -95,7 +93,6 @@ module Problem = struct
       cut = Bisection.compute_cut g side;
       c0;
       c1;
-      alpha = config.imbalance_factor;
       balance_slack = Csr.n_vertices g land 1;
     }
 
@@ -153,7 +150,7 @@ let anneal schedule rng (st : Problem.state) =
   while
     (not !frozen)
     && !temperatures < schedule.Schedule.max_temperatures
-    && !temperature > schedule.Schedule.min_temperature
+    && !temperature > Schedule.min_temperature
   do
     let span = Obs.Trace.start () in
     let accepted_here = ref 0 in
@@ -224,7 +221,7 @@ let anneal schedule rng (st : Problem.state) =
           ("acceptance", Obs.Json.Float acceptance);
           ("best_cost", Obs.Json.Float !best_cost);
         ];
-    if acceptance < schedule.Schedule.min_acceptance && not !improved_best then incr cold_streak
+    if acceptance < Schedule.min_acceptance && not !improved_best then incr cold_streak
     else cold_streak := 0;
     if !cold_streak >= schedule.Schedule.frozen_after then frozen := true
     else temperature := !temperature *. schedule.Schedule.cooling
@@ -262,15 +259,13 @@ let no_vertices =
     final_cut = 0;
   }
 
-let refine ?(config = default_config) rng g side0 =
+let refine ?(schedule = Schedule.default) rng g side0 =
   Bisection.validate_sides g side0;
-  if config.imbalance_factor <= 0. then
-    invalid_arg "Sa_bisect: imbalance_factor must be positive";
   let c0, c1 = Bisection.side_counts side0 in
   if abs (c0 - c1) > 1 then invalid_arg "Sa_bisect: input bisection is not balanced";
   if Csr.n_vertices g = 0 then ([||], no_vertices)
   else begin
-    let st = Problem.make config g side0 in
+    let st = Problem.make g side0 in
     let initial_cut = st.cut in
     let best_side, sa =
       Obs.Trace.with_span Obs.Span.sa_anneal
@@ -279,7 +274,7 @@ let refine ?(config = default_config) rng g side0 =
             ("vertices", Obs.Json.Int (Csr.n_vertices g));
             ("initial_cut", Obs.Json.Int initial_cut);
           ]
-        (fun () -> anneal config.schedule rng st)
+        (fun () -> anneal schedule rng st)
     in
     (* The better of the best balanced state seen and the final state,
        greedily rebalanced; the best state wins ties. *)
@@ -293,7 +288,7 @@ let refine ?(config = default_config) rng g side0 =
     (side, { sa; best_was_snapshot; initial_cut; final_cut })
   end
 
-let run ?config rng g =
+let run ?schedule rng g =
   let side0 = Gb_partition.Initial.random rng g in
-  let side, stats = refine ?config rng g side0 in
+  let side, stats = refine ?schedule rng g side0 in
   (Bisection.of_sides g side, stats)

@@ -5,7 +5,8 @@
     balanced ones: a move flips one random vertex to the other side,
     and imbalance is discouraged by a quadratic penalty,
 
-    [cost(side) = cut(side) + imbalance_factor * (|V1| - |V2|)^2].
+    [cost(side) = cut(side) + α (|V1| - |V2|)^2], with α = [0.05],
+    the value Johnson et al. use.
 
     This soft constraint is what lets annealing tunnel between balanced
     configurations through slightly unbalanced ones.
@@ -36,14 +37,6 @@
     the log has overflowed). On termination the result is the better
     of the best state and the final state after greedy rebalancing. *)
 
-type config = {
-  imbalance_factor : float;  (** [> 0]; the default [0.05] follows JAMS. *)
-  schedule : Schedule.t;
-}
-
-val default_config : config
-(** [{ imbalance_factor = 0.05; schedule = Schedule.default }]. *)
-
 type stats = {
   sa : Sa.stats;  (** Annealing counters, one {!Sa.plateau} per temperature. *)
   best_was_snapshot : bool;
@@ -54,12 +47,13 @@ type stats = {
 }
 
 val refine :
-  ?config:config ->
+  ?schedule:Schedule.t ->
   Gb_prng.Rng.t ->
   Gb_graph.Csr.t ->
   int array ->
   int array * stats
-(** Anneal from the given balanced assignment; returns a balanced
+(** Anneal from the given balanced assignment under [schedule]
+    (default {!Schedule.default}); returns a balanced
     assignment in an array of its own (never worse than rebalancing the
     input would be only in expectation — SA is stochastic). The
     returned stats hold one {!Sa.plateau} per temperature. A graph
@@ -68,7 +62,7 @@ val refine :
     @raise Invalid_argument if the input is invalid or unbalanced. *)
 
 val run :
-  ?config:config ->
+  ?schedule:Schedule.t ->
   Gb_prng.Rng.t ->
   Gb_graph.Csr.t ->
   Gb_partition.Bisection.t * stats
@@ -90,7 +84,7 @@ module Problem : sig
      accepted-move trajectories. *)
   include Sa.Problem with type move = int
 
-  val make : config -> Gb_graph.Csr.t -> int array -> state
+  val make : Gb_graph.Csr.t -> int array -> state
   (** Build a state from a balanced side assignment (copied). *)
 
   val sides : state -> int array

@@ -5,11 +5,12 @@ type t = {
   cooling : float;
   size_factor : int;
   cutoff : float;
-  min_acceptance : float;
   frozen_after : int;
-  min_temperature : float;
   max_temperatures : int;
 }
+
+let min_acceptance = 0.02
+let min_temperature = 1e-4
 
 let default =
   {
@@ -17,9 +18,7 @@ let default =
     cooling = 0.95;
     size_factor = 8;
     cutoff = 1.0;
-    min_acceptance = 0.02;
     frozen_after = 5;
-    min_temperature = 1e-4;
     max_temperatures = 1000;
   }
 
@@ -32,8 +31,5 @@ let validate t =
   if not (t.cooling > 0. && t.cooling < 1.) then bad "cooling must be in (0,1)";
   if t.size_factor < 1 then bad "size_factor must be >= 1";
   if not (t.cutoff > 0. && t.cutoff <= 1.) then bad "cutoff must be in (0,1]";
-  if not (t.min_acceptance >= 0. && t.min_acceptance < 1.) then
-    bad "min_acceptance must be in [0,1)";
   if t.frozen_after < 1 then bad "frozen_after must be >= 1";
-  if t.min_temperature < 0. then bad "min_temperature must be >= 0";
   if t.max_temperatures < 1 then bad "max_temperatures must be >= 1"

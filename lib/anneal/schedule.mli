@@ -11,9 +11,10 @@
     - equilibrium at a temperature = a fixed number of attempted moves
       proportional to the instance size ([size_factor * n]);
     - cooling is geometric ([t *= cooling]);
-    - frozen = the acceptance ratio stayed below [min_acceptance] for
-      [frozen_after] consecutive temperatures with no new best found
-      (plus hard floors/caps as safety nets).
+    - frozen = the acceptance ratio stayed below {!min_acceptance}
+      for [frozen_after] consecutive temperatures with no new best
+      found (plus the {!min_temperature} floor and the
+      [max_temperatures] cap as safety nets).
 
     The paper's §VII remarks about SA — that tuning "can be a big job"
     and that runs must save the best solution seen — are both encoded
@@ -37,17 +38,22 @@ type t = {
           most moves are accepted, so a cutoff around [0.25] saves a
           large constant factor with little quality impact — this is
           the knob Johnson et al. call "cutoff". *)
-  min_acceptance : float;  (** Freezing threshold on the acceptance ratio. *)
   frozen_after : int;  (** Consecutive cold temperatures before stopping. *)
-  min_temperature : float;  (** Hard floor (safety net). *)
   max_temperatures : int;  (** Hard cap (safety net). *)
 }
+
+val min_acceptance : float
+(** [0.02]: a temperature is cold when its acceptance ratio is below
+    this, whatever the schedule. *)
+
+val min_temperature : float
+(** [1e-4]: annealing stops once the temperature is at or below this
+    floor (safety net), whatever the schedule. *)
 
 val default : t
 (** Johnson-et-al-flavoured defaults:
     [Calibrate 0.4], cooling [0.95], size_factor [8], cutoff [1.0],
-    min_acceptance [0.02], frozen_after [5], min_temperature [1e-4],
-    max_temperatures [1000]. *)
+    frozen_after [5], max_temperatures [1000]. *)
 
 val quick : t
 (** A faster, rougher schedule (cooling [0.9], size_factor [4]) for

@@ -1,33 +1,19 @@
 module Rng = Gb_prng.Rng
 
-type schedule = {
-  initial_threshold : [ `Fixed of float | `Calibrate of float ];
-  decay : float;
-  size_factor : int;
-  min_acceptance : float;
-  frozen_after : int;
-  max_levels : int;
-}
+type schedule = { size_factor : int; frozen_after : int; max_levels : int }
 
-let default_schedule =
-  {
-    initial_threshold = `Calibrate 0.6;
-    decay = 0.95;
-    size_factor = 8;
-    min_acceptance = 0.02;
-    frozen_after = 5;
-    max_levels = 1000;
-  }
+let default_schedule = { size_factor = 8; frozen_after = 5; max_levels = 1000 }
+
+(* The initial threshold is this quantile of sampled uphill deltas;
+   each level multiplies the threshold by [decay]; a level is cold when
+   its acceptance ratio is below [min_acceptance]. *)
+let quantile = 0.6
+let decay = 0.95
+let min_acceptance = 0.02
 
 let validate s =
   let bad msg = invalid_arg ("Threshold: " ^ msg) in
-  (match s.initial_threshold with
-  | `Fixed t -> if t <= 0. then bad "fixed threshold must be positive"
-  | `Calibrate f -> if not (f > 0. && f < 1.) then bad "calibration quantile in (0,1)");
-  if not (s.decay > 0. && s.decay < 1.) then bad "decay must be in (0,1)";
   if s.size_factor < 1 then bad "size_factor must be >= 1";
-  if not (s.min_acceptance >= 0. && s.min_acceptance < 1.) then
-    bad "min_acceptance must be in [0,1)";
   if s.frozen_after < 1 then bad "frozen_after must be >= 1";
   if s.max_levels < 1 then bad "max_levels must be >= 1"
 
@@ -42,7 +28,7 @@ type stats = {
 module Make (P : Sa.Problem) = struct
   type result = { final : P.state; best : P.state; best_cost : float; stats : stats }
 
-  let calibrate rng state quantile =
+  let calibrate rng state =
     let samples = 200 in
     let deltas = ref [] in
     for _ = 1 to samples do
@@ -61,11 +47,7 @@ module Make (P : Sa.Problem) = struct
 
   let run ?(schedule = default_schedule) rng state =
     validate schedule;
-    let t0 =
-      match schedule.initial_threshold with
-      | `Fixed t -> t
-      | `Calibrate q -> calibrate rng state q
-    in
+    let t0 = calibrate rng state in
     let threshold = ref t0 in
     let best = ref (P.snapshot state) in
     let best_cost = ref (if P.feasible state then P.cost state else infinity) in
@@ -99,10 +81,10 @@ module Make (P : Sa.Problem) = struct
       done;
       incr levels;
       let acceptance = float_of_int !accepted_here /. float_of_int trials in
-      if acceptance < schedule.min_acceptance && not !improved_best then incr cold_streak
+      if acceptance < min_acceptance && not !improved_best then incr cold_streak
       else cold_streak := 0;
       if !cold_streak >= schedule.frozen_after then frozen := true
-      else threshold := !threshold *. schedule.decay
+      else threshold := !threshold *. decay
     done;
     let best_state = if !have_best then !best else P.snapshot state in
     let best_cost = if !have_best then !best_cost else P.cost state in
@@ -124,9 +106,8 @@ end
 module Bisect_engine = Make (Sa_bisect.Problem)
 module Bisection = Gb_partition.Bisection
 
-let refine ?schedule ?(imbalance_factor = 0.05) rng g side0 =
+let refine ?schedule rng g side0 =
   Bisection.validate_sides g side0;
-  if imbalance_factor <= 0. then invalid_arg "Threshold: imbalance_factor must be positive";
   let c0, c1 = Bisection.side_counts side0 in
   if abs (c0 - c1) > 1 then invalid_arg "Threshold: input bisection is not balanced";
   (* As in Sa_bisect.refine: without vertices there is nothing to draw. *)
@@ -135,8 +116,7 @@ let refine ?schedule ?(imbalance_factor = 0.05) rng g side0 =
       { levels = 0; attempted = 0; accepted = 0; initial_threshold = 0.; final_threshold = 0. }
     )
   else begin
-    let config = { Sa_bisect.default_config with imbalance_factor } in
-    let state = Sa_bisect.Problem.make config g side0 in
+    let state = Sa_bisect.Problem.make g side0 in
     let result = Bisect_engine.run ?schedule rng state in
     let best_side = Sa_bisect.Problem.sides result.Bisect_engine.best in
     let final_side =
@@ -150,7 +130,7 @@ let refine ?schedule ?(imbalance_factor = 0.05) rng g side0 =
     (side, result.Bisect_engine.stats)
   end
 
-let run ?schedule ?imbalance_factor rng g =
+let run ?schedule rng g =
   let side0 = Gb_partition.Initial.random rng g in
-  let side, stats = refine ?schedule ?imbalance_factor rng g side0 in
+  let side, stats = refine ?schedule rng g side0 in
   (Bisection.of_sides g side, stats)

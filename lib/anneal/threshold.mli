@@ -6,26 +6,23 @@
     Same outer loop as Figure 1, but step 10 becomes: accept the move
     iff its cost increase is below the current {e threshold} — no
     exponentials, no random acceptance draw. The threshold plays the
-    temperature's role and decays geometrically.
+    temperature's role. It starts at the 0.6 quantile of 200 sampled
+    uphill cost changes from the start state and is multiplied by
+    0.95 after every level. A level is cold when fewer than 2 % of its
+    moves are accepted.
 
     Included as an extension so the bench harness can ask how much of
     SA's behaviour on bisection is the Boltzmann rule and how much is
     just "allow bounded uphill moves for a while". *)
 
 type schedule = {
-  initial_threshold : [ `Fixed of float | `Calibrate of float ];
-      (** [`Calibrate f]: set the threshold at the [f]-quantile of
-          sampled uphill deltas ([0 < f < 1]). *)
-  decay : float;  (** Geometric threshold decay, in (0, 1). *)
   size_factor : int;  (** Moves per threshold level = [size_factor * n]. *)
-  min_acceptance : float;  (** Stop when acceptance stays below this... *)
-  frozen_after : int;  (** ...for this many consecutive levels. *)
+  frozen_after : int;  (** Stop after this many consecutive cold levels. *)
   max_levels : int;
 }
 
 val default_schedule : schedule
-(** [`Calibrate 0.6], decay [0.95], size_factor [8],
-    min_acceptance [0.02], frozen_after [5], max_levels [1000]. *)
+(** size_factor [8], frozen_after [5], max_levels [1000]. *)
 
 val validate : schedule -> unit
 (** @raise Invalid_argument on out-of-range fields. *)
@@ -50,7 +47,6 @@ end
 
 val refine :
   ?schedule:schedule ->
-  ?imbalance_factor:float ->
   Gb_prng.Rng.t ->
   Gb_graph.Csr.t ->
   int array ->
@@ -62,7 +58,6 @@ val refine :
 
 val run :
   ?schedule:schedule ->
-  ?imbalance_factor:float ->
   Gb_prng.Rng.t ->
   Gb_graph.Csr.t ->
   Gb_partition.Bisection.t * stats

@@ -14,7 +14,6 @@ module Kl = Gb_kl.Kl
 module Fm = Gb_kl.Fm
 module Gain_buckets = Gb_kl.Gain_buckets
 module Schedule = Gb_anneal.Schedule
-module Sa_bisect = Gb_anneal.Sa_bisect
 module Threshold = Gb_anneal.Threshold
 module Compaction = Gb_compaction.Compaction
 module Xsa = Gb_race.Xsa
@@ -48,18 +47,9 @@ let exact_limit = 16
 
 (* Cheap schedules so the SA-family oracles stay fast on a 500-case
    fuzz run; quality does not matter here, only the invariants. *)
-let quick_sa = { Sa_bisect.default_config with schedule = Schedule.quick }
+let quick_threshold = { Threshold.size_factor = 4; frozen_after = 3; max_levels = 60 }
 
-let quick_threshold =
-  {
-    Threshold.default_schedule with
-    Threshold.size_factor = 4;
-    frozen_after = 3;
-    max_levels = 60;
-  }
-
-let quick_xsa =
-  { Xsa.default_config with Xsa.chains = 3; rounds = 4; sweeps_per_round = 1 }
+let quick_xsa = { Xsa.chains = 3; rounds = 4; sweeps_per_round = 1 }
 
 (* {1 The runner hook: re-validate a packaged bisection} *)
 
@@ -107,7 +97,7 @@ let solvers : (string * (Rng.t -> Csr.t -> Bisection.t * int option)) list =
     (fun (e : Algo.entry) ->
       ( e.id,
         fun rng g ->
-          let o = e.run ~sa:quick_sa ~xsa:quick_xsa rng g in
+          let o = e.run ~schedule:Schedule.quick ~xsa:quick_xsa rng g in
           (o.bisection, o.final_cut) ))
     Algo.all
   @ [
@@ -219,8 +209,14 @@ let check_one_pass label pass g side =
     "%s: claimed gain %d but cut went %d -> %d (delta %d)" label gain cut0 cut1
     (cut0 - cut1)
 
-let check_refine label (refine : Csr.t -> int array -> int array * (int * int * int list))
-    g side =
+(* A refine run with a cap of [max_passes] passes must (a) report the
+   start's cut, (b) report non-negative pass gains that sum to the cut
+   it removed, one per pass, and (c) stop before the cap only at a
+   fixed point: one more [one_pass] on its result, which starts from a
+   fresh gain sweep and not from the gains the run carried, gains
+   nothing and returns the identical side. *)
+let check_refine label ~max_passes ~one_pass
+    (refine : Csr.t -> int array -> int array * (int * int * int list)) g side =
   let cut0 = Bisection.compute_cut g side in
   let side', (passes, initial_cut, pass_gains) = refine g side in
   let* () = require (initial_cut = cut0) "%s: stats initial_cut %d but start cut %d" label initial_cut cut0 in
@@ -235,9 +231,23 @@ let check_refine label (refine : Csr.t -> int array -> int array * (int * int * 
       (List.for_all (fun gn -> gn >= 0) pass_gains)
       "%s: a pass reported negative gain" label
   in
-  require
-    (passes = List.length pass_gains)
-    "%s: %d passes but %d recorded pass gains" label passes (List.length pass_gains)
+  let* () =
+    require
+      (passes = List.length pass_gains)
+      "%s: %d passes but %d recorded pass gains" label passes (List.length pass_gains)
+  in
+  if passes >= max_passes then Ok ()
+  else
+    let again, gain = one_pass g side' in
+    require
+      (gain = 0 && again = side')
+      "%s: stopped after %d of %d passes, but one more pass gains %d and %s the side"
+      label passes max_passes gain
+      (if again = side' then "keeps" else "changes")
+
+(* The pass cap the accounting oracles refine with: the default, which
+   the corpus graphs seldom reach. *)
+let refine_cap = Kl.default_max_passes
 
 let kl_accounting rng g =
   let side = Initial.random rng g in
@@ -247,18 +257,18 @@ let kl_accounting rng g =
      break gain ties differently, so from the same start they follow
      different swap trajectories and may extract different (both valid)
      pass gains — only the accounting identities above are laws. *)
-  check_refine "Kl.refine"
+  check_refine "Kl.refine" ~max_passes:refine_cap ~one_pass:Kl.one_pass
     (fun g s ->
-      let s', st = Kl.refine g s in
+      let s', st = Kl.refine ~max_passes:refine_cap g s in
       (s', (st.Kl.passes, st.Kl.initial_cut, st.Kl.pass_gains)))
     g side
 
 let fm_accounting rng g =
   let side = Initial.random rng g in
-  let* () = check_one_pass "Fm.one_pass" (fun g s -> Fm.one_pass g s) g side in
-  check_refine "Fm.refine"
+  let* () = check_one_pass "Fm.one_pass" Fm.one_pass g side in
+  check_refine "Fm.refine" ~max_passes:refine_cap ~one_pass:Fm.one_pass
     (fun g s ->
-      let s', st = Fm.refine g s in
+      let s', st = Fm.refine ~max_passes:refine_cap g s in
       (s', (st.Fm.passes, st.Fm.initial_cut, st.Fm.pass_gains)))
     g side
 
@@ -821,7 +831,7 @@ let trace_identity rng g =
     let runs =
       List.map
         (fun a ->
-          let o = (Algo.find a).run ~sa:quick_sa r g in
+          let o = (Algo.find a).run ~schedule:Schedule.quick r g in
           (Array.to_list (Bisection.sides o.bisection), o.final_cut))
         ([ `Kl; `Sa; `Mlfm ] : Algo.t list)
     in

@@ -4,7 +4,9 @@
     generated graph: solver results re-validated against a naive O(m)
     cut recomputation and (on small graphs) the exact branch-and-bound
     optimum, KL/FM incremental gain accounting against from-scratch
-    recomputes, the compaction cut-correspondence law, matching
+    recomputes (a refine that stops before its pass cap leaves one
+    more from-scratch pass nothing to gain), the compaction
+    cut-correspondence law, matching
     validity/maximality, the replica-exchange purity law (an xsa run
     is a byte-exact function of its derived seed — the [--jobs]
     soundness argument, see the [replica-exchange] oracle), the

@@ -86,15 +86,14 @@ let bisect ?(policy = Random_matching) ~refiner rng g =
       levels = 1;
     } )
 
-let recursive ?(policy = Random_matching) ?(min_vertices = 64) ?(max_levels = 20) ?observer
-    ~refiner rng g =
+let recursive ?(min_vertices = 64) ?(max_levels = 20) ?observer ~refiner rng g =
   if min_vertices < 2 then invalid_arg "Compaction.recursive: min_vertices < 2";
   if max_levels < 1 then invalid_arg "Compaction.recursive: max_levels < 1";
   (* Coarsening phase. *)
   let rec coarsen hierarchy g levels =
     if Csr.n_vertices g <= min_vertices || levels >= max_levels then (hierarchy, g)
     else begin
-      let contraction = contract_level policy match_with rng g in
+      let contraction = contract_level Random_matching match_with rng g in
       let coarse = contraction.Contraction.coarse in
       (* Stop when contraction no longer shrinks meaningfully. *)
       if 10 * Csr.n_vertices coarse > 9 * Csr.n_vertices g then (hierarchy, g)
@@ -167,14 +166,14 @@ let recursive ?(policy = Random_matching) ?(min_vertices = 64) ?(max_levels = 20
       levels = finest_level + 1;
     } )
 
-let kl_refiner ?config () : refiner =
- fun _rng g side -> fst (Gb_kl.Kl.refine ?config g side)
+let kl_refiner ?max_passes () : refiner =
+ fun _rng g side -> fst (Gb_kl.Kl.refine ?max_passes g side)
 
-let sa_refiner ?config () : refiner =
- fun rng g side -> fst (Gb_anneal.Sa_bisect.refine ?config rng g side)
+let sa_refiner ?schedule () : refiner =
+ fun rng g side -> fst (Gb_anneal.Sa_bisect.refine ?schedule rng g side)
 
-let fm_refiner ?config () : refiner =
- fun _rng g side -> fst (Gb_kl.Fm.refine ?config g side)
+let fm_refiner ?max_passes () : refiner =
+ fun _rng g side -> fst (Gb_kl.Fm.refine ?max_passes g side)
 
-let ckl ?config rng g = bisect ~refiner:(kl_refiner ?config ()) rng g
-let csa ?config rng g = bisect ~refiner:(sa_refiner ?config ()) rng g
+let ckl rng g = bisect ~refiner:(kl_refiner ()) rng g
+let csa ?schedule rng g = bisect ~refiner:(sa_refiner ?schedule ()) rng g

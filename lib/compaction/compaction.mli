@@ -58,7 +58,6 @@ val bisect :
     random balanced assignment, as the paper starts its base runs). *)
 
 val recursive :
-  ?policy:policy ->
   ?min_vertices:int ->
   ?max_levels:int ->
   ?observer:
@@ -73,9 +72,10 @@ val recursive :
   Gb_prng.Rng.t ->
   Gb_graph.Csr.t ->
   Gb_partition.Bisection.t * stats
-(** Multilevel extension: coarsen repeatedly (default floor
-    [min_vertices = 64], [max_levels = 20], stopping early when a level
-    shrinks the graph by less than 10 %), bisect the coarsest graph,
+(** Multilevel extension: coarsen repeatedly by random maximal
+    matchings (default floor [min_vertices = 64], [max_levels = 20],
+    stopping early when a level shrinks the graph by less than 10 %),
+    bisect the coarsest graph,
     then project-rebalance-refine level by level. [levels] in the
     returned stats counts coarsening steps + 1.
 
@@ -88,19 +88,15 @@ val recursive :
 
 (** {1 The paper's four algorithms, packaged} *)
 
-val kl_refiner : ?config:Gb_kl.Kl.config -> unit -> refiner
-val sa_refiner : ?config:Gb_anneal.Sa_bisect.config -> unit -> refiner
-val fm_refiner : ?config:Gb_kl.Fm.config -> unit -> refiner
+val kl_refiner : ?max_passes:int -> unit -> refiner
+val sa_refiner : ?schedule:Gb_anneal.Schedule.t -> unit -> refiner
+val fm_refiner : ?max_passes:int -> unit -> refiner
 
-val ckl :
-  ?config:Gb_kl.Kl.config ->
-  Gb_prng.Rng.t ->
-  Gb_graph.Csr.t ->
-  Gb_partition.Bisection.t * stats
+val ckl : Gb_prng.Rng.t -> Gb_graph.Csr.t -> Gb_partition.Bisection.t * stats
 (** Compacted Kernighan-Lin. *)
 
 val csa :
-  ?config:Gb_anneal.Sa_bisect.config ->
+  ?schedule:Gb_anneal.Schedule.t ->
   Gb_prng.Rng.t ->
   Gb_graph.Csr.t ->
   Gb_partition.Bisection.t * stats

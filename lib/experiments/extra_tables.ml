@@ -107,13 +107,7 @@ let geometric_table profile =
               let kl = cut (Gb_kl.Kl.run rng g) in
               let ckl = cut (Gb_compaction.Compaction.ckl rng g) in
               let sa =
-                cut
-                  (Gb_anneal.Sa_bisect.run
-                     ~config:
-                       { Gb_anneal.Sa_bisect.default_config with
-                         schedule = profile.Profile.sa_schedule
-                       }
-                     rng g)
+                cut (Gb_anneal.Sa_bisect.run ~schedule:profile.Profile.sa_schedule rng g)
               in
               let mlkl =
                 cut

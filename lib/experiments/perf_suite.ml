@@ -147,20 +147,16 @@ let bench_sa_plateau ~runs =
   let setup_rng = Rng.create ~seed:(seed_for name) in
   let g = Generators.g2set_instance setup_rng ~two_n:300 ~avg_degree:4.0 ~bis:30 in
   let side = Initial.random setup_rng g in
-  let config =
+  let schedule =
     {
-      Gb_anneal.Sa_bisect.default_config with
-      schedule =
-        {
-          Gb_anneal.Schedule.quick with
-          initial_temperature = Gb_anneal.Schedule.Fixed_temperature 2.0;
-          max_temperatures = 2;
-        };
+      Gb_anneal.Schedule.quick with
+      initial_temperature = Gb_anneal.Schedule.Fixed_temperature 2.0;
+      max_temperatures = 2;
     }
   in
   let run_seed = Rng.derive_seed setup_rng in
   measure ~runs name ~iters:2 (fun () ->
-      Gb_anneal.Sa_bisect.refine ~config (Rng.substream ~base:run_seed 0) g side)
+      Gb_anneal.Sa_bisect.refine ~schedule (Rng.substream ~base:run_seed 0) g side)
 
 let bench_matching_contract ~runs =
   let name = "matching.contract" in

@@ -47,9 +47,11 @@ let scaled p n =
    fingerprints may share cached cells, two with different ones never
    collide. [scale] is a function, so it is fingerprinted by probing
    the paper's instance sizes (every table derives its size from one of
-   these probes via [scaled]). Every table runs KL with its default
-   config, printed as the "kl=" field so stores written when that was a
-   profile setting still hit. *)
+   these probes via [scaled]). The annealing loop's fixed freezing
+   threshold and temperature floor sit among the schedule's fields, and
+   KL's default pass cap and stopping rule form the "kl=" field, where
+   each stood when it was a setting, so stores written then still
+   hit. *)
 let fingerprint p =
   let sched = p.sa_schedule in
   let initial =
@@ -58,13 +60,13 @@ let fingerprint p =
     | Gb_anneal.Schedule.Calibrate f -> Printf.sprintf "calibrate:%h" f
   in
   Printf.sprintf
-    "%s|seed=%d|starts=%d|scale=%d,%d,%d,%d|sa=%s,%h,%d,%h,%h,%d,%h,%d|kl=%d,%b"
+    "%s|seed=%d|starts=%d|scale=%d,%d,%d,%d|sa=%s,%h,%d,%h,%h,%d,%h,%d|kl=%d,true"
     p.name p.master_seed p.starts (scaled p 5000) (scaled p 2000) (scaled p 2048)
     (scaled p 500) initial sched.Gb_anneal.Schedule.cooling
     sched.Gb_anneal.Schedule.size_factor sched.Gb_anneal.Schedule.cutoff
-    sched.Gb_anneal.Schedule.min_acceptance sched.Gb_anneal.Schedule.frozen_after
-    sched.Gb_anneal.Schedule.min_temperature sched.Gb_anneal.Schedule.max_temperatures
-    Gb_kl.Kl.default_config.max_passes Gb_kl.Kl.default_config.until_no_improvement
+    Gb_anneal.Schedule.min_acceptance sched.Gb_anneal.Schedule.frozen_after
+    Gb_anneal.Schedule.min_temperature sched.Gb_anneal.Schedule.max_temperatures
+    Gb_kl.Kl.default_max_passes
 
 let by_name = function
   | "smoke" -> Some smoke

@@ -39,7 +39,8 @@ val scaled : t -> int -> int
 val fingerprint : t -> string
 (** Canonical rendering of every profile field that can change an
     experiment cell's value (name, master seed, starts, probed scale,
-    the full SA schedule), plus the default KL config every table
+    the full SA schedule), plus the annealing loop's fixed freezing
+    threshold and temperature floor and the KL pass cap every table
     uses. Result-store keys embed it so cached cells are never reused
     across incompatible configurations. *)
 

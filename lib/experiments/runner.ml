@@ -12,8 +12,7 @@ type run = { cut : int; seconds : float; balanced : bool }
 (* One run with the profile's annealing schedule: the bisection and the
    algorithm's final stats, flattened for the telemetry record. *)
 let run_algorithm (profile : Profile.t) rng algorithm g =
-  let sa = { Gb_anneal.Sa_bisect.default_config with schedule = profile.sa_schedule } in
-  let o = (Algo.find algorithm).run ~sa rng g in
+  let o = (Algo.find algorithm).run ~schedule:profile.sa_schedule rng g in
   (o.bisection, o.stats)
 
 let timed f =

@@ -128,14 +128,14 @@ type stats = {
   levels : int;
 }
 
-let bisect ?config rng h =
+let bisect rng h =
   let mate = match_cells rng h in
   let c = contract h mate in
   let coarse_start = random_sides rng (Hgraph.n_vertices c.coarse) in
-  let coarse_side, _ = Hfm.refine ?config c.coarse coarse_start in
+  let coarse_side, _ = Hfm.refine c.coarse coarse_start in
   let coarse_cut = Hgraph.cut_size c.coarse coarse_side in
   let start = rebalance h (project c coarse_side) in
-  let side, _ = Hfm.refine ?config h start in
+  let side, _ = Hfm.refine h start in
   ( side,
     {
       fine_cells = Hgraph.n_vertices h;

@@ -43,7 +43,6 @@ type stats = {
   levels : int;
 }
 
-val bisect :
-  ?config:Hfm.config -> Gb_prng.Rng.t -> Hgraph.t -> int array * stats
+val bisect : Gb_prng.Rng.t -> Hgraph.t -> int array * stats
 (** CHFM: coarsen once, {!Hfm} on the coarse netlist from a random
     start, project, rebalance, {!Hfm} refine. *)

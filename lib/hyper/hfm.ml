@@ -1,10 +1,6 @@
 module Rng = Gb_prng.Rng
 module Gain_buckets = Gb_kl.Gain_buckets
 
-type config = { max_passes : int; until_no_improvement : bool; tolerance : int }
-
-let default_config = { max_passes = 50; until_no_improvement = true; tolerance = 2 }
-
 type stats = {
   passes : int;
   moves : int;
@@ -35,8 +31,11 @@ let initial_gains h side pins =
   done;
   gains
 
-let one_pass ~tolerance h side0 =
-  if tolerance < 2 then invalid_arg "Hfm: tolerance must be >= 2";
+(* During a pass the side counts may differ by at most this much: the
+   least that lets a move leave an exactly balanced assignment. *)
+let tolerance = 2
+
+let one_pass h side0 =
   let n = Hgraph.n_vertices h in
   let n_nets = Hgraph.n_nets h in
   let side = Array.copy side0 in
@@ -139,7 +138,7 @@ let one_pass ~tolerance h side0 =
     (result, !best_gain)
   end
 
-let refine ?(config = default_config) h side0 =
+let refine ?(max_passes = 50) h side0 =
   check_input h side0;
   let initial_cut = Hgraph.cut_size h side0 in
   let side = ref (Array.copy side0) in
@@ -147,15 +146,15 @@ let refine ?(config = default_config) h side0 =
   let moves = ref 0 in
   let passes = ref 0 in
   (try
-     while !passes < config.max_passes do
-       let next, gain = one_pass ~tolerance:config.tolerance h !side in
+     while !passes < max_passes do
+       let next, gain = one_pass h !side in
        incr passes;
        pass_gains := gain :: !pass_gains;
        if gain > 0 then begin
          Array.iteri (fun v s -> if s <> next.(v) then incr moves) !side;
          side := next
        end
-       else if config.until_no_improvement then raise Exit
+       else raise Exit
      done
    with Exit -> ());
   let final_cut = Hgraph.cut_size h !side in
@@ -176,6 +175,6 @@ let random_sides rng n =
   done;
   side
 
-let run ?config rng h =
+let run rng h =
   let side0 = random_sides rng (Hgraph.n_vertices h) in
-  refine ?config h side0
+  refine h side0

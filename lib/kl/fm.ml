@@ -1,9 +1,5 @@
 module Bisection = Gb_partition.Bisection
 
-type config = { max_passes : int; until_no_improvement : bool; tolerance : int }
-
-let default_config = { max_passes = 50; until_no_improvement = true; tolerance = 2 }
-
 type stats = {
   passes : int;
   moves : int;
@@ -17,13 +13,13 @@ let check_input g side =
   let c0, c1 = Bisection.side_counts side in
   if abs (c0 - c1) > 1 then invalid_arg "Fm: input bisection is not balanced"
 
-let one_pass ?(tolerance = default_config.tolerance) g side =
+let one_pass g side =
   check_input g side;
   let ws = Workspace.create g side in
-  let gain, _ = Workspace.fm_pass ws ~tolerance in
+  let gain, _ = Workspace.fm_pass ws in
   (Workspace.side ws, gain)
 
-let refine ?(config = default_config) g side0 =
+let refine ?(max_passes = 50) g side0 =
   check_input g side0;
   let ws = Workspace.create g side0 in
   let initial_cut = Workspace.cut ws in
@@ -32,9 +28,9 @@ let refine ?(config = default_config) g side0 =
   let passes = ref 0 in
   Gb_obs.Telemetry.sample Gb_obs.Span.fm_pass (float_of_int initial_cut);
   (try
-     while !passes < config.max_passes do
+     while !passes < max_passes do
        let span = Gb_obs.Trace.start () in
-       let gain, kept = Workspace.fm_pass ws ~tolerance:config.tolerance in
+       let gain, kept = Workspace.fm_pass ws in
        incr passes;
        pass_gains := gain :: !pass_gains;
        (* A vertex moves at most once per pass, so the kept prefix is
@@ -43,7 +39,7 @@ let refine ?(config = default_config) g side0 =
        Gb_obs.Telemetry.sample Gb_obs.Span.fm_pass (float_of_int (Workspace.cut ws));
        Gb_obs.Trace.finish span Gb_obs.Span.fm_pass
          ~args:[ ("pass", Gb_obs.Json.Int !passes); ("gain", Gb_obs.Json.Int gain) ];
-       if gain <= 0 && config.until_no_improvement then raise Exit
+       if gain <= 0 then raise Exit
      done
    with Exit -> ());
   ( Workspace.side ws,
@@ -55,7 +51,7 @@ let refine ?(config = default_config) g side0 =
       pass_gains = List.rev !pass_gains;
     } )
 
-let run ?config rng g =
+let run rng g =
   let side0 = Gb_partition.Initial.random rng g in
-  let side, stats = refine ?config g side0 in
+  let side, stats = refine g side0 in
   (Bisection.of_sides g side, stats)

@@ -4,8 +4,9 @@
     used graph bisection algorithms"; FM is the variation that won.
     Instead of swapping pairs, one pass moves single vertices: at each
     step the unlocked vertex of maximal gain whose move keeps the side
-    counts within a tolerance is moved and locked; the committed result
-    is the best exactly-balanced prefix. With gain buckets a pass is
+    counts within 2 of each other is moved and locked; the committed
+    result is the best exactly-balanced prefix. Passes repeat, as in
+    {!Kl}, until one gains nothing. With gain buckets a pass is
     O(m) — strictly cheaper than KL's pair search — at the price of a
     slightly weaker move repertoire per step.
 
@@ -24,18 +25,6 @@
     gains to the next pass. A pass allocates no array, option or
     closure. *)
 
-type config = {
-  max_passes : int;
-  until_no_improvement : bool;
-  tolerance : int;
-      (** Maximum allowed [|#side0 - #side1|] {e during} a pass; must
-          be >= 2 or no move is legal from an exactly balanced start.
-          Commits are always exactly balanced regardless. *)
-}
-
-val default_config : config
-(** [{ max_passes = 50; until_no_improvement = true; tolerance = 2 }]. *)
-
 type stats = {
   passes : int;
   moves : int;  (** Committed single-vertex moves. *)
@@ -44,11 +33,13 @@ type stats = {
   pass_gains : int list;
 }
 
-val one_pass : ?tolerance:int -> Gb_graph.Csr.t -> int array -> int array * int
+val one_pass : Gb_graph.Csr.t -> int array -> int array * int
 (** Single pass from a balanced assignment; returns the new assignment
     (exactly balanced) and its cut decrease. This is [refine]'s first
     pass on a workspace of its own, so it pays the O(m) set-up too. *)
 
-val refine : ?config:config -> Gb_graph.Csr.t -> int array -> int array * stats
-val run :
-  ?config:config -> Gb_prng.Rng.t -> Gb_graph.Csr.t -> Gb_partition.Bisection.t * stats
+val refine : ?max_passes:int -> Gb_graph.Csr.t -> int array -> int array * stats
+(** Run passes from the given balanced assignment until one gains
+    nothing, or until [max_passes] (default [50]) have run. *)
+
+val run : Gb_prng.Rng.t -> Gb_graph.Csr.t -> Gb_partition.Bisection.t * stats

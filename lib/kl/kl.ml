@@ -9,9 +9,7 @@ let m_bucket_updates = Obs.Metrics.counter "kl.gain_bucket_updates"
 let m_swaps = Obs.Metrics.counter "kl.swaps_committed"
 let h_swaps_per_pass = Obs.Metrics.histogram "kl.swaps_per_pass"
 
-type config = { max_passes : int; until_no_improvement : bool }
-
-let default_config = { max_passes = 50; until_no_improvement = true }
+let default_max_passes = 50
 
 type stats = {
   passes : int;
@@ -32,7 +30,7 @@ let one_pass g side =
   let gain, _ = Workspace.kl_pass ws in
   (Workspace.side ws, gain)
 
-let refine ?(config = default_config) g side0 =
+let refine ?(max_passes = default_max_passes) g side0 =
   check_input g side0;
   let ws = Workspace.create g side0 in
   let initial_cut = Workspace.cut ws in
@@ -41,7 +39,7 @@ let refine ?(config = default_config) g side0 =
   let passes = ref 0 in
   Obs.Telemetry.sample Obs.Span.kl_pass (float_of_int initial_cut);
   (try
-     while !passes < config.max_passes do
+     while !passes < max_passes do
        let span = Obs.Trace.start () in
        let gain, kept = Workspace.kl_pass ws in
        let scanned = Workspace.pairs_scanned ws in
@@ -67,7 +65,7 @@ let refine ?(config = default_config) g side0 =
              ("pairs_scanned", Obs.Json.Int scanned);
              ("bucket_updates", Obs.Json.Int updates);
            ];
-       if gain <= 0 && config.until_no_improvement then raise Exit
+       if gain <= 0 then raise Exit
      done
    with Exit -> ());
   ( Workspace.side ws,
@@ -79,9 +77,9 @@ let refine ?(config = default_config) g side0 =
       pass_gains = List.rev !pass_gains;
     } )
 
-let run ?config rng g =
+let run rng g =
   let side0 = Gb_partition.Initial.random rng g in
-  let side, stats = refine ?config g side0 in
+  let side, stats = refine g side0 in
   (Bisection.of_sides g side, stats)
 
 module Reference = struct

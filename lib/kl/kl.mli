@@ -7,7 +7,9 @@
     them, and update the gains of their unlocked neighbours. When all
     pairs are exhausted, commit the prefix of exchanges whose
     cumulative gain is maximal (if positive). Passes repeat until one
-    yields no improvement or a pass limit is hit.
+    yields no improvement or a pass limit is hit. Running on after a
+    pass that gains nothing would change nothing: such a pass commits
+    no exchange, so every later pass repeats it.
 
     This implementation selects the best pair exactly but efficiently:
     both sides sit in the gain buckets of one {!Workspace}, scanned in
@@ -24,20 +26,12 @@
     and computes every gain and the cut in one O(m) sweep; a pass
     allocates no array, option or closure. *)
 
-type config = {
-  max_passes : int;  (** Hard cap on passes (safety net). *)
-  until_no_improvement : bool;
-      (** [true] (the default): stop after the first pass with zero
-          gain. [false]: always run exactly [max_passes] passes (the
-          paper notes both styles). *)
-}
-
-val default_config : config
-(** [{ max_passes = 50; until_no_improvement = true }]. *)
+val default_max_passes : int
+(** [50], the pass cap of {!refine} when none is given. *)
 
 type stats = {
-  passes : int;  (** Passes actually executed (including the final
-                     zero-gain one when stopping on no improvement). *)
+  passes : int;  (** Passes actually executed, including the final
+                     zero-gain one unless the cap stopped the run. *)
   swaps : int;  (** Total committed pair exchanges. *)
   initial_cut : int;
   final_cut : int;
@@ -51,11 +45,11 @@ val one_pass : Gb_graph.Csr.t -> int array -> int array * int
     @raise Invalid_argument if [side] is invalid or the side counts
     differ by more than 1. *)
 
-val refine : ?config:config -> Gb_graph.Csr.t -> int array -> int array * stats
-(** Run passes from the given assignment until the stopping rule. *)
+val refine : ?max_passes:int -> Gb_graph.Csr.t -> int array -> int array * stats
+(** Run passes from the given assignment until one gains nothing, or
+    until [max_passes] (default {!default_max_passes}) have run. *)
 
-val run :
-  ?config:config -> Gb_prng.Rng.t -> Gb_graph.Csr.t -> Gb_partition.Bisection.t * stats
+val run : Gb_prng.Rng.t -> Gb_graph.Csr.t -> Gb_partition.Bisection.t * stats
 (** The paper's standard KL: {!refine} from a fresh random balanced
     bisection. *)
 

@@ -181,13 +181,16 @@ let commit ws ~kept gain =
   done;
   ws.cut <- ws.cut - gain
 
+(* During an FM pass the side counts may differ by at most this much:
+   the least that lets a move leave an exactly balanced assignment. *)
+let tolerance = 2
+
 (* One FM pass. Each step moves the unlocked vertex of maximal gain
    whose move keeps |c0 - c1| <= tolerance; on equal gains the heavier
    side moves, side 0 if the counts are equal. The kept prefix is the
    first balanced one of strictly best positive total gain (none if no
    prefix gains). Returns the gain and the length of the kept prefix. *)
-let fm_pass ws ~tolerance =
-  if tolerance < 2 then invalid_arg "Fm: tolerance must be >= 2";
+let fm_pass ws =
   let n = Array.length ws.side in
   let c1 = ref (reset ws) in
   let c0 = ref (n - !c1) in

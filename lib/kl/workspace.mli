@@ -26,10 +26,11 @@ val side : t -> int array
 val cut : t -> int
 (** The committed assignment's cut, carried through every pass. *)
 
-val fm_pass : t -> tolerance:int -> int * int
+val fm_pass : t -> int * int
 (** One FM pass: [(gain, kept)], the cut decrease and the number of
-    kept single-vertex moves.
-    @raise Invalid_argument if [tolerance < 2]. *)
+    kept single-vertex moves. During the pass the side counts differ
+    by at most 2, the least that lets a move leave an exactly balanced
+    assignment. *)
 
 val kl_pass : t -> int * int
 (** One KL pass: [(gain, kept)], the cut decrease and the number of

@@ -1,8 +1,9 @@
 module Csr = Gb_graph.Csr
 
-type config = { iterations : int; tolerance : float }
-
-let default_config = { iterations = 500; tolerance = 1e-7 }
+(* The power iteration runs at most [iterations] steps, and stops
+   early once an iterate moves by less than [tolerance]. *)
+let iterations = 500
+let tolerance = 1e-7
 
 (* x <- (cI - L) x  =  c*x - deg(v)*x(v) + sum_u w(u,v) x(u); using the
    weighted degree keeps the shift valid on weighted graphs. *)
@@ -26,7 +27,7 @@ let normalize x =
   if norm > 0. then
     Array.iteri (fun i v -> x.(i) <- v /. norm) x
 
-let fiedler_vector ?(config = default_config) g =
+let fiedler_vector g =
   let n = Csr.n_vertices g in
   if n = 0 then [||]
   else begin
@@ -45,7 +46,7 @@ let fiedler_vector ?(config = default_config) g =
     let y = Array.make n 0. in
     let continue = ref true in
     let iter = ref 0 in
-    while !continue && !iter < config.iterations do
+    while !continue && !iter < iterations do
       incr iter;
       multiply g c x y;
       center y;
@@ -55,15 +56,15 @@ let fiedler_vector ?(config = default_config) g =
       for i = 0 to n - 1 do
         dot := !dot +. (x.(i) *. y.(i))
       done;
-      if 1. -. Float.abs !dot < config.tolerance then continue := false;
+      if 1. -. Float.abs !dot < tolerance then continue := false;
       Array.blit y 0 x 0 n
     done;
     x
   end
 
-let bisect ?config g =
+let bisect g =
   let n = Csr.n_vertices g in
-  let fiedler = fiedler_vector ?config g in
+  let fiedler = fiedler_vector g in
   let order = Array.init n (fun i -> i) in
   Array.sort
     (fun a b ->
@@ -75,6 +76,6 @@ let bisect ?config g =
   done;
   Bisection.of_sides g side
 
-let bisect_refined ?config ~refine g =
-  let spectral = bisect ?config g in
+let bisect_refined ~refine g =
+  let spectral = bisect g in
   Bisection.of_sides g (refine g (Bisection.sides spectral))

@@ -14,46 +14,29 @@ let m_accepted = Obs.Metrics.counter "xsa.moves_accepted"
 let m_swaps_attempted = Obs.Metrics.counter "xsa.swaps_attempted"
 let m_swaps_accepted = Obs.Metrics.counter "xsa.swaps_accepted"
 
-type config = {
-  chains : int;
-  rounds : int;
-  sweeps_per_round : int;
-  max_temperature : float;
-  min_temperature : float;
-  imbalance_factor : float;
-}
+type config = { chains : int; rounds : int; sweeps_per_round : int }
 
-let default_config =
-  {
-    chains = 4;
-    rounds = 12;
-    sweeps_per_round = 2;
-    max_temperature = 4.0;
-    min_temperature = 0.25;
-    imbalance_factor = 0.05;
-  }
+let default_config = { chains = 4; rounds = 12; sweeps_per_round = 2 }
 
 let validate c =
   let bad msg = invalid_arg ("Xsa: " ^ msg) in
   if c.chains < 1 then bad "chains must be >= 1";
   if c.rounds < 1 then bad "rounds must be >= 1";
-  if c.sweeps_per_round < 1 then bad "sweeps_per_round must be >= 1";
-  if c.min_temperature <= 0. then bad "min_temperature must be positive";
-  if c.max_temperature < c.min_temperature then
-    bad "max_temperature must be >= min_temperature";
-  if c.imbalance_factor <= 0. then bad "imbalance_factor must be positive"
+  if c.sweeps_per_round < 1 then bad "sweeps_per_round must be >= 1"
+
+let max_temperature = 4.0
+let min_temperature = 0.25
 
 (* Slot 0 is the hottest chain; the ladder descends geometrically to
    min_temperature at slot K-1. *)
 let temperature_ladder c =
   validate c;
   let k = c.chains in
-  if k = 1 then [| c.max_temperature |]
+  if k = 1 then [| max_temperature |]
   else
     Array.init k (fun i ->
-        c.max_temperature
-        *. ((c.min_temperature /. c.max_temperature)
-           ** (float_of_int i /. float_of_int (k - 1))))
+        max_temperature
+        *. ((min_temperature /. max_temperature) ** (float_of_int i /. float_of_int (k - 1))))
 
 type stats = {
   chains : int;
@@ -134,15 +117,11 @@ let run ?(config = default_config) ?(record = false) rng g =
        downstream is a pure function of these seeds. *)
     let chain_base = Rng.derive_seed rng in
     let swap_base = Rng.derive_seed rng in
-    let problem_config =
-      Gb_anneal.Sa_bisect.
-        { imbalance_factor = config.imbalance_factor; schedule = Gb_anneal.Schedule.default }
-    in
     let slots =
       Array.init k (fun i ->
           let srng = Rng.substream ~base:chain_base i in
           let side0 = Initial.random srng g in
-          let state = Problem.make problem_config g side0 in
+          let state = Problem.make g side0 in
           {
             rng = srng;
             temperature = temps.(i);

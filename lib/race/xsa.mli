@@ -4,8 +4,9 @@
 
     [K] tempered chains run the paper's Metropolis dynamics over the
     {!Gb_anneal.Sa_bisect.Problem} search space (single-vertex flips,
-    cut plus a quadratic imbalance penalty), each at a {e fixed}
-    temperature from a geometric ladder, fanned out on the ambient
+    cut plus its quadratic imbalance penalty, α = 0.05), each at a {e fixed}
+    temperature from a geometric ladder that falls from 4.0 at slot 0
+    to 0.25 at slot [K-1], fanned out on the ambient
     {!Gb_par.Pool}. After every round, adjacent slots (alternating
     parity per round, as in Myklebust arXiv:1505.03068) exchange
     configurations with the standard Metropolis swap probability
@@ -26,14 +27,10 @@ type config = {
   rounds : int;  (** Swap rounds ([>= 1]). *)
   sweeps_per_round : int;
       (** Each chain proposes [sweeps_per_round * n] moves per round. *)
-  max_temperature : float;  (** Ladder top (slot 0). *)
-  min_temperature : float;  (** Ladder bottom (slot [K-1]); [> 0]. *)
-  imbalance_factor : float;  (** Quadratic penalty weight; [> 0]. *)
 }
 
 val default_config : config
-(** 4 chains, 12 rounds, 2 sweeps/round, ladder 4.0 → 0.25,
-    imbalance factor 0.05 (JAMS). *)
+(** 4 chains, 12 rounds, 2 sweeps/round. *)
 
 val temperature_ladder : config -> float array
 (** The geometric ladder the chains run at, hottest first.

@@ -9,7 +9,7 @@ module Csr = Gbisect.Graph
 module Bisection = Gbisect.Bisection
 module Gain_buckets = Gbisect.Gain_buckets
 
-type config = Gbisect.Fm.config = {
+type config = {
   max_passes : int;
   until_no_improvement : bool;
   tolerance : int;
@@ -23,7 +23,7 @@ type stats = Gbisect.Fm.stats = {
   pass_gains : int list;
 }
 
-let default_config = Gbisect.Fm.default_config
+let default_config = { max_passes = 50; until_no_improvement = true; tolerance = 2 }
 
 let check_input g side =
   Bisection.validate_sides g side;

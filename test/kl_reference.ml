@@ -22,7 +22,7 @@ let h_swaps_per_pass = Obs.Metrics.histogram "kl.swaps_per_pass"
    the hot loops carry no conditional) and published once per pass. *)
 type pass_counters = { pairs_scanned : int; bucket_updates : int; committed : int }
 
-type config = Gbisect.Kl.config = { max_passes : int; until_no_improvement : bool }
+type config = { max_passes : int; until_no_improvement : bool }
 
 type stats = Gbisect.Kl.stats = {
   passes : int;
@@ -32,7 +32,7 @@ type stats = Gbisect.Kl.stats = {
   pass_gains : int list;
 }
 
-let default_config = Gbisect.Kl.default_config
+let default_config = { max_passes = 50; until_no_improvement = true }
 
 let check_input g side =
   Bisection.validate_sides g side;

@@ -69,7 +69,7 @@ module Make (P : Problem) = struct
       let mean = !sum /. float_of_int !count in
       -.mean /. log fraction
 
-  let run ?(schedule = Schedule.default) ?trace rng state =
+  let run ?(schedule = Schedule.default) rng state =
     Schedule.validate schedule;
     let t0 =
       match schedule.Schedule.initial_temperature with
@@ -97,7 +97,7 @@ module Make (P : Problem) = struct
     while
       (not !frozen)
       && !temperatures < schedule.Schedule.max_temperatures
-      && !temperature > schedule.Schedule.min_temperature
+      && !temperature > 1e-4
     do
       let span = Obs.Trace.start () in
       let accepted_here = ref 0 in
@@ -161,10 +161,7 @@ module Make (P : Problem) = struct
             ("acceptance", Obs.Json.Float acceptance);
             ("best_cost", Obs.Json.Float !best_cost);
           ];
-      (match trace with
-      | Some f -> f ~temperature:!temperature ~acceptance ~best_cost:!best_cost
-      | None -> ());
-      if acceptance < schedule.Schedule.min_acceptance && not !improved_best then
+      if acceptance < 0.02 && not !improved_best then
         incr cold_streak
       else cold_streak := 0;
       if !cold_streak >= schedule.Schedule.frozen_after then frozen := true
@@ -192,7 +189,7 @@ end
 
 (* --- Sa_bisect --------------------------------------------------------------- *)
 
-type config = Gbisect.Sa_bisect.config = { imbalance_factor : float; schedule : Schedule.t }
+type config = { imbalance_factor : float; schedule : Schedule.t }
 
 let default_config = { imbalance_factor = 0.05; schedule = Schedule.default }
 
@@ -265,7 +262,7 @@ module Engine = Make (Problem)
 
 let make_state config g side = Problem.make config g side
 
-let refine ?(config = default_config) ?trace rng g side0 =
+let refine ?(config = default_config) rng g side0 =
   Bisection.validate_sides g side0;
   if config.imbalance_factor <= 0. then
     invalid_arg "Sa_bisect: imbalance_factor must be positive";
@@ -280,7 +277,7 @@ let refine ?(config = default_config) ?trace rng g side0 =
           ("vertices", Gbisect.Obs.Json.Int (Csr.n_vertices g));
           ("initial_cut", Gbisect.Obs.Json.Int initial_cut);
         ]
-      (fun () -> Engine.run ~schedule:config.schedule ?trace rng state)
+      (fun () -> Engine.run ~schedule:config.schedule rng state)
   in
   (* Candidate 1: the tracked best balanced snapshot. *)
   let snap = result.Engine.best in

@@ -30,7 +30,6 @@ let schedule_tests =
         bad { Schedule.default with cooling = 1.0 } "cooling 1";
         bad { Schedule.default with cooling = 0.0 } "cooling 0";
         bad { Schedule.default with size_factor = 0 } "size_factor 0";
-        bad { Schedule.default with min_acceptance = 1.0 } "min_acceptance 1";
         bad { Schedule.default with frozen_after = 0 } "frozen_after 0";
         bad { Schedule.default with max_temperatures = 0 } "max_temperatures 0";
         bad
@@ -42,11 +41,6 @@ let schedule_tests =
   ]
 
 (* --- The annealing loop ------------------------------------------------------ *)
-
-let quick_config =
-  { Sa_bisect.imbalance_factor = 0.05; schedule = Schedule.quick }
-
-let with_schedule schedule = { Sa_bisect.default_config with schedule }
 
 let fixed_temperature ?(max_temperatures = Schedule.default.max_temperatures) t =
   {
@@ -83,12 +77,12 @@ let engine_tests =
            nor what the same seed anneals to next time. *)
         let g, side0 = annealing_input 60 in
         let start = Array.copy side0 in
-        let side, _ = Sa_bisect.refine ~config:quick_config (Helpers.rng ()) g side0 in
+        let side, _ = Sa_bisect.refine ~schedule:Schedule.quick (Helpers.rng ()) g side0 in
         let answer = Array.copy side in
         check_bool "not the start array" true (side != side0);
         Array.fill side 0 (Array.length side) 0;
         check_bool "start untouched" true (side0 = start);
-        let again, _ = Sa_bisect.refine ~config:quick_config (Helpers.rng ()) g side0 in
+        let again, _ = Sa_bisect.refine ~schedule:Schedule.quick (Helpers.rng ()) g side0 in
         check_bool "a fresh array per call" true (again != side);
         check_bool "same answer" true (again = answer));
     case "stats counters are coherent" (fun () ->
@@ -103,8 +97,8 @@ let engine_tests =
           (s.Sa.final_temperature <= s.Sa.initial_temperature));
     case "max_temperatures cap is honoured" (fun () ->
         let g, side0 = annealing_input 20 in
-        let config = with_schedule { Schedule.default with max_temperatures = 3 } in
-        let _, stats = Sa_bisect.refine ~config (Helpers.rng ()) g side0 in
+        let schedule = { Schedule.default with max_temperatures = 3 } in
+        let _, stats = Sa_bisect.refine ~schedule (Helpers.rng ()) g side0 in
         check_bool "stopped at cap" true (stats.Sa_bisect.sa.Sa.temperatures <= 3);
         check_bool "not flagged frozen" true (not stats.Sa_bisect.sa.Sa.frozen));
     case "plateaus hold one record per temperature" (fun () ->
@@ -122,13 +116,13 @@ let engine_tests =
         check_bool "each colder than the last" true (cooling s.Sa.plateaus));
     case "fixed initial temperature is used" (fun () ->
         let g, side0 = annealing_input 20 in
-        let config = with_schedule (fixed_temperature 3.25) in
-        let _, stats = Sa_bisect.refine ~config (Helpers.rng ()) g side0 in
+        let schedule = fixed_temperature 3.25 in
+        let _, stats = Sa_bisect.refine ~schedule (Helpers.rng ()) g side0 in
         Alcotest.(check (float 1e-9)) "t0" 3.25 stats.Sa_bisect.sa.Sa.initial_temperature);
     case "high fixed temperature accepts most uphill moves" (fun () ->
         let g, side0 = annealing_input 40 in
-        let config = with_schedule (fixed_temperature ~max_temperatures:1 100.) in
-        let _, stats = Sa_bisect.refine ~config (Helpers.rng ()) g side0 in
+        let schedule = fixed_temperature ~max_temperatures:1 100. in
+        let _, stats = Sa_bisect.refine ~schedule (Helpers.rng ()) g side0 in
         let s = stats.Sa_bisect.sa in
         let ratio = float_of_int s.Sa.accepted /. float_of_int s.Sa.attempted in
         check_bool (Printf.sprintf "acceptance %.2f > 0.9" ratio) true (ratio > 0.9));
@@ -140,7 +134,7 @@ let sa_bisect_tests =
   [
     case "result is balanced and cut-consistent" (fun () ->
         let g = Classic.grid ~rows:6 ~cols:6 in
-        let b, stats = Sa_bisect.run ~config:quick_config (Helpers.rng ()) g in
+        let b, stats = Sa_bisect.run ~schedule:Schedule.quick (Helpers.rng ()) g in
         Helpers.check_bisection_consistent g b;
         check_bool "balanced" true (Bisection.is_balanced b);
         check_int "final_cut stat" (Bisection.cut b) stats.Sa_bisect.final_cut);
@@ -156,7 +150,7 @@ let sa_bisect_tests =
         let g = Graph.of_unweighted_edges ~n:16 !edges in
         let best = ref max_int in
         for seed = 1 to 5 do
-          let b, _ = Sa_bisect.run ~config:quick_config (Helpers.rng ~seed ()) g in
+          let b, _ = Sa_bisect.run ~schedule:Schedule.quick (Helpers.rng ~seed ()) g in
           best := min !best (Bisection.cut b)
         done;
         check_int "optimum" 1 !best);
@@ -165,29 +159,23 @@ let sa_bisect_tests =
           let r = Helpers.rng ~seed () in
           let g = Gbisect.Gnp.generate r ~n:12 ~p:0.3 in
           let opt = Gbisect.Exact.bisection_width g in
-          let b, _ = Sa_bisect.run ~config:quick_config r g in
+          let b, _ = Sa_bisect.run ~schedule:Schedule.quick r g in
           check_bool "sa >= opt" true (Bisection.cut b >= opt)
         done);
     case "refine from the planted bisection stays at or below it" (fun () ->
         let params = Gbisect.Bregular.{ two_n = 200; b = 4; d = 4 } in
         let g = Gbisect.Bregular.generate (Helpers.rng ()) params in
         let planted = Array.init 200 (fun v -> if v < 100 then 0 else 1) in
-        let side, _ = Sa_bisect.refine ~config:quick_config (Helpers.rng ()) g planted in
+        let side, _ = Sa_bisect.refine ~schedule:Schedule.quick (Helpers.rng ()) g planted in
         check_bool "no worse than planted" true (Bisection.compute_cut g side <= 4));
     case "unbalanced start is rejected" (fun () ->
         let g = Classic.path 4 in
         Alcotest.check_raises "unbalanced"
           (Invalid_argument "Sa_bisect: input bisection is not balanced") (fun () ->
             ignore (Sa_bisect.refine (Helpers.rng ()) g [| 0; 0; 0; 1 |])));
-    case "non-positive imbalance factor is rejected" (fun () ->
-        let g = Classic.path 4 in
-        let config = { quick_config with Sa_bisect.imbalance_factor = 0. } in
-        Alcotest.check_raises "alpha"
-          (Invalid_argument "Sa_bisect: imbalance_factor must be positive") (fun () ->
-            ignore (Sa_bisect.refine ~config (Helpers.rng ()) g [| 0; 0; 1; 1 |])));
     case "odd vertex counts stay within slack" (fun () ->
         let g = Classic.path 9 in
-        let b, _ = Sa_bisect.run ~config:quick_config (Helpers.rng ()) g in
+        let b, _ = Sa_bisect.run ~schedule:Schedule.quick (Helpers.rng ()) g in
         let c0, c1 = Bisection.counts b in
         check_bool "within 1" true (abs (c0 - c1) <= 1));
     case "weighted coarse graphs anneal too" (fun () ->
@@ -195,7 +183,7 @@ let sa_bisect_tests =
           Graph.of_edges ~vertex_weights:[| 2; 2; 1; 1 |] ~n:4
             [ (0, 1, 3); (1, 2, 1); (2, 3, 2); (3, 0, 1) ]
         in
-        let b, _ = Sa_bisect.run ~config:quick_config (Helpers.rng ()) g in
+        let b, _ = Sa_bisect.run ~schedule:Schedule.quick (Helpers.rng ()) g in
         check_bool "balanced by count" true (Bisection.is_balanced b));
   ]
 
@@ -203,14 +191,14 @@ let sa_bisect_properties =
   [
     Helpers.qtest ~count:40 "sa returns balanced bisections on random graphs"
       (Helpers.gen_even_graph ~max_n:20 ()) (fun g ->
-        let b, _ = Sa_bisect.run ~config:quick_config (Helpers.rng ()) g in
+        let b, _ = Sa_bisect.run ~schedule:Schedule.quick (Helpers.rng ()) g in
         Bisection.is_balanced b);
     Helpers.qtest ~count:40 "delta matches cost difference on the problem state"
       (Helpers.gen_even_graph ~max_n:20 ()) (fun g ->
         (* Flip random vertices through Problem.apply, then compare
            Problem.delta and Problem.cost for every vertex with costs
            computed from scratch. *)
-        let alpha = quick_config.Sa_bisect.imbalance_factor in
+        let alpha = 0.05 in
         let scratch_cost side =
           let c0, c1 = Bisection.side_counts side in
           let d = float_of_int (c0 - c1) in
@@ -218,7 +206,7 @@ let sa_bisect_properties =
         in
         let close a b = Float.abs (a -. b) <= 1e-9 *. (1. +. Float.abs b) in
         let r = Helpers.rng ~seed:(Graph.n_edges g) () in
-        let st = Sa_bisect.Problem.make quick_config g (Helpers.balanced_sides r g) in
+        let st = Sa_bisect.Problem.make g (Helpers.balanced_sides r g) in
         let n = Graph.n_vertices g in
         let ok = ref true in
         for _ = 1 to 3 * n do
@@ -248,9 +236,7 @@ let cutoff_tests =
         let g, side0 = annealing_input 50 in
         let run cutoff =
           let schedule = { (fixed_temperature ~max_temperatures:10 50.) with cutoff } in
-          let _, stats =
-            Sa_bisect.refine ~config:(with_schedule schedule) (Helpers.rng ~seed:3 ()) g side0
-          in
+          let _, stats = Sa_bisect.refine ~schedule (Helpers.rng ~seed:3 ()) g side0 in
           stats.Sa_bisect.sa
         in
         let full = run 1.0 and cut = run 0.1 in
@@ -260,11 +246,8 @@ let cutoff_tests =
           (cut.Sa.attempted < full.Sa.attempted));
     case "cutoff does not break bisection quality on an easy instance" (fun () ->
         let g = Classic.ladder 30 in
-        let config =
-          { Sa_bisect.imbalance_factor = 0.05;
-            schedule = { Schedule.default with cutoff = 0.25 } }
-        in
-        let b, _ = Sa_bisect.run ~config (Helpers.rng ()) g in
+        let schedule = { Schedule.default with cutoff = 0.25 } in
+        let b, _ = Sa_bisect.run ~schedule (Helpers.rng ()) g in
         check_bool "reasonable" true (Bisection.cut b <= 12));
   ]
 
@@ -282,10 +265,8 @@ let threshold_tests =
           | exception Invalid_argument _ -> ()
           | () -> Alcotest.failf "accepted %s" name
         in
-        bad { Threshold.default_schedule with decay = 1. } "decay 1";
         bad { Threshold.default_schedule with size_factor = 0 } "size 0";
-        bad { Threshold.default_schedule with frozen_after = 0 } "frozen 0";
-        bad { Threshold.default_schedule with initial_threshold = `Fixed 0. } "fixed 0");
+        bad { Threshold.default_schedule with frozen_after = 0 } "frozen 0");
     case "solves the two-cliques instance" (fun () ->
         let edges = ref [] in
         for u = 0 to 7 do
@@ -370,12 +351,13 @@ let no_vertices g = Graph.n_vertices g = 0
 let same_as_reference ~seed g side =
   List.for_all
     (fun (_, schedule) ->
-      let config = { Sa_bisect.imbalance_factor = 0.05; schedule } in
-      outcome (fun () -> Sa_bisect.refine ~config (Rng.create ~seed) g side)
+      outcome (fun () -> Sa_bisect.refine ~schedule (Rng.create ~seed) g side)
       =
       if no_vertices g then
         Ok ([||], ((0, 0, 0, 0), (bits 0., bits 0., true), [], (true, 0, 0)))
-      else outcome (fun () -> Sa_reference.refine ~config (Rng.create ~seed) g side))
+      else
+        let config = { Sa_reference.default_config with schedule } in
+        outcome (fun () -> Sa_reference.refine ~config (Rng.create ~seed) g side))
     reference_schedules
 
 let threshold_same_as_reference ~seed g side =
@@ -401,7 +383,7 @@ let threshold_same_as_reference ~seed g side =
       else run (fun rng -> Sa_reference.threshold_refine ~schedule rng g side))
     [
       Threshold.default_schedule;
-      { Threshold.default_schedule with initial_threshold = `Fixed 0.5; max_levels = 3 };
+      { Threshold.default_schedule with max_levels = 3 };
     ]
 
 (* Weighted multigraphs with odd and even n: repeated pairs become

@@ -15,10 +15,7 @@ let check_bool = Helpers.check_bool
 let kl = Compaction.kl_refiner ()
 let fm = Compaction.fm_refiner ()
 
-let sa_quick =
-  Compaction.sa_refiner
-    ~config:{ Gbisect.Sa_bisect.default_config with schedule = Gbisect.Schedule.quick }
-    ()
+let sa_quick = Compaction.sa_refiner ~schedule:Gbisect.Schedule.quick ()
 
 let bisect_tests =
   [
@@ -72,12 +69,7 @@ let bisect_tests =
     case "CSA runs and is balanced" (fun () ->
         let params = Bregular.{ two_n = 200; b = 4; d = 3 } in
         let g = Bregular.generate (Helpers.rng ()) params in
-        let b, _ =
-          Compaction.csa
-            ~config:
-              { Gbisect.Sa_bisect.default_config with schedule = Gbisect.Schedule.quick }
-            (Helpers.rng ()) g
-        in
+        let b, _ = Compaction.csa ~schedule:Gbisect.Schedule.quick (Helpers.rng ()) g in
         check_bool "balanced" true (Bisection.is_balanced b));
     case "heavy-edge policy also works" (fun () ->
         let g = Classic.grid ~rows:8 ~cols:8 in

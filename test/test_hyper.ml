@@ -36,8 +36,7 @@ let check_hgraph h =
 
 (* One HFM pass, through [refine]: the new sides and the cut decrease. *)
 let one_pass h side =
-  let config = { Hfm.max_passes = 1; until_no_improvement = true; tolerance = 2 } in
-  let next, stats = Hfm.refine ~config h side in
+  let next, stats = Hfm.refine ~max_passes:1 h side in
   (next, stats.Hfm.initial_cut - stats.Hfm.final_cut)
 
 (* A small reference netlist: 6 cells, nets {0,1,2} {2,3} {3,4,5} {0,5}. *)

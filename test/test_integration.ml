@@ -244,7 +244,7 @@ let entry_point_tests =
         let data = Gbisect.Graph_io.to_edge_list_string g in
         let server = Gbisect.Serve.create Gbisect.Serve.default_config in
         let profile = Gbisect.Profile.smoke in
-        let sa = { Gbisect.Sa_bisect.default_config with schedule = profile.sa_schedule } in
+        let schedule = profile.sa_schedule in
         List.iter
           (fun (e : Algo.entry) ->
             let algorithm = e.algorithm in
@@ -258,12 +258,12 @@ let entry_point_tests =
                   (e.id ^ ": serve = solve")
                   (sides solved.bisection) s.side
             | _ -> Alcotest.failf "%s: serve did not solve" e.id);
-            let direct = (e.run ~sa (Rng.create ~seed:7) g).bisection in
+            let direct = (e.run ~schedule (Rng.create ~seed:7) g).bisection in
             let runner, _ = Gbisect.Runner.run_once_record profile (Rng.create ~seed:7) algorithm g in
             check_int (e.id ^ ": runner = registry") (Bisection.cut direct) runner.cut;
             let kway =
               Gbisect.Kway.partition ~k:2
-                ~solver:(fun rng g -> sides (e.run ~sa rng g).bisection)
+                ~solver:(fun rng g -> sides (e.run ~schedule rng g).bisection)
                 (Rng.create ~seed:7) g
             in
             Alcotest.(check (array int)) (e.id ^ ": kway = registry") (sides direct) kway.parts;

@@ -283,12 +283,6 @@ let kl_tests =
         let side = Helpers.balanced_sides (Helpers.rng ()) g in
         let _, stats = Kl.refine g side in
         check_int "last pass gains nothing" 0 (List.nth stats.Kl.pass_gains (stats.Kl.passes - 1)));
-    case "fixed pass count runs exactly max_passes" (fun () ->
-        let g = Classic.cycle 12 in
-        let side = Helpers.balanced_sides (Helpers.rng ()) g in
-        let config = { Kl.max_passes = 3; until_no_improvement = false } in
-        let _, stats = Kl.refine ~config g side in
-        check_int "3 passes" 3 stats.Kl.passes);
     case "weighted graphs: gains follow weights" (fun () ->
         (* 4-cycle, one heavy edge; optimum avoids cutting it. *)
         let g = Graph.of_edges ~n:4 [ (0, 1, 10); (1, 2, 1); (2, 3, 10); (3, 0, 1) ] in
@@ -359,10 +353,6 @@ let fm_tests =
           (Bisection.compute_cut g side - gain)
           (Bisection.compute_cut g next);
         check_bool "balanced result" true (Bisection.is_count_balanced next));
-    case "tolerance below 2 is rejected" (fun () ->
-        let g = Classic.path 4 in
-        Alcotest.check_raises "tolerance" (Invalid_argument "Fm: tolerance must be >= 2")
-          (fun () -> ignore (Fm.one_pass ~tolerance:1 g [| 0; 0; 1; 1 |])));
     case "refine improves a bad start" (fun () ->
         let g = Classic.ladder 20 in
         let side = Array.init 40 (fun v -> v land 1) in
@@ -370,12 +360,6 @@ let fm_tests =
         check_bool "improved" true
           (Bisection.compute_cut g out < Bisection.compute_cut g side);
         check_int "final cut stat" (Bisection.compute_cut g out) stats.Fm.final_cut);
-    case "wider tolerance can only help on the ladder" (fun () ->
-        let g = Classic.ladder 16 in
-        let side = Helpers.balanced_sides (Helpers.rng ()) g in
-        let _, s2 = Fm.refine ~config:{ Fm.default_config with tolerance = 2 } g side in
-        let _, s8 = Fm.refine ~config:{ Fm.default_config with tolerance = 8 } g side in
-        check_bool "both balanced ends" true (s2.Fm.final_cut >= 0 && s8.Fm.final_cut >= 0));
   ]
 
 let fm_properties =
@@ -399,19 +383,18 @@ let fm_properties =
 (* Fm.one_pass and Fm.refine must return exactly what the verbatim
    reference in fm_reference.ml returns: the same sides, gain and
    statistics, so that every move sequence is unchanged. *)
-let same_as_reference ~tolerance ~config g side =
-  let next, gain = Fm.one_pass ~tolerance g side in
-  let next', gain' = Fm_reference.one_pass ~tolerance g side in
-  let out, stats = Fm.refine ~config g side in
-  let out', stats' = Fm_reference.refine ~config g side in
+let same_as_reference ~max_passes g side =
+  let next, gain = Fm.one_pass g side in
+  let next', gain' = Fm_reference.one_pass g side in
+  let out, stats = Fm.refine ~max_passes g side in
+  let out', stats' =
+    Fm_reference.refine ~config:{ Fm_reference.default_config with max_passes } g side
+  in
   next = next' && gain = gain' && out = out' && stats = stats'
 
-let configs =
-  [
-    Fm.default_config;
-    { Fm.max_passes = 4; until_no_improvement = false; tolerance = 3 };
-    { Fm.max_passes = 50; until_no_improvement = true; tolerance = 5 };
-  ]
+(* The pass caps both differential suites try: the default, the
+   V-cycle's and a single pass. *)
+let pass_caps = [ 50; 4; 1 ]
 
 (* A random weighted multigraph on [n] vertices (vertex weights 1..3,
    edge weights 1..5) and a balanced start, both drawn from [seed]. *)
@@ -434,18 +417,15 @@ let gen_fm_case =
   let open QCheck2.Gen in
   let* n = int_range 1 40 in
   let* seed = int_range 0 1_000_000 in
-  let* tolerance = oneofl [ 2; 3; 5 ] in
-  let* max_passes = oneofl [ 1; 4; 50 ] in
-  let* until_no_improvement = bool in
+  let* max_passes = oneofl pass_caps in
   let g, side = multigraph n seed in
-  return (g, side, { Fm.max_passes; until_no_improvement; tolerance })
+  return (g, side, max_passes)
 
 let print_sides side = String.concat ";" (Array.to_list (Array.map string_of_int side))
 
-let print_fm_case (g, side, (c : Fm.config)) =
-  Printf.sprintf "%s sides [%s] max_passes %d until_no_improvement %b tolerance %d"
-    (Helpers.graph_print g) (print_sides side) c.max_passes c.until_no_improvement
-    c.tolerance
+let print_fm_case (g, side, max_passes) =
+  Printf.sprintf "%s sides [%s] max_passes %d" (Helpers.graph_print g) (print_sides side)
+    max_passes
 
 let gnp400 () =
   let r = Helpers.rng ~seed:5 () in
@@ -459,23 +439,20 @@ let fm_reference_tests =
           (fun (family, g) ->
             let side = Helpers.balanced_sides (Helpers.rng ()) g in
             List.iter
-              (fun (config : Fm.config) ->
+              (fun max_passes ->
                 check_bool
-                  (Printf.sprintf "%s, tolerance %d" family config.tolerance)
+                  (Printf.sprintf "%s, max_passes %d" family max_passes)
                   true
-                  (same_as_reference ~tolerance:config.tolerance ~config g side))
-              configs)
+                  (same_as_reference ~max_passes g side))
+              pass_caps)
           (Helpers.fuzz_family_graphs ()));
     case "gnp(400) matches the reference" (fun () ->
         let g, side = gnp400 () in
         List.iter
-          (fun (config : Fm.config) ->
-            check_bool "same" true
-              (same_as_reference ~tolerance:config.tolerance ~config g side))
-          configs);
+          (fun max_passes -> check_bool "same" true (same_as_reference ~max_passes g side))
+          pass_caps);
     Helpers.qtest_pair ~count:500 "weighted multigraphs match the reference" gen_fm_case
-      print_fm_case (fun (g, side, config) ->
-        same_as_reference ~tolerance:config.tolerance ~config g side);
+      print_fm_case (fun (g, side, max_passes) -> same_as_reference ~max_passes g side);
   ]
 
 (* --- KL against the pre-workspace reference --------------------------------- *)
@@ -506,13 +483,6 @@ let with_spans f =
   let lines = String.split_on_char '\n' (Buffer.contents buf) in
   (result, List.map span (List.filter (fun l -> l <> "") lines))
 
-let kl_configs =
-  [
-    Kl.default_config;
-    { Kl.default_config with max_passes = 1 };
-    { Kl.max_passes = 4; until_no_improvement = false };
-  ]
-
 (* Kl.one_pass and Kl.refine must return exactly what the verbatim
    reference in kl_reference.ml returns: the same sides, gain and
    statistics, and the same kl.pass span args, so that every pair
@@ -520,11 +490,16 @@ let kl_configs =
 let kl_same_as_reference g side =
   Kl.one_pass g side = Kl_reference.one_pass g side
   && List.for_all
-       (fun config ->
-         let ours, spans = with_spans (fun () -> Kl.refine ~config g side) in
-         let theirs, spans' = with_spans (fun () -> Kl_reference.refine ~config g side) in
+       (fun max_passes ->
+         let ours, spans = with_spans (fun () -> Kl.refine ~max_passes g side) in
+         let theirs, spans' =
+           with_spans (fun () ->
+               Kl_reference.refine
+                 ~config:{ Kl_reference.default_config with max_passes }
+                 g side)
+         in
          ours = theirs && spans = spans' && spans <> [])
-       kl_configs
+       pass_caps
 
 let gen_kl_case =
   let open QCheck2.Gen in
@@ -574,8 +549,6 @@ let naive_gains g side =
     (Graph.edges g);
   gains
 
-let quick_sa = { Sa_bisect.imbalance_factor = 0.05; schedule = Gbisect.Schedule.quick }
-
 (* From a balanced start drawn from [r]: the cuts in the FM, KL and SA
    stats are those of the input and of the returned sides; the cut
    kernel agrees with the per-edge sum on labels 0..3 and 0/1, and the
@@ -587,7 +560,7 @@ let invariants r g =
   let cut0 = Bisection.compute_cut g side0 in
   let fm_side, fm = Fm.refine g side0 in
   let kl_side, kl = Kl.refine g side0 in
-  let sa_side, sa = Sa_bisect.refine ~config:quick_sa r g side0 in
+  let sa_side, sa = Sa_bisect.refine ~schedule:Gbisect.Schedule.quick r g side0 in
   let labels = Array.init n (fun _ -> Rng.int r 4) in
   let bits = Array.init n (fun _ -> Rng.int r 2) in
   [
