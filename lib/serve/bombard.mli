@@ -60,10 +60,10 @@ val run :
 (** [run ~make_case params addr] executes the plan against a live
     daemon. [make_case ~seed] supplies a (family, graph) pair for a
     derived seed, or [None] when that seed's graph is unusable (fewer
-    than 2 vertices, or a generator that fails) — the planner then
-    tries the next derived seed. The generator is injected (rather
-    than calling [Gb_check] directly) to keep this library below the
-    fuzz harness in the dependency order; the CLI passes
+    than 2 vertices) — the planner then tries the next derived seed.
+    The generator is injected (rather than calling [Gb_check]
+    directly) to keep this library below the fuzz harness in the
+    dependency order; the CLI passes
     [Gbisect.Fuzz_generators.generate].
 
     @raise Failure when no connection can be established, or when
