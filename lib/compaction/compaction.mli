@@ -75,9 +75,8 @@ val recursive :
 (** Multilevel extension: coarsen repeatedly by random maximal
     matchings (default floor [min_vertices = 64], [max_levels = 20],
     stopping early when a level shrinks the graph by less than 10 %),
-    bisect the coarsest graph,
-    then project-rebalance-refine level by level. [levels] in the
-    returned stats counts coarsening steps + 1.
+    bisect the coarsest graph, then project-rebalance-refine level by
+    level. [levels] in the returned stats counts coarsening steps + 1.
 
     [observer] is invoked once per uncoarsening step, coarsest first
     ([level] counts 1, 2, ...), with the level's fine and coarse
