@@ -10,6 +10,8 @@
      case of each fuzz family with at least 2 vertices, and on
      Gnp(2000, d=4), which coarsens deep enough to exercise the
      multilevel refinement budget;
+   - "xsa CASE MD5": on the same cases and on Gnp(80, d=4), a digest of
+     xsa's whole recorded outcome (see [xsa_runs]);
    - "span PARENT/NAME COUNT", "trace RUN MD5" and "telemetry RUN MD5":
      the shape of three traced runs (see [traced_runs]): how often each
      span or instant occurs under each parent ("-" at top level), a
@@ -86,6 +88,34 @@ let cuts () =
         algorithms)
     (family_cases () @ [ gnp_case () ])
 
+let digest_lines lines = Digest.to_hex (Digest.string (String.concat "\n" lines))
+
+(* Xsa.run ~record:true at its default config and seed 1, reduced to
+   the returned sides, every counter, the chosen slot and every chain's
+   trajectory: the swap phase and each chain's best-keeping show here
+   even where the cut does not move. On the larger lock cases no swap is
+   ever accepted, and on the smallest a best kept wrong after a swap
+   rarely reaches the answer; on Gnp(80, d=4) it does. *)
+let xsa_runs () =
+  let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+  List.map
+    (fun (label, g) ->
+      let b, (s : Gbisect.Xsa.stats) =
+        Gbisect.Xsa.run ~record:true (Gbisect.Rng.create ~seed:1) g
+      in
+      Printf.sprintf "xsa %s %s" label
+        (digest_lines
+           (ints (Gbisect.Bisection.sides b)
+           :: Printf.sprintf "%d %d %d %d %d %b" s.attempted s.accepted s.swaps_attempted
+                s.swaps_accepted s.best_chain s.best_was_snapshot
+           :: Array.to_list (Array.map ints s.trajectories))))
+    (family_cases ()
+    @ [
+        gnp_case ();
+        ( "gnp-80-d4#1",
+          Gbisect.Gnp.with_average_degree (Gbisect.Rng.create ~seed:1) ~n:80 ~avg_degree:4. );
+      ])
+
 (* Three traced runs at --jobs 1 under a clock that advances on every
    read, so that every span has its own start and end and nesting can be
    read back from the timestamps:
@@ -110,8 +140,6 @@ let without keys = function
   | Obs.Json.Obj fields ->
       Obs.Json.Obj (List.filter (fun (k, _) -> not (List.mem k keys)) fields)
   | j -> j
-
-let digest_lines lines = Digest.to_hex (Digest.string (String.concat "\n" lines))
 
 let event_digest events =
   let masked = function
@@ -260,7 +288,7 @@ let () =
         "# Behaviour lock for test/test_lock.ml; regenerate only for an intended change.\n";
       List.iter
         (fun l -> output_string oc (l ^ "\n"))
-        (fingerprints @ tables () @ cuts () @ traced_runs ());
+        (fingerprints @ tables () @ cuts () @ xsa_runs () @ traced_runs ());
       close_out oc
   | None ->
       let golden = read_lines golden_path in
@@ -275,6 +303,7 @@ let () =
                   fingerprints);
               case "every smoke table renders byte-identically" "table" tables;
               case "fixed-seed cuts of every algorithm are unchanged" "cut" cuts;
+              case "xsa keeps its sides, counters and trajectories" "xsa" xsa_runs;
               Helpers.case "traced runs keep their spans, events and records" (fun () ->
                   let lines = traced_runs () in
                   List.iter
