@@ -2,9 +2,9 @@
    — this example shows exactly what those knobs do, on one instance.
 
    We take a sparse planted graph (where schedule quality is visible),
-   and sweep: cooling rate, moves-per-temperature, the JAMS cutoff, and
-   finally swap the Boltzmann rule for threshold accepting. The output
-   shows the quality/time trade-off the paper's authors fought by hand.
+   and sweep: cooling rate, moves-per-temperature and the JAMS cutoff.
+   The output shows the quality/time trade-off the paper's authors
+   fought by hand.
 
    Run with:  dune exec examples/annealing_lab.exe *)
 
@@ -46,18 +46,6 @@ let () =
   run "cutoff 1.0 (off, default)" base;
   run "cutoff 0.25" { base with cutoff = 0.25 };
   run "cutoff 0.10" { base with cutoff = 0.10 };
-
-  Format.printf "@.acceptance rule:@.";
-  run "Boltzmann (simulated annealing)" base;
-  let t0 = Sys.time () in
-  let best = ref max_int in
-  for seed = 1 to 2 do
-    let rng = Gbisect.Rng.create ~seed in
-    let b, _ = Gbisect.Threshold.run rng graph in
-    best := min !best (Gbisect.Bisection.cut b)
-  done;
-  Format.printf "  %-34s best cut %4d   %9s        %.2fs@."
-    "deterministic threshold accepting" !best "-" (Sys.time () -. t0);
 
   Format.printf
     "@.(KL, for scale: cut %d in %.3fs — the paper's Observation 4.)@."

@@ -1,33 +1,7 @@
-(** The vocabulary shared by the annealing-style searches: the problem
-    signature that {!Threshold.Make} runs over, and the per-temperature
-    statistics that {!Sa_bisect} reports. The annealing loop itself is
-    {!Sa_bisect.refine}, specialised to bisection. *)
-
-module type Problem = sig
-  type state
-
-  type move
-
-  val size : state -> int
-  (** Instance size; equilibrium is [size_factor * size] attempts. *)
-
-  val cost : state -> float
-  (** Current cost of the (mutable) state. *)
-
-  val random_move : Gb_prng.Rng.t -> state -> move
-
-  val delta : state -> move -> float
-  (** Cost change if [move] were applied; must not mutate. *)
-
-  val apply : state -> move -> unit
-
-  val feasible : state -> bool
-  (** Whether the current state may be recorded as "best" (e.g. the
-      bisection is balanced). *)
-
-  val snapshot : state -> state
-  (** Independent copy used to store the best state. *)
-end
+(** The per-temperature statistics that {!Sa_bisect} reports. The
+    annealing loop itself is {!Sa_bisect.refine}, specialised to
+    bisection, and its inner loop {!Sa_bisect.plateau} is the one loop
+    that makes Metropolis moves. *)
 
 (** Per-temperature-step record — the acceptance ratio here is the
     freezing criterion the paper's schedule depends on, and the

@@ -39,15 +39,9 @@ module Problem = struct
     balance_slack : int; (* n mod 2: allowed count difference *)
   }
 
-  type move = int (* the vertex to flip *)
-
-  let size st = Array.length st.side
-
   let[@inline] cost st =
     let d = float_of_int (st.c0 - st.c1) in
     float_of_int st.cut +. (alpha *. d *. d)
-
-  let[@inline] random_move rng st = Rng.int rng (Array.length st.side)
 
   let[@inline] delta st v =
     let gain = st.gains.(v) in
@@ -76,10 +70,6 @@ module Problem = struct
       gains.(u) <- gains.(u) + (((4 * (side.(u) lxor dest)) - 2) * get st.adjwgt k)
     done
 
-  let[@inline] feasible st = abs (st.c0 - st.c1) <= st.balance_slack
-
-  let snapshot st = { st with side = Array.copy st.side; gains = Array.copy st.gains }
-
   let make g side =
     let c0, c1 = Bisection.side_counts side in
     let side = Array.copy side in
@@ -102,11 +92,11 @@ end
 (* Sample uphill deltas from the start state (without keeping the
    moves) and choose T such that the mean uphill move is accepted with
    probability [fraction]: T = -mean_delta / ln fraction. *)
-let calibrate rng st fraction =
+let calibrate rng (st : Problem.state) fraction =
   let samples = 200 in
   let sum = ref 0. and count = ref 0 in
   for _ = 1 to samples do
-    let d = Problem.delta st (Problem.random_move rng st) in
+    let d = Problem.delta st (Rng.int rng (Array.length st.side)) in
     if d > 0. then begin
       sum := !sum +. d;
       incr count
@@ -117,35 +107,122 @@ let calibrate rng st fraction =
     let mean = !sum /. float_of_int !count in
     -.mean /. log fraction
 
-(* Figure 1 on [st], which must start balanced. Returns the best
-   balanced assignment seen, in an array of its own, and the stats.
-   The start is the first best. Flips accepted since the last best go
-   into [log]; a new best writes their current sides into [best_side],
-   or copies the whole side array once more than n have piled up. *)
-let anneal schedule rng (st : Problem.state) =
+(* A walk's best balanced state is [best_side], with cost [best_cost].
+   Flips accepted since [best_side] was last written go into [log];
+   [logged] counts them and may pass n, and then the next best copies
+   the whole side array. A swap sets [logged] past n for that reason. *)
+type walk = {
+  mutable state : Problem.state;
+  best_side : int array;
+  log : int array;
+  mutable logged : int;
+  mutable best_cost : float;
+  record : bool;
+  mutable trajectory : int list; (* accepted flips, newest first, when [record] *)
+}
+
+let walk ?(record = false) (st : Problem.state) =
+  let n = Array.length st.side in
+  {
+    state = st;
+    best_side = Array.copy st.side;
+    log = Array.make n 0;
+    logged = 0;
+    best_cost = Problem.cost st;
+    record;
+    trajectory = [];
+  }
+
+let state w = w.state
+
+(* Figure 1's lines 5-11 at one temperature. The counters and the best
+   are locals, written back once: a float field would box each new best
+   cost. *)
+let plateau w rng ~temperature ~trials ~budget =
+  let st = w.state and best_side = w.best_side and log = w.log and record = w.record in
+  let n = Array.length st.side in
+  let logged = ref w.logged and best_cost = ref w.best_cost in
+  let attempted = ref 0 and accepted = ref 0 and uphill = ref 0 in
+  let improved_best = ref false in
+  while !attempted < trials && !accepted < budget do
+    incr attempted;
+    let v = Rng.int rng n in
+    let d = Problem.delta st v in
+    if d <= 0. || Rng.float rng 1.0 < exp (-.d /. temperature) then begin
+      Problem.apply st v;
+      incr accepted;
+      if d > 0. then incr uphill;
+      if record then w.trajectory <- v :: w.trajectory;
+      if !logged < n then log.(!logged) <- v;
+      incr logged;
+      if abs (st.c0 - st.c1) <= st.balance_slack then begin
+        let c = Problem.cost st in
+        if c < !best_cost then begin
+          if !logged <= n then
+            for i = 0 to !logged - 1 do
+              let u = log.(i) in
+              best_side.(u) <- st.side.(u)
+            done
+          else Array.blit st.side 0 best_side 0 n;
+          logged := 0;
+          best_cost := c;
+          improved_best := true
+        end
+      end
+    end
+  done;
+  w.logged <- !logged;
+  w.best_cost <- !best_cost;
+  {
+    Sa.temperature;
+    p_attempted = !attempted;
+    p_accepted = !accepted;
+    p_accepted_uphill = !uphill;
+    p_accepted_downhill = !accepted - !uphill;
+    p_rejected = !attempted - !accepted;
+    acceptance = float_of_int !accepted /. float_of_int !attempted;
+    p_best_cost = !best_cost;
+    improved_best = !improved_best;
+  }
+
+let swap a b =
+  let t = a.state in
+  a.state <- b.state;
+  b.state <- t;
+  a.logged <- Array.length a.log + 1;
+  b.logged <- Array.length b.log + 1
+
+let trajectory w = Array.of_list (List.rev w.trajectory)
+
+let finish g w =
+  let best_cut = Bisection.compute_cut g w.best_side in
+  let side = w.state.side in
+  Bisection.rebalance_in_place g side;
+  let rebalanced_cut = Bisection.compute_cut g side in
+  if best_cut <= rebalanced_cut then (w.best_side, true, best_cut)
+  else (side, false, rebalanced_cut)
+
+(* Figure 1 on [w]: one plateau per temperature until frozen. *)
+let anneal schedule rng w =
   Schedule.validate schedule;
   let t0 =
     match schedule.Schedule.initial_temperature with
     | Schedule.Fixed_temperature t -> t
-    | Schedule.Calibrate fraction -> calibrate rng st fraction
+    | Schedule.Calibrate fraction -> calibrate rng w.state fraction
   in
-  let n = Array.length st.side in
-  let best_side = Array.copy st.side in
-  let log = Array.make n 0 in
-  let logged = ref 0 in
+  let n = Array.length w.state.side in
   let temperature = ref t0 in
-  let best_cost = ref (Problem.cost st) in
   let attempted = ref 0 and accepted = ref 0 and uphill = ref 0 in
   let cold_streak = ref 0 in
   let temperatures = ref 0 in
   let frozen = ref false in
   let plateaus = ref [] in
-  let trials_per_temp = schedule.Schedule.size_factor * max 1 n in
-  let acceptance_budget =
+  let trials = schedule.Schedule.size_factor * max 1 n in
+  let budget =
     (* JAMS cutoff: leave a temperature early once this many moves
-       have been accepted (trials_per_temp + 1 disables it). *)
-    if schedule.Schedule.cutoff >= 1. then trials_per_temp + 1
-    else max 1 (int_of_float (schedule.Schedule.cutoff *. float_of_int trials_per_temp))
+       have been accepted (trials + 1 disables it). *)
+    if schedule.Schedule.cutoff >= 1. then trials + 1
+    else max 1 (int_of_float (schedule.Schedule.cutoff *. float_of_int trials))
   in
   while
     (not !frozen)
@@ -153,90 +230,44 @@ let anneal schedule rng (st : Problem.state) =
     && !temperature > Schedule.min_temperature
   do
     let span = Obs.Trace.start () in
-    let accepted_here = ref 0 in
-    let attempted_here = ref 0 in
-    let uphill_here = ref 0 in
-    let improved_best = ref false in
-    while !attempted_here < trials_per_temp && !accepted_here < acceptance_budget do
-      incr attempted_here;
-      let v = Problem.random_move rng st in
-      let d = Problem.delta st v in
-      let accept = d <= 0. || Rng.float rng 1.0 < exp (-.d /. !temperature) in
-      incr attempted;
-      if accept then begin
-        Problem.apply st v;
-        incr accepted;
-        incr accepted_here;
-        if d > 0. then begin
-          incr uphill;
-          incr uphill_here
-        end;
-        if !logged < n then log.(!logged) <- v;
-        incr logged;
-        if Problem.feasible st then begin
-          let c = Problem.cost st in
-          if c < !best_cost then begin
-            if !logged <= n then
-              for i = 0 to !logged - 1 do
-                let u = log.(i) in
-                best_side.(u) <- st.side.(u)
-              done
-            else Array.blit st.side 0 best_side 0 n;
-            logged := 0;
-            best_cost := c;
-            improved_best := true
-          end
-        end
-      end
-    done;
+    let p = plateau w rng ~temperature:!temperature ~trials ~budget in
     incr temperatures;
-    let acceptance = float_of_int !accepted_here /. float_of_int !attempted_here in
-    plateaus :=
-      {
-        Sa.temperature = !temperature;
-        p_attempted = !attempted_here;
-        p_accepted = !accepted_here;
-        p_accepted_uphill = !uphill_here;
-        p_accepted_downhill = !accepted_here - !uphill_here;
-        p_rejected = !attempted_here - !accepted_here;
-        acceptance;
-        p_best_cost = !best_cost;
-        improved_best = !improved_best;
-      }
-      :: !plateaus;
+    attempted := !attempted + p.p_attempted;
+    accepted := !accepted + p.p_accepted;
+    uphill := !uphill + p.p_accepted_uphill;
+    plateaus := p :: !plateaus;
     Obs.Metrics.incr m_plateaus;
-    Obs.Metrics.add m_proposed !attempted_here;
-    Obs.Metrics.add m_accepted_uphill !uphill_here;
-    Obs.Metrics.add m_accepted_downhill (!accepted_here - !uphill_here);
-    Obs.Metrics.add m_rejected_uphill (!attempted_here - !accepted_here);
-    Obs.Metrics.observe h_acceptance (100. *. acceptance);
-    Obs.Telemetry.sample Obs.Span.sa_plateau !best_cost;
+    Obs.Metrics.add m_proposed p.p_attempted;
+    Obs.Metrics.add m_accepted_uphill p.p_accepted_uphill;
+    Obs.Metrics.add m_accepted_downhill p.p_accepted_downhill;
+    Obs.Metrics.add m_rejected_uphill p.p_rejected;
+    Obs.Metrics.observe h_acceptance (100. *. p.acceptance);
+    Obs.Telemetry.sample Obs.Span.sa_plateau p.p_best_cost;
     Obs.Trace.finish span Obs.Span.sa_plateau
       ~args:
         [
           ("plateau", Obs.Json.Int !temperatures);
           ("temperature", Obs.Json.Float !temperature);
-          ("attempted", Obs.Json.Int !attempted_here);
-          ("accepted", Obs.Json.Int !accepted_here);
-          ("acceptance", Obs.Json.Float acceptance);
-          ("best_cost", Obs.Json.Float !best_cost);
+          ("attempted", Obs.Json.Int p.p_attempted);
+          ("accepted", Obs.Json.Int p.p_accepted);
+          ("acceptance", Obs.Json.Float p.acceptance);
+          ("best_cost", Obs.Json.Float p.p_best_cost);
         ];
-    if acceptance < Schedule.min_acceptance && not !improved_best then incr cold_streak
+    if p.acceptance < Schedule.min_acceptance && not p.improved_best then incr cold_streak
     else cold_streak := 0;
     if !cold_streak >= schedule.Schedule.frozen_after then frozen := true
     else temperature := !temperature *. schedule.Schedule.cooling
   done;
-  ( best_side,
-    {
-      Sa.temperatures = !temperatures;
-      attempted = !attempted;
-      accepted = !accepted;
-      uphill_accepted = !uphill;
-      initial_temperature = t0;
-      final_temperature = !temperature;
-      frozen = !frozen;
-      plateaus = List.rev !plateaus;
-    } )
+  {
+    Sa.temperatures = !temperatures;
+    attempted = !attempted;
+    accepted = !accepted;
+    uphill_accepted = !uphill;
+    initial_temperature = t0;
+    final_temperature = !temperature;
+    frozen = !frozen;
+    plateaus = List.rev !plateaus;
+  }
 
 (* A graph without vertices has one assignment, the empty one.
    Calibration and moves draw a vertex, so it comes back before any
@@ -265,26 +296,18 @@ let refine ?(schedule = Schedule.default) rng g side0 =
   if abs (c0 - c1) > 1 then invalid_arg "Sa_bisect: input bisection is not balanced";
   if Csr.n_vertices g = 0 then ([||], no_vertices)
   else begin
-    let st = Problem.make g side0 in
-    let initial_cut = st.cut in
-    let best_side, sa =
+    let w = walk (Problem.make g side0) in
+    let initial_cut = w.state.cut in
+    let sa =
       Obs.Trace.with_span Obs.Span.sa_anneal
         ~args:
           [
             ("vertices", Obs.Json.Int (Csr.n_vertices g));
             ("initial_cut", Obs.Json.Int initial_cut);
           ]
-        (fun () -> anneal schedule rng st)
+        (fun () -> anneal schedule rng w)
     in
-    (* The better of the best balanced state seen and the final state,
-       greedily rebalanced; the best state wins ties. *)
-    let best_cut = Bisection.compute_cut g best_side in
-    Bisection.rebalance_in_place g st.side;
-    let rebalanced_cut = Bisection.compute_cut g st.side in
-    let side, best_was_snapshot, final_cut =
-      if best_cut <= rebalanced_cut then (best_side, true, best_cut)
-      else (st.side, false, rebalanced_cut)
-    in
+    let side, best_was_snapshot, final_cut = finish g w in
     (side, { sa; best_was_snapshot; initial_cut; final_cut })
   end
 

@@ -14,7 +14,6 @@ module Kl = Gb_kl.Kl
 module Fm = Gb_kl.Fm
 module Gain_buckets = Gb_kl.Gain_buckets
 module Schedule = Gb_anneal.Schedule
-module Threshold = Gb_anneal.Threshold
 module Compaction = Gb_compaction.Compaction
 module Xsa = Gb_race.Xsa
 module Algo = Gb_algo.Algo
@@ -45,10 +44,8 @@ let require cond fmt =
    oracle (the ISSUE's "heuristics never beat Exact on graphs <= 16"). *)
 let exact_limit = 16
 
-(* Cheap schedules so the SA-family oracles stay fast on a 500-case
-   fuzz run; quality does not matter here, only the invariants. *)
-let quick_threshold = { Threshold.size_factor = 4; frozen_after = 3; max_levels = 60 }
-
+(* A cheap ensemble so the xsa oracles stay fast on a 500-case fuzz
+   run; quality does not matter here, only the invariants. *)
 let quick_xsa = { Xsa.chains = 3; rounds = 4; sweeps_per_round = 1 }
 
 (* {1 The runner hook: re-validate a packaged bisection} *)
@@ -91,7 +88,7 @@ let verify_run g b =
 (* Every end-to-end solver, with the final cut it reports in its own
    stats (when it reports one) so the differential "reported vs naive
    recompute" comparison catches stale accounting: the whole registry,
-   plus the two solvers only the tables use. *)
+   plus spectral, which only the tables use. *)
 let solvers : (string * (Rng.t -> Csr.t -> Bisection.t * int option)) list =
   List.map
     (fun (e : Algo.entry) ->
@@ -101,10 +98,6 @@ let solvers : (string * (Rng.t -> Csr.t -> Bisection.t * int option)) list =
           (o.bisection, o.final_cut) ))
     Algo.all
   @ [
-      ( "threshold",
-        fun rng g ->
-          let b, _ = Threshold.run ~schedule:quick_threshold rng g in
-          (b, None) );
       ("spectral", fun _rng g -> (Spectral.bisect g, None));
     ]
 

@@ -53,7 +53,6 @@ module Gain_buckets = Gb_kl.Gain_buckets
 module Sa = Gb_anneal.Sa
 module Schedule = Gb_anneal.Schedule
 module Sa_bisect = Gb_anneal.Sa_bisect
-module Threshold = Gb_anneal.Threshold
 module Compaction = Gb_compaction.Compaction
 module Kway = Gb_compaction.Kway
 

@@ -2,7 +2,7 @@ module Rng = Gb_prng.Rng
 module Csr = Gb_graph.Csr
 module Bisection = Gb_partition.Bisection
 module Initial = Gb_partition.Initial
-module Problem = Gb_anneal.Sa_bisect.Problem
+module Sa_bisect = Gb_anneal.Sa_bisect
 module Pool = Gb_par.Pool
 module Obs = Gb_obs
 
@@ -51,46 +51,31 @@ type stats = {
   trajectories : int array array;
 }
 
-(* One temperature slot. A swap exchanges the [state] fields of two
-   adjacent slots; the RNG, the trajectory and the counters stay with
-   the slot, so slot k's entire move sequence is a function of the seed
-   [substream_seed ~base k] and the (seed-derived) swap schedule alone
-   — never of domain scheduling. *)
+(* One temperature slot. A swap exchanges the current states of two
+   adjacent slots' walks; the RNG, the best, the trajectory and the
+   counters stay with the slot, so slot k's entire move sequence is a
+   function of the seed [substream_seed ~base k] and the (seed-derived)
+   swap schedule alone — never of domain scheduling. *)
 type slot = {
   rng : Rng.t;
   temperature : float;
-  mutable state : Problem.state;
-  mutable best_cost : float;
-  mutable best_sides : int array;
+  walk : Sa_bisect.walk;
   mutable attempted : int;
   mutable accepted : int;
-  mutable trajectory : int list; (* accepted moves, reversed *)
 }
 
-(* [sweeps * n] Metropolis proposals at the slot's fixed temperature,
-   drawing only from the slot's own stream and touching only the slot's
-   own state — safe and deterministic under Pool fan-out. *)
-let step_slot cfg n record slot =
-  let steps = cfg.sweeps_per_round * max 1 n in
-  let temp = slot.temperature in
-  for _ = 1 to steps do
-    let v = Problem.random_move slot.rng slot.state in
-    let d = Problem.delta slot.state v in
-    slot.attempted <- slot.attempted + 1;
-    let accept = d <= 0. || Rng.float slot.rng 1.0 < exp (-.d /. temp) in
-    if accept then begin
-      Problem.apply slot.state v;
-      slot.accepted <- slot.accepted + 1;
-      if record then slot.trajectory <- v :: slot.trajectory;
-      if Problem.feasible slot.state then begin
-        let c = Problem.cost slot.state in
-        if c < slot.best_cost then begin
-          slot.best_cost <- c;
-          slot.best_sides <- Problem.sides slot.state
-        end
-      end
-    end
-  done
+(* One plateau of [sweeps * n] Metropolis proposals at the slot's fixed
+   temperature, with no acceptance budget, drawing only from the slot's
+   own stream and touching only the slot's own walk — safe and
+   deterministic under Pool fan-out. *)
+let step_slot cfg n slot =
+  let trials = cfg.sweeps_per_round * max 1 n in
+  let p =
+    Sa_bisect.plateau slot.walk slot.rng ~temperature:slot.temperature ~trials
+      ~budget:(trials + 1)
+  in
+  slot.attempted <- slot.attempted + p.p_attempted;
+  slot.accepted <- slot.accepted + p.p_accepted
 
 let run ?(config = default_config) ?(record = false) rng g =
   validate config;
@@ -121,16 +106,12 @@ let run ?(config = default_config) ?(record = false) rng g =
       Array.init k (fun i ->
           let srng = Rng.substream ~base:chain_base i in
           let side0 = Initial.random srng g in
-          let state = Problem.make g side0 in
           {
             rng = srng;
             temperature = temps.(i);
-            state;
-            best_cost = Problem.cost state;
-            best_sides = Problem.sides state;
+            walk = Sa_bisect.walk ~record (Sa_bisect.Problem.make g side0);
             attempted = 0;
             accepted = 0;
-            trajectory = [];
           })
     in
     let swaps_attempted = ref 0 and swaps_accepted = ref 0 in
@@ -142,7 +123,7 @@ let run ?(config = default_config) ?(record = false) rng g =
           (* Chains are independent within a round: fan out on the
              ambient pool. Pool.init preserves index order, and each
              task touches only its own slot. *)
-          ignore (Pool.init pool k (fun i -> step_slot config n record slots.(i)));
+          ignore (Pool.init pool k (fun i -> step_slot config n slots.(i)));
           (* Deterministic swap phase: adjacent pairs, alternating
              parity by round, Metropolis decisions from the round's own
              substream. One uniform draw per considered pair, whatever
@@ -151,40 +132,29 @@ let run ?(config = default_config) ?(record = false) rng g =
           let i = ref (round land 1) in
           while !i + 1 < k do
             let a = slots.(!i) and b = slots.(!i + 1) in
-            let ea = Problem.cost a.state and eb = Problem.cost b.state in
+            let ea = Sa_bisect.(Problem.cost (state a.walk))
+            and eb = Sa_bisect.(Problem.cost (state b.walk)) in
             let beta_a = 1. /. a.temperature and beta_b = 1. /. b.temperature in
             let u = Rng.float srng 1.0 in
             incr swaps_attempted;
             if u < exp ((beta_a -. beta_b) *. (ea -. eb)) then begin
-              let t = a.state in
-              a.state <- b.state;
-              b.state <- t;
+              Sa_bisect.swap a.walk b.walk;
               incr swaps_accepted
             end;
             i := !i + 2
           done)
     done;
-    (* Per slot, the better of the tracked balanced snapshot and the
-       greedily rebalanced final state (snapshot wins ties), then the
-       best slot overall — ties to the lowest slot index. Mirrors
-       Sa_bisect.refine so xsa composes with the same invariants. *)
+    (* Per slot, Sa_bisect.refine's answer: the better of the slot's best
+       balanced state and its greedily rebalanced final state (the best
+       wins ties). Then the best slot overall — ties to the lowest slot
+       index. *)
     let best_cut = ref max_int
     and best_sides = ref [||]
     and best_chain = ref 0
     and best_was_snapshot = ref false in
     Array.iteri
       (fun idx slot ->
-        let final_sides = Bisection.rebalance g (Problem.sides slot.state) in
-        let final_cut = Bisection.compute_cut g final_sides in
-        let snap_cut =
-          if Bisection.is_count_balanced slot.best_sides then
-            Bisection.compute_cut g slot.best_sides
-          else max_int
-        in
-        let cut, sides, was_snapshot =
-          if snap_cut <= final_cut then (snap_cut, slot.best_sides, true)
-          else (final_cut, final_sides, false)
-        in
+        let sides, was_snapshot, cut = Sa_bisect.finish g slot.walk in
         if cut < !best_cut then begin
           best_cut := cut;
           best_sides := sides;
@@ -210,8 +180,6 @@ let run ?(config = default_config) ?(record = false) rng g =
         best_chain = !best_chain;
         best_was_snapshot = !best_was_snapshot;
         trajectories =
-          (if record then
-             Array.map (fun s -> Array.of_list (List.rev s.trajectory)) slots
-           else [||]);
+          (if record then Array.map (fun s -> Sa_bisect.trajectory s.walk) slots else [||]);
       } )
   end

@@ -4,14 +4,21 @@
 
     [K] tempered chains run the paper's Metropolis dynamics over the
     {!Gb_anneal.Sa_bisect.Problem} search space (single-vertex flips,
-    cut plus its quadratic imbalance penalty, α = 0.05), each at a {e fixed}
-    temperature from a geometric ladder that falls from 4.0 at slot 0
-    to 0.25 at slot [K-1], fanned out on the ambient
-    {!Gb_par.Pool}. After every round, adjacent slots (alternating
-    parity per round, as in Myklebust arXiv:1505.03068) exchange
-    configurations with the standard Metropolis swap probability
+    cut plus its quadratic imbalance penalty, α = 0.05), each at a
+    {e fixed} temperature from a geometric ladder that falls from 4.0
+    at slot 0 to 0.25 at slot [K-1], fanned out on the ambient
+    {!Gb_par.Pool}. A chain's round is one
+    {!Gb_anneal.Sa_bisect.plateau} of [sweeps_per_round * n] proposals
+    on the slot's {!Gb_anneal.Sa_bisect.walk}, SA's own loop, so each
+    slot keeps its best balanced state the way SA does: one side array
+    and a log of the flips since that best. After every round, adjacent
+    slots (alternating parity per round, as in Myklebust
+    arXiv:1505.03068) exchange their current states, making no move,
+    with the standard Metropolis swap probability
     [min(1, exp((β_a − β_b)(E_a − E_b)))], so low-energy states migrate
     toward the cold end of the ladder while hot chains keep tunnelling.
+    A slot's best stays with the slot; since its log no longer
+    describes the state it now holds, its next best is a full copy.
 
     {b Determinism contract} (see PARALLELISM.md): the orchestrator
     draws exactly two derived bases from the caller's stream — one

@@ -3,8 +3,8 @@
    stood before the cached-gain loop, copied verbatim. Every delta walks
    the vertex's neighbours, every accepted flip walks them again, and
    every new best copies the whole state. The differential tests in
-   test_anneal.ml demand that Sa_bisect.refine and Threshold.refine
-   return exactly what these functions return. *)
+   test_anneal.ml demand that Sa_bisect.refine returns exactly what
+   [refine] returns. *)
 
 module Rng = Gbisect.Rng
 module Obs = Gbisect.Obs
@@ -22,7 +22,18 @@ let m_rejected_uphill = Obs.Metrics.counter "sa.rejected_uphill"
 let m_plateaus = Obs.Metrics.counter "sa.plateaus"
 let h_acceptance = Obs.Metrics.histogram "sa.plateau_acceptance_pct"
 
-module type Problem = Gbisect.Sa.Problem
+module type Problem = sig
+  type state
+  type move
+
+  val size : state -> int
+  val cost : state -> float
+  val random_move : Rng.t -> state -> move
+  val delta : state -> move -> float
+  val apply : state -> move -> unit
+  val feasible : state -> bool
+  val snapshot : state -> state
+end
 
 type plateau = Gbisect.Sa.plateau = {
   temperature : float;
@@ -293,25 +304,3 @@ let refine ?(config = default_config) rng g side0 =
   in
   let final_cut = Bisection.compute_cut g side in
   (side, { sa = result.Engine.stats; best_was_snapshot; initial_cut; final_cut })
-
-(* --- Threshold.refine on the reference problem ------------------------------- *)
-
-module Threshold = Gbisect.Threshold
-module Bisect_engine = Threshold.Make (Problem)
-
-let threshold_refine ?schedule ?(imbalance_factor = 0.05) rng g side0 =
-  Bisection.validate_sides g side0;
-  if imbalance_factor <= 0. then invalid_arg "Threshold: imbalance_factor must be positive";
-  let c0, c1 = Bisection.side_counts side0 in
-  if abs (c0 - c1) > 1 then invalid_arg "Threshold: input bisection is not balanced";
-  let config = { default_config with imbalance_factor } in
-  let state = Problem.make config g side0 in
-  let result = Bisect_engine.run ?schedule rng state in
-  let best_side = Problem.sides result.Bisect_engine.best in
-  let final_side = Bisection.rebalance g (Problem.sides result.Bisect_engine.final) in
-  let best_side = Bisection.rebalance g best_side in
-  let side =
-    if Bisection.compute_cut g best_side <= Bisection.compute_cut g final_side then best_side
-    else final_side
-  in
-  (side, result.Bisect_engine.stats)

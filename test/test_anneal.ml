@@ -1,7 +1,7 @@
 (* Tests for the annealing schedule, the annealing loop of Sa_bisect
    (counters, caps, traces, the best-state snapshot), the bisection
-   problem, threshold accepting, and both annealers against the
-   verbatim pre-cached-gain reference in sa_reference.ml. *)
+   problem, and the annealer against the verbatim pre-cached-gain
+   reference in sa_reference.ml. *)
 
 module Schedule = Gbisect.Schedule
 module Sa = Gbisect.Sa
@@ -251,66 +251,11 @@ let cutoff_tests =
         check_bool "reasonable" true (Bisection.cut b <= 12));
   ]
 
-(* --- Threshold accepting --------------------------------------------------- *)
-
-module Threshold = Gbisect.Threshold
-
-let threshold_tests =
-  [
-    case "default schedule validates" (fun () ->
-        Threshold.validate Threshold.default_schedule);
-    case "bad schedules rejected" (fun () ->
-        let bad s name =
-          match Threshold.validate s with
-          | exception Invalid_argument _ -> ()
-          | () -> Alcotest.failf "accepted %s" name
-        in
-        bad { Threshold.default_schedule with size_factor = 0 } "size 0";
-        bad { Threshold.default_schedule with frozen_after = 0 } "frozen 0");
-    case "solves the two-cliques instance" (fun () ->
-        let edges = ref [] in
-        for u = 0 to 7 do
-          for v = u + 1 to 7 do
-            edges := (u, v) :: (8 + u, 8 + v) :: !edges
-          done
-        done;
-        edges := (0, 8) :: !edges;
-        let g = Gbisect.Graph.of_unweighted_edges ~n:16 !edges in
-        let best = ref max_int in
-        for seed = 1 to 5 do
-          let b, _ = Threshold.run (Helpers.rng ~seed ()) g in
-          best := min !best (Bisection.cut b)
-        done;
-        check_int "optimum" 1 !best);
-    case "result is balanced and stats coherent" (fun () ->
-        let g = Classic.grid ~rows:8 ~cols:8 in
-        let b, stats = Threshold.run (Helpers.rng ()) g in
-        check_bool "balanced" true (Bisection.is_balanced b);
-        check_bool "levels > 0" true (stats.Threshold.levels > 0);
-        check_bool "accepted <= attempted" true
-          (stats.Threshold.accepted <= stats.Threshold.attempted);
-        check_bool "threshold decayed" true
-          (stats.Threshold.final_threshold <= stats.Threshold.initial_threshold));
-    case "unbalanced start rejected" (fun () ->
-        let g = Classic.path 4 in
-        Alcotest.check_raises "unbalanced"
-          (Invalid_argument "Threshold: input bisection is not balanced") (fun () ->
-            ignore (Threshold.refine (Helpers.rng ()) g [| 0; 0; 0; 1 |])));
-    case "never beats the exact width on small graphs" (fun () ->
-        for seed = 1 to 10 do
-          let r = Helpers.rng ~seed () in
-          let g = Gbisect.Gnp.generate r ~n:12 ~p:0.3 in
-          let opt = Gbisect.Exact.bisection_width g in
-          let b, _ = Threshold.run r g in
-          check_bool "ta >= opt" true (Bisection.cut b >= opt)
-        done);
-  ]
-
 (* --- Against the reference --------------------------------------------------- *)
 
-(* Sa_bisect.refine and Threshold.refine must return exactly what the
-   verbatim engine in sa_reference.ml returns: the same sides and the
-   same stats with every plateau record, floats compared bit for bit. *)
+(* Sa_bisect.refine must return exactly what the verbatim engine in
+   sa_reference.ml returns: the same sides and the same stats with every
+   plateau record, floats compared bit for bit. *)
 
 let bits = Int64.bits_of_float
 
@@ -360,32 +305,6 @@ let same_as_reference ~seed g side =
         outcome (fun () -> Sa_reference.refine ~config (Rng.create ~seed) g side))
     reference_schedules
 
-let threshold_same_as_reference ~seed g side =
-  let run refine =
-    match refine (Rng.create ~seed) with
-    | r -> Ok r
-    | exception Invalid_argument msg -> Error msg
-  in
-  List.for_all
-    (fun schedule ->
-      run (fun rng -> Threshold.refine ~schedule rng g side)
-      =
-      if no_vertices g then
-        Ok
-          ( [||],
-            {
-              Threshold.levels = 0;
-              attempted = 0;
-              accepted = 0;
-              initial_threshold = 0.;
-              final_threshold = 0.;
-            } )
-      else run (fun rng -> Sa_reference.threshold_refine ~schedule rng g side))
-    [
-      Threshold.default_schedule;
-      { Threshold.default_schedule with max_levels = 3 };
-    ]
-
 (* Weighted multigraphs with odd and even n: repeated pairs become
    parallel edges, merged with summed weights. *)
 let gen_reference_case =
@@ -423,14 +342,6 @@ let reference_tests =
         let g = Gbisect.Gnp.with_average_degree r ~n:400 ~avg_degree:6. in
         let side = Helpers.balanced_sides r g in
         check_bool "same" true (same_as_reference ~seed:12 g side));
-    case "threshold accepting matches the reference" (fun () ->
-        let r = Helpers.rng ~seed:5 () in
-        let gnp = Gbisect.Gnp.with_average_degree r ~n:400 ~avg_degree:6. in
-        List.iter
-          (fun (family, g) ->
-            let side = Helpers.balanced_sides (Helpers.rng ()) g in
-            check_bool family true (threshold_same_as_reference ~seed:13 g side))
-          (("gnp(400)", gnp) :: Helpers.fuzz_family_graphs ()));
     Helpers.qtest_pair ~count:100 "weighted multigraphs match the reference"
       gen_reference_case print_reference_case (fun (g, side, seed) ->
         same_as_reference ~seed g side);
@@ -444,6 +355,5 @@ let () =
       ("sa_bisect", sa_bisect_tests);
       ("sa_bisect properties", sa_bisect_properties);
       ("cutoff", cutoff_tests);
-      ("threshold accepting", threshold_tests);
       ("sa reference", reference_tests);
     ]
