@@ -219,7 +219,12 @@ let parse_number c =
       | Some f -> Float f
       | None -> fail c (Printf.sprintf "bad number %S" s))
 
-let rec parse_value c =
+(* The parser recurses once per level of nesting, so one frame of
+   brackets would otherwise cost stack and heap in proportion to its
+   length. [depth] counts the arrays and objects around the value. *)
+let max_depth = 512
+
+let rec parse_value c depth =
   skip_ws c;
   if c.pos >= String.length c.text then fail c "unexpected end of input";
   match c.text.[c.pos] with
@@ -227,6 +232,8 @@ let rec parse_value c =
   | 'n' -> literal c "null" Null
   | 't' -> literal c "true" (Bool true)
   | 'f' -> literal c "false" (Bool false)
+  | ('[' | '{') when depth = max_depth ->
+      fail c (Printf.sprintf "nesting deeper than %d" max_depth)
   | '[' ->
       c.pos <- c.pos + 1;
       skip_ws c;
@@ -235,11 +242,11 @@ let rec parse_value c =
         List []
       end
       else begin
-        let items = ref [ parse_value c ] in
+        let items = ref [ parse_value c (depth + 1) ] in
         skip_ws c;
         while at c ',' do
           c.pos <- c.pos + 1;
-          items := parse_value c :: !items;
+          items := parse_value c (depth + 1) :: !items;
           skip_ws c
         done;
         expect c ']';
@@ -258,7 +265,7 @@ let rec parse_value c =
           let key = parse_string c in
           skip_ws c;
           expect c ':';
-          (key, parse_value c)
+          (key, parse_value c (depth + 1))
         in
         let fields = ref [ field () ] in
         skip_ws c;
@@ -274,7 +281,7 @@ let rec parse_value c =
 
 let of_string text =
   let c = { text; pos = 0 } in
-  let v = parse_value c in
+  let v = parse_value c 0 in
   skip_ws c;
   if c.pos <> String.length text then fail c "trailing garbage";
   v

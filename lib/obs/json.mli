@@ -29,8 +29,9 @@ val to_string : ?strict:bool -> t -> string
     [Invalid_argument] instead of rendering as [null]. *)
 
 val of_string : string -> t
-(** Parse a single JSON value.
-    @raise Failure on malformed input or trailing garbage. *)
+(** Parse a single JSON value. Arrays and objects may nest 512 deep.
+    @raise Failure on malformed input, deeper nesting or trailing
+    garbage. *)
 
 val member : string -> t -> t option
 (** [member key json] looks a key up in an [Obj]; [None] otherwise. *)

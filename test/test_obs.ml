@@ -57,6 +57,17 @@ let json_tests =
         let v = Json.of_string {|{"a": 2.5, "b": {"c": 7}}|} in
         check_bool "a" true (Option.bind (Json.member "a" v) Json.to_float = Some 2.5);
         check_bool "missing" true (Json.member "zzz" v = None));
+    case "nesting is capped at 512 levels" (fun () ->
+        let nested depth = String.make depth '[' ^ String.make depth ']' in
+        let rec depth_of = function Json.List [ v ] -> 1 + depth_of v | _ -> 1 in
+        check_int "512 levels parse" 512 (depth_of (Json.of_string (nested 512)));
+        List.iter
+          (fun json ->
+            match Json.of_string json with
+            | exception Failure msg ->
+                check_bool msg true (Helpers.contains msg "nesting deeper than 512")
+            | _ -> Alcotest.fail "accepted 513 levels")
+          [ nested 513; String.make 512 '[' ^ "{}" ^ String.make 512 ']' ]);
     case "rejects trailing garbage" (fun () ->
         match Json.of_string "{} trailing" with
         | exception _ -> ()

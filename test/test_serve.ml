@@ -120,10 +120,15 @@ let codec_tests =
             | None -> Alcotest.failf "id %s did not invert" (P.error_code_id c))
           all_codes);
     case "garbage line is bad_request" (fun () ->
-        match P.request_of_line "this is not json" with
-        | Error (P.Bad_request, _) -> ()
-        | Error (c, _) -> Alcotest.failf "wrong code %s" (P.error_code_id c)
-        | Ok _ -> Alcotest.fail "parsed garbage");
+        (* The second line is 8,000,000 bytes of '[': nesting that deep
+           must be refused, not parsed one stack frame per level. *)
+        List.iter
+          (fun line ->
+            match P.request_of_line line with
+            | Error (P.Bad_request, _) -> ()
+            | Error (c, _) -> Alcotest.failf "wrong code %s" (P.error_code_id c)
+            | Ok _ -> Alcotest.fail "parsed garbage")
+          [ "this is not json"; String.make 8_000_000 '[' ]);
     case "unknown op is unsupported" (fun () ->
         match P.request_of_line "{\"v\":1,\"op\":\"dance\"}" with
         | Error (P.Unsupported, _) -> ()
