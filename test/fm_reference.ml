@@ -9,11 +9,7 @@ module Csr = Gbisect.Graph
 module Bisection = Gbisect.Bisection
 module Gain_buckets = Gbisect.Gain_buckets
 
-type config = {
-  max_passes : int;
-  until_no_improvement : bool;
-  tolerance : int;
-}
+type config = { max_passes : int }
 
 type stats = Gbisect.Fm.stats = {
   passes : int;
@@ -23,16 +19,15 @@ type stats = Gbisect.Fm.stats = {
   pass_gains : int list;
 }
 
-let default_config = { max_passes = 50; until_no_improvement = true; tolerance = 2 }
+let default_config = { max_passes = 50 }
 
 let check_input g side =
   Bisection.validate_sides g side;
   let c0, c1 = Bisection.side_counts side in
   if abs (c0 - c1) > 1 then invalid_arg "Fm: input bisection is not balanced"
 
-let one_pass_internal ~tolerance g side0 =
+let one_pass_internal g side0 =
   let n = Csr.n_vertices g in
-  if tolerance < 2 then invalid_arg "Fm: tolerance must be >= 2";
   let side = Array.copy side0 in
   let gains = Bisection.all_gains g side in
   let locked = Array.make n false in
@@ -60,9 +55,9 @@ let one_pass_internal ~tolerance g side0 =
   let performed = ref 0 in
   (try
      for i = 0 to n - 1 do
-       (* A move from side s is legal if afterwards |c0 - c1| <= tolerance. *)
+       (* A move from side s is legal if afterwards |c0 - c1| <= 2. *)
        let legal s =
-         c.(s) > 0 && abs (c.(s) - 1 - (c.(1 - s) + 1)) <= tolerance
+         c.(s) > 0 && abs (c.(s) - 1 - (c.(1 - s) + 1)) <= 2
        in
        let candidate s = if legal s then Gain_buckets.max_gain buckets.(s) else None in
        let from_side =
@@ -114,9 +109,9 @@ let one_pass_internal ~tolerance g side0 =
     (result, !best_gain)
   end
 
-let one_pass ?(tolerance = default_config.tolerance) g side =
+let one_pass g side =
   check_input g side;
-  one_pass_internal ~tolerance g side
+  one_pass_internal g side
 
 let refine ?(config = default_config) g side0 =
   check_input g side0;
@@ -130,7 +125,7 @@ let refine ?(config = default_config) g side0 =
   (try
      while !passes < config.max_passes do
        let span = Gb_obs.Trace.start () in
-       let next, gain = one_pass_internal ~tolerance:config.tolerance g !side in
+       let next, gain = one_pass_internal g !side in
        incr passes;
        pass_gains := gain :: !pass_gains;
        if gain > 0 then begin
@@ -141,7 +136,7 @@ let refine ?(config = default_config) g side0 =
        Gb_obs.Telemetry.sample Gb_obs.Span.fm_pass (float_of_int !cut);
        Gb_obs.Trace.finish span Gb_obs.Span.fm_pass
          ~args:[ ("pass", Gb_obs.Json.Int !passes); ("gain", Gb_obs.Json.Int gain) ];
-       if gain <= 0 && config.until_no_improvement then raise Exit
+       if gain <= 0 then raise Exit
      done
    with Exit -> ());
   let final_cut = Bisection.compute_cut g !side in

@@ -22,7 +22,7 @@ let h_swaps_per_pass = Obs.Metrics.histogram "kl.swaps_per_pass"
    the hot loops carry no conditional) and published once per pass. *)
 type pass_counters = { pairs_scanned : int; bucket_updates : int; committed : int }
 
-type config = { max_passes : int; until_no_improvement : bool }
+type config = { max_passes : int }
 
 type stats = Gbisect.Kl.stats = {
   passes : int;
@@ -32,7 +32,7 @@ type stats = Gbisect.Kl.stats = {
   pass_gains : int list;
 }
 
-let default_config = { max_passes = 50; until_no_improvement = true }
+let default_config = { max_passes = 50 }
 
 let check_input g side =
   Bisection.validate_sides g side;
@@ -188,7 +188,7 @@ let refine ?(config = default_config) g side0 =
              ("pairs_scanned", Obs.Json.Int counters.pairs_scanned);
              ("bucket_updates", Obs.Json.Int counters.bucket_updates);
            ];
-       if gain <= 0 && config.until_no_improvement then raise Exit
+       if gain <= 0 then raise Exit
      done
    with Exit -> ());
   let final_cut = Bisection.compute_cut g !side in

@@ -200,9 +200,12 @@ end
 
 (* --- Sa_bisect --------------------------------------------------------------- *)
 
-type config = { imbalance_factor : float; schedule : Schedule.t }
+type config = { schedule : Schedule.t }
 
-let default_config = { imbalance_factor = 0.05; schedule = Schedule.default }
+let default_config = { schedule = Schedule.default }
+
+(* The weight of the squared imbalance in the cost, Johnson et al.'s. *)
+let alpha = 0.05
 
 type stats = Gbisect.Sa_bisect.stats = {
   sa : sa_stats;
@@ -218,7 +221,6 @@ module Problem = struct
     mutable cut : int;
     mutable c0 : int;
     mutable c1 : int;
-    alpha : float;
     balance_slack : int; (* n mod 2: allowed count difference *)
   }
 
@@ -228,7 +230,7 @@ module Problem = struct
 
   let cost st =
     let d = float_of_int (st.c0 - st.c1) in
-    float_of_int st.cut +. (st.alpha *. d *. d)
+    float_of_int st.cut +. (alpha *. d *. d)
 
   let random_move rng st = Rng.int rng (Csr.n_vertices st.graph)
 
@@ -236,7 +238,7 @@ module Problem = struct
     let gain = Bisection.gain st.graph st.side v in
     let d = st.c0 - st.c1 in
     let d' = if st.side.(v) = 0 then d - 2 else d + 2 in
-    float_of_int (-gain) +. (st.alpha *. float_of_int ((d' * d') - (d * d)))
+    float_of_int (-gain) +. (alpha *. float_of_int ((d' * d') - (d * d)))
 
   let apply st v =
     let gain = Bisection.gain st.graph st.side v in
@@ -254,7 +256,7 @@ module Problem = struct
   let feasible st = abs (st.c0 - st.c1) <= st.balance_slack
   let snapshot st = { st with side = Array.copy st.side }
 
-  let make config g side =
+  let make g side =
     let c0, c1 = Bisection.side_counts side in
     {
       graph = g;
@@ -262,7 +264,6 @@ module Problem = struct
       cut = Bisection.compute_cut g side;
       c0;
       c1;
-      alpha = config.imbalance_factor;
       balance_slack = Csr.n_vertices g land 1;
     }
 
@@ -271,16 +272,14 @@ end
 
 module Engine = Make (Problem)
 
-let make_state config g side = Problem.make config g side
+let make_state g side = Problem.make g side
 
 let refine ?(config = default_config) rng g side0 =
   Bisection.validate_sides g side0;
-  if config.imbalance_factor <= 0. then
-    invalid_arg "Sa_bisect: imbalance_factor must be positive";
   let c0, c1 = Bisection.side_counts side0 in
   if abs (c0 - c1) > 1 then invalid_arg "Sa_bisect: input bisection is not balanced";
   let initial_cut = Bisection.compute_cut g side0 in
-  let state = make_state config g side0 in
+  let state = make_state g side0 in
   let result =
     Gbisect.Obs.Trace.with_span Gbisect.Obs.Span.sa_anneal
       ~args:

@@ -301,7 +301,7 @@ let same_as_reference ~seed g side =
       if no_vertices g then
         Ok ([||], ((0, 0, 0, 0), (bits 0., bits 0., true), [], (true, 0, 0)))
       else
-        let config = { Sa_reference.default_config with schedule } in
+        let config = { Sa_reference.schedule } in
         outcome (fun () -> Sa_reference.refine ~config (Rng.create ~seed) g side))
     reference_schedules
 

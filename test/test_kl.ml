@@ -278,7 +278,7 @@ let kl_tests =
         check_int "gain sum is total improvement"
           (stats.Kl.initial_cut - stats.Kl.final_cut)
           (List.fold_left ( + ) 0 stats.Kl.pass_gains));
-    case "until_no_improvement stops with a zero-gain tail pass" (fun () ->
+    case "refine stops after a pass that gains nothing" (fun () ->
         let g = Classic.cycle 12 in
         let side = Helpers.balanced_sides (Helpers.rng ()) g in
         let _, stats = Kl.refine g side in
@@ -388,7 +388,7 @@ let same_as_reference ~max_passes g side =
   let next', gain' = Fm_reference.one_pass g side in
   let out, stats = Fm.refine ~max_passes g side in
   let out', stats' =
-    Fm_reference.refine ~config:{ Fm_reference.default_config with max_passes } g side
+    Fm_reference.refine ~config:{ Fm_reference.max_passes } g side
   in
   next = next' && gain = gain' && out = out' && stats = stats'
 
@@ -495,7 +495,7 @@ let kl_same_as_reference g side =
          let theirs, spans' =
            with_spans (fun () ->
                Kl_reference.refine
-                 ~config:{ Kl_reference.default_config with max_passes }
+                 ~config:{ Kl_reference.max_passes }
                  g side)
          in
          ours = theirs && spans = spans' && spans <> [])
