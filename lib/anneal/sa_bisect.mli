@@ -72,17 +72,16 @@ val run :
 
 (** {1 The Metropolis plateau}
 
-    The problem instance (state = side assignment with a cached cut,
-    side counts and per-vertex gains; move = one vertex flip; cost =
-    cut plus the quadratic imbalance penalty) and the loop that makes
-    its moves, which {!Gb_race.Xsa}'s chains run too. [delta] is O(1);
-    [apply] is O(degree). *)
+    The problem instance (a side assignment with a cached cut, side
+    counts and per-vertex gains; [delta] is O(1), [apply] O(degree))
+    and the one loop that makes its moves, which {!Gb_race.Xsa}'s
+    chains run too. *)
 
 module Problem : sig
   type state
 
   val make : Gb_graph.Csr.t -> int array -> state
-  (** Build a state from a balanced side assignment (copied). *)
+  (** A state from a balanced side assignment (copied). *)
 
   (* lint: allow dead-export — test/test_anneal.ml checks the cost
      against one computed from scratch on these sides *)
@@ -90,7 +89,7 @@ module Problem : sig
   (** Current side assignment (copied). *)
 
   val cost : state -> float
-  (** Current cost: cut plus α times the squared count difference. *)
+  (** Cut plus α times the squared count difference. *)
 
   val delta : state -> int -> float
   (** Cost change if the vertex flipped; does not mutate. *)
@@ -100,40 +99,32 @@ module Problem : sig
 end
 
 type walk
-(** A Metropolis walk on a {!Problem.state}: the current state, and the
-    best balanced state seen, kept as a side array plus a log of the
-    flips accepted since that array was last written (n entries at
-    most). A new best replays the log, or copies the whole side array
-    once more than n flips have piled up. *)
+(** A current state and the best balanced state it has reached, kept
+    as above: a side array and a log of the flips since. *)
 
 val walk : ?record:bool -> Problem.state -> walk
-(** A walk from a balanced state, which is its first best (the state
-    is not copied). [~record:true] keeps every accepted flip for
-    {!trajectory}. *)
+(** A walk from a balanced state (not copied), which is its first
+    best. [~record:true] keeps every accepted flip for {!trajectory}. *)
 
 val state : walk -> Problem.state
-(** The walk's current state. *)
 
 val plateau :
   walk -> Gb_prng.Rng.t -> temperature:float -> trials:int -> budget:int -> Sa.plateau
-(** Lines 5–11 of Figure 1 at a fixed [temperature]: propose flips of
-    uniform random vertices until [trials] have been proposed or
-    [budget] accepted ([trials + 1] never stops early), accept downhill
-    and flat moves and uphill ones with probability [e^(-delta/T)], and
-    keep the best balanced state. Each proposal draws one [Rng.int], and
-    an uphill one then one [Rng.float]. Returns the plateau's counters;
-    it emits no span, metric or telemetry. [trials] must be positive. *)
+(** Lines 5–11 of Figure 1 at a fixed [temperature]: flip uniform
+    random vertices until [trials] (positive) have been proposed or
+    [budget] accepted, keeping the best balanced state. Each proposal
+    draws one [Rng.int], and an uphill one then one [Rng.float].
+    Returns the plateau's counters; emits no span, metric or
+    telemetry. *)
 
 val swap : walk -> walk -> unit
-(** Exchange the current states of two walks. Each keeps its own best
-    and trajectory; its log no longer describes its new state, so each
-    walk's next best is a full copy. *)
+(** Exchange two walks' current states. Each keeps its best and
+    trajectory, and its next best is a full copy. *)
 
 val trajectory : walk -> int array
 (** The flips accepted so far, in order; empty unless [~record:true]. *)
 
 val finish : Gb_graph.Csr.t -> walk -> int array * bool * int
-(** The walk's answer: the better of its best balanced state and its
-    current state greedily rebalanced (in place), the best state winning
-    ties. Returns that side array (not copied), whether it is the best
-    state, and its cut. *)
+(** The better of the best state and the current state greedily
+    rebalanced (in place), the best winning ties: its sides (not
+    copied), whether it is the best state, and its cut. *)

@@ -52,17 +52,11 @@ type stats = {
 }
 
 (* One temperature slot. A swap exchanges the current states of two
-   adjacent slots' walks; the RNG, the best, the trajectory and the
-   counters stay with the slot, so slot k's entire move sequence is a
-   function of the seed [substream_seed ~base k] and the (seed-derived)
-   swap schedule alone — never of domain scheduling. *)
-type slot = {
-  rng : Rng.t;
-  temperature : float;
-  walk : Sa_bisect.walk;
-  mutable attempted : int;
-  mutable accepted : int;
-}
+   adjacent slots' walks; the RNG, the best and the trajectory stay
+   with the slot, so slot k's entire move sequence is a function of the
+   seed [substream_seed ~base k] and the (seed-derived) swap schedule
+   alone — never of domain scheduling. *)
+type slot = { rng : Rng.t; temperature : float; walk : Sa_bisect.walk }
 
 (* One plateau of [sweeps * n] Metropolis proposals at the slot's fixed
    temperature, with no acceptance budget, drawing only from the slot's
@@ -70,12 +64,8 @@ type slot = {
    deterministic under Pool fan-out. *)
 let step_slot cfg n slot =
   let trials = cfg.sweeps_per_round * max 1 n in
-  let p =
-    Sa_bisect.plateau slot.walk slot.rng ~temperature:slot.temperature ~trials
-      ~budget:(trials + 1)
-  in
-  slot.attempted <- slot.attempted + p.p_attempted;
-  slot.accepted <- slot.accepted + p.p_accepted
+  Sa_bisect.plateau slot.walk slot.rng ~temperature:slot.temperature ~trials
+    ~budget:(trials + 1)
 
 let run ?(config = default_config) ?(record = false) rng g =
   validate config;
@@ -110,10 +100,9 @@ let run ?(config = default_config) ?(record = false) rng g =
             rng = srng;
             temperature = temps.(i);
             walk = Sa_bisect.walk ~record (Sa_bisect.Problem.make g side0);
-            attempted = 0;
-            accepted = 0;
           })
     in
+    let attempted = ref 0 and accepted = ref 0 in
     let swaps_attempted = ref 0 and swaps_accepted = ref 0 in
     let pool = Pool.current () in
     for round = 0 to config.rounds - 1 do
@@ -123,7 +112,11 @@ let run ?(config = default_config) ?(record = false) rng g =
           (* Chains are independent within a round: fan out on the
              ambient pool. Pool.init preserves index order, and each
              task touches only its own slot. *)
-          ignore (Pool.init pool k (fun i -> step_slot config n slots.(i)));
+          Array.iter
+            (fun (p : Gb_anneal.Sa.plateau) ->
+              attempted := !attempted + p.p_attempted;
+              accepted := !accepted + p.p_accepted)
+            (Pool.init pool k (fun i -> step_slot config n slots.(i)));
           (* Deterministic swap phase: adjacent pairs, alternating
              parity by round, Metropolis decisions from the round's own
              substream. One uniform draw per considered pair, whatever
@@ -148,37 +141,26 @@ let run ?(config = default_config) ?(record = false) rng g =
        balanced state and its greedily rebalanced final state (the best
        wins ties). Then the best slot overall — ties to the lowest slot
        index. *)
-    let best_cut = ref max_int
-    and best_sides = ref [||]
-    and best_chain = ref 0
-    and best_was_snapshot = ref false in
-    Array.iteri
-      (fun idx slot ->
-        let sides, was_snapshot, cut = Sa_bisect.finish g slot.walk in
-        if cut < !best_cut then begin
-          best_cut := cut;
-          best_sides := sides;
-          best_chain := idx;
-          best_was_snapshot := was_snapshot
-        end)
-      slots;
-    let attempted = Array.fold_left (fun acc s -> acc + s.attempted) 0 slots in
-    let accepted = Array.fold_left (fun acc s -> acc + s.accepted) 0 slots in
-    Obs.Metrics.add m_proposed attempted;
-    Obs.Metrics.add m_accepted accepted;
+    let answers = Array.map (fun s -> Sa_bisect.finish g s.walk) slots in
+    let cut i = match answers.(i) with _, _, c -> c in
+    let best_chain = ref 0 in
+    Array.iteri (fun i _ -> if cut i < cut !best_chain then best_chain := i) answers;
+    let best_sides, best_was_snapshot, _ = answers.(!best_chain) in
+    Obs.Metrics.add m_proposed !attempted;
+    Obs.Metrics.add m_accepted !accepted;
     Obs.Metrics.add m_swaps_attempted !swaps_attempted;
     Obs.Metrics.add m_swaps_accepted !swaps_accepted;
-    ( Bisection.of_sides g !best_sides,
+    ( Bisection.of_sides g best_sides,
       {
         chains = k;
         rounds = config.rounds;
         temperatures = temps;
-        attempted;
-        accepted;
+        attempted = !attempted;
+        accepted = !accepted;
         swaps_attempted = !swaps_attempted;
         swaps_accepted = !swaps_accepted;
         best_chain = !best_chain;
-        best_was_snapshot = !best_was_snapshot;
+        best_was_snapshot;
         trajectories =
           (if record then Array.map (fun s -> Sa_bisect.trajectory s.walk) slots else [||]);
       } )
