@@ -93,9 +93,10 @@ let digest_lines lines = Digest.to_hex (Digest.string (String.concat "\n" lines)
 (* Xsa.run ~record:true at its default config and seed 1, reduced to
    the returned sides, every counter, the chosen slot and every chain's
    trajectory: the swap phase and each chain's best-keeping show here
-   even where the cut does not move. On the larger lock cases no swap is
-   ever accepted, and on the smallest a best kept wrong after a swap
-   rarely reaches the answer; on Gnp(80, d=4) it does. *)
+   even where the cut does not move. On Gnp(2000, d=4) no swap is
+   accepted, and on the family cases (at most 15 vertices) a best kept
+   wrong after a swap rarely reaches the answer; on Gnp(80, d=4) it
+   does. *)
 let xsa_runs () =
   let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
   List.map
