@@ -43,11 +43,18 @@ module Problem = struct
     let d = float_of_int (st.c0 - st.c1) in
     float_of_int st.cut +. (alpha *. d *. d)
 
-  let[@inline] delta st v =
-    let gain = st.gains.(v) in
+  (* A flip's cost change depends on two integers only: the vertex's
+     gain and the change in the squared count difference, which is
+     4 (1 -+ (c0 - c1)) and so at most 4 (n + 1) in magnitude. *)
+  let[@inline] imbalance_change st v =
     let d = st.c0 - st.c1 in
     let d' = if st.side.(v) = 0 then d - 2 else d + 2 in
-    float_of_int (-gain) +. (alpha *. float_of_int ((d' * d') - (d * d)))
+    (d' * d') - (d * d)
+
+  let[@inline] cost_change ~gain ~imbalance =
+    float_of_int (-gain) +. (alpha *. float_of_int imbalance)
+
+  let[@inline] delta st v = cost_change ~gain:st.gains.(v) ~imbalance:(imbalance_change st v)
 
   (* Indices come from [xadj] or are vertex ids below n. *)
   let get (a : Csr.ia) k = Int32.to_int (Bigarray.Array1.unsafe_get a k)
@@ -107,6 +114,14 @@ let calibrate rng (st : Problem.state) fraction =
     let mean = !sum /. float_of_int !count in
     -.mean /. log fraction
 
+(* The acceptance probabilities e^(-delta/T) of one plateau, memoised
+   in a direct-mapped table keyed on delta's two integers: slot [i]
+   holds the gain at [keys.(2i)], the imbalance change at
+   [keys.(2i + 1)] and the probability at [memo.(i)]. A cleared slot's
+   imbalance change is [min_int], which no flip produces. *)
+let memo_slots = 256
+let no_imbalance = min_int
+
 (* A walk's best balanced state is [best_side], with cost [best_cost].
    Flips accepted since [best_side] was last written go into [log];
    [logged] counts them and may pass n, and then the next best copies
@@ -119,6 +134,8 @@ type walk = {
   mutable best_cost : float;
   record : bool;
   mutable trajectory : int list; (* accepted flips, newest first, when [record] *)
+  keys : int array; (* the memo's tags, cleared by each plateau *)
+  memo : float array;
 }
 
 let walk ?(record = false) (st : Problem.state) =
@@ -131,24 +148,53 @@ let walk ?(record = false) (st : Problem.state) =
     best_cost = Problem.cost st;
     record;
     trajectory = [];
+    keys = Array.make (2 * memo_slots) no_imbalance;
+    memo = Array.make memo_slots 0.;
   }
 
 let state w = w.state
 
 (* Figure 1's lines 5-11 at one temperature. The counters and the best
    are locals, written back once: a float field would box each new best
-   cost. *)
+   cost. Each proposal draws what [Rng.int rng n] draws, and an uphill
+   one then what [Rng.float rng 1.0] draws, built here from two raw
+   draws so that the uniform stays an unboxed float; dividing by 2^30
+   and multiplying by 2^-30 give the same bits. *)
 let plateau w rng ~temperature ~trials ~budget =
   let st = w.state and best_side = w.best_side and log = w.log and record = w.record in
+  let keys = w.keys and memo = w.memo in
   let n = Array.length st.side in
+  let limit = Rng.rejection_limit n in
+  for i = 0 to memo_slots - 1 do
+    keys.((2 * i) + 1) <- no_imbalance
+  done;
   let logged = ref w.logged and best_cost = ref w.best_cost in
   let attempted = ref 0 and accepted = ref 0 and uphill = ref 0 in
   let improved_best = ref false in
   while !attempted < trials && !accepted < budget do
     incr attempted;
-    let v = Rng.int rng n in
-    let d = Problem.delta st v in
-    if d <= 0. || Rng.float rng 1.0 < exp (-.d /. temperature) then begin
+    let v = Rng.bounded rng n ~limit in
+    let gain = st.gains.(v) and imbalance = Problem.imbalance_change st v in
+    let d = Problem.cost_change ~gain ~imbalance in
+    if
+      d <= 0.
+      ||
+      let hi = Rng.raw rng in
+      let lo = Rng.raw rng in
+      let u = (float_of_int hi +. (float_of_int lo *. 0x1p-30)) *. 0x1p-30 in
+      let i = (gain + (imbalance lsl 2)) land (memo_slots - 1) in
+      let p =
+        if keys.(2 * i) = gain && keys.((2 * i) + 1) = imbalance then memo.(i)
+        else begin
+          let p = exp (-.d /. temperature) in
+          keys.(2 * i) <- gain;
+          keys.((2 * i) + 1) <- imbalance;
+          memo.(i) <- p;
+          p
+        end
+      in
+      u < p
+    then begin
       Problem.apply st v;
       incr accepted;
       if d > 0. then incr uphill;

@@ -15,23 +15,33 @@ let seed_of_string s =
     s;
   !h land max_int
 
-let int t n =
+let raw t = Lfg.next t.core
+
+let[@inline] rejection_limit n =
   if n <= 0 || n > Lfg.modulus then invalid_arg "Rng.int";
-  (* Rejection sampling for exact uniformity. A loop rather than a local
-     recursive function, which would allocate a closure on every call. *)
-  let limit = Lfg.modulus - (Lfg.modulus mod n) in
+  Lfg.modulus - (Lfg.modulus mod n)
+
+(* Rejection sampling for exact uniformity: raw draws at or above the
+   largest multiple of [n] in range are redrawn. A loop rather than a
+   local recursive function, which would allocate a closure on every
+   call. *)
+let[@inline] bounded t n ~limit =
   let v = ref (Lfg.next t.core) in
   while !v >= limit do
     v := Lfg.next t.core
   done;
   !v mod n
 
+let int t n = bounded t n ~limit:(rejection_limit n)
+
 let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in";
   lo + int t (hi - lo + 1)
 
 let float t x =
-  (* Two 30-bit draws give a 60-bit uniform in [0, 1). *)
+  (* Two 30-bit draws, their 60-bit sum rounded to a double in [0, 1]
+     (1 itself with probability 2^-54). Every answer depends on this
+     formula, and [Sa_bisect]'s plateau repeats it. *)
   let hi = Lfg.next t.core and lo = Lfg.next t.core in
   let u =
     (float_of_int hi +. (float_of_int lo /. float_of_int Lfg.modulus))

@@ -37,7 +37,8 @@ val seed_of_string : string -> int
 (** {1 Basic variates} *)
 
 val int : t -> int -> int
-(** [int t n] is uniform on [\[0, n)]. Unbiased (rejection sampling).
+(** [int t n] is uniform on [\[0, n)]. Unbiased (rejection sampling):
+    [int t n = bounded t n ~limit:(rejection_limit n)].
     @raise Invalid_argument if [n <= 0] or [n > Lfg.modulus]. *)
 
 val int_in : t -> int -> int -> int
@@ -45,7 +46,11 @@ val int_in : t -> int -> int -> int
     @raise Invalid_argument if [hi < lo]. *)
 
 val float : t -> float -> float
-(** [float t x] is uniform on [\[0, x)] with 60 bits of entropy. *)
+(** [float t x] is uniform on [\[0, x\]], from two raw draws with 53
+    bits of resolution: [x] times [(hi + lo / 2^30) / 2^30], where the
+    sum of the two 30-bit draws [hi], then [lo], is rounded to a
+    53-bit double. The rounding can reach [x] itself, with
+    probability 2^-54 (when [hi = 2^30 - 1] and [lo >= 2^30 - 64]). *)
 
 val bool : t -> bool
 (** Fair coin. *)
@@ -59,6 +64,32 @@ val geometric_skip : t -> float -> int
     distribution on {0, 1, 2, ...}. Used to generate G(n,p) graphs in
     O(edges) rather than O(n^2) trials.
     @raise Invalid_argument unless [0 < p <= 1]. *)
+
+(** {1 Draws for a hot loop}
+
+    A loop that draws from one range many times computes the rejection
+    limit once and calls {!bounded}, which draws exactly what {!int}
+    draws without its per-call division. A uniform float is built in
+    the caller from two {!raw} draws, as {!float} builds it: under the
+    dev profile's [-opaque], a float returned across a module boundary
+    is boxed, one allocation per draw. *)
+
+val rejection_limit : int -> int
+(** [rejection_limit n] is the largest multiple of [n] not above
+    [Lfg.modulus]: {!int} redraws every raw value at or above it.
+    @raise Invalid_argument if [n <= 0] or [n > Lfg.modulus]. *)
+
+val bounded : t -> int -> limit:int -> int
+(** [bounded t n ~limit:(rejection_limit n)] is [int t n]: the same
+    value from the same raw draws, leaving the stream at the same
+    position. Any other [limit] is unchecked and gives no uniform
+    variate. *)
+
+val raw : t -> int
+(** The stream's next raw 30-bit output, uniform on
+    [\[0, Lfg.modulus)]: one draw of the lagged-Fibonacci core.
+    [float t 1.0] is [(float hi +. float lo *. 0x1p-30) *. 0x1p-30]
+    for two consecutive raw draws [hi], then [lo]. *)
 
 (** {1 Collections} *)
 

@@ -278,6 +278,9 @@ let reference_schedules =
     ("cutoff 0.25", { Schedule.default with cutoff = 0.25 });
     ("fixed high", fixed_temperature ~max_temperatures:2 50.);
     ("fixed low", fixed_temperature ~max_temperatures:2 0.5);
+    (* hot enough that |c0 - c1| wanders far, so flips with one gain and
+       different imbalance changes meet in the plateau's memo *)
+    ("fixed very high", fixed_temperature ~max_temperatures:2 1000.);
   ]
 
 (* One anneal, reduced to comparable values: the sides and the stats,

@@ -61,6 +61,13 @@ let lfg_tests =
 
 (* --- Rng variates ----------------------------------------------------- *)
 
+(* Bounds on both sides of the rejection path: near 2^29 + 1 about
+   half of all raw draws are rejected, at small bounds almost none. *)
+let bounds =
+  let half = Lfg.modulus / 2 in
+  [ 1; 2; 3; 7; 1000; half + 1; half + 12345; ((Lfg.modulus / 3) * 2) + 1;
+    Lfg.modulus - 1; Lfg.modulus ]
+
 let int_tests =
   [
     case "int respects the bound" (fun () ->
@@ -79,9 +86,7 @@ let int_tests =
             ignore (Rng.int r (-3))));
     case "int draws match the recursive rejection sampler" (fun () ->
         (* Rng.int as it was written before its loop: the same rejection
-           rule as a local recursive function. Near 2^29 + 1 about half
-           of all raw draws are rejected, so every draw below takes the
-           rejection path often; at small bounds it almost never fires. *)
+           rule as a local recursive function. *)
         let recursive lfg n =
           let limit = Lfg.modulus - (Lfg.modulus mod n) in
           let rec draw () =
@@ -90,7 +95,6 @@ let int_tests =
           in
           draw ()
         in
-        let half = Lfg.modulus / 2 in
         List.iter
           (fun n ->
             (* Rng.create wraps the Lfg of the same seed, and
@@ -102,8 +106,29 @@ let int_tests =
             done;
             check_int (Printf.sprintf "n=%d stream position" n) (Lfg.next b)
               (Rng.int r Lfg.modulus))
-          [ 1; 2; 3; 7; 1000; half + 1; half + 12345; ((Lfg.modulus / 3) * 2) + 1;
-            Lfg.modulus - 1; Lfg.modulus ]);
+          bounds);
+    case "hoisted draws match int and float" (fun () ->
+        (* What a hot loop draws: [bounded] with the limit computed once
+           is [int] draw for draw, and two raw draws make [float r 1.0]
+           bit for bit. *)
+        List.iter
+          (fun n ->
+            let a = Rng.create ~seed:(n land 0xffff) and b = Rng.create ~seed:(n land 0xffff) in
+            let limit = Rng.rejection_limit n in
+            for i = 1 to 2000 do
+              check_int (Printf.sprintf "n=%d draw %d" n i) (Rng.int a n) (Rng.bounded b n ~limit)
+            done;
+            check_int (Printf.sprintf "n=%d stream position" n) (Rng.raw a) (Rng.raw b))
+          bounds;
+        let a = Helpers.rng () and b = Helpers.rng () in
+        for i = 1 to 100_000 do
+          let hi = Rng.raw b in
+          let lo = Rng.raw b in
+          let u = (float_of_int hi +. (float_of_int lo *. 0x1p-30)) *. 0x1p-30 in
+          let f = Rng.float a 1.0 in
+          if not (Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float u)) then
+            Alcotest.failf "uniform %d: %h from raw draws, %h from Rng.float" i u f
+        done);
     case "int n=1 is always 0" (fun () ->
         let r = Helpers.rng () in
         for _ = 1 to 100 do
