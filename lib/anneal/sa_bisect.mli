@@ -100,7 +100,8 @@ end
 
 type walk
 (** A current state and the best balanced state it has reached, kept
-    as above: a side array and a log of the flips since. *)
+    as above: a side array and a log of the flips since. It also holds
+    {!plateau}'s memo, allocated once with the walk. *)
 
 val walk : ?record:bool -> Problem.state -> walk
 (** A walk from a balanced state (not copied), which is its first
@@ -113,9 +114,14 @@ val plateau :
 (** Lines 5–11 of Figure 1 at a fixed [temperature]: flip uniform
     random vertices until [trials] (positive) have been proposed or
     [budget] accepted, keeping the best balanced state. Each proposal
-    draws one [Rng.int], and an uphill one then one [Rng.float].
-    Returns the plateau's counters; emits no span, metric or
-    telemetry. *)
+    draws what [Rng.int] draws, through [Rng.bounded] with the
+    rejection limit computed once per plateau, and an uphill one then
+    what [Rng.float rng 1.0] draws: two [Rng.raw] draws, built into the
+    same uniform here so that no draw allocates. The acceptance
+    probability e^(−Δ/T) is memoised in the walk, keyed on the flip's
+    gain and change in squared imbalance, and cleared at the start of
+    each plateau. Returns the plateau's counters; emits no span,
+    metric or telemetry. *)
 
 val swap : walk -> walk -> unit
 (** Exchange two walks' current states. Each keeps its best and
