@@ -44,17 +44,19 @@ module Problem = struct
     float_of_int st.cut +. (alpha *. d *. d)
 
   (* A flip's cost change depends on two integers only: the vertex's
-     gain and the change in the squared count difference, which is
-     4 (1 -+ (c0 - c1)) and so at most 4 (n + 1) in magnitude. *)
-  let[@inline] imbalance_change st v =
+     gain and the change in the squared count difference when a vertex
+     on side [s] flips, which is 4 (1 -+ (c0 - c1)) and so at most
+     4 (n + 1) in magnitude. *)
+  let[@inline] imbalance_change st s =
     let d = st.c0 - st.c1 in
-    let d' = if st.side.(v) = 0 then d - 2 else d + 2 in
+    let d' = if s = 0 then d - 2 else d + 2 in
     (d' * d') - (d * d)
 
   let[@inline] cost_change ~gain ~imbalance =
     float_of_int (-gain) +. (alpha *. float_of_int imbalance)
 
-  let[@inline] delta st v = cost_change ~gain:st.gains.(v) ~imbalance:(imbalance_change st v)
+  let[@inline] delta st v =
+    cost_change ~gain:st.gains.(v) ~imbalance:(imbalance_change st st.side.(v))
 
   (* Indices come from [xadj] or are vertex ids below n. *)
   let get (a : Csr.ia) k = Int32.to_int (Bigarray.Array1.unsafe_get a k)
@@ -174,7 +176,10 @@ let plateau w rng ~temperature ~trials ~budget =
   while !attempted < trials && !accepted < budget do
     incr attempted;
     let v = Rng.bounded rng n ~limit in
-    let gain = st.gains.(v) and imbalance = Problem.imbalance_change st v in
+    (* The reads below skip the bounds check: [v] is below n, and the
+       slot [i] below [memo_slots]. *)
+    let gain = Array.unsafe_get st.gains v in
+    let imbalance = Problem.imbalance_change st (Array.unsafe_get st.side v) in
     let d = Problem.cost_change ~gain ~imbalance in
     if
       d <= 0.
@@ -184,12 +189,14 @@ let plateau w rng ~temperature ~trials ~budget =
       let u = (float_of_int hi +. (float_of_int lo *. 0x1p-30)) *. 0x1p-30 in
       let i = (gain + (imbalance lsl 2)) land (memo_slots - 1) in
       let p =
-        if keys.(2 * i) = gain && keys.((2 * i) + 1) = imbalance then memo.(i)
+        if
+          Array.unsafe_get keys (2 * i) = gain && Array.unsafe_get keys ((2 * i) + 1) = imbalance
+        then Array.unsafe_get memo i
         else begin
           let p = exp (-.d /. temperature) in
-          keys.(2 * i) <- gain;
-          keys.((2 * i) + 1) <- imbalance;
-          memo.(i) <- p;
+          Array.unsafe_set keys (2 * i) gain;
+          Array.unsafe_set keys ((2 * i) + 1) imbalance;
+          Array.unsafe_set memo i p;
           p
         end
       in
