@@ -283,9 +283,9 @@ let default_refs st j body =
 
 (* --- mutable-state shape of a right-hand side ---------------------- *)
 
-(* Mirrors [no-naked-mutable-global]: a bare [ref] or [Hashtbl.create]
-   before the first [fun]/[function] means the binding allocates a
-   mutable cell at module init. *)
+(* Mirrors [no-naked-mutable-global]: a bare [ref] or a mutable
+   container's constructor before the first [fun]/[function] means the
+   binding allocates a mutable cell at module init. *)
 let rhs_mutable st start stop =
   let rec go j =
     if j >= stop then false
@@ -295,10 +295,10 @@ let rhs_mutable st start stop =
       | Some (Tokenizer.Ident "ref")
         when tok st (j - 1) <> Some (Tokenizer.Sym ".") ->
           true
-      | Some (Tokenizer.Uident "Hashtbl")
-        when tok st (j + 1) = Some (Tokenizer.Sym ".")
-             && tok st (j + 2) = Some (Tokenizer.Ident "create") ->
-          true
+      | Some (Tokenizer.Uident m) when tok st (j + 1) = Some (Tokenizer.Sym ".") -> (
+          match tok st (j + 2) with
+          | Some (Tokenizer.Ident f) when Rules.allocates_mutable m f -> true
+          | _ -> go (j + 1))
       | _ -> go (j + 1)
   in
   go start

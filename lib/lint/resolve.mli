@@ -22,7 +22,8 @@ type def = {
       (** the binding head names a parameter [rng] or annotates one
           as [Rng.t] — the marker for RNG-stream kernels *)
   d_mutable_state : bool;
-      (** the right-hand side allocates a bare [ref]/[Hashtbl.create]
+      (** the right-hand side allocates a bare [ref] or a mutable
+          container ({!Rules.allocates_mutable})
           before any [fun] — a module-init mutable cell, the shape
           [no-naked-mutable-global] fires on *)
   d_refs : reference list;

@@ -266,14 +266,30 @@ let no_exit_in_lib =
 (* Top-level [let x = ref ...] / [let x = Hashtbl.create ...] in
    library implementations. Detection is token-shaped: a column-0
    [let] binding a plain name (no parameters) whose body mentions a
-   bare [ref] or [Hashtbl.create] before any [fun]/[function] — i.e. a
-   mutable cell created once at module init, visible to every domain. *)
+   bare [ref] or a mutable container's constructor before any
+   [fun]/[function] — i.e. a mutable cell created once at module init,
+   visible to every domain. *)
+let mutable_constructors =
+  [
+    ("Hashtbl", "create");
+    ("Array", "make");
+    ("Array", "create_float");
+    ("Array", "make_matrix");
+    ("Bytes", "create");
+    ("Bytes", "make");
+    ("Buffer", "create");
+    ("Queue", "create");
+    ("Stack", "create");
+  ]
+
+let allocates_mutable m f = List.mem (m, f) mutable_constructors
+
 let structure_keywords =
   [ "let"; "and"; "module"; "type"; "open"; "include"; "exception"; "class"; "external"; "val"; "end" ]
 
 let no_naked_mutable_global =
   mk ~name:"no-naked-mutable-global" ~severity:Error
-    ~summary:"top-level ref / Hashtbl.create in lib/ without Atomic, a guard, or a pragma"
+    ~summary:"top-level ref / Hashtbl / array / buffer in lib/ without Atomic, a guard, or a pragma"
     ~applies:lib_impl
     ~message:
       "top-level mutable state in library code is shared by every domain; make it \
@@ -321,10 +337,11 @@ let no_naked_mutable_global =
                     | Tokenizer.Ident ("fun" | "function") -> ()
                     | Tokenizer.Ident "ref" when not (is_dot r (j - 1)) ->
                         findings := t.(!i).Tokenizer.line :: !findings
-                    | Tokenizer.Uident "Hashtbl"
-                      when is_dot r (j + 1) && tk r (j + 2) = Some (Tokenizer.Ident "create")
-                      ->
-                        findings := t.(!i).Tokenizer.line :: !findings
+                    | Tokenizer.Uident m when is_dot r (j + 1) -> (
+                        match tk r (j + 2) with
+                        | Some (Tokenizer.Ident f) when allocates_mutable m f ->
+                            findings := t.(!i).Tokenizer.line :: !findings
+                        | _ -> body (j + 1))
                     | _ -> body (j + 1)
                 in
                 body (rhs_start (k + 1))

@@ -55,6 +55,12 @@ val program_rules : program_rule list
 val program_rule_name : string -> bool
 val known_rule : string -> bool
 
+val allocates_mutable : string -> string -> bool
+(** [allocates_mutable m f] holds when [m.f] makes a mutable container
+    ([Hashtbl.create], [Array.make], [Bytes.create], [Buffer.create],
+    ...). Evaluated at module init, as a bare [ref] is, it is the
+    state [no-naked-mutable-global] and [par-unsafe-state] look for. *)
+
 val allowlist : (string * string list) list
 (** [(path fragment, exempted rules)]: a finding is dropped when its
     file's normalized path contains the fragment. *)

@@ -11,6 +11,7 @@ type t = {
   fd : Unix.file_descr;
   frames : Protocol.Frames.t;
   ready : Protocol.response Queue.t;
+  buf : Bytes.t; (* the read buffer: one per client, so no two domains share it *)
   mutable closed : bool;
 }
 
@@ -46,6 +47,7 @@ let connect addr =
     fd;
     frames = Protocol.Frames.create ~max_frame:client_max_frame;
     ready = Queue.create ();
+    buf = Bytes.create 65536;
     closed = false;
   }
 
@@ -71,11 +73,9 @@ let send t req =
         failwith (Printf.sprintf "serve client: send failed: %s" (Unix.error_message e))
   done
 
-let buf = Bytes.create 65536
-
 (* Read once (blocking) and file completed frames into [ready]. *)
 let pump t =
-  match Unix.read t.fd buf 0 (Bytes.length buf) with
+  match Unix.read t.fd t.buf 0 (Bytes.length t.buf) with
   | 0 ->
       close t;
       failwith "serve client: connection closed by server"
@@ -87,7 +87,7 @@ let pump t =
               | Ok resp -> Queue.add resp t.ready
               | Error msg -> failwith ("serve client: " ^ msg))
           | `Oversized _ -> failwith "serve client: oversized response line")
-        (Protocol.Frames.feed t.frames (Bytes.sub_string buf 0 n))
+        (Protocol.Frames.feed t.frames (Bytes.sub_string t.buf 0 n))
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   | exception Unix.Unix_error (e, _, _) ->
       close t;

@@ -166,6 +166,12 @@ let rule_tests =
         check_rules "ref" [ "no-naked-mutable-global" ] (findings "let r = ref 0");
         check_rules "hashtbl" [ "no-naked-mutable-global" ]
           (findings "let t = Hashtbl.create 16");
+        check_rules "array" [ "no-naked-mutable-global" ]
+          (findings "let memo = Array.make 256 0.");
+        check_rules "bytes" [ "no-naked-mutable-global" ]
+          (findings "let buf = Bytes.create 65536");
+        check_rules "array per call fine" []
+          (findings "let scratch n = Array.make n 0");
         check_rules "atomic fine" [] (findings "let r = Atomic.make 0");
         check_rules "local ref fine" []
           (findings "let f () =\n  let r = ref 0 in\n  !r");
@@ -276,11 +282,13 @@ let extractor_tests =
         let x =
           extract
             "let cell = ref 0\n\
+             let memo = Array.make 256 0.\n\
              let kernel rng g = step rng g\n\
              let local () = let c = ref 0 in !c\n"
         in
         let find n = List.find (fun d -> d.Resolve.d_name = n) x.Resolve.x_defs in
         check_bool "cell is mutable state" true (find "cell").Resolve.d_mutable_state;
+        check_bool "memo is mutable state" true (find "memo").Resolve.d_mutable_state;
         check_bool "kernel takes a stream" true (find "kernel").Resolve.d_rng_param;
         check_bool "a local ref is not module state" true
           (not (find "local").Resolve.d_mutable_state));
