@@ -118,9 +118,9 @@ let calibrate rng (st : Problem.state) fraction =
 
 (* The acceptance probabilities e^(-delta/T) of one plateau, memoised
    in a direct-mapped table keyed on delta's two integers: slot [i]
-   holds the gain at [keys.(2i)], the imbalance change at
-   [keys.(2i + 1)] and the probability at [memo.(i)]. A cleared slot's
-   imbalance change is [min_int], which no flip produces. *)
+   holds a gain, an imbalance change and the probability of a flip
+   with both. A cleared slot's imbalance change is [min_int], which no
+   flip produces. *)
 let memo_slots = 256
 let no_imbalance = min_int
 
@@ -136,7 +136,8 @@ type walk = {
   mutable best_cost : float;
   record : bool;
   mutable trajectory : int list; (* accepted flips, newest first, when [record] *)
-  keys : int array; (* the memo's tags, cleared by each plateau *)
+  gain_tags : int array;
+  imbalance_tags : int array; (* cleared by each plateau *)
   memo : float array;
 }
 
@@ -150,7 +151,8 @@ let walk ?(record = false) (st : Problem.state) =
     best_cost = Problem.cost st;
     record;
     trajectory = [];
-    keys = Array.make (2 * memo_slots) no_imbalance;
+    gain_tags = Array.make memo_slots 0;
+    imbalance_tags = Array.make memo_slots no_imbalance;
     memo = Array.make memo_slots 0.;
   }
 
@@ -164,12 +166,10 @@ let state w = w.state
    and multiplying by 2^-30 give the same bits. *)
 let plateau w rng ~temperature ~trials ~budget =
   let st = w.state and best_side = w.best_side and log = w.log and record = w.record in
-  let keys = w.keys and memo = w.memo in
+  let gain_tags = w.gain_tags and imbalance_tags = w.imbalance_tags and memo = w.memo in
   let n = Array.length st.side in
   let limit = Rng.rejection_limit n in
-  for i = 0 to memo_slots - 1 do
-    keys.((2 * i) + 1) <- no_imbalance
-  done;
+  Array.fill imbalance_tags 0 memo_slots no_imbalance;
   let logged = ref w.logged and best_cost = ref w.best_cost in
   let attempted = ref 0 and accepted = ref 0 and uphill = ref 0 in
   let improved_best = ref false in
@@ -189,13 +189,12 @@ let plateau w rng ~temperature ~trials ~budget =
       let u = (float_of_int hi +. (float_of_int lo *. 0x1p-30)) *. 0x1p-30 in
       let i = (gain + (imbalance lsl 2)) land (memo_slots - 1) in
       let p =
-        if
-          Array.unsafe_get keys (2 * i) = gain && Array.unsafe_get keys ((2 * i) + 1) = imbalance
+        if Array.unsafe_get gain_tags i = gain && Array.unsafe_get imbalance_tags i = imbalance
         then Array.unsafe_get memo i
         else begin
           let p = exp (-.d /. temperature) in
-          Array.unsafe_set keys (2 * i) gain;
-          Array.unsafe_set keys ((2 * i) + 1) imbalance;
+          Array.unsafe_set gain_tags i gain;
+          Array.unsafe_set imbalance_tags i imbalance;
           Array.unsafe_set memo i p;
           p
         end
