@@ -10,7 +10,6 @@
      demo     Figure 3: a ladder graph with a bisection, as DOT
      fuzz     seeded property fuzzing of solvers/data structures vs oracles
      perf     seeded micro-benchmark suite + regression gate vs committed baseline
-     lint     determinism & domain-safety static analysis of OCaml sources
      serve    long-running bisection daemon on a Unix/TCP socket (SERVING.md)
      bombard  deterministic load generator for a running serve daemon
      scale    one multi-million-edge solve: throughput and peak RSS
@@ -950,126 +949,6 @@ let scale_cmd =
       $ max_rss_term $ out_term $ json_term $ seed_term)
 
 (* ------------------------------------------------------------------ *)
-(* lint                                                                *)
-
-let lint_cmd =
-  let paths_term =
-    let doc =
-      "Files or directories to lint (directories are walked recursively for .ml and \
-       .mli sources). Defaults to $(b,lib bin test), plus $(b,examples) with \
-       $(b,--program)."
-    in
-    Arg.(value & pos_all string [] & info [] ~docv:"PATH" ~doc)
-  in
-  let json_term =
-    let doc = "Emit a machine-readable one-line JSON report on stdout." in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
-  let rules_term =
-    let doc = "Print the rule catalogue and the config allowlist, then exit." in
-    Arg.(value & flag & info [ "rules" ] ~doc)
-  in
-  let program_term =
-    let doc =
-      "Whole-program analysis: build the cross-module call graph and run the \
-       interprocedural rules (par-unsafe-state, par-ambient-rng, par-wall-clock, \
-       rng-stream-discipline, dead-export) on top of the file-local ones."
-    in
-    Arg.(value & flag & info [ "program" ] ~doc)
-  in
-  let graph_term =
-    let doc =
-      "Write the call graph as Graphviz DOT to $(docv) (parallel fan-out sites and \
-       reachable nodes highlighted). Implies $(b,--program)."
-    in
-    Arg.(value & opt (some string) None & info [ "graph" ] ~docv:"FILE" ~doc)
-  in
-  let why_term =
-    let doc =
-      "Print the call chain that puts $(docv) (a definition name, optionally \
-       module-qualified) inside a parallel region, then exit. Implies \
-       $(b,--program)."
-    in
-    Arg.(value & opt (some string) None & info [ "why" ] ~docv:"SYMBOL" ~doc)
-  in
-  let run paths json rules program graph_out why =
-    if rules then print_string (Gbisect.Lint.rules_doc ())
-    else begin
-      let program = program || graph_out <> None || why <> None in
-      let paths =
-        match paths with
-        | [] ->
-            List.filter Sys.file_exists
-              ([ "lib"; "bin"; "test" ] @ if program then [ "examples" ] else [])
-        | ps -> ps
-      in
-      runtime_guard @@ fun () ->
-      if not program then begin
-        match Gbisect.Lint.lint_paths paths with
-        | Error msg -> usage_error msg
-        | Ok report ->
-            if json then print_endline (Gbisect.Lint.render_json report)
-            else print_string (Gbisect.Lint.render_human report);
-            Printf.eprintf "gbisect: lint: %s\n" (Gbisect.Lint.summary report);
-            exit (Gbisect.Lint.exit_code report)
-      end
-      else begin
-        match Gbisect.Lint.lint_program paths with
-        | Error msg -> usage_error msg
-        | Ok (report, prog) -> (
-            Option.iter
-              (fun file ->
-                Out_channel.with_open_bin file (fun oc ->
-                    Out_channel.output_string oc
-                      (Gbisect.Lint_program.to_dot prog)))
-              graph_out;
-            match why with
-            | Some symbol -> (
-                match Gbisect.Lint_program.find_symbol prog symbol with
-                | None -> usage_error ("lint: --why: no definition named " ^ symbol)
-                | Some node -> (
-                    match
-                      Gbisect.Lint_program.chain prog node.Gbisect.Lint_program.n_id
-                    with
-                    | [] ->
-                        Printf.printf
-                          "%s is not reachable from any parallel region\n"
-                          node.Gbisect.Lint_program.n_display;
-                        exit 0
-                    | chain ->
-                        Printf.printf
-                          "%s is inside a parallel region via:\n  %s\n"
-                          node.Gbisect.Lint_program.n_display
-                          (String.concat "\n  -> " chain);
-                        exit 0))
-            | None ->
-                if json then print_endline (Gbisect.Lint.render_json report)
-                else print_string (Gbisect.Lint.render_human report);
-                let modules, defs, edges, par = Gbisect.Lint_program.stats prog in
-                Printf.eprintf
-                  "gbisect: lint: %s (graph: %d modules, %d defs, %d edges, %d \
-                   parallel-reachable)\n"
-                  (Gbisect.Lint.summary report) modules defs edges par;
-                exit (Gbisect.Lint.exit_code report))
-      end
-    end
-  in
-  let info =
-    Cmd.info "lint"
-      ~doc:
-        "Static analysis: determinism and domain-safety rules over the OCaml sources \
-         (ambient randomness, wall-clock reads, polymorphic compare, unguarded mutable \
-         globals — see LINTING.md). With $(b,--program), whole-program analysis over \
-         the cross-module call graph (race and RNG-stream discipline reachable from \
-         parallel regions, dead exports). Exits 0 when clean, 1 on findings, 2 on \
-         usage errors."
-  in
-  Cmd.v info
-    Term.(
-      const run $ paths_term $ json_term $ rules_term $ program_term $ graph_term
-      $ why_term)
-
-(* ------------------------------------------------------------------ *)
 (* serve                                                               *)
 
 let addr_pos_term =
@@ -1298,7 +1177,6 @@ let main_cmd =
       fuzz_cmd;
       perf_cmd;
       scale_cmd;
-      lint_cmd;
       serve_cmd;
       bombard_cmd;
     ]

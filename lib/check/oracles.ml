@@ -21,8 +21,6 @@ module Json = Gb_obs.Json
 module Telemetry = Gb_obs.Telemetry
 module Store = Gb_store.Store
 module Serve_protocol = Gb_serve.Protocol
-module Lint = Gb_lint.Lint
-module Lint_rules = Gb_lint.Rules
 
 type t = {
   name : string;
@@ -763,48 +761,6 @@ let serve_codec rng g =
       require (solved' = solved) "cache payload changed across to_json/of_json"
   | Error msg -> errf "cache payload did not parse back: %s" msg
 
-(* {1 Lint finding codec} *)
-
-(* The [lint --json] report is consumed by CI and by external tooling
-   keyed to [Lint.schema_version]; a finding must survive
-   to_json -> print -> parse -> of_json byte-exactly, including the
-   interprocedural [why] chain. The graph only seeds sizes — the codec
-   has no graph domain. *)
-let lint_json_codec rng g =
-  let gen_path rng =
-    let segs = 1 + Rng.int rng 3 in
-    String.concat "/" (List.init segs (fun _ -> gen_string rng)) ^ ".ml"
-  in
-  let rules = [| "no-wall-clock"; "par-unsafe-state"; "dead-export" |] in
-  let finding : Lint_rules.finding =
-    {
-      Lint_rules.file = gen_path rng;
-      line = 1 + Rng.int rng 10_000;
-      rule = (if Rng.bool rng then Rng.pick rng rules else gen_string rng);
-      severity = (if Rng.bool rng then Lint_rules.Error else Lint_rules.Warning);
-      message = gen_string rng;
-      why =
-        List.init
-          (Rng.int rng (1 + (Csr.n_vertices g mod 5)))
-          (fun _ -> gen_string rng);
-    }
-  in
-  let printed = Json.to_string (Lint.finding_to_json finding) in
-  match Json.of_string printed with
-  | exception e ->
-      errf "finding JSON did not parse back (%s): %s" (Printexc.to_string e)
-        printed
-  | j -> (
-      match Lint.finding_of_json j with
-      | Error msg -> errf "finding did not decode (%s): %s" msg printed
-      | Ok finding' ->
-          let* () =
-            require (finding' = finding)
-              "finding changed across to_json/of_json: %s" printed
-          in
-          require (Lint.schema_version >= 1)
-            "schema_version regressed below 1: %d" Lint.schema_version)
-
 (* {1 Tracing bit-identity} *)
 
 (* Law (DESIGN S19, S24): a trace sink must never change solver results
@@ -907,7 +863,6 @@ let all =
     o "gain-buckets" (fun _ -> true) gain_buckets_oracle;
     o "codec-roundtrip" (fun _ -> true) codec_roundtrip;
     o "serve-codec" (fun _ -> true) serve_codec;
-    o "lint-json" (fun _ -> true) lint_json_codec;
     o "kl-accounting" (n_ge 2) kl_accounting;
     o "fm-accounting" (n_ge 2) fm_accounting;
     o "compaction-projection" (n_ge 2) compaction_projection;

@@ -11,10 +11,8 @@
     is a byte-exact function of its derived seed — the [--jobs]
     soundness argument, see the [replica-exchange] oracle), the
     gain-bucket queue against a sorted-list model, and the JSON/store
-    codecs, the serving wire protocol ({!Gb_serve.Protocol}, the
-    [serve-codec] oracle) and the [lint --json] finding codec
-    ({!Gb_lint.Lint}, the [lint-json] oracle) against round-trip
-    identity.
+    codecs and the serving wire protocol ({!Gb_serve.Protocol}, the
+    [serve-codec] oracle) against round-trip identity.
 
     Oracles are deterministic: {!run} derives the oracle's RNG from the
     oracle name and the case's replay seed alone, so a finding replays

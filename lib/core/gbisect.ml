@@ -40,9 +40,6 @@ module Placement = Gb_hyper.Placement
 module Obs = Gb_obs
 module Pool = Gb_par.Pool
 module Store = Gb_store.Store
-module Lint = Gb_lint.Lint
-module Lint_rules = Gb_lint.Rules
-module Lint_program = Gb_lint.Program
 module Fuzz = Gb_check.Fuzz
 module Fuzz_generators = Gb_check.Generators
 module Fuzz_oracles = Gb_check.Oracles

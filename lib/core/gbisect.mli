@@ -105,24 +105,6 @@ module Store = Gb_store.Store
     stored cells instead of recomputing them, so interrupted runs
     resume byte-identically — see DESIGN.md. *)
 
-(** {1 Static analysis} *)
-
-module Lint = Gb_lint.Lint
-(** The determinism and domain-safety linter behind [gbisect lint]: a
-    token-level scan of the codebase for ambient randomness, wall-clock
-    reads, polymorphic compare, unserialised mutable globals, and the
-    other hazards that would undermine the [--jobs] and resume
-    byte-identity guarantees — see LINTING.md. *)
-
-module Lint_rules = Gb_lint.Rules
-(** The individual lint rules, pragmas, and the config allowlist. *)
-
-module Lint_program = Gb_lint.Program
-(** The whole-program analyzer behind [gbisect lint --program]:
-    per-module symbol tables, the cross-module call graph, and the
-    parallel-reachability pass that powers the interprocedural
-    race/RNG rules, [--why] chains and [--graph] DOT output. *)
-
 (** {1 Property fuzzing} *)
 
 module Fuzz = Gb_check.Fuzz

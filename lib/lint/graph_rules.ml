@@ -6,9 +6,6 @@
 
 let fmt = Printf.sprintf
 
-let finding ~file ~line ~rule ~severity ~message ~why =
-  { Rules.file; line; rule; severity; message; why }
-
 let chain_text = String.concat " -> "
 
 (* par-unsafe-state: a definition that allocates bare mutable state at
@@ -25,15 +22,13 @@ let par_unsafe_state p =
          then
            let why = Program.chain p n.Program.n_id in
            Some
-             (finding ~file:n.Program.n_file ~line:n.Program.n_def.Resolve.d_line
-                ~rule:"par-unsafe-state" ~severity:Rules.Error
-                ~message:
-                  (fmt
-                     "mutable module state `%s` is reachable from a parallel \
-                      region (%s); use Atomic, guard with a mutex, or allocate \
-                      per-worker"
-                     n.Program.n_def.Resolve.d_name (chain_text why))
-                ~why)
+             (Rules.finding ~why ~file:n.Program.n_file
+                ~line:n.Program.n_def.Resolve.d_line "par-unsafe-state" Rules.Error
+                (fmt
+                   "mutable module state `%s` is reachable from a parallel \
+                    region (%s); use Atomic, guard with a mutex, or allocate \
+                    per-worker"
+                   n.Program.n_def.Resolve.d_name (chain_text why)))
          else None)
 
 (* par-ambient-rng / par-wall-clock: an ambient effect (Stdlib Random,
@@ -42,13 +37,10 @@ let par_unsafe_state p =
    reachability moves the finding into the parallel contract, where
    the owning modules are *not* exempt unless they are safe by
    construction (the allowlist in Rules names the exceptions). *)
-let wall_clock_members = [ "time"; "gettimeofday"; "localtime"; "gmtime" ]
-
 let ambient_kind path =
-  match path with
-  | "Random" :: _ :: _ -> Some `Rng
-  | [ ("Unix" | "Sys"); m ] when List.mem m wall_clock_members -> Some `Clock
-  | _ -> None
+  if Rules.fires_on_value "no-ambient-random" path then Some `Rng
+  else if Rules.fires_on_value "no-wall-clock" path then Some `Clock
+  else None
 
 let par_ambient p =
   let ref_compare (a : Resolve.reference) (b : Resolve.reference) =
@@ -67,25 +59,21 @@ let par_ambient p =
                match ambient_kind path with
                | Some `Rng ->
                    Some
-                     (finding ~file:n.Program.n_file ~line:r.Resolve.r_line
-                        ~rule:"par-ambient-rng" ~severity:Rules.Error
-                        ~message:
-                          (fmt
-                             "ambient %s draw inside a parallel region (%s); \
-                              thread an explicit Rng.t substream instead"
-                             (String.concat "." path) (chain_text why))
-                        ~why)
+                     (Rules.finding ~why ~file:n.Program.n_file ~line:r.Resolve.r_line
+                        "par-ambient-rng" Rules.Error
+                        (fmt
+                           "ambient %s draw inside a parallel region (%s); \
+                            thread an explicit Rng.t substream instead"
+                           (String.concat "." path) (chain_text why)))
                | Some `Clock ->
                    Some
-                     (finding ~file:n.Program.n_file ~line:r.Resolve.r_line
-                        ~rule:"par-wall-clock" ~severity:Rules.Error
-                        ~message:
-                          (fmt
-                             "wall-clock read %s inside a parallel region \
-                              (%s); route through Gb_obs.Clock outside the \
-                              workers"
-                             (String.concat "." path) (chain_text why))
-                        ~why)
+                     (Rules.finding ~why ~file:n.Program.n_file ~line:r.Resolve.r_line
+                        "par-wall-clock" Rules.Error
+                        (fmt
+                           "wall-clock read %s inside a parallel region \
+                            (%s); route through Gb_obs.Clock outside the \
+                            workers"
+                           (String.concat "." path) (chain_text why)))
                | None -> None)
              (List.sort_uniq ref_compare n.Program.n_ext))
 
@@ -95,10 +83,8 @@ let par_ambient p =
    stream it was handed (Rng.derive_seed / Rng.substream are the
    sanctioned derivations). *)
 let second_stream path =
-  match List.rev path with
-  | "create" :: "Rng" :: _ -> true
-  | _ :: "Random" :: _ -> true
-  | _ -> false
+  (match List.rev path with "create" :: "Rng" :: _ -> true | _ -> false)
+  || Rules.fires_on_value "no-ambient-random" path
 
 let rng_stream_discipline p =
   Array.to_list (Program.nodes p)
@@ -115,23 +101,21 @@ let rng_stream_discipline p =
            | [] -> None
            | r :: _ ->
                Some
-                 (finding ~file:n.Program.n_file ~line:r.Resolve.r_line
-                    ~rule:"rng-stream-discipline" ~severity:Rules.Error
-                    ~message:
-                      (fmt
-                         "`%s` takes an Rng.t but also opens a second stream \
-                          via %s; derive substreams from the stream it was \
-                          handed (Rng.derive_seed / Rng.substream)"
-                         d.Resolve.d_name
-                         (String.concat "." r.Resolve.r_path))
-                    ~why:[ n.Program.n_display ]))
+                 (Rules.finding ~why:[ n.Program.n_display ] ~file:n.Program.n_file
+                    ~line:r.Resolve.r_line "rng-stream-discipline" Rules.Error
+                    (fmt
+                       "`%s` takes an Rng.t but also opens a second stream \
+                        via %s; derive substreams from the stream it was \
+                        handed (Rng.derive_seed / Rng.substream)"
+                       d.Resolve.d_name
+                       (String.concat "." r.Resolve.r_path))))
 
 (* dead-export: a value the .mli exports that nothing outside its own
    module references, or whose definition no executable reaches (so
    only tests, or nothing, call it). A plain submodule's members are
    judged too; module types and functor signatures export nothing
    ({!Resolve.exports}). Operator exports are skipped — their uses are
-   bare symbols the token-level extractor cannot attribute. *)
+   applications of a symbol the extractor does not attribute. *)
 let dead_export p =
   Program.module_infos p
   |> List.concat_map (fun m ->
@@ -145,15 +129,12 @@ let dead_export p =
                    let key = m.Program.m_key in
                    let dead why =
                      Some
-                       (finding ~file:intf ~line ~rule:"dead-export"
-                          ~severity:Rules.Warning
-                          ~message:
-                            (fmt
-                               "`%s` is exported by the interface but %s; \
-                                drop the export or pragma-justify the public \
-                                API"
-                               name why)
-                          ~why:[])
+                       (Rules.finding ~file:intf ~line "dead-export" Rules.Warning
+                          (fmt
+                             "`%s` is exported by the interface but %s; \
+                              drop the export or pragma-justify the public \
+                              API"
+                             name why))
                    in
                    if not (Program.export_used p ~module_key:key ~name) then
                      dead ("never referenced outside " ^ m.Program.m_display)

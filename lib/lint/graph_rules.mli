@@ -1,4 +1,4 @@
-(** The interprocedural rules run by [gbisect lint --program].
+(** The interprocedural rules run by [gbisect_lint --program].
 
     Names, severities and one-line summaries live in
     {!Rules.program_rules} so pragmas and [--rules] share one

@@ -35,10 +35,7 @@ let expand_paths paths =
    the report is deterministic whatever order the shell expanded. *)
 let by_file a b =
   match String.compare a.Rules.file b.Rules.file with
-  | 0 -> (
-      match Int.compare a.Rules.line b.Rules.line with
-      | 0 -> String.compare a.Rules.rule b.Rules.rule
-      | c -> c)
+  | 0 -> Rules.compare_findings a b
   | c -> c
 
 let lint_files files =
@@ -65,32 +62,20 @@ let lint_program paths =
   match expand_paths paths with
   | Error e -> Error e
   | Ok files ->
-      let sources = List.map (fun f -> (f, read_file f)) files in
+      let scans = List.map (fun f -> Rules.scan_source ~file:f (read_file f)) files in
       let dunes = List.map (fun f -> (f, read_file f)) (dune_files files) in
-      let program = Program.create (sources @ dunes) in
-      let by_target = Hashtbl.create 32 in
-      List.iter
-        (fun (f : Rules.finding) ->
-          let key = Rules.normalize_path f.Rules.file in
-          let prev =
-            Option.value (Hashtbl.find_opt by_target key) ~default:[]
-          in
-          Hashtbl.replace by_target key (f :: prev))
-        (Graph_rules.check program);
+      let program = Program.create ~dunes scans in
+      let graph_findings = Graph_rules.check program in
       (* one pragma accounting per file: the interprocedural findings
          join the file-local ones before suppression and staleness *)
       let findings =
         List.concat_map
-          (fun (f, src) ->
-            let extra =
-              List.rev
-                (Option.value
-                   (Hashtbl.find_opt by_target (Rules.normalize_path f))
-                   ~default:[])
+          (fun (s : Rules.scanned) ->
+            let here (f : Rules.finding) =
+              String.equal (Rules.normalize_path f.file) (Rules.normalize_path s.s_file)
             in
-            Rules.apply_pragmas ~program:true (Rules.scan_source ~file:f src)
-              ~extra)
-          sources
+            Rules.apply_pragmas ~program:true s ~extra:(List.filter here graph_findings))
+          scans
       in
       Ok ({ files; findings = List.sort by_file findings }, program)
 
@@ -118,43 +103,6 @@ let finding_to_json (f : Rules.finding) =
       ("why", Json.List (List.map (fun s -> Json.String s) f.Rules.why));
     ]
 
-let finding_of_json json =
-  let str key =
-    match Json.member key json with
-    | Some (Json.String s) -> Ok s
-    | _ -> Error (Printf.sprintf "finding: missing string %S" key)
-  in
-  let ( let* ) = Result.bind in
-  let* file = str "file" in
-  let* rule = str "rule" in
-  let* message = str "message" in
-  let* line =
-    match Json.member "line" json with
-    | Some (Json.Int n) -> Ok n
-    | _ -> Error "finding: missing int \"line\""
-  in
-  let* severity =
-    match Json.member "severity" json with
-    | Some (Json.String "error") -> Ok Rules.Error
-    | Some (Json.String "warning") -> Ok Rules.Warning
-    | _ -> Error "finding: bad \"severity\""
-  in
-  let* why =
-    match Json.member "why" json with
-    | Some (Json.List l) ->
-        List.fold_left
-          (fun acc j ->
-            match (acc, j) with
-            | Ok acc, Json.String s -> Ok (s :: acc)
-            | Ok _, _ -> Error "finding: non-string in \"why\""
-            | e, _ -> e)
-          (Ok []) l
-        |> Result.map List.rev
-    | None -> Ok []
-    | Some _ -> Error "finding: bad \"why\""
-  in
-  Ok { Rules.file; line; rule; severity; message; why }
-
 let render_json r =
   Json.to_string
     (Json.Obj
@@ -172,34 +120,3 @@ let summary r =
     (if List.length r.files = 1 then "" else "s")
 
 let exit_code r = if r.findings = [] then 0 else 1
-
-let rules_doc () =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "rules:\n";
-  List.iter
-    (fun (r : Rules.rule) ->
-      Buffer.add_string buf
-        (Printf.sprintf "  %-24s %-7s %s\n" r.Rules.name
-           (Rules.severity_name r.Rules.r_severity)
-           r.Rules.summary))
-    Rules.all;
-  Buffer.add_string buf
-    "  pragma                   -       meta: malformed or unused suppression pragmas\n";
-  Buffer.add_string buf "\nwhole-program rules (gbisect lint --program):\n";
-  List.iter
-    (fun (r : Rules.program_rule) ->
-      Buffer.add_string buf
-        (Printf.sprintf "  %-24s %-7s %s\n" r.Rules.p_name
-           (Rules.severity_name r.Rules.p_severity)
-           r.Rules.p_summary))
-    Rules.program_rules;
-  Buffer.add_string buf "\nallowlist (module that owns the effect is exempt):\n";
-  List.iter
-    (fun (fragment, rules) ->
-      Buffer.add_string buf
-        (Printf.sprintf "  %-24s %s\n" fragment (String.concat ", " rules)))
-    Rules.allowlist;
-  Buffer.add_string buf
-    "\nsuppression: (* lint: allow <rule>[, <rule>] \xe2\x80\x94 reason *) on the \
-     offending line or the line above\n";
-  Buffer.contents buf

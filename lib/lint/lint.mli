@@ -1,4 +1,4 @@
-(** Driver and renderers for [gbisect lint].
+(** Driver and renderers for [gbisect_lint].
 
     This module is deliberately pure with respect to presentation: it
     returns strings and never prints or exits (it must survive its own
@@ -34,10 +34,7 @@ val schema_version : int
     object layout, like the bench artifacts. *)
 
 val finding_to_json : Rules.finding -> Gb_obs.Json.t
-
-val finding_of_json : Gb_obs.Json.t -> (Rules.finding, string) result
-(** Inverse of {!finding_to_json}; the lint-json codec oracle in
-    [lib/check] round-trips through this pair. *)
+(** One finding as [--json] prints it. *)
 
 val render_human : report -> string
 (** One [file:line: severity [rule] message] line per finding; empty
@@ -52,7 +49,3 @@ val summary : report -> string
 
 val exit_code : report -> int
 (** 1 if there is any finding (whatever its severity), else 0. *)
-
-val rules_doc : unit -> string
-(** The rule catalogue (name, severity, one-line summary) plus the
-    allowlist, for [--rules] and for keeping LINTING.md honest. *)

@@ -44,14 +44,6 @@ type t = {
 
 let normalize = Rules.normalize_path
 
-let strip_ext path =
-  match Filename.chop_suffix_opt path ~suffix:".ml" with
-  | Some base -> Some (base, `Impl)
-  | None -> (
-      match Filename.chop_suffix_opt path ~suffix:".mli" with
-      | Some base -> Some (base, `Intf)
-      | None -> None)
-
 (* A dune file as s-expressions: enough of the grammar (atoms, lists,
    [;] comments, quoted strings) to read stanza kinds and fields. *)
 type sexp = Atom of string | List of sexp list
@@ -134,15 +126,9 @@ let is_executable_module dunes key =
            stanzas)
     dunes
 
-let build sources =
-  let sources = List.map (fun (p, c) -> (normalize p, c)) sources in
+let build ~dunes scans =
   let dunes =
-    List.filter_map
-      (fun (p, c) ->
-        if Filename.basename p = "dune" then
-          Some (Filename.dirname p, dune_stanzas c)
-        else None)
-      sources
+    List.map (fun (p, c) -> (Filename.dirname (normalize p), dune_stanzas c)) dunes
   in
   let lib_names =
     List.concat_map
@@ -158,12 +144,14 @@ let build sources =
   let modules = Hashtbl.create 64 in
   let impls = Hashtbl.create 64 and intfs = Hashtbl.create 64 in
   List.iter
-    (fun (p, c) ->
-      match strip_ext p with
-      | Some (base, `Impl) -> Hashtbl.replace impls base (p, c)
-      | Some (base, `Intf) -> Hashtbl.replace intfs base (p, c)
+    (fun (s : Rules.scanned) ->
+      let p = normalize s.Rules.s_file in
+      let base = Filename.remove_extension p in
+      match s.Rules.s_tree with
+      | Some (Source.Structure str) -> Hashtbl.replace impls base (p, str)
+      | Some (Source.Signature sg) -> Hashtbl.replace intfs base (p, sg)
       | None -> ())
-    sources;
+    scans;
   let keys =
     List.sort_uniq String.compare
       (Hashtbl.fold (fun k _ acc -> k :: acc) impls []
@@ -173,28 +161,16 @@ let build sources =
   List.iter
     (fun key ->
       let dir = Filename.dirname key and base = Filename.basename key in
-      let extracted, exports =
-        ( (match Hashtbl.find_opt impls key with
-          | Some (_, c) -> Resolve.extract (Tokenizer.tokenize c)
-          | None ->
-              {
-                Resolve.x_defs = [];
-                x_aliases = [];
-                x_opens = [];
-                x_includes = [];
-                x_submodules = [];
-              }),
-          match Hashtbl.find_opt intfs key with
-          | Some (_, c) -> Resolve.exports (Tokenizer.tokenize c)
-          | None -> [] )
-      in
+      let impl = Hashtbl.find_opt impls key and intf = Hashtbl.find_opt intfs key in
+      let extracted = Resolve.extract (Option.fold ~none:[] ~some:snd impl) in
+      let exports = Resolve.exports (Option.fold ~none:[] ~some:snd intf) in
       let display = display_of ~lib_names dir base in
       let info =
         {
           m_key = key;
           m_display = display;
-          m_impl = Option.map fst (Hashtbl.find_opt impls key);
-          m_intf = Option.map fst (Hashtbl.find_opt intfs key);
+          m_impl = Option.map fst impl;
+          m_intf = Option.map fst intf;
           m_extracted = extracted;
           m_exports = exports;
         }
@@ -409,8 +385,8 @@ let rec enclosing_def ctx key scope x =
       if def_exists ctx key nm then Some (Def (key, nm))
       else enclosing_def ctx key scope x
 
-let create sources =
-  let modules, module_keys, displays, exe_keys = build sources in
+let create ~dunes scans =
+  let modules, module_keys, displays, exe_keys = build ~dunes scans in
   let defsets = Hashtbl.create 64 in
   List.iter
     (fun key ->

@@ -1,15 +1,16 @@
 (** Whole-program symbol tables, call graph, and reachability — from
     parallel fan-out sites and from executables — for
-    [gbisect lint --program].
+    [gbisect_lint --program].
 
-    Built from raw [(path, content)] pairs — including [dune] files,
-    which supply the display names other modules use ([lib/kl/fm.ml]
-    under library [gb_kl] is spelled [Gb_kl.Fm]). Reference resolution
-    is conservative in the direction that matters: edges may be
-    over-added (widened [let open] scopes, shadowed names keeping the
-    earlier binding) but a resolvable call is never dropped, so
-    "reachable from a parallel region" over-approximates and the race
-    rules never miss by construction of the graph. *)
+    Built from scanned sources ({!Rules.scan_source}, whose parse trees
+    it reads) and the [dune] files that supply the display names other
+    modules use ([lib/kl/fm.ml] under library [gb_kl] is spelled
+    [Gb_kl.Fm]). Reference resolution is conservative in the direction
+    that matters: edges may be over-added (widened [let open] scopes,
+    shadowed names keeping the earlier binding) but a resolvable call
+    is never dropped, so "reachable from a parallel region"
+    over-approximates and the race rules never miss by construction of
+    the graph. *)
 
 type module_info = {
   m_key : string;  (** normalized path sans extension: ["lib/kl/fm"] *)
@@ -35,8 +36,10 @@ type node = {
 
 type t
 
-val create : (string * string) list -> t
-(** Deterministic for a given source list: modules in sorted key
+val create : dunes:(string * string) list -> Rules.scanned list -> t
+(** [dunes] are [(path, content)] pairs. A file that did not parse
+    contributes nothing. Deterministic for a given source list: modules
+    in sorted key
     order, FIFO reachability — rerunning on another host yields the
     same graph, chains, and DOT bytes. *)
 

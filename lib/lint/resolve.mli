@@ -1,12 +1,6 @@
-(** Definition/reference extraction for whole-program analysis.
-
-    Built on {!Tokenizer.t}, not a parser: structure items are
-    recognised by keyword-at-item-column, submodule [struct]/[sig]
-    bodies by pushing a scope whose closing [end] is matched by
-    column. This handles ocamlformat-shaped code (which the repo's own
-    formatting is); hand-wrapped code degrades {i conservatively} —
-    references are over-collected, never dropped, so reachability can
-    only over-approximate. The caveats are documented in LINTING.md. *)
+(** Definition/reference extraction for whole-program analysis, on the
+    parse tree. References are over-collected, never dropped, so
+    reachability can only over-approximate; LINTING.md has the caveats. *)
 
 type reference = {
   r_path : string list;
@@ -16,17 +10,19 @@ type reference = {
 }
 
 type def = {
-  d_name : string;  (** qualified with the submodule path: ["Sub.f"] *)
+  d_name : string;
+      (** a bound variable qualified with its submodule path
+          (["Sub.f"]); an operator is ["( op )"], a binding without a
+          variable ["<init:LINE>"] *)
   d_line : int;
   d_rng_param : bool;
-      (** the binding head names a parameter [rng] or annotates one
-          as [Rng.t] — the marker for RNG-stream kernels *)
-  d_mutable_state : bool;
-      (** the right-hand side allocates a bare [ref] or a mutable
-          container ({!Rules.allocates_mutable})
-          before any [fun] — a module-init mutable cell, the shape
-          [no-naked-mutable-global] fires on *)
+      (** a parameter is named [rng] or annotated [Rng.t] — the marker
+          for RNG-stream kernels *)
+  d_mutable_state : bool;  (** {!Rules.allocates_at_init} *)
   d_refs : reference list;
+      (** every value path in the binding's code and every module path
+          of a module expression or local open; not record fields,
+          type paths, constructors or pattern binders *)
 }
 
 type extracted = {
@@ -37,12 +33,12 @@ type extracted = {
       (** [open]/[let open]/[M.(...)] targets, file-wide (scoped opens
           are widened to the file — conservative) *)
   x_includes : string list list;
-  x_submodules : string list;  (** qualified submodule names *)
+  x_submodules : string list;  (** qualified submodule and functor names *)
 }
 
-val extract : Tokenizer.t -> extracted
+val extract : Parsetree.structure -> extracted
 
-val exports : Tokenizer.t -> (string * int) list
+val exports : Parsetree.signature -> (string * int) list
 (** [val]/[external] names (with line) declared by an interface, a
     plain [module X : sig ... end] contributing ["X.name"]. Members of
     a module type or of a functor's parameter or result signature are
@@ -50,6 +46,5 @@ val exports : Tokenizer.t -> (string * int) list
     cannot attribute. *)
 
 val is_operator_name : string -> bool
-(** Operator defs/exports are named ["( <op> )"]; their uses appear as
-    bare symbols the reference extractor cannot attribute, so rules
-    like [dead-export] must skip them. *)
+(** Operator defs/exports are named ["( <op> )"]; rules like
+    [dead-export] skip them. *)

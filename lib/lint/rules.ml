@@ -13,16 +13,27 @@ type finding = {
          [] for file-local rules *)
 }
 
+let finding ?(why = []) ~file ~line rule severity message =
+  { file; line; rule; severity; message; why }
+
+(* What a rule looks at: one place in a parse tree. *)
+type site =
+  | Value of string list  (* a value path in an expression: ["Sys"; "time"] *)
+  | Path of string list  (* a module expression, module type or type path *)
+  | Text of string  (* a string constant outside doc comments *)
+  | Binding of Parsetree.value_binding  (* a top-level value binding *)
+
 type rule = {
   name : string;
   r_severity : severity;
   summary : string;
   applies : string -> bool;
-  check : file:string -> Tokenizer.t -> finding list;
+  message : string;
+  fires : site -> bool;
 }
 
 (* ------------------------------------------------------------------ *)
-(* Small helpers over the token stream                                 *)
+(* Small helpers                                                       *)
 
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
@@ -34,45 +45,22 @@ let in_lib p = contains p "lib/"
 let lib_impl p = in_lib p && Filename.check_suffix p ".ml"
 let everywhere _ = true
 
-let tk (r : Tokenizer.t) i =
-  if i >= 0 && i < Array.length r.tokens then Some r.tokens.(i).tok else None
+let mk ~name ~severity ~summary ~applies ~message fires =
+  { name; r_severity = severity; summary; applies; message; fires }
 
-let line_of (r : Tokenizer.t) i = r.tokens.(i).line
-let is_dot r i = tk r i = Some (Tokenizer.Sym ".")
+(* Does the site's path go through module [m]? *)
+let mentions m = function Value p | Path p -> List.mem m p | Text _ | Binding _ -> false
 
-(* Keywords that make the following [ident] a definition, not a use. *)
-let definition_keywords = [ "let"; "and"; "rec"; "val"; "external"; "method"; "type" ]
+(* A value [f] reached directly through one of [modules]: [Sys.time]. *)
+let member_of modules pick = function
+  | Value p -> (
+      match List.rev p with f :: m :: _ -> List.mem m modules && pick f | _ -> false)
+  | Path _ | Text _ | Binding _ -> false
 
-let scan r f =
-  let acc = ref [] in
-  Array.iteri
-    (fun i _ -> match f i with None -> () | Some x -> acc := x :: !acc)
-    r.Tokenizer.tokens;
-  List.rev !acc
-
-(* A finding for the qualified access [Module.member] at token [i]
-   (pointing at the module), when [member] satisfies [pick]. *)
-let qualified_access r i ~modules ~pick =
-  match tk r i with
-  | Some (Tokenizer.Uident m) when List.mem m modules && is_dot r (i + 1) -> (
-      match tk r (i + 2) with
-      | Some (Tokenizer.Ident f) when pick f -> Some (line_of r i)
-      | Some (Tokenizer.Uident _) when pick "" -> Some (line_of r i)
-      | _ -> if pick "" then Some (line_of r i) else None)
-  | _ -> None
-
-let mk ~name ~severity ~summary ~applies ~message check =
-  {
-    name;
-    r_severity = severity;
-    summary;
-    applies;
-    check =
-      (fun ~file r ->
-        List.map
-          (fun line -> { file; line; rule = name; severity; message; why = [] })
-          (check r));
-  }
+(* The stdlib's own value, unqualified or as [Stdlib.f]. *)
+let stdlib pick = function
+  | Value ([ f ] | [ "Stdlib"; f ]) -> pick f
+  | Value _ | Path _ | Text _ | Binding _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* The rules                                                           *)
@@ -85,8 +73,7 @@ let no_ambient_random =
       "ambient Random.* bypasses the seeded Gb_prng.Rng streams, so results stop \
        being reproducible from the run's seed; draw from an Rng.t handed down the \
        call chain"
-    (fun r ->
-      scan r (fun i -> qualified_access r i ~modules:[ "Random" ] ~pick:(fun _ -> true)))
+    (mentions "Random")
 
 let wall_clock_members = [ "time"; "gettimeofday"; "localtime"; "gmtime" ]
 
@@ -98,10 +85,7 @@ let no_wall_clock =
       "direct wall-clock read; route timing through Gb_obs.Clock so replayed and \
        resumed runs stay byte-identical (executables install the real clock into \
        Clock at startup, under a pragma)"
-    (fun r ->
-      scan r (fun i ->
-          qualified_access r i ~modules:[ "Sys"; "Unix" ]
-            ~pick:(fun f -> List.mem f wall_clock_members)))
+    (member_of [ "Sys"; "Unix" ] (fun f -> List.mem f wall_clock_members))
 
 let no_marshal =
   mk ~name:"no-marshal" ~severity:Error
@@ -111,11 +95,7 @@ let no_marshal =
       "Marshal bytes depend on compiler version and architecture, so nothing \
        persisted or hashed from them is reproducible; encode canonical JSON via \
        Gb_obs.Json instead"
-    (fun r ->
-      scan r (fun i ->
-          match tk r i with
-          | Some (Tokenizer.Uident "Marshal") when is_dot r (i + 1) -> Some (line_of r i)
-          | _ -> None))
+    (mentions "Marshal")
 
 let hash_members = [ "hash"; "seeded_hash"; "hash_param"; "seeded_hash_param" ]
 
@@ -128,10 +108,7 @@ let no_hashtbl_hash =
        environments, changes across versions, and collides structurally-equal \
        values that differ in sharing); derive keys from an explicit canonical \
        encoding"
-    (fun r ->
-      scan r (fun i ->
-          qualified_access r i ~modules:[ "Hashtbl" ]
-            ~pick:(fun f -> List.mem f hash_members)))
+    (member_of [ "Hashtbl" ] (fun f -> List.mem f hash_members))
 
 let no_poly_compare =
   mk ~name:"no-poly-compare" ~severity:Error
@@ -142,26 +119,7 @@ let no_poly_compare =
        happens to be; spell the order out (Int.compare, Float.compare, \
        String.compare, or an explicit comparator) so a type change cannot silently \
        reorder results"
-    (fun r ->
-      scan r (fun i ->
-          match tk r i with
-          | Some (Tokenizer.Ident "compare") -> (
-              let prev = tk r (i - 1) and next = tk r (i + 1) in
-              match prev with
-              | Some (Tokenizer.Sym ".") ->
-                  (* Module-qualified: only Stdlib.compare is the
-                     polymorphic one. *)
-                  if tk r (i - 2) = Some (Tokenizer.Uident "Stdlib") then
-                    Some (line_of r i)
-                  else None
-              | Some (Tokenizer.Sym "~") | Some (Tokenizer.Sym "?") ->
-                  None (* labelled argument or parameter *)
-              | Some (Tokenizer.Ident k) when List.mem k definition_keywords -> None
-              | _ ->
-                  if next = Some (Tokenizer.Sym ":") then None
-                    (* label or signature declaration *)
-                  else Some (line_of r i))
-          | _ -> None))
+    (stdlib (String.equal "compare"))
 
 (* Printf-style conversion ending in a float conversion letter. *)
 let has_float_conversion s =
@@ -202,11 +160,7 @@ let no_float_format =
        float rendering (a lossy rendering that leaks into stored or replayed data \
        breaks byte-identity; fixed-precision display strings need a pragma saying \
        they are display-only)"
-    (fun r ->
-      scan r (fun i ->
-          match tk r i with
-          | Some (Tokenizer.Str s) when has_float_conversion s -> Some (line_of r i)
-          | _ -> None))
+    (function Text s -> has_float_conversion s | Value _ | Path _ | Binding _ -> false)
 
 let stdout_idents =
   [
@@ -228,17 +182,11 @@ let no_stdout_in_lib =
       "library code must not write to stdout (tables and results are values; \
        executables own presentation and the exit-code contract); return a string or \
        take a writer"
-    (fun r ->
-      scan r (fun i ->
-          match tk r i with
-          | Some (Tokenizer.Ident id) when List.mem id stdout_idents ->
-              if is_dot r (i - 1) then None else Some (line_of r i)
-          | Some (Tokenizer.Uident ("Printf" | "Format")) when is_dot r (i + 1) -> (
-              match tk r (i + 2) with
-              | Some (Tokenizer.Ident ("printf" | "print_string" | "std_formatter")) ->
-                  Some (line_of r i)
-              | _ -> None)
-          | _ -> None))
+    (fun site ->
+      stdlib (fun f -> List.mem f stdout_idents) site
+      || member_of [ "Printf"; "Format" ]
+           (fun f -> List.mem f [ "printf"; "print_string"; "std_formatter" ])
+           site)
 
 let no_exit_in_lib =
   mk ~name:"no-exit-in-lib" ~severity:Error
@@ -247,28 +195,12 @@ let no_exit_in_lib =
     ~message:
       "library code must not call exit; raise (Failure/Invalid_argument) and let \
        the executable map the failure onto the documented exit-code contract"
-    (fun r ->
-      scan r (fun i ->
-          match tk r i with
-          | Some (Tokenizer.Ident "exit") -> (
-              match tk r (i - 1) with
-              | Some (Tokenizer.Sym ".") ->
-                  if tk r (i - 2) = Some (Tokenizer.Uident "Stdlib") then
-                    Some (line_of r i)
-                  else None
-              | Some (Tokenizer.Sym "~") | Some (Tokenizer.Sym "?") -> None
-              | Some (Tokenizer.Ident k) when List.mem k definition_keywords -> None
-              | _ ->
-                  if tk r (i + 1) = Some (Tokenizer.Sym ":") then None
-                  else Some (line_of r i))
-          | _ -> None))
+    (stdlib (String.equal "exit"))
 
-(* Top-level [let x = ref ...] / [let x = Hashtbl.create ...] in
-   library implementations. Detection is token-shaped: a column-0
-   [let] binding a plain name (no parameters) whose body mentions a
-   bare [ref] or a mutable container's constructor before any
-   [fun]/[function] — i.e. a mutable cell created once at module init,
-   visible to every domain. *)
+(* A top-level value binding whose right-hand side applies a bare [ref]
+   or a mutable container's constructor outside any [fun], [function]
+   or [lazy] — a mutable cell created once at module init, visible to
+   every domain. *)
 let mutable_constructors =
   [
     ("Hashtbl", "create");
@@ -282,10 +214,22 @@ let mutable_constructors =
     ("Stack", "create");
   ]
 
-let allocates_mutable m f = List.mem (m, f) mutable_constructors
-
-let structure_keywords =
-  [ "let"; "and"; "module"; "type"; "open"; "include"; "exception"; "class"; "external"; "val"; "end" ]
+let allocates_at_init (vb : Parsetree.value_binding) =
+  let found = ref false in
+  let expr it (e : Parsetree.expression) =
+    match e.pexp_desc with
+    | Pexp_fun _ | Pexp_function _ | Pexp_lazy _ -> ()
+    | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _)
+      when (match Source.path txt with
+           | [ "ref" ] -> true
+           | [ m; f ] -> List.mem (m, f) mutable_constructors
+           | _ -> false) ->
+        found := true
+    | _ -> Ast_iterator.default_iterator.expr it e
+  in
+  let it = { Ast_iterator.default_iterator with expr } in
+  it.expr it vb.pvb_expr;
+  !found
 
 let no_naked_mutable_global =
   mk ~name:"no-naked-mutable-global" ~severity:Error
@@ -295,61 +239,7 @@ let no_naked_mutable_global =
       "top-level mutable state in library code is shared by every domain; make it \
        Atomic, or guard every access with a mutex and say so in a pragma — a plain \
        ref is a data race the moment two domains touch it"
-    (fun r ->
-      let t = r.Tokenizer.tokens in
-      let n = Array.length t in
-      let item_end i =
-        let rec next j =
-          if j >= n then n
-          else
-            match t.(j).Tokenizer.tok with
-            | Tokenizer.Ident k when t.(j).Tokenizer.col = 0 && List.mem k structure_keywords
-              ->
-                j
-            | _ -> next (j + 1)
-        in
-        next (i + 1)
-      in
-      let findings = ref [] in
-      let i = ref 0 in
-      while !i < n do
-        (match t.(!i).Tokenizer.tok with
-        | Tokenizer.Ident ("let" | "and") when t.(!i).Tokenizer.col = 0 ->
-            let stop = item_end !i in
-            let k = if tk r (!i + 1) = Some (Tokenizer.Ident "rec") then !i + 2 else !i + 1 in
-            (match (tk r k, tk r (k + 1)) with
-            | Some (Tokenizer.Ident _), (Some (Tokenizer.Sym "=") | Some (Tokenizer.Sym ":"))
-              ->
-                (* A value binding. Scan only the right-hand side —
-                   after the [=] that ends the head — so a [ref] in a
-                   type annotation (e.g. a DLS key carrying refs,
-                   which is domain-local by construction) does not
-                   fire. *)
-                let rec rhs_start j =
-                  if j >= stop then stop
-                  else if t.(j).Tokenizer.tok = Tokenizer.Sym "=" then j + 1
-                  else rhs_start (j + 1)
-                in
-                let rec body j =
-                  if j >= stop then ()
-                  else
-                    match t.(j).Tokenizer.tok with
-                    | Tokenizer.Ident ("fun" | "function") -> ()
-                    | Tokenizer.Ident "ref" when not (is_dot r (j - 1)) ->
-                        findings := t.(!i).Tokenizer.line :: !findings
-                    | Tokenizer.Uident m when is_dot r (j + 1) -> (
-                        match tk r (j + 2) with
-                        | Some (Tokenizer.Ident f) when allocates_mutable m f ->
-                            findings := t.(!i).Tokenizer.line :: !findings
-                        | _ -> body (j + 1))
-                    | _ -> body (j + 1)
-                in
-                body (rhs_start (k + 1))
-            | _ -> ());
-            i := stop
-        | _ -> incr i)
-      done;
-      List.rev !findings)
+    (function Binding vb -> allocates_at_init vb | Value _ | Path _ | Text _ -> false)
 
 let all =
   [
@@ -365,47 +255,90 @@ let all =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* The sites of one parse tree                                         *)
+
+(* Every value path of an expression, every module or type path of a
+   module expression, module type or type, every string constant
+   outside doc comments, and each top-level value binding. *)
+let sites (tree : Source.tree) =
+  let acc = ref [] in
+  let add loc site = acc := (Source.line loc, site) :: !acc in
+  let value (lid : Longident.t Location.loc) = add lid.loc (Value (Source.path lid.txt)) in
+  let path (lid : Longident.t Location.loc) = add lid.loc (Path (Source.path lid.txt)) in
+  let d = Ast_iterator.default_iterator in
+  let expr it (e : Parsetree.expression) =
+    match e.pexp_desc with
+    | Pexp_ident lid -> value lid
+    | Pexp_constant (Pconst_string (s, _, _)) -> add e.pexp_loc (Text s)
+    | Pexp_apply (f, args) ->
+        it.Ast_iterator.expr it f;
+        List.iter
+          (function
+            (* [f ~compare] hands on a parameter, as [~compare:] labels one *)
+            | (Asttypes.Labelled l | Optional l), { Parsetree.pexp_desc = Pexp_ident { txt = Lident v; _ }; _ }
+              when String.equal l v ->
+                ()
+            | _, a -> it.expr it a)
+          args
+    | _ -> d.expr it e
+  in
+  let typ it (t : Parsetree.core_type) =
+    (match t.ptyp_desc with Ptyp_constr (lid, _) -> path lid | _ -> ());
+    d.typ it t
+  in
+  let module_expr it (m : Parsetree.module_expr) =
+    (match m.pmod_desc with Pmod_ident lid -> path lid | _ -> ());
+    d.module_expr it m
+  in
+  let module_type it (m : Parsetree.module_type) =
+    (match m.pmty_desc with Pmty_ident lid | Pmty_alias lid -> path lid | _ -> ());
+    d.module_type it m
+  in
+  (* doc comments reach the tree as string attributes *)
+  let attribute it (a : Parsetree.attribute) =
+    match a.attr_name.txt with "ocaml.doc" | "ocaml.text" -> () | _ -> d.attribute it a
+  in
+  let it = { d with expr; typ; module_expr; module_type; attribute } in
+  (match tree with
+  | Source.Structure str ->
+      List.iter
+        (fun (item : Parsetree.structure_item) ->
+          match item.pstr_desc with
+          | Pstr_value (_, vbs) ->
+              List.iter (fun (vb : Parsetree.value_binding) -> add vb.pvb_loc (Binding vb)) vbs
+          | _ -> ())
+        str;
+      it.structure it str
+  | Source.Signature sg -> it.signature it sg);
+  List.rev !acc
+
+(* ------------------------------------------------------------------ *)
 (* Whole-program (interprocedural) rules. The checks live in
    [Graph_rules] over the [Program] call graph; the catalogue lives
    here so [known_rule], pragmas and [lint --rules] cover one rule
    namespace. *)
 
-type program_rule = { p_name : string; p_severity : severity; p_summary : string }
-
+(* (name, severity, one-line summary) *)
 let program_rules =
   [
-    {
-      p_name = "par-unsafe-state";
-      p_severity = Error;
-      p_summary =
-        "non-atomic mutable global reached (transitively) from a parallel region";
-    };
-    {
-      p_name = "par-ambient-rng";
-      p_severity = Error;
-      p_summary = "ambient Random reachable from a parallel worker";
-    };
-    {
-      p_name = "par-wall-clock";
-      p_severity = Error;
-      p_summary = "direct wall-clock read reachable from a parallel worker";
-    };
-    {
-      p_name = "rng-stream-discipline";
-      p_severity = Error;
-      p_summary =
-        "function taking an Rng.t also creates a second ambient stream";
-    };
-    {
-      p_name = "dead-export";
-      p_severity = Warning;
-      p_summary =
-        "mli-exported value no other module references, or no executable reaches";
-    };
+    ( "par-unsafe-state",
+      Error,
+      "non-atomic mutable global reached (transitively) from a parallel region" );
+    ("par-ambient-rng", Error, "ambient Random reachable from a parallel worker");
+    ("par-wall-clock", Error, "direct wall-clock read reachable from a parallel worker");
+    ( "rng-stream-discipline",
+      Error,
+      "function taking an Rng.t also creates a second ambient stream" );
+    ( "dead-export",
+      Warning,
+      "mli-exported value no other module references, or no executable reaches" );
   ]
 
+let fires_on_value name path =
+  List.exists (fun r -> String.equal r.name name && r.fires (Value path)) all
+
 let program_rule_name name =
-  List.exists (fun r -> String.equal r.p_name name) program_rules
+  List.exists (fun (n, _, _) -> String.equal n name) program_rules
 
 let known_rule name =
   List.exists (fun r -> String.equal r.name name) all || program_rule_name name
@@ -431,6 +364,28 @@ let allowlist =
        keep their casual clocks. *)
     ("examples/", [ "no-wall-clock"; "par-wall-clock" ]);
   ]
+
+let rules_doc () =
+  let buf = Buffer.create 512 in
+  let row name severity summary =
+    Buffer.add_string buf (Printf.sprintf "  %-24s %-7s %s\n" name severity summary)
+  in
+  Buffer.add_string buf "rules:\n";
+  List.iter (fun r -> row r.name (severity_name r.r_severity) r.summary) all;
+  row "pragma" "-" "meta: malformed or unused suppression pragmas";
+  row "parse" "error" "meta: a file the OCaml parser rejects (nothing else is checked in it)";
+  Buffer.add_string buf "\nwhole-program rules (gbisect_lint --program):\n";
+  List.iter (fun (name, sev, summary) -> row name (severity_name sev) summary) program_rules;
+  Buffer.add_string buf "\nallowlist (module that owns the effect is exempt):\n";
+  List.iter
+    (fun (fragment, rules) ->
+      Buffer.add_string buf
+        (Printf.sprintf "  %-24s %s\n" fragment (String.concat ", " rules)))
+    allowlist;
+  Buffer.add_string buf
+    "\nsuppression: (* lint: allow <rule>[, <rule>] \xe2\x80\x94 reason *) on the \
+     offending line or the line above\n";
+  Buffer.contents buf
 
 let allowlisted path rule_name =
   List.exists
@@ -463,19 +418,19 @@ let words s =
 
 let is_reason_separator w = w = "\xe2\x80\x94" (* em dash *) || w = "-" || w = "--"
 
-let meta ~file ~line message =
-  { file; line; rule = "pragma"; severity = Error; message; why = [] }
+let meta ~file ~line message = finding ~file ~line "pragma" Error message
 
-(* Parse one comment; [None] if it is not a lint pragma at all. *)
-let parse_pragma ~file (c : Tokenizer.comment) : (pragma option * finding list) option =
-  let text = strip_stars c.Tokenizer.c_text in
+(* Parse one comment (text, first and last line); [None] if it is not
+   a lint pragma at all. *)
+let parse_pragma ~file (text, c_start, c_end) : (pragma option * finding list) option =
+  let text = strip_stars text in
   let prefixed prefix =
     String.length text >= String.length prefix
     && String.sub text 0 (String.length prefix) = prefix
   in
   if not (prefixed "lint:") then None
   else
-    let line = c.Tokenizer.c_start in
+    let line = c_start in
     let rest = String.sub text 5 (String.length text - 5) in
     match words rest with
     | "allow" :: more ->
@@ -514,12 +469,7 @@ let parse_pragma ~file (c : Tokenizer.comment) : (pragma option * finding list) 
         else
           Some
             ( Some
-                {
-                  p_start = c.Tokenizer.c_start;
-                  p_end = c.Tokenizer.c_end;
-                  p_rules = rules;
-                  p_used = false;
-                },
+                { p_start = c_start; p_end = c_end; p_rules = rules; p_used = false },
               [] )
     | directive :: _ ->
         Some
@@ -533,61 +483,73 @@ let compare_findings a b =
   | 0 -> String.compare a.rule b.rule
   | c -> c
 
-(* The name of the nearest enclosing top-level binding ([let]/[val]/
-   [external] at column 0) on or above [line] — so a staleness warning
-   can say where to look without the reader opening the file. *)
-let enclosing_binding (lexed : Tokenizer.t) line =
-  let t = lexed.Tokenizer.tokens in
-  let best = ref None in
-  Array.iteri
-    (fun i p ->
-      match p.Tokenizer.tok with
-      | Tokenizer.Ident (("let" | "val" | "external") as kw)
-        when p.Tokenizer.col = 0 && p.Tokenizer.line <= line ->
-          let j =
-            if tk lexed (i + 1) = Some (Tokenizer.Ident "rec") then i + 2 else i + 1
-          in
-          (match tk lexed j with
-          | Some (Tokenizer.Ident name) when name <> "open" ->
-              best := Some (kw, name)
-          | _ -> ())
-      | _ -> ())
-    t;
-  !best
+(* The name of the last top-level binding ([let]/[val]/[external]) at
+   or above [line] — so a staleness warning can say where to look
+   without the reader opening the file. *)
+let enclosing_binding (tree : Source.tree) line =
+  let head loc kw name best = if Source.line loc <= line then Some (kw, name) else best in
+  match tree with
+  | Source.Structure str ->
+      List.fold_left
+        (fun best (item : Parsetree.structure_item) ->
+          match item.pstr_desc with
+          | Pstr_value (_, vb :: _) -> (
+              match Source.binding_names vb with
+              | name :: _ -> head vb.pvb_loc "let" name best
+              | [] -> best)
+          | Pstr_primitive vd -> head vd.pval_loc "external" vd.pval_name.txt best
+          | _ -> best)
+        None str
+  | Source.Signature sg ->
+      List.fold_left
+        (fun best (item : Parsetree.signature_item) ->
+          match item.psig_desc with
+          | Psig_value vd ->
+              let kw = if vd.pval_prim = [] then "val" else "external" in
+              head vd.pval_loc kw vd.pval_name.txt best
+          | _ -> best)
+        None sg
 
 type scanned = {
   s_file : string;
-  s_lexed : Tokenizer.t;
-  s_raw : finding list;  (** file-local rule findings, allowlist applied *)
+  s_tree : Source.tree option;
+  s_raw : finding list;
   s_pragmas : pragma list;
-  s_pragma_problems : finding list;
 }
 
 let scan_source ~file source =
   let path = normalize_path file in
-  let lexed = Tokenizer.tokenize source in
-  let raw =
-    List.concat_map
-      (fun r -> if r.applies path then r.check ~file lexed else [])
-      all
-  in
-  let raw = List.filter (fun f -> not (allowlisted path f.rule)) raw in
-  let pragmas = ref [] and pragma_findings = ref [] in
-  List.iter
-    (fun c ->
-      match parse_pragma ~file c with
-      | None -> ()
-      | Some (p, probs) ->
-          (match p with Some p -> pragmas := p :: !pragmas | None -> ());
-          pragma_findings := !pragma_findings @ probs)
-    lexed.Tokenizer.comments;
-  {
-    s_file = file;
-    s_lexed = lexed;
-    s_raw = raw;
-    s_pragmas = List.rev !pragmas;
-    s_pragma_problems = !pragma_findings;
-  }
+  let parsed = Source.parse ~file source in
+  match parsed.Source.tree with
+  | Error (line, msg) ->
+      (* nothing else is judged in a file the compiler would reject *)
+      let f = finding ~file ~line "parse" Error ("file does not parse: " ^ msg) in
+      { s_file = file; s_tree = None; s_raw = [ f ]; s_pragmas = [] }
+  | Ok tree ->
+      let sites = sites tree in
+      let raw =
+        List.concat_map
+          (fun r ->
+            if (not (r.applies path)) || allowlisted path r.name then []
+            else
+              List.filter_map
+                (fun (line, site) ->
+                  if r.fires site then Some (finding ~file ~line r.name r.r_severity r.message)
+                  else None)
+                sites)
+          all
+      in
+      (* pragma problems join the raw findings: no pragma can name the
+         meta-rule, so none suppresses them *)
+      let pragmas, problems =
+        List.fold_left
+          (fun (ps, probs) c ->
+            match parse_pragma ~file c with
+            | None -> (ps, probs)
+            | Some (p, more) -> (Option.to_list p @ ps, probs @ more))
+          ([], []) parsed.Source.comments
+      in
+      { s_file = file; s_tree = Some tree; s_raw = raw @ problems; s_pragmas = List.rev pragmas }
 
 (* Does [p] allow [rule] at [line]? Covers the pragma's own lines and
    the line after it, like inline suppression always has. *)
@@ -624,26 +586,18 @@ let apply_pragmas ?(program = false) scanned ~extra =
         if p.p_used || ((not program) && program_only) then None
         else
           let where =
-            match enclosing_binding scanned.s_lexed p.p_start with
+            match Option.bind scanned.s_tree (fun t -> enclosing_binding t p.p_start) with
             | Some (kw, name) -> Printf.sprintf " near `%s %s`" kw name
             | None -> ""
           in
           Some
-            {
-              file = scanned.s_file;
-              line = p.p_start;
-              rule = "pragma";
-              severity = Warning;
-              message =
-                Printf.sprintf
-                  "unused lint pragma%s (allows %s but nothing it names fires here)"
-                  where
-                  (String.concat ", " p.p_rules);
-              why = [];
-            })
+            (finding ~file:scanned.s_file ~line:p.p_start "pragma" Warning
+               (Printf.sprintf
+                  "unused lint pragma%s (allows %s but nothing it names fires here)" where
+                  (String.concat ", " p.p_rules))))
       scanned.s_pragmas
   in
-  List.sort compare_findings (kept @ scanned.s_pragma_problems @ unused)
+  List.sort compare_findings (kept @ unused)
 
 let check_source ~file source =
   apply_pragmas (scan_source ~file source) ~extra:[]

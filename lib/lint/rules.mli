@@ -6,16 +6,19 @@
     discipline that makes the parallel layer sound. The catalogue,
     with the rationale for each rule, lives in LINTING.md.
 
-    Rules operate on {!Tokenizer.t} streams, so they never fire inside
-    comments or string/char literals. Findings can be silenced two
-    ways:
+    Rules read the parse tree ({!Source}), so they never fire inside
+    comments, doc comments or string/char literals. Findings can be
+    silenced two ways:
 
     - the built-in {!allowlist} exempts the module that {i owns} an
       effect (e.g. [lib/prng] is the sanctioned randomness provider);
     - an inline pragma [(* lint: allow <rule> — reason *)] suppresses
       the named rule on the comment's lines and the line after it. The
       reason is mandatory; a malformed, unknown-rule or unused pragma
-      is itself reported (meta-rule ["pragma"]). *)
+      is itself reported (meta-rule ["pragma"]).
+
+    A file the parser rejects yields one ["parse"] finding, at the
+    error's line, and nothing else. *)
 
 type severity = Error | Warning
 
@@ -34,32 +37,30 @@ type finding = {
           rules *)
 }
 
-type rule = {
-  name : string;
-  r_severity : severity;
-  summary : string;  (** one line, shown by [lint --rules] *)
-  applies : string -> bool;  (** on a '/'-normalized path *)
-  check : file:string -> Tokenizer.t -> finding list;
-}
+val finding :
+  ?why:string list -> file:string -> line:int -> string -> severity -> string -> finding
+(** [finding ~file ~line rule severity message]. *)
 
-val all : rule list
+val fires_on_value : string -> string list -> bool
+(** [fires_on_value rule path]: does the file-local [rule] fire on the
+    value path [path] ([["Sys"; "time"]]) in an expression? The
+    whole-program rules judge external references with it, so
+    "ambient draw" and "clock read" mean one thing in both passes. *)
 
-type program_rule = { p_name : string; p_severity : severity; p_summary : string }
-
-val program_rules : program_rule list
-(** The whole-program rules checked by [lint --program] over the
-    {!Program} call graph (the checks themselves live in
-    {!Graph_rules}); declared here so pragmas, [--rules] and
-    {!known_rule} share one namespace with the file-local rules. *)
+val rules_doc : unit -> string
+(** The rule catalogue (name, severity, one-line summary, the
+    whole-program rules and the meta-rules) plus the allowlist, for
+    [--rules] and for keeping LINTING.md honest. *)
 
 val program_rule_name : string -> bool
 val known_rule : string -> bool
 
-val allocates_mutable : string -> string -> bool
-(** [allocates_mutable m f] holds when [m.f] makes a mutable container
-    ([Hashtbl.create], [Array.make], [Bytes.create], [Buffer.create],
-    ...). Evaluated at module init, as a bare [ref] is, it is the
-    state [no-naked-mutable-global] and [par-unsafe-state] look for. *)
+val allocates_at_init : Parsetree.value_binding -> bool
+(** Does the binding's right-hand side apply a bare [ref] or a mutable
+    container's constructor ([Hashtbl.create], [Array.make],
+    [Bytes.create], [Buffer.create], ...) outside any [fun], [function]
+    or [lazy]? Evaluated at module init, that is the state
+    [no-naked-mutable-global] and [par-unsafe-state] look for. *)
 
 val allowlist : (string * string list) list
 (** [(path fragment, exempted rules)]: a finding is dropped when its
@@ -69,8 +70,11 @@ val normalize_path : string -> string
 (** Backslashes to slashes (so rules and the allowlist match on every
     platform). *)
 
+val compare_findings : finding -> finding -> int
+(** By line, then rule name. *)
+
 val check_source : file:string -> string -> finding list
-(** Tokenize [source] and run every rule that applies to [file], then
+(** Parse [source] and run every rule that applies to [file], then
     apply the allowlist and inline pragmas. Pragma hygiene problems
     are appended as ["pragma"] findings. Result is sorted by line,
     then rule name. *)
@@ -90,10 +94,12 @@ type pragma
 
 type scanned = {
   s_file : string;
-  s_lexed : Tokenizer.t;
-  s_raw : finding list;  (** file-local rule findings, allowlist applied *)
+  s_tree : Source.tree option;  (** [None] when the file does not parse *)
+  s_raw : finding list;
+      (** file-local rule findings (allowlist applied) and pragma
+          problems; the one ["parse"] finding when the file does not
+          parse *)
   s_pragmas : pragma list;
-  s_pragma_problems : finding list;
 }
 
 val scan_source : file:string -> string -> scanned
@@ -114,6 +120,6 @@ val pragma_line : pragma -> int
 (* lint: allow dead-export — test/test_lint.ml reads the parsed rules *)
 val pragma_rules : pragma -> string list
 
-val enclosing_binding : Tokenizer.t -> int -> (string * string) option
-(** [(keyword, name)] of the nearest top-level [let]/[val]/[external]
-    at column 0 on or above the given line. *)
+val enclosing_binding : Source.tree -> int -> (string * string) option
+(** [(keyword, name)] of the last top-level [let]/[val]/[external] at
+    or above the given line. *)

@@ -21,6 +21,3 @@ val with_average_degree : Gb_prng.Rng.t -> n:int -> avg_degree:float -> Gb_graph
     [p = avg_degree / (n - 1)] so the expected average degree is as
     requested. @raise Invalid_argument if the implied [p] leaves
     [\[0, 1\]] or [n < 2]. *)
-
-val p_for_average_degree : n:int -> avg_degree:float -> float
-(** The [p] used by {!with_average_degree}. *)

@@ -1,17 +1,18 @@
-(* Golden exit-code and stderr contract tests for the gbisect CLI:
-   0 = success, 1 = runtime failure or findings (exactly one
-   "gbisect:" diagnostic line on stderr), 2 = usage error. The
-   binary is a declared dune dependency of this test. *)
+(* Golden exit-code and stderr contract tests for the gbisect CLI and
+   gbisect_lint: 0 = success, 1 = runtime failure or findings (exactly
+   one "gbisect:" diagnostic line on stderr), 2 = usage error. Both
+   binaries are declared dune dependencies of this test. *)
 
-let exe =
+let binary name =
   (* dune runtest executes from the test build directory (the binary
      is a sibling artefact); dune exec runs from the project root. *)
-  let candidates =
-    [ "../bin/gbisect_cli.exe"; "_build/default/bin/gbisect_cli.exe" ]
-  in
+  let candidates = [ "../bin/" ^ name; "_build/default/bin/" ^ name ] in
   match List.find_opt Sys.file_exists candidates with
   | Some p -> Filename.concat (Sys.getcwd ()) p
   | None -> Filename.concat (Sys.getcwd ()) (List.hd candidates)
+
+let exe = binary "gbisect_cli.exe"
+let lint_exe = binary "gbisect_lint.exe"
 
 let read_file path =
   let ic = open_in_bin path in
@@ -23,8 +24,8 @@ let write_file path contents =
   let oc = open_out_bin path in
   Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> output_string oc contents)
 
-(* Run the CLI with [args]; return (exit code, stdout, stderr). *)
-let run_cli args =
+(* Run [exe] with [args]; return (exit code, stdout, stderr). *)
+let run_exe exe args =
   let out = Filename.temp_file "gbisect_out" ".txt" in
   let err = Filename.temp_file "gbisect_err" ".txt" in
   Fun.protect
@@ -39,6 +40,9 @@ let run_cli args =
       in
       let code = Sys.command cmd in
       (code, read_file out, read_file err))
+
+let run_cli = run_exe exe
+let run_lint = run_exe lint_exe
 
 let case = Helpers.case
 let check_int = Helpers.check_int
@@ -257,7 +261,7 @@ let lint_tests =
           ~finally:(fun () -> Sys.remove path)
           (fun () ->
             write_file path "let add a b = a + b\n";
-            let code, _, err = run_cli [ "lint"; path ] in
+            let code, _, err = run_lint [ path ] in
             check_int "exit" 0 code;
             check_int "one diagnostic line" 1 (List.length (gbisect_lines err));
             check_bool "summary" true (contains err "gbisect: lint:")));
@@ -272,12 +276,12 @@ let lint_tests =
             Sys.rmdir dir)
           (fun () ->
             write_file path "let roll () = Random.int 6\n";
-            let code, out, err = run_cli [ "lint"; path ] in
+            let code, out, err = run_lint [ path ] in
             check_int "exit" 1 code;
             check_bool "rule named" true (contains out "no-ambient-random");
             check_int "one diagnostic line" 1 (List.length (gbisect_lines err))));
     case "missing path is a usage error (exit 2)" (fun () ->
-        let code, _, _ = run_cli [ "lint"; "/nonexistent/dir" ] in
+        let code, _, _ = run_lint [ "/nonexistent/dir" ] in
         check_int "exit" 2 code);
     case "--json is the golden schema_version=1 shape, byte for byte" (fun () ->
         let dir = Filename.temp_file "gbisect_golden" "" in
@@ -290,7 +294,7 @@ let lint_tests =
             Sys.rmdir dir)
           (fun () ->
             write_file path "let roll () = Random.int 6\n";
-            let code, out, _ = run_cli [ "lint"; "--json"; path ] in
+            let code, out, _ = run_lint [ "--json"; path ] in
             check_int "exit" 1 code;
             let expected =
               Printf.sprintf
@@ -326,7 +330,7 @@ let lint_program_tests =
   [
     case "--program follows a race chain across modules (exit 1)" (fun () ->
         with_program_fixture (fun dir ->
-            let code, out, err = run_cli [ "lint"; "--program"; dir ] in
+            let code, out, err = run_lint [ "--program"; dir ] in
             check_int "exit" 1 code;
             check_bool "rule named" true (contains out "par-unsafe-state");
             check_bool "witness chain rendered" true (contains out " -> ");
@@ -334,7 +338,7 @@ let lint_program_tests =
     case "--why prints the witness chain for a symbol" (fun () ->
         with_program_fixture (fun dir ->
             let code, out, _ =
-              run_cli [ "lint"; "--program"; "--why"; "Fix_state.touch"; dir ]
+              run_lint [ "--program"; "--why"; "Fix_state.touch"; dir ]
             in
             check_int "exit (chain printed, no report)" 0 code;
             check_bool "explains reachability" true
@@ -344,7 +348,7 @@ let lint_program_tests =
     case "--why on an unknown symbol is a usage error" (fun () ->
         with_program_fixture (fun dir ->
             let code, _, _ =
-              run_cli [ "lint"; "--program"; "--why"; "No_such.symbol"; dir ]
+              run_lint [ "--program"; "--why"; "No_such.symbol"; dir ]
             in
             check_int "exit" 2 code));
     case "--graph writes a DOT file" (fun () ->
@@ -353,7 +357,7 @@ let lint_program_tests =
             Fun.protect
               ~finally:(fun () -> Sys.remove dot)
               (fun () ->
-                let _, _, _ = run_cli [ "lint"; "--graph"; dot; dir ] in
+                let _, _, _ = run_lint [ "--graph"; dot; dir ] in
                 let s = read_file dot in
                 check_bool "digraph" true (contains s "digraph");
                 check_bool "edges" true (contains s " -> ");

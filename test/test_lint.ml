@@ -1,24 +1,20 @@
-(* Tests for Gb_lint: the tokenizer's lexical corners, one positive and
-   one negative case per rule, pragma and allowlist semantics, and —
-   the check that keeps the whole PR honest — that the repo's own
-   sources lint clean. *)
+(* Tests for Gb_lint: one positive and one negative case per rule, the
+   lexical corners the parse tree must keep out of the rules, pragma
+   and allowlist semantics, the [--json] finding codec, and — the
+   check that keeps the whole PR honest — that the repo's own sources
+   lint clean. *)
 
-module Tokenizer = Gb_lint.Tokenizer
-module Rules = Gbisect.Lint_rules
-module Lint = Gbisect.Lint
+module Rng = Gb_prng.Rng
+module Json = Gb_obs.Json
+module Rules = Gb_lint.Rules
+module Lint = Gb_lint.Lint
 module Resolve = Gb_lint.Resolve
-module Program = Gbisect.Lint_program
+module Program = Gb_lint.Program
 module Graph_rules = Gb_lint.Graph_rules
 
 let case = Helpers.case
 let check_int = Helpers.check_int
 let check_bool = Helpers.check_bool
-
-let tokens src =
-  Array.to_list (Tokenizer.tokenize src).Tokenizer.tokens
-  |> List.map (fun p -> p.Tokenizer.tok)
-
-let comments src = (Tokenizer.tokenize src).Tokenizer.comments
 
 (* Findings for [src] pretended to live at [file] (default: library
    code, where every rule applies). *)
@@ -33,84 +29,6 @@ let check_rules label expected fs =
     (List.sort String.compare expected)
     (List.sort String.compare (rules_of fs))
 
-(* --- Tokenizer ------------------------------------------------------------- *)
-
-let tokenizer_tests =
-  [
-    case "identifiers, modules, numbers, symbols" (fun () ->
-        Alcotest.(check bool)
-          "tokens" true
-          (tokens "let x = Foo.bar 42"
-          = [
-              Tokenizer.Ident "let";
-              Tokenizer.Ident "x";
-              Tokenizer.Sym "=";
-              Tokenizer.Uident "Foo";
-              Tokenizer.Sym ".";
-              Tokenizer.Ident "bar";
-              Tokenizer.Number "42";
-            ]));
-    case "comments produce no tokens and are collected" (fun () ->
-        let src = "let a = 1\n(* Random.int inside a comment *)\nlet b = 2\n" in
-        check_bool "no Random token" true
-          (not (List.mem (Tokenizer.Uident "Random") (tokens src)));
-        match comments src with
-        | [ c ] ->
-            check_int "start line" 2 c.Tokenizer.c_start;
-            check_int "end line" 2 c.Tokenizer.c_end;
-            check_bool "text kept" true
-              (Helpers.contains c.Tokenizer.c_text "Random.int")
-        | cs -> Alcotest.failf "expected 1 comment, got %d" (List.length cs));
-    case "nested comments close at the right depth" (fun () ->
-        let src = "(* outer (* inner *) still outer *) let x = 1" in
-        check_bool "x survives" true (List.mem (Tokenizer.Ident "x") (tokens src));
-        check_int "one comment" 1 (List.length (comments src)));
-    case "a string inside a comment hides a close-comment" (fun () ->
-        (* Per the real lexer, a close-comment sequence inside a
-           commented string literal does not end the comment. *)
-        let src = "(* tricky \" *) \" end *) let y = 2" in
-        check_bool "y survives" true (List.mem (Tokenizer.Ident "y") (tokens src)));
-    case "string literals keep content, escapes protected" (fun () ->
-        match tokens {|let s = "a\"b *) c"|} with
-        | [ _; _; _; Tokenizer.Str s ] ->
-            check_bool "escaped quote inside" true (Helpers.contains s "b *) c")
-        | _ -> Alcotest.fail "expected one string token");
-    case "quoted strings have no escapes" (fun () ->
-        match tokens "let s = {id|raw \\ \" content|id}" with
-        | [ _; _; _; Tokenizer.Str s ] ->
-            Alcotest.(check string) "verbatim" {|raw \ " content|} s
-        | _ -> Alcotest.fail "expected one quoted-string token");
-    case "char literals versus type variables and primes" (fun () ->
-        check_bool "plain char" true
-          (List.mem (Tokenizer.Chr "a") (tokens "let c = 'a'"));
-        check_bool "escaped quote char" true
-          (List.mem (Tokenizer.Chr "\\'") (tokens "let c = '\\''"));
-        check_bool "newline escape" true
-          (List.mem (Tokenizer.Chr "\\n") (tokens "let c = '\\n'"));
-        (* 'a in a type is not a char literal; x' keeps its prime *)
-        check_bool "type variable" true
-          (not
-             (List.exists
-                (function Tokenizer.Chr _ -> true | _ -> false)
-                (tokens "type 'a t = 'a list")));
-        check_bool "prime suffix" true
-          (List.mem (Tokenizer.Ident "x'") (tokens "let x' = x")));
-    case "positions are 1-based lines" (fun () ->
-        let t = Tokenizer.tokenize "let a = 1\nlet b = 2\n" in
-        let lines =
-          Array.to_list t.Tokenizer.tokens
-          |> List.filter_map (fun p ->
-                 match p.Tokenizer.tok with
-                 | Tokenizer.Ident ("a" | "b") -> Some p.Tokenizer.line
-                 | _ -> None)
-        in
-        Alcotest.(check (list int)) "lines" [ 1; 2 ] lines);
-    case "tokenize never raises on unterminated input" (fun () ->
-        ignore (tokens "(* never closed");
-        ignore (tokens "let s = \"never closed");
-        ignore (tokens "let s = {|never closed"));
-  ]
-
 (* --- Rules: one positive and the telling negatives per rule ---------------- *)
 
 let rule_tests =
@@ -118,6 +36,8 @@ let rule_tests =
     case "no-ambient-random fires on Random.*" (fun () ->
         check_rules "positive" [ "no-ambient-random" ]
           (findings "let x = Random.int 5");
+        check_rules "type in an interface" [ "no-ambient-random" ]
+          (findings ~file:"lib/x/thing.mli" "val f : Random.State.t -> int");
         check_rules "other module" [] (findings "let x = Rng.int rng 5"));
     case "no-wall-clock fires on Sys.time and Unix.gettimeofday" (fun () ->
         check_rules "sys" [ "no-wall-clock" ] (findings "let t = Sys.time ()");
@@ -178,14 +98,48 @@ let rule_tests =
         check_rules "ref in type annotation fine" []
           (findings "let k : int ref option Key.t = Key.make (fun () -> None)");
         check_rules "ref under fun fine" []
-          (findings "let make = fun () -> ref 0"));
+          (findings "let make = fun () -> ref 0");
+        check_rules "ref beside a fun" [ "no-naked-mutable-global" ]
+          (findings "let pair = ((fun () -> 0), ref 0)");
+        check_rules "table after a fun" [ "no-naked-mutable-global" ]
+          (findings "let tbl = (ignore (fun x -> x); Hashtbl.create 16)"));
     case "rules never fire inside comments or strings" (fun () ->
         check_rules "comment" [] (findings "(* let x = Random.int 5 *) let a = 1");
-        check_rules "string" [] (findings {|let doc = "Random.int, Sys.time"|}));
+        check_rules "string" [] (findings {|let doc = "Random.int, Sys.time"|});
+        check_rules "nested comments" []
+          (findings "(* outer (* Random.int *) still Random.int *) let x = 1");
+        (* a close-comment inside a commented string does not end the
+           comment, per the real lexer *)
+        check_rules "string inside a comment" []
+          (findings "(* tricky \" *) Random.int \" end *) let y = 2");
+        check_rules "escaped quote in a string" []
+          (findings {|let s = "a\"b *) Random.int"|});
+        check_rules "quoted string" []
+          (findings "let s = {id|raw \\ \" *) Random.int|id}");
+        check_rules "doc comment" [] (findings "(** prints %.2f via Random.int *)\nlet x = 1");
+        (* a naive scanner opens a string at the quote and swallows the
+           rest of the file *)
+        check_rules "char literal" [ "no-wall-clock" ]
+          (findings "let q = '\"'\nlet t = Sys.time ()"));
     case "mli interfaces are not scanned for impl-only rules" (fun () ->
         (* value specs mention ref types freely *)
         check_rules "mli ref" []
           (findings ~file:"lib/x/thing.mli" "val cell : int ref"));
+    case "a file that does not parse is one parse finding" (fun () ->
+        List.iter
+          (fun (label, src, line) ->
+            match findings src with
+            | [ f ] ->
+                Alcotest.(check string) (label ^ ": rule") "parse" f.Rules.rule;
+                check_int (label ^ ": line") line f.Rules.line;
+                check_bool (label ^ ": error") true (f.Rules.severity = Rules.Error)
+            | fs -> Alcotest.failf "%s: expected 1 finding, got %d" label (List.length fs))
+          [
+            ("comment", "let a = Random.int 5\n(* never closed", 2);
+            ("string", "let a = 1\nlet s = \"never closed", 2);
+            ("quoted string", "let s = {|never closed", 1);
+            ("syntax", "let a = Random.int 5\nlet = 2\n", 2);
+          ]);
   ]
 
 (* --- Pragmas and the allowlist --------------------------------------------- *)
@@ -233,7 +187,7 @@ let pragma_tests =
 
 (* --- Extractor: adversarial shapes ------------------------------------------ *)
 
-let extract src = Resolve.extract (Tokenizer.tokenize src)
+let extract src = Resolve.extract (Parse.implementation (Lexing.from_string src))
 let def_names x = List.map (fun d -> d.Resolve.d_name) x.Resolve.x_defs
 
 let extractor_tests =
@@ -284,11 +238,17 @@ let extractor_tests =
             "let cell = ref 0\n\
              let memo = Array.make 256 0.\n\
              let kernel rng g = step rng g\n\
-             let local () = let c = ref 0 in !c\n"
+             let local () = let c = ref 0 in !c\n\
+             let pair = ((fun () -> 0), ref 0)\n\
+             let tbl = (ignore (fun x -> x); Hashtbl.create 16)\n"
         in
         let find n = List.find (fun d -> d.Resolve.d_name = n) x.Resolve.x_defs in
         check_bool "cell is mutable state" true (find "cell").Resolve.d_mutable_state;
         check_bool "memo is mutable state" true (find "memo").Resolve.d_mutable_state;
+        check_bool "a ref beside a fun is mutable state" true
+          (find "pair").Resolve.d_mutable_state;
+        check_bool "a table after a fun is mutable state" true
+          (find "tbl").Resolve.d_mutable_state;
         check_bool "kernel takes a stream" true (find "kernel").Resolve.d_rng_param;
         check_bool "a local ref is not module state" true
           (not (find "local").Resolve.d_mutable_state));
@@ -300,6 +260,13 @@ let extractor_tests =
           (not (Program.is_pool_path [ "Pool"; "no_such" ]));
         check_bool "not the pool" true
           (not (Program.is_pool_path [ "Stack"; "map" ])));
+    case "binding operators and let () are named by their pattern" (fun () ->
+        let x =
+          extract
+            "let ( let* ) r f = match r with Ok v -> f v | e -> e\n\
+             let () = print_newline ()\n"
+        in
+        Alcotest.(check (list string)) "defs" [ "( let* )"; "<init:2>" ] (def_names x));
   ]
 
 (* --- Interprocedural rules on constructed programs -------------------------- *)
@@ -319,7 +286,12 @@ let race_fixture ?(par = true) ?(state = "let cell = ref 0\nlet touch () = incr 
         (if par then "Gb_par.Pool.map" else "List.map") );
   ]
 
-let graph_findings sources = Graph_rules.check (Program.create sources)
+(* The call graph of [(path, content)] fixtures, dune files included. *)
+let program sources =
+  let dunes, code = List.partition (fun (p, _) -> Filename.basename p = "dune") sources in
+  Program.create ~dunes (List.map (fun (file, src) -> Rules.scan_source ~file src) code)
+
+let graph_findings sources = Graph_rules.check (program sources)
 
 let check_race label sources =
   match List.filter (fun f -> f.Rules.rule = "par-unsafe-state") (graph_findings sources) with
@@ -532,7 +504,7 @@ let program_rule_tests =
         check_bool "file-local rule is not a program rule" true
           (not (Rules.program_rule_name "no-ambient-random")));
     case "chains answer --why through the graph" (fun () ->
-        let p = Program.create (race_fixture ()) in
+        let p = program (race_fixture ()) in
         match Program.find_symbol p "Fix_state.touch" with
         | None -> Alcotest.fail "touch not found"
         | Some n ->
@@ -544,6 +516,21 @@ let program_rule_tests =
               (match List.rev chain with
               | last :: _ -> Helpers.contains last "touch"
               | [] -> false));
+    case "dead-export: a constructor named like an alias is not a use" (fun () ->
+        let sources =
+          [
+            ("fix/dune", "(library\n (name fix))\n");
+            ("fix/fix_api.ml", "let used x = x + 1\nlet unused x = x - 1\n");
+            ("fix/fix_api.mli", "val used : int -> int\nval unused : int -> int\n");
+            ( "fix/fix_caller.ml",
+              "module Api = Fix_api\n\
+               type family = Api | Other\n\
+               let go = function Api -> Api.used 1 | Other -> 0\n" );
+          ]
+        in
+        match graph_findings sources with
+        | [ f ] -> check_bool "names the dead export" true (Helpers.contains f.Rules.message "`unused`")
+        | fs -> Alcotest.failf "expected 1 finding, got %d" (List.length fs));
   ]
 
 (* --- Pragma accessors (the API the staleness messages are built from) ------- *)
@@ -576,8 +563,8 @@ let pragma_accessor_tests =
         let src =
           "let outer = 1\n\n(* lint: allow no-ambient-random — nothing here *)\nlet inner = 2\n"
         in
-        let lexed = Tokenizer.tokenize src in
-        (match Rules.enclosing_binding lexed 3 with
+        let tree = Option.get (Rules.scan_source ~file:"lib/fixture/code.ml" src).Rules.s_tree in
+        (match Rules.enclosing_binding tree 3 with
         | Some ("let", "outer") -> ()
         | Some (kw, n) -> Alcotest.failf "expected `let outer`, got `%s %s`" kw n
         | None -> Alcotest.fail "no enclosing binding found");
@@ -592,16 +579,69 @@ let pragma_accessor_tests =
 
 (* --- Driver and self-lint --------------------------------------------------- *)
 
-let repo_root () =
-  (* dune runs tests from _build/default/test; the checkout root is the
-     nearest ancestor holding .git. *)
-  let rec up d =
-    if Sys.file_exists (Filename.concat d ".git") then Some d
-    else
-      let parent = Filename.dirname d in
-      if parent = d then None else up parent
+(* dune runs tests from _build/default/test, beside the copies of the
+   source trees the test stanza depends on. *)
+let root = Filename.dirname (Sys.getcwd ())
+
+(* The [--json] finding codec: external tooling keyed to
+   [Lint.schema_version] decodes what it prints, so a finding must
+   survive to_json -> print -> parse -> decode exactly, the
+   interprocedural [why] chain included. *)
+let finding_of_json json =
+  let str key =
+    match Json.member key json with
+    | Some (Json.String s) -> Ok s
+    | _ -> Error (Printf.sprintf "finding: missing string %S" key)
   in
-  up (Sys.getcwd ())
+  let ( let* ) = Result.bind in
+  let* file = str "file" in
+  let* rule = str "rule" in
+  let* message = str "message" in
+  let* line =
+    match Json.member "line" json with
+    | Some (Json.Int n) -> Ok n
+    | _ -> Error "finding: missing int \"line\""
+  in
+  let* severity =
+    match Json.member "severity" json with
+    | Some (Json.String "error") -> Ok Rules.Error
+    | Some (Json.String "warning") -> Ok Rules.Warning
+    | _ -> Error "finding: bad \"severity\""
+  in
+  let* why =
+    match Json.member "why" json with
+    | Some (Json.List l) ->
+        List.fold_left
+          (fun acc j ->
+            match (acc, j) with
+            | Ok acc, Json.String s -> Ok (s :: acc)
+            | Ok _, _ -> Error "finding: non-string in \"why\""
+            | e, _ -> e)
+          (Ok []) l
+        |> Result.map List.rev
+    | None -> Ok []
+    | Some _ -> Error "finding: bad \"why\""
+  in
+  Ok { Rules.file; line; rule; severity; message; why }
+
+let gen_string rng =
+  let alphabet = [| 'a'; 'b'; 'z'; ' '; '"'; '\\'; '\n'; '\t'; '/'; '0' |] in
+  String.init (Rng.int rng 9) (fun _ -> Rng.pick rng alphabet)
+
+let gen_finding rng =
+  let gen_path rng =
+    let segs = 1 + Rng.int rng 3 in
+    String.concat "/" (List.init segs (fun _ -> gen_string rng)) ^ ".ml"
+  in
+  let rules = [| "no-wall-clock"; "par-unsafe-state"; "dead-export" |] in
+  {
+    Rules.file = gen_path rng;
+    line = 1 + Rng.int rng 10_000;
+    rule = (if Rng.bool rng then Rng.pick rng rules else gen_string rng);
+    severity = (if Rng.bool rng then Rules.Error else Rules.Warning);
+    message = gen_string rng;
+    why = List.init (Rng.int rng 5) (fun _ -> gen_string rng);
+  }
 
 let driver_tests =
   [
@@ -614,65 +654,57 @@ let driver_tests =
           { Lint.files = [ "lib/a.ml" ];
             findings = findings "let x = Random.int 5" }
         in
-        let j = Gbisect.Obs.Json.of_string (Lint.render_json report) in
+        let j = Json.of_string (Lint.render_json report) in
         check_bool "schema_version" true
-          (Gbisect.Obs.Json.member "schema_version" j
-          = Some (Gbisect.Obs.Json.Int Lint.schema_version));
+          (Json.member "schema_version" j
+          = Some (Json.Int Lint.schema_version));
         check_bool "files_scanned" true
-          (Gbisect.Obs.Json.member "files_scanned" j
-          = Some (Gbisect.Obs.Json.Int 1));
-        (match Gbisect.Obs.Json.member "findings" j with
-        | Some (Gbisect.Obs.Json.List [ _ ]) -> ()
+          (Json.member "files_scanned" j
+          = Some (Json.Int 1));
+        (match Json.member "findings" j with
+        | Some (Json.List [ _ ]) -> ()
         | _ -> Alcotest.fail "expected one finding in JSON");
         check_int "exit 1 on findings" 1 (Lint.exit_code report));
     case "exit_code is 0 when clean" (fun () ->
         check_int "clean" 0 (Lint.exit_code { Lint.files = []; findings = [] }));
     case "lint_files takes exact files, no directory walk" (fun () ->
-        match repo_root () with
-        | None -> Alcotest.fail "could not locate the repo root from the test cwd"
-        | Some root ->
-            let f = Filename.concat root "lib/prng/rng.ml" in
-            let report = Lint.lint_files [ f ] in
-            Alcotest.(check (list string)) "just that file" [ f ] report.Lint.files);
+        let f = Filename.concat root "lib/prng/rng.ml" in
+        let report = Lint.lint_files [ f ] in
+        Alcotest.(check (list string)) "just that file" [ f ] report.Lint.files);
     case "the repo's own sources lint clean" (fun () ->
-        match repo_root () with
-        | None -> Alcotest.fail "could not locate the repo root from the test cwd"
-        | Some root ->
-            let paths =
-              List.map (Filename.concat root) [ "lib"; "bin"; "test" ]
-            in
-            (match Lint.lint_paths paths with
-            | Error msg -> Alcotest.failf "lint_paths: %s" msg
-            | Ok report ->
-                check_bool "several files scanned" true
-                  (List.length report.Lint.files > 100);
-                if report.Lint.findings <> [] then
-                  Alcotest.failf "repo is not lint-clean:\n%s"
-                    (Lint.render_human report)));
+        let paths = List.map (Filename.concat root) [ "lib"; "bin"; "test" ] in
+        match Lint.lint_paths paths with
+        | Error msg -> Alcotest.failf "lint_paths: %s" msg
+        | Ok report ->
+            check_bool "several files scanned" true (List.length report.Lint.files > 100);
+            if report.Lint.findings <> [] then
+              Alcotest.failf "repo is not lint-clean:\n%s" (Lint.render_human report));
     case "the repo's own sources survive whole-program analysis" (fun () ->
-        match repo_root () with
-        | None -> Alcotest.fail "could not locate the repo root from the test cwd"
-        | Some root ->
-            let paths =
-              List.filter Sys.file_exists
-                (List.map (Filename.concat root)
-                   [ "lib"; "bin"; "test"; "examples" ])
-            in
-            (match Lint.lint_program paths with
-            | Error msg -> Alcotest.failf "lint_program: %s" msg
-            | Ok (report, p) ->
-                let modules, defs, edges, par = Program.stats p in
-                check_bool "a real graph" true
-                  (modules > 50 && defs > 500 && edges > 1000 && par > 50);
-                if report.Lint.findings <> [] then
-                  Alcotest.failf "repo is not clean under --program:\n%s"
-                    (Lint.render_human report)));
+        let paths =
+          List.map (Filename.concat root) [ "lib"; "bin"; "test"; "examples" ]
+        in
+        match Lint.lint_program paths with
+        | Error msg -> Alcotest.failf "lint_program: %s" msg
+        | Ok (report, p) ->
+            let modules, defs, edges, par = Program.stats p in
+            check_bool "a real graph" true
+              (modules > 50 && defs > 500 && edges > 1000 && par > 50);
+            if report.Lint.findings <> [] then
+              Alcotest.failf "repo is not clean under --program:\n%s"
+                (Lint.render_human report));
+    case "findings survive the --json codec (200 seeded cases)" (fun () ->
+        for seed = 1 to 200 do
+          let finding = gen_finding (Rng.create ~seed) in
+          let printed = Json.to_string (Lint.finding_to_json finding) in
+          match finding_of_json (Json.of_string printed) with
+          | Ok f -> check_bool (Printf.sprintf "seed %d: %s" seed printed) true (f = finding)
+          | Error msg -> Alcotest.failf "seed %d: %s: %s" seed msg printed
+        done);
   ]
 
 let () =
   Alcotest.run "lint"
     [
-      ("tokenizer", tokenizer_tests);
       ("rules", rule_tests);
       ("pragmas", pragma_tests);
       ("extractor", extractor_tests);
