@@ -579,9 +579,12 @@ let pragma_accessor_tests =
 
 (* --- Driver and self-lint --------------------------------------------------- *)
 
-(* dune runs tests from _build/default/test, beside the copies of the
-   source trees the test stanza depends on. *)
-let root = Filename.dirname (Sys.getcwd ())
+(* dune runtest runs tests from _build/default/test, beside the copies
+   of the source trees the test stanza depends on; dune exec runs them
+   from the project root. *)
+let root =
+  let cwd = Sys.getcwd () in
+  if Sys.file_exists (Filename.concat cwd "lib") then cwd else Filename.dirname cwd
 
 (* The [--json] finding codec: external tooling keyed to
    [Lint.schema_version] decodes what it prints, so a finding must
