@@ -670,9 +670,12 @@ let codec_roundtrip rng g =
 (* Law (SERVING.md): every request/response value renders to one line
    that parses back to the identical value — over arbitrary corpus
    graphs as payloads, every algorithm, every error code, and ids
-   containing JSON-hostile characters. Also locks the cache payload
-   codec (solved_to_json/of_json) to the wire shape, so a stored
-   result can always be replayed. *)
+   containing JSON-hostile characters. Also locks the cache payloads
+   to each other and to the decoder: the stored form (solved_to_stored,
+   side packed one byte per vertex) differs from the wire form in side
+   only, and both, the stored one also as the text a record file
+   holds, decode back to the same result, so a stored result can
+   always be replayed. *)
 let serve_codec rng g =
   let module P = Serve_protocol in
   let gen_id rng = if Rng.bool rng then Some (gen_string rng) else None in
@@ -756,10 +759,26 @@ let serve_codec rng g =
         | Error msg -> errf "response did not parse back (%s): %s" msg line)
       (Ok ()) responses
   in
-  match P.solved_of_json (P.solved_to_json solved) with
-  | Ok solved' ->
-      require (solved' = solved) "cache payload changed across to_json/of_json"
-  | Error msg -> errf "cache payload did not parse back: %s" msg
+  let wire = P.solved_to_json solved and stored = P.solved_to_stored solved in
+  let fields = function Json.Obj f -> f | _ -> [] in
+  let* () =
+    require
+      (List.remove_assoc "side" (fields wire) = List.remove_assoc "side" (fields stored))
+      "stored and wire payloads differ beyond side"
+  in
+  List.fold_left
+    (fun acc (label, payload) ->
+      let* () = acc in
+      match P.solved_of_json payload with
+      | Ok solved' ->
+          require (solved' = solved) "%s payload changed across to_json/of_json" label
+      | Error msg -> errf "%s payload did not parse back: %s" label msg)
+    (Ok ())
+    [
+      ("wire", wire);
+      ("stored", stored);
+      ("stored record", Json.of_string (Json.to_string stored));
+    ]
 
 (* {1 Tracing bit-identity} *)
 

@@ -268,23 +268,32 @@ and resolve_uncached ~opens ctx ~from_key path depth : target =
           else Ext
       | head :: rest when is_upper head -> (
           match List.assoc_opt head m.m_extracted.Resolve.x_aliases with
-          | Some tgt -> resolve ~opens ctx ~from_key (tgt @ rest) (depth + 1)
-          | None -> (
-              match display_match ctx.c_displays path with
-              | Some (key, rest') when key <> from_key ->
-                  resolve_in ctx key rest' depth
-              | _ -> (
-                  match sibling ctx m head with
-                  | Some key -> resolve_in ctx key rest depth
-                  | None ->
-                      if List.mem head m.m_extracted.Resolve.x_submodules then
-                        let nm = dotted path in
-                        if def_exists ctx from_key nm then Def (from_key, nm)
-                        else if opens then via_opens ctx m path depth
-                        else Ext
-                      else if opens then via_opens ctx m path depth
-                      else Ext)))
+          | Some tgt when tgt <> [ head ] ->
+              resolve ~opens ctx ~from_key (tgt @ rest) (depth + 1)
+          | _ -> (
+              match by_name ctx m path depth with
+              | Some r -> r
+              | None ->
+                  if List.mem head m.m_extracted.Resolve.x_submodules then
+                    let nm = dotted path in
+                    if def_exists ctx from_key nm then Def (from_key, nm)
+                    else if opens then via_opens ctx m path depth
+                    else Ext
+                  else if opens then via_opens ctx m path depth
+                  else Ext))
       | _ -> Ext)
+
+(* [path] named in the module table: a display name first, then a
+   sibling file. A self-named alias ([module Fix_api = Fix_api]) comes
+   here too, since its target is the module of that name, not itself. *)
+and by_name ctx m path depth =
+  match display_match ctx.c_displays path with
+  | Some (key, rest) when key <> m.m_key -> Some (resolve_in ctx key rest depth)
+  | _ -> (
+      match path with
+      | head :: rest ->
+          Option.map (fun key -> resolve_in ctx key rest depth) (sibling ctx m head)
+      | [] -> None)
 
 and resolve_in ctx key rest depth =
   match rest with
@@ -299,9 +308,10 @@ and resolve_in ctx key rest depth =
               else via_includes ctx m x depth
           | head :: rest' when is_upper head -> (
               match List.assoc_opt head m.m_extracted.Resolve.x_aliases with
-              | Some tgt ->
+              | Some tgt when tgt <> [ head ] ->
                   resolve ~opens:false ctx ~from_key:key (tgt @ rest')
                     (depth + 1)
+              | Some _ -> Option.value ~default:Ext (by_name ctx m rest depth)
               | None ->
                   if List.mem head m.m_extracted.Resolve.x_submodules then
                     let nm = dotted rest in

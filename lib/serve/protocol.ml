@@ -173,7 +173,10 @@ let request_to_json = function
                ("seed", Json.Int s.seed);
              ])
 
-let solved_to_json s =
+(* One field list for both payloads, which differ in how [side] is
+   spelt: the wire lists a number per vertex, the store packs one byte
+   per vertex into a string. *)
+let solved_object s side =
   Json.Obj
     [
       ("algorithm", Json.String (Algo.id s.algorithm));
@@ -183,8 +186,15 @@ let solved_to_json s =
       ("balanced", Json.Bool s.balanced);
       ("seconds", Json.Float s.seconds);
       ("cached", Json.Bool s.cached);
-      ("side", Json.List (List.map (fun b -> Json.Int b) (Array.to_list s.side)));
+      ("side", side);
     ]
+
+let solved_to_json s =
+  solved_object s (Json.List (List.map (fun b -> Json.Int b) (Array.to_list s.side)))
+
+let solved_to_stored s =
+  let bit i = Char.chr (Char.code '0' + s.side.(i)) in
+  solved_object s (Json.String (String.init (Array.length s.side) bit))
 
 let stats_to_json s =
   Json.Obj
@@ -347,6 +357,7 @@ let solved_of_json j =
   let* seconds = rfloat j "seconds" in
   let* cached = rbool j "cached" in
   let* side =
+    let bad_entry () = fail "response: \"side\" entries must be 0 or 1" in
     match Json.member "side" j with
     | Some (Json.List l) ->
         let arr = Array.make (List.length l) 0 in
@@ -355,10 +366,24 @@ let solved_of_json j =
           | Json.Int b :: rest when b = 0 || b = 1 ->
               arr.(i) <- b;
               fill (i + 1) rest
-          | _ -> fail "response: \"side\" entries must be 0 or 1"
+          | _ -> bad_entry ()
         in
         fill 0 l
-    | _ -> fail "response: missing list field \"side\""
+    | Some (Json.String bits) ->
+        let n = String.length bits in
+        let arr = Array.make n 0 in
+        let rec fill i =
+          if i = n then Ok arr
+          else
+            match bits.[i] with
+            | '0' -> fill (i + 1)
+            | '1' ->
+                arr.(i) <- 1;
+                fill (i + 1)
+            | _ -> bad_entry ()
+        in
+        fill 0
+    | _ -> fail "response: missing field \"side\" (a list, or a string of 0s and 1s)"
   in
   Ok { algorithm; cut; n0; n1; side; balanced; seconds; cached }
 

@@ -137,8 +137,19 @@ val equal_response : response -> response -> bool
 (** {1 Cache payload codec}
 
     The server persists each computed {!solved} record in the result
-    store; a repeat query decodes it and flips [cached]. Exposed so the
-    store payload and the wire payload can never drift apart. *)
+    store; a repeat query decodes it and flips [cached]. The stored and
+    wire payloads are built from one field list and differ in [side]
+    only, so they can never drift apart otherwise. *)
 
 val solved_to_json : solved -> Gb_obs.Json.t
+(** The wire payload: [side] is a list of 0s and 1s. *)
+
+val solved_to_stored : solved -> Gb_obs.Json.t
+(** The stored payload: [side] is one string of n bytes, each ['0'] or
+    ['1'], so the store's table holds a byte per vertex instead of a
+    boxed number and a list cell. *)
+
 val solved_of_json : Gb_obs.Json.t -> (solved, string) Result.t
+(** Reads either payload. [side] may be a list, which is the wire shape
+    and the shape of every record written before the packed form, or a
+    string; any entry other than 0 or 1 is an error. *)

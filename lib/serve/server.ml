@@ -226,7 +226,7 @@ let solve_reply t (s : Protocol.solve) : Protocol.reply =
                 Metrics.incr m_solved;
                 (match t.config.store with
                 | None -> ()
-                | Some store -> Store.add store key (Protocol.solved_to_json solved));
+                | Some store -> Store.add store key (Protocol.solved_to_stored solved));
                 Protocol.Solved solved))
 
 let handle t (req : Protocol.request) : Protocol.response =
@@ -307,10 +307,13 @@ let bind_listener = function
 type conn = {
   fd : Unix.file_descr;
   frames : Protocol.Frames.t;
-  out : Buffer.t;  (* bytes queued for this client *)
-  mutable sent : int;  (* prefix of [out] already written *)
+  out : string Queue.t;  (* reply lines queued for this client, oldest first *)
+  mutable written : int;  (* bytes of the oldest line already written *)
+  mutable unsent : int;  (* bytes queued and not yet written *)
   mutable closed : bool;
 }
+
+let has_output c = not (Queue.is_empty c.out)
 
 let serve ?(stop = fun () -> false) t addr =
   let listener = bind_listener addr in
@@ -327,16 +330,22 @@ let serve ?(stop = fun () -> false) t addr =
       close_quietly c.fd
     end
   in
-  let flush_conn c =
-    if (not c.closed) && Buffer.length c.out > c.sent then begin
-      let contents = Buffer.contents c.out in
-      let len = String.length contents - c.sent in
-      match Unix.write_substring c.fd contents c.sent len with
+  (* Writes queued lines, oldest first, until the socket would block.
+     Lines are written where they lie, so a client that stops reading
+     costs each later reply one refused write, not a copy of the
+     backlog. *)
+  let rec flush_conn c =
+    if (not c.closed) && has_output c then begin
+      let line = Queue.peek c.out in
+      let len = String.length line - c.written in
+      match Unix.write_substring c.fd line c.written len with
       | n ->
-          c.sent <- c.sent + n;
-          if c.sent = String.length contents then begin
-            Buffer.clear c.out;
-            c.sent <- 0
+          c.unsent <- c.unsent - n;
+          if n < len then c.written <- c.written + n
+          else begin
+            ignore (Queue.take c.out);
+            c.written <- 0;
+            flush_conn c
           end
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
         ->
@@ -346,9 +355,10 @@ let serve ?(stop = fun () -> false) t addr =
   in
   let respond c (resp : Protocol.response) =
     if not c.closed then begin
-      Buffer.add_string c.out (Protocol.response_to_line resp);
-      Buffer.add_char c.out '\n';
-      if Buffer.length c.out - c.sent > 8 * t.config.max_frame then begin
+      let line = Protocol.response_to_line resp ^ "\n" in
+      Queue.add line c.out;
+      c.unsent <- c.unsent + String.length line;
+      if c.unsent > 8 * t.config.max_frame then begin
         t.config.log "closing a slow consumer (unread responses exceeded 8*max-frame)";
         close_conn c
       end
@@ -399,7 +409,7 @@ let serve ?(stop = fun () -> false) t addr =
           Unix.set_nonblock fd;
           conns :=
             { fd; frames = Protocol.Frames.create ~max_frame:t.config.max_frame;
-              out = Buffer.create 256; sent = 0; closed = false }
+              out = Queue.create (); written = 0; unsent = 0; closed = false }
             :: !conns;
           go ()
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
@@ -414,7 +424,7 @@ let serve ?(stop = fun () -> false) t addr =
   let drain_writes ~deadline =
     let rec go () =
       let pending =
-        List.filter (fun c -> (not c.closed) && Buffer.length c.out > c.sent) !conns
+        List.filter (fun c -> (not c.closed) && has_output c) !conns
       in
       if pending <> [] && Clock.now () < deadline then begin
         (match Unix.select [] (List.map (fun c -> c.fd) pending) [] 0.05 with
@@ -453,7 +463,7 @@ let serve ?(stop = fun () -> false) t addr =
       let rds = listener :: List.map (fun c -> c.fd) !conns in
       let wrs =
         List.filter_map
-          (fun c -> if Buffer.length c.out > c.sent then Some c.fd else None)
+          (fun c -> if has_output c then Some c.fd else None)
           !conns
       in
       let timeout = if Queue.is_empty queue then 0.2 else 0.0 in

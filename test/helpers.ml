@@ -33,6 +33,15 @@ let with_ticking_clock f =
   (* lint: allow no-wall-clock — restores the default clock source after the ticking-clock scope *)
   Fun.protect ~finally:(fun () -> Gbisect.Obs.Clock.set Sys.time) f
 
+(* Wall-clock seconds for the scope, so that a timeout measured on
+   Gb_obs.Clock (Serve_client.recv's) counts real waiting, as in the
+   CLI, and not the test's own CPU time. *)
+let with_wall_clock f =
+  (* lint: allow no-wall-clock — client timeouts must count real waiting *)
+  Gbisect.Obs.Clock.set Unix.gettimeofday;
+  (* lint: allow no-wall-clock — restores the default clock source after the wall-clock scope *)
+  Fun.protect ~finally:(fun () -> Gbisect.Obs.Clock.set Sys.time) f
+
 (* Remove a file or a directory tree; a missing path is not an error. *)
 let rec rm_rf path =
   match Sys.is_directory path with

@@ -531,6 +531,32 @@ let program_rule_tests =
         match graph_findings sources with
         | [ f ] -> check_bool "names the dead export" true (Helpers.contains f.Rules.message "`unused`")
         | fs -> Alcotest.failf "expected 1 finding, got %d" (List.length fs));
+    case "dead-export: a self-named alias still reaches its module" (fun () ->
+        (* [module Fix_api = Fix_api] names the sibling file, so both a
+           use through the alias and one through [Fix_caller.Fix_api]
+           reach [used]. *)
+        let fixture caller =
+          [
+            ("fix/dune", "(library\n (name fix))\n");
+            ("fix/fix_api.ml", "let used x = x + 1\nlet unused x = x - 1\n");
+            ("fix/fix_api.mli", "val used : int -> int\nval unused : int -> int\n");
+            ("fix/fix_caller.ml", caller);
+          ]
+        in
+        List.iter
+          (fun (label, sources) ->
+            match graph_findings sources with
+            | [ f ] ->
+                check_bool (label ^ ": names the dead export") true
+                  (Helpers.contains f.Rules.message "`unused`")
+            | fs -> Alcotest.failf "%s: expected 1 finding, got %d" label (List.length fs))
+          [
+            ( "through the alias",
+              fixture "module Fix_api = Fix_api\nlet go () = Fix_api.used 1\n" );
+            ( "through the aliasing module",
+              fixture "module Fix_api = Fix_api\n"
+              @ [ ("fix/fix_user.ml", "let go () = Fix_caller.Fix_api.used 1\n") ] );
+          ]);
   ]
 
 (* --- Pragma accessors (the API the staleness messages are built from) ------- *)

@@ -9,6 +9,7 @@ module P = Gbisect.Serve_protocol
 module Server = Gbisect.Serve
 module Client = Gbisect.Serve_client
 module Gio = Gbisect.Graph_io
+module Json = Gbisect.Obs.Json
 
 let case = Helpers.case
 let check_int = Helpers.check_int
@@ -238,6 +239,35 @@ let with_store f =
       Helpers.rm_rf dir)
     (fun () -> f store)
 
+(* The one record in [store]'s directory, as its key and value. *)
+let only_record store =
+  let objects = Filename.concat (Gbisect.Store.dir store) "objects" in
+  let files = Array.to_list (Sys.readdir objects) in
+  match List.filter (fun f -> Filename.check_suffix f ".json") files with
+  | [ file ] -> (
+      let ic = open_in_bin (Filename.concat objects file) in
+      let line =
+        Fun.protect ~finally:(fun () -> close_in ic) (fun () -> input_line ic)
+      in
+      let record = Json.of_string line in
+      match (Json.member "key" record, Json.member "value" record) with
+      | Some (Json.Obj fields), Some value ->
+          let field = function
+            | k, Json.String v -> (k, v)
+            | k, _ -> Alcotest.failf "key field %S is not a string" k
+          in
+          (Gbisect.Store.key (List.map field fields), value)
+      | _ -> Alcotest.fail "record lacks a key or a value")
+  | files -> Alcotest.failf "expected one record, found %d" (List.length files)
+
+let with_side value side =
+  match value with
+  | Json.Obj fields ->
+      Json.Obj (List.map (fun (k, v) -> if k = "side" then (k, side) else (k, v)) fields)
+  | _ -> Alcotest.fail "the stored value is not an object"
+
+let bits (s : P.solved) = String.concat "" (List.map string_of_int (Array.to_list s.side))
+
 let handle_tests =
   [
     case "served solve is byte-identical to Gbisect.solve" (fun () ->
@@ -385,6 +415,58 @@ let handle_tests =
         match P.request_of_line {|{"v":1,"op":"ping","id":"\u1_23"}|} with
         | Error (P.Bad_request, msg) -> check_bool msg true (contains msg "bad \\u escape")
         | _ -> Alcotest.fail "accepted \\u1_23");
+    case "records with side as a list or a string hit with live bytes" (fun () ->
+        (* A list is the wire shape and the shape of every record
+           written before the packed form. *)
+        with_store (fun store ->
+            let fresh () = Server.create { quiet_config with store = Some store } in
+            let live = Server.handle (fresh ()) (solve_request ()) in
+            let s = expect_solved live in
+            let expected =
+              P.response_to_line { live with reply = P.Solved { s with cached = true } }
+            in
+            let key, _ = only_record store in
+            let wire = P.solved_to_json s in
+            List.iter
+              (fun (shape, value) ->
+                Gbisect.Store.add store key value;
+                let server = fresh () in
+                Alcotest.(check string)
+                  (shape ^ ": reply bytes") expected
+                  (P.response_to_line (Server.handle server (solve_request ())));
+                check_int (shape ^ ": one hit") 1 (Server.stats server).cache_hits)
+              [ ("list", wire); ("string", with_side wire (Json.String (bits s))) ]));
+    case "a miss stores side as one byte per vertex" (fun () ->
+        with_store (fun store ->
+            let server = Server.create { quiet_config with store = Some store } in
+            let s = expect_solved (Server.handle server (solve_request ())) in
+            let _, value = only_record store in
+            (match Json.member "side" value with
+            | Some (Json.String side) ->
+                check_int "n bytes" (Gbisect.Graph.n_vertices test_graph) (String.length side);
+                Alcotest.(check string) "each the vertex's side, as '0' or '1'" (bits s) side
+            | _ -> Alcotest.fail "the stored side is not a string");
+            let names = function Json.Obj fields -> List.map fst fields | _ -> [] in
+            Alcotest.(check (list string))
+              "the wire's field list" (names (P.solved_to_json s)) (names value);
+            check_bool "decodes to the answer" true (P.solved_of_json value = Ok s)));
+    case "a stored side with any other byte is recomputed and rewritten" (fun () ->
+        with_store (fun store ->
+            let server = Server.create { quiet_config with store = Some store } in
+            let s = expect_solved (Server.handle server (solve_request ())) in
+            let key, value = only_record store in
+            List.iteri
+              (fun i bad ->
+                let side = String.mapi (fun j c -> if j = 5 then bad else c) (bits s) in
+                Gbisect.Store.add store key (with_side value (Json.String side));
+                let again = expect_solved (Server.handle server (solve_request ())) in
+                let label = Printf.sprintf "byte %C" bad in
+                check_bool (label ^ ": recomputed") false again.cached;
+                check_int (label ^ ": a miss") (i + 2) (Server.stats server).cache_misses;
+                Alcotest.(check (array int)) (label ^ ": same side") s.side again.side;
+                check_bool (label ^ ": record rewritten packed") true
+                  (Json.member "side" (snd (only_record store)) = Some (Json.String (bits s))))
+              [ '2'; 'x'; ' ' ]));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -411,8 +493,9 @@ let wait_for_socket path =
   in
   go 200
 
-(* Spawn `gbisect serve` on a fresh Unix socket, run [f addr], then
-   SIGTERM the daemon and require a clean exit. *)
+(* Spawn `gbisect serve` on a fresh Unix socket, run [f addr] with
+   client timeouts in wall-clock seconds, then SIGTERM the daemon and
+   require a clean exit. *)
 let with_daemon ?(args = []) f =
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -439,7 +522,7 @@ let with_daemon ?(args = []) f =
       Helpers.rm_rf dir)
     (fun () ->
       wait_for_socket sock;
-      f sock;
+      Helpers.with_wall_clock (fun () -> f sock);
       Unix.kill pid Sys.sigterm;
       match Unix.waitpid [] pid with
       | _, Unix.WEXITED 0 -> ()
@@ -552,6 +635,43 @@ let daemon_tests =
                 | Some (Gbisect.Obs.Json.Int n) ->
                     check_bool "nonzero cache hits" true (n > 0)
                 | _ -> Alcotest.fail "results.cache_hits missing")));
+    case "unread pongs stall no other client and arrive in order" (fun () ->
+        (* A client that pipelines requests without reading must cost
+           each later reply one refused write, not a copy of its
+           backlog, or the daemon stalls everyone else. *)
+        with_daemon (fun sock ->
+            let n = 60_000 in
+            let unread = Client.connect (Server.Unix_path sock) in
+            let other = Client.connect (Server.Unix_path sock) in
+            Fun.protect
+              ~finally:(fun () ->
+                Client.close unread;
+                Client.close other)
+              (fun () ->
+                let deadline = Gbisect.Obs.Clock.now () +. 5.0 in
+                let pings = Buffer.create (n * 36) in
+                for i = 0 to n - 1 do
+                  Buffer.add_string pings
+                    (P.request_to_line (P.Ping (Some (string_of_int i))));
+                  Buffer.add_char pings '\n'
+                done;
+                let pings = Buffer.contents pings in
+                let off = ref 0 in
+                while !off < String.length pings do
+                  off :=
+                    !off
+                    + Unix.write_substring (Client.fd unread) pings !off
+                        (String.length pings - !off)
+                done;
+                (match (Client.call ~timeout:1.0 other (P.Ping (Some "other"))).reply with
+                | P.Pong -> ()
+                | _ -> Alcotest.fail "expected pong");
+                for i = 0 to n - 1 do
+                  let left = deadline -. Gbisect.Obs.Clock.now () in
+                  let r = Client.recv ~timeout:left unread in
+                  if r.rid <> Some (string_of_int i) || r.reply <> P.Pong then
+                    Alcotest.failf "reply %d is not pong %d" i i
+                done)));
   ]
 
 (* ------------------------------------------------------------------ *)
