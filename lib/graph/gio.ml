@@ -44,17 +44,31 @@ let iter_string_lines s f =
     start := stop + 1
   done
 
-let iter_file_lines path f =
+(* A parser runs as [parse ~bytes iter_lines], with [bytes] the size
+   of its input: the string's length, or the file's (0 for a pipe,
+   which has none). *)
+let parse_string parse s = parse ~bytes:(String.length s) (iter_string_lines s)
+
+let parse_file parse path =
   let ic = open_in path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () ->
-      try
-        while true do
-          let line = input_line ic in
-          f line 0 (without_cr line 0 (String.length line))
-        done
-      with End_of_file -> ())
+      let bytes = try in_channel_length ic with Sys_error _ -> 0 in
+      parse ~bytes (fun f ->
+          try
+            while true do
+              let line = input_line ic in
+              f line 0 (without_cr line 0 (String.length line))
+            done
+          with End_of_file -> ()))
+
+(* The builder's first capacity: the edges a header declares, but no
+   more than the input can hold. Every edge takes at least 4 bytes in
+   either format ("0 1\n", or an entry of 2 bytes in each endpoint's
+   METIS line), and the builder doubles for the rest, so a header's
+   count sizes no allocation before the edges are read. *)
+let expected_edges ~bytes m = min m ((bytes / 4) + 1)
 
 (* The one tokenizer: stores the bounds of each maximal run of bytes
    other than ' ' and '\t' in a slice as (start, stop) pairs in [toks],
@@ -101,7 +115,7 @@ let int_token what lineno toks s k =
 (* ------------------------------------------------------------------ *)
 (* Edge-list format                                                    *)
 
-let parse_edge_list iter_lines =
+let parse_edge_list ~bytes iter_lines =
   let what = "edge list" in
   let lineno = ref 0 in
   (* The builder and the declared edge count, once the header is read. *)
@@ -128,7 +142,7 @@ let parse_edge_list iter_lines =
                proportional to them: a hostile header must die with one
                diagnostic, not an OOM. *)
             Csr.validate_scale ~n ~m;
-            state := Some (Builder.create ~expected_edges:(max 16 m) n, m)
+            state := Some (Builder.create ~expected_edges:(expected_edges ~bytes m) n, m)
         | Some (b, _) ->
             if count < 2 || count > 3 then fail what !lineno "expected \"u v [w]\"";
             (* v, then u, then w: the order these diagnostics have always
@@ -146,8 +160,8 @@ let parse_edge_list iter_lines =
       Builder.build b
   | None -> failwith "edge list: missing header"
 
-let of_edge_list_string s = parse_edge_list (iter_string_lines s)
-let read_edge_list path = parse_edge_list (iter_file_lines path)
+let of_edge_list_string = parse_string parse_edge_list
+let read_edge_list = parse_file parse_edge_list
 
 (* ------------------------------------------------------------------ *)
 (* METIS format                                                        *)
@@ -165,7 +179,7 @@ let rec trim_start s i stop =
    exactly n adjacency lines (an isolated vertex has an empty line),
    then only blank lines may follow. METIS comments start with '%';
    '#' is accepted too since several tools emit it. *)
-let parse_metis iter_lines =
+let parse_metis ~bytes iter_lines =
   let what = "metis" in
   let lineno = ref 0 in
   (* n, m, edge_weighted, builder, adjacency lines consumed so far *)
@@ -197,7 +211,12 @@ let parse_metis iter_lines =
               if m < 0 then fail what !lineno "negative edge count";
               Csr.validate_scale ~n ~m;
               state :=
-                Some (n, m, edge_weighted, Builder.create ~expected_edges:(max 16 m) n, ref 0)
+                Some
+                  ( n,
+                    m,
+                    edge_weighted,
+                    Builder.create ~expected_edges:(expected_edges ~bytes m) n,
+                    ref 0 )
             end
         | Some (n, _, edge_weighted, b, consumed) ->
             if !consumed >= n then begin
@@ -241,8 +260,8 @@ let parse_metis iter_lines =
           (Printf.sprintf "metis: header declares %d edges, graph has %d" m (Csr.n_edges g));
       g
 
-let of_metis_string s = parse_metis (iter_string_lines s)
-let read_metis path = parse_metis (iter_file_lines path)
+let of_metis_string = parse_string parse_metis
+let read_metis = parse_file parse_metis
 
 (* ------------------------------------------------------------------ *)
 (* DOT                                                                 *)

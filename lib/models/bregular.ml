@@ -36,8 +36,9 @@ let distribute rng ~n ~b ~cap =
   done;
   load
 
-(* Pair the cross stubs of the two sides; redraw B's ordering until all
-   cross edges are distinct. Each A stub i connects to B stub perm(i). *)
+(* Pair the cross stubs of the two sides, A stub i with B stub i, and
+   redraw B's ordering until all cross edges are distinct; the result
+   is the cross edges' A and B endpoints. *)
 let cross_edges rng ~n ~load_a ~load_b ~b =
   let stubs_of load base =
     let a = Array.make b 0 in
@@ -52,21 +53,28 @@ let cross_edges rng ~n ~load_a ~load_b ~b =
     a
   in
   let sa = stubs_of load_a 0 and sb = stubs_of load_b n in
+  (* [sa] ascends, so each A vertex's stubs are consecutive and a cross
+     edge repeats iff a B vertex comes twice within one A vertex's run:
+     [last.(v)] is the A vertex of the last run that met B vertex n + v. *)
+  let last = Array.make n (-1) in
+  let distinct () =
+    Array.fill last 0 n (-1);
+    let ok = ref true in
+    for i = 0 to b - 1 do
+      let v = sb.(i) - n in
+      if last.(v) = sa.(i) then ok := false else last.(v) <- sa.(i)
+    done;
+    !ok
+  in
   let rec draw attempts =
     if attempts = 0 then
       failwith "Bregular: could not realise distinct cross edges (b too close to n*d?)"
     else begin
       Rng.shuffle_in_place rng sb;
-      let seen = Hashtbl.create (2 * b + 1) in
-      let ok = ref true in
-      for i = 0 to b - 1 do
-        let k = (sa.(i), sb.(i)) in
-        if Hashtbl.mem seen k then ok := false else Hashtbl.add seen k ()
-      done;
-      if !ok then Array.init b (fun i -> (sa.(i), sb.(i), 1)) else draw (attempts - 1)
+      if distinct () then (sa, sb) else draw (attempts - 1)
     end
   in
-  if b = 0 then [||] else draw 1000
+  if b = 0 then ([||], [||]) else draw 1000
 
 let generate rng params =
   (match feasible params with
@@ -91,10 +99,10 @@ let generate rng params =
     end
   in
   let load_a, load_b, ra, rb = side_loads 1000 in
-  let cross = cross_edges rng ~n ~load_a ~load_b ~b in
-  let ga = Degree_seq.generate rng ra in
-  let gb = Degree_seq.generate rng rb in
-  let edges = ref (Array.to_list cross) in
-  Csr.iter_edges ga (fun u v w -> edges := (u, v, w) :: !edges);
-  Csr.iter_edges gb (fun u v w -> edges := (n + u, n + v, w) :: !edges);
-  Csr.of_edges ~n:params.two_n !edges
+  let cross_a, cross_b = cross_edges rng ~n ~load_a ~load_b ~b in
+  let ua, va = Degree_seq.edge_arrays rng ra in
+  let ub, vb = Degree_seq.edge_arrays rng rb in
+  let on_b = Array.map (fun v -> n + v) in
+  Csr.of_edge_arrays ~n:params.two_n
+    (Array.concat [ cross_a; ua; on_b ub ])
+    (Array.concat [ cross_b; va; on_b vb ])

@@ -23,6 +23,13 @@ val generate : Gb_prng.Rng.t -> int array -> Gb_graph.Csr.t
     or the degree sum is odd.
     @raise Failure if the sequence fails the Erdős–Gallai test. *)
 
+val edge_arrays : Gb_prng.Rng.t -> int array -> int array * int array
+(** [edge_arrays rng deg] is the draw {!generate} makes, as endpoint
+    arrays [(src, dst)]: its [k]-th edge is [{src.(k), dst.(k)}], and
+    [generate rng deg] is [Csr.of_edge_arrays ~n src dst]. Same draws,
+    same exceptions; for models that build one graph from several
+    parts. *)
+
 val random_regular : Gb_prng.Rng.t -> n:int -> d:int -> Gb_graph.Csr.t
 (** [random_regular rng ~n ~d]: uniform-ish random [d]-regular simple
     graph on [n] vertices. @raise Invalid_argument if [n * d] is odd or

@@ -4,10 +4,10 @@ module Csr = Gb_graph.Csr
 (* Enumerate the C(n,2) vertex pairs in lexicographic order and jump
    between selected ones with geometric skips: the index of the next
    present edge is current + 1 + Geometric(p). *)
-let generate rng ~n ~p =
+let edge_arrays rng ~n ~p =
   if n < 0 then invalid_arg "Gnp.generate: negative n";
   if not (p >= 0. && p <= 1.) then invalid_arg "Gnp.generate: p out of [0,1]";
-  if p = 0. || n < 2 then Csr.empty (max n 0)
+  if p = 0. || n < 2 then ([||], [||], 0)
   else begin
     (* Growable unboxed endpoint arrays: the boxed (u, v, 1) list of the
        old path tripled the resident size of multi-million-edge draws. *)
@@ -54,8 +54,12 @@ let generate rng ~n ~p =
       push !u (!u + 1 + !offset);
       advance (1 + Rng.geometric_skip rng p)
     done;
-    Csr.of_edge_arrays ~n ~len:!len !esrc !edst
+    (!esrc, !edst, !len)
   end
+
+let generate rng ~n ~p =
+  let src, dst, len = edge_arrays rng ~n ~p in
+  Csr.of_edge_arrays ~n ~len src dst
 
 let p_for_average_degree ~n ~avg_degree =
   if n < 2 then invalid_arg "Gnp.p_for_average_degree: n < 2";

@@ -16,6 +16,12 @@ val generate : Gb_prng.Rng.t -> n:int -> p:float -> Gb_graph.Csr.t
 (** [generate rng ~n ~p] samples a graph on [n] vertices.
     @raise Invalid_argument unless [n >= 0] and [0 <= p <= 1]. *)
 
+val edge_arrays : Gb_prng.Rng.t -> n:int -> p:float -> int array * int array * int
+(** [edge_arrays rng ~n ~p] is the draw {!generate} makes, as endpoint
+    arrays [(src, dst, len)]: edge [k < len] is [{src.(k), dst.(k)}],
+    and [generate rng ~n ~p] is [Csr.of_edge_arrays ~n ~len src dst].
+    Same draws, same exceptions. *)
+
 val with_average_degree : Gb_prng.Rng.t -> n:int -> avg_degree:float -> Gb_graph.Csr.t
 (** [with_average_degree rng ~n ~avg_degree] picks
     [p = avg_degree / (n - 1)] so the expected average degree is as

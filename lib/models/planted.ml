@@ -13,20 +13,25 @@ let validate { two_n; p_a; p_b; bis } =
 let generate rng params =
   validate params;
   let n = params.two_n / 2 in
-  (* Within-side subgraphs via the Gnp sampler, then relabel. *)
-  let ga = Gnp.generate rng ~n ~p:params.p_a in
-  let gb = Gnp.generate rng ~n ~p:params.p_b in
-  let edges = ref [] in
-  Csr.iter_edges ga (fun u v w -> edges := (u, v, w) :: !edges);
-  Csr.iter_edges gb (fun u v w -> edges := (n + u, n + v, w) :: !edges);
-  (* Exactly bis distinct cross pairs: sample indices from [0, n^2). *)
+  (* Within-side edges from the Gnp sampler, B's relabelled by n, then
+     exactly bis distinct cross pairs: indices sampled from [0, n^2). *)
+  let ua, va, la = Gnp.edge_arrays rng ~n ~p:params.p_a in
+  let ub, vb, lb = Gnp.edge_arrays rng ~n ~p:params.p_b in
   let cross = Rng.sample_without_replacement rng ~k:params.bis ~n:(n * n) in
-  Array.iter
-    (fun idx ->
-      let a = idx / n and b = idx mod n in
-      edges := (a, n + b, 1) :: !edges)
+  let m = la + lb + params.bis in
+  let src = Array.make m 0 and dst = Array.make m 0 in
+  Array.blit ua 0 src 0 la;
+  Array.blit va 0 dst 0 la;
+  for k = 0 to lb - 1 do
+    src.(la + k) <- n + ub.(k);
+    dst.(la + k) <- n + vb.(k)
+  done;
+  Array.iteri
+    (fun k idx ->
+      src.(la + lb + k) <- idx / n;
+      dst.(la + lb + k) <- n + (idx mod n))
     cross;
-  Csr.of_edges ~n:params.two_n !edges
+  Csr.of_edge_arrays ~n:params.two_n src dst
 
 let planted_sides params =
   let n = params.two_n / 2 in

@@ -28,7 +28,8 @@ val send : t -> Protocol.request -> unit
 val recv : ?timeout:float -> t -> Protocol.response
 (** Block until one complete response line arrives and parse it.
     @raise Failure on EOF, a protocol violation, or after [timeout]
-    seconds (default: wait forever). *)
+    seconds of wall time, whatever clock {!Gb_obs.Clock} reads
+    (default: wait forever). *)
 
 (* lint: allow dead-export — test/test_serve.ml drives the daemon with it *)
 val call : ?timeout:float -> t -> Protocol.request -> Protocol.response

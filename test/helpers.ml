@@ -33,9 +33,9 @@ let with_ticking_clock f =
   (* lint: allow no-wall-clock — restores the default clock source after the ticking-clock scope *)
   Fun.protect ~finally:(fun () -> Gbisect.Obs.Clock.set Sys.time) f
 
-(* Wall-clock seconds for the scope, so that a timeout measured on
-   Gb_obs.Clock (Serve_client.recv's) counts real waiting, as in the
-   CLI, and not the test's own CPU time. *)
+(* Wall-clock seconds for the scope, so that a deadline a test reads
+   from Gb_obs.Clock counts real waiting, as in the CLI, and not the
+   test's own CPU time. *)
 let with_wall_clock f =
   (* lint: allow no-wall-clock — client timeouts must count real waiting *)
   Gbisect.Obs.Clock.set Unix.gettimeofday;

@@ -777,6 +777,16 @@ let edge_arrays_tests =
 
 (* --- Scale limits ------------------------------------------------------ *)
 
+let with_temp_file contents f =
+  let path = Filename.temp_file "gbisect_stream" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out_bin path in
+      Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () ->
+          output_string oc contents);
+      f path)
+
 let scale_tests =
   [
     case "limits are sane" (fun () ->
@@ -803,23 +813,35 @@ let scale_tests =
                 check_bool "edge list" true (Helpers.contains msg "graph too large")
             | _ -> Alcotest.failf "accepted %S" s)
           [ "1000000000000 1\n0 1\n"; "2 1000000000000\n0 1\n" ];
-        match Gio.of_metis_string "1000000000000 1\n" with
+        (match Gio.of_metis_string "1000000000000 1\n" with
         | exception Failure msg ->
             check_bool "metis" true (Helpers.contains msg "graph too large")
         | _ -> Alcotest.fail "metis accepted oversized header");
+        (* A declared edge count within the limits sizes nothing before
+           the edges are read: 5,000,000 edges declared in 14 bytes fail
+           on the count, from a string or a file, with under 1 MiB
+           allocated. *)
+        let small_failure label expected parse =
+          let before = Gc.allocated_bytes () in
+          (match parse () with
+          | exception Failure msg -> Alcotest.(check string) label expected msg
+          | _ -> Alcotest.failf "%s: accepted" label);
+          let allocated = int_of_float (Gc.allocated_bytes () -. before) in
+          check_bool (Printf.sprintf "%s: %d bytes allocated" label allocated) true
+            (allocated < 1 lsl 20)
+        in
+        let edges = "2 5000000\n0 1\n" and metis = "2 5000000\n2\n1\n" in
+        let edges_msg = "edge list: header declares 5000000 edges, found 1"
+        and metis_msg = "metis: header declares 5000000 edges, graph has 1" in
+        small_failure "edge list" edges_msg (fun () -> Gio.of_edge_list_string edges);
+        small_failure "metis" metis_msg (fun () -> Gio.of_metis_string metis);
+        with_temp_file edges (fun path ->
+            small_failure "edge list file" edges_msg (fun () -> Gio.read_edge_list path));
+        with_temp_file metis (fun path ->
+            small_failure "metis file" metis_msg (fun () -> Gio.read_metis path)));
   ]
 
 (* --- Streaming readers vs in-memory parsers ---------------------------- *)
-
-let with_temp_file contents f =
-  let path = Filename.temp_file "gbisect_stream" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out_bin path in
-      Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () ->
-          output_string oc contents);
-      f path)
 
 let streaming_tests =
   [

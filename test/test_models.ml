@@ -146,7 +146,40 @@ let degree_seq_tests =
         check_bool "empty" true (Degree_seq.is_graphical [||]);
         check_bool "zeros" true (Degree_seq.is_graphical [| 0; 0 |]);
         (* Erdos-Gallai violation: two vertices want degree 3 in K3-land. *)
-        check_bool "infeasible" false (Degree_seq.is_graphical [| 3; 3; 1; 1 |]));
+        check_bool "infeasible" false (Degree_seq.is_graphical [| 3; 3; 1; 1 |]);
+        (* Brute force for n <= 6: mark the degree sequence of each of the
+           2^C(n,2) labelled simple graphs, then every sequence with
+           entries in [-1, n] is graphical exactly when marked. A
+           sequence is read as a number in base n + 2, digit d + 1. *)
+        for n = 0 to 6 do
+          let pairs = List.concat (List.init n (fun u -> List.init u (fun v -> (u, v)))) in
+          let base = n + 2 in
+          let size = int_of_float (float_of_int base ** float_of_int n) in
+          let code deg = Array.fold_left (fun acc d -> (acc * base) + d + 1) 0 deg in
+          let marked = Array.make size false in
+          for mask = 0 to (1 lsl List.length pairs) - 1 do
+            let deg = Array.make n 0 in
+            List.iteri
+              (fun i (u, v) ->
+                if mask land (1 lsl i) <> 0 then begin
+                  deg.(u) <- deg.(u) + 1;
+                  deg.(v) <- deg.(v) + 1
+                end)
+              pairs;
+            marked.(code deg) <- true
+          done;
+          for c = 0 to size - 1 do
+            let deg = Array.make n 0 and rest = ref c in
+            for i = n - 1 downto 0 do
+              deg.(i) <- (!rest mod base) - 1;
+              rest := !rest / base
+            done;
+            if Degree_seq.is_graphical deg <> marked.(c) then
+              Alcotest.failf "is_graphical [|%s|] is %b"
+                (String.concat "; " (Array.to_list (Array.map string_of_int deg)))
+                (not marked.(c))
+          done
+        done);
     case "generate realises the sequence exactly" (fun () ->
         for seed = 1 to 20 do
           let deg = [| 3; 2; 2; 2; 1; 2 |] in
@@ -310,6 +343,44 @@ let geometric_tests =
 
 (* --- Every model --------------------------------------------------------- *)
 
+(* Each generator's draw for a fixed seed, as data: the MD5 of its
+   edge-list rendering, then the stream's next raw draw, which pins how
+   far the draw advanced the stream; a draw that raises pins its
+   message instead. A rewrite of the generators must keep every line. *)
+let pinned_draws =
+  let breg two_n b d rng = Bregular.generate rng Bregular.{ two_n; b; d } in
+  [
+    ("gbreg(200, 0, 3)", 1, breg 200 0 3, "bff8c5d45ff2e04ebc4b087fe65d4fb1 683425024");
+    ("gbreg(200, 16, 3)", 1, breg 200 16 3, "c254c5505a0c5e5277dd9e004abea73d 228078228");
+    ("gbreg(200, 298, 3)", 3, breg 200 298 3, "f6a453aaac59dad89a4096f96ed005cb 401954389");
+    ("gbreg(200, 0, 4)", 1, breg 200 0 4, "ed95ba2349102855d478405b03354e26 424649394");
+    ("gbreg(200, 16, 4)", 1, breg 200 16 4, "f4426b0c2f4e4739356f2216cf46ad9d 1072649006");
+    ("gbreg(200, 396, 4)", 1, breg 200 396 4, "169f915fa4daab2aa47c3c6182eefe8a 429697179");
+    ( "gbreg(8, 2, 2)",
+      19,
+      breg 8 2 2,
+      "Failure: Bregular: could not realise distinct cross edges (b too close to n*d?) 475136292"
+    );
+    ( "g2set(200, 2.5, 16)",
+      1,
+      (fun rng ->
+        Planted.generate rng (Planted.params_for_average_degree ~two_n:200 ~avg_degree:2.5 ~bis:16)),
+      "7ea692bb25137d21a3d7043d899a3683 483593415" );
+    ( "degree sequence",
+      1,
+      (fun rng ->
+        Degree_seq.generate rng (Array.init 101 (fun v -> if v = 100 then 2 else 1 + (v * 7 mod 6)))),
+      "2368db56dc15455c41b6990bd42a3eec 341331504" );
+    ( "random_regular(200, 3)",
+      1,
+      (fun rng -> Degree_seq.random_regular rng ~n:200 ~d:3),
+      "3e26acb5912cb42b967d4a876b4c2308 324071315" );
+    ( "random_regular(12, 9)",
+      1,
+      (fun rng -> Degree_seq.random_regular rng ~n:12 ~d:9),
+      "0f67daf0b864224b086070ffe91d4f62 399309202" );
+  ]
+
 (* One sweep over all five generators with parameters drawn from the
    seed: each output must pass [Graph.check] with unit weights and the
    requested vertex count, and the regular models must hit their degree. *)
@@ -338,6 +409,17 @@ let every_model_tests =
           check_bool "bregular degree" true (Helpers.regular breg d);
           ok "geometric" (Geometric.generate rng ~n:two_n ~radius:0.3)
         done);
+    case "pinned seeds draw the recorded graphs" (fun () ->
+        List.iter
+          (fun (label, seed, draw, expected) ->
+            let rng = Helpers.rng ~seed () in
+            let outcome =
+              match draw rng with
+              | g -> Digest.to_hex (Digest.string (Gbisect.Graph_io.to_edge_list_string g))
+              | exception Failure msg -> "Failure: " ^ msg
+            in
+            Alcotest.(check string) label expected (Printf.sprintf "%s %d" outcome (Rng.raw rng)))
+          pinned_draws);
   ]
 
 let () =

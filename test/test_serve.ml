@@ -494,8 +494,8 @@ let wait_for_socket path =
   go 200
 
 (* Spawn `gbisect serve` on a fresh Unix socket, run [f addr] with
-   client timeouts in wall-clock seconds, then SIGTERM the daemon and
-   require a clean exit. *)
+   Gb_obs.Clock on wall time, then SIGTERM the daemon and require a
+   clean exit. *)
 let with_daemon ?(args = []) f =
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -532,6 +532,40 @@ let with_daemon ?(args = []) f =
 
 let daemon_tests =
   [
+    case "recv ~timeout counts wall time under a frozen clock" (fun () ->
+        (* A listener whose backlog takes the connection and which never
+           answers, with Gb_obs.Clock frozen: a deadline read from that
+           clock never comes. SIGALRM turns such a hang into a failure. *)
+        let dir =
+          Filename.concat (Filename.get_temp_dir_name ())
+            (Printf.sprintf "gbisect-silent-%d-%d" (Unix.getpid ()) (uniq ()))
+        in
+        Sys.mkdir dir 0o700;
+        let path = Filename.concat dir "silent.sock" in
+        let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        let exception Hung in
+        let previous = Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> raise Hung)) in
+        Fun.protect
+          ~finally:(fun () ->
+            ignore (Unix.alarm 0);
+            Sys.set_signal Sys.sigalrm previous;
+            Unix.close listener;
+            Helpers.rm_rf dir)
+          (fun () ->
+            Unix.bind listener (Unix.ADDR_UNIX path);
+            Unix.listen listener 1;
+            Helpers.with_constant_clock (fun () ->
+                let client = Client.connect (Server.Unix_path path) in
+                Fun.protect
+                  ~finally:(fun () -> Client.close client)
+                  (fun () ->
+                    ignore (Unix.alarm 5);
+                    match Client.recv ~timeout:0.5 client with
+                    | exception Failure msg ->
+                        Alcotest.(check string)
+                          "timeout" "serve client: timed out waiting for a response" msg
+                    | exception Hung -> Alcotest.fail "recv ~timeout:0.5 still waiting after 5 s"
+                    | _ -> Alcotest.fail "a silent listener answered"))));
     case "ping, solve, repeat (cached), stats over a Unix socket" (fun () ->
         with_daemon (fun sock ->
             let client = Client.connect (Server.Unix_path sock) in
