@@ -1,4 +1,5 @@
 module Rng = Gb_prng.Rng
+module Lfg = Gb_prng.Lfg
 module Csr = Gb_graph.Csr
 module Bisection = Gb_partition.Bisection
 module Obs = Gb_obs
@@ -116,6 +117,29 @@ let calibrate rng (st : Problem.state) fraction =
     let mean = !sum /. float_of_int !count in
     -.mean /. log fraction
 
+(* The plateau's draws, without a call. Under the dev profile's
+   -opaque every call into Rng or Lfg is an indirect call through the
+   module block (and one with several arguments goes through
+   caml_applyN), which pushes the loop's live values out of registers.
+   [lfg_next] is [Lfg.next]'s step on the exposed record, lags 100 and
+   37 modulo 2^30, and [bounded] is [Rng.int]'s rejection loop on it,
+   with the limit computed by the caller. test_prng holds both to
+   [Lfg.next], [Rng.int] and [Rng.float]. *)
+let[@inline] lfg_next (g : Rng.t) =
+  let i = g.Lfg.pos in
+  let j = if i < 37 then i + 63 else i - 37 in
+  let v = (g.Lfg.state.(i) - g.Lfg.state.(j)) land 0x3FFF_FFFF in
+  g.Lfg.state.(i) <- v;
+  g.Lfg.pos <- (if i = 99 then 0 else i + 1);
+  v
+
+let[@inline] bounded g n ~limit =
+  let v = ref (lfg_next g) in
+  while !v >= limit do
+    v := lfg_next g
+  done;
+  !v mod n
+
 (* The acceptance probabilities e^(-delta/T) of one plateau, memoised
    in a direct-mapped table keyed on delta's two integers: slot [i]
    holds a gain, an imbalance change and the probability of a flip
@@ -163,7 +187,9 @@ let state w = w.state
    cost. Each proposal draws what [Rng.int rng n] draws, and an uphill
    one then what [Rng.float rng 1.0] draws, built here from two raw
    draws so that the uniform stays an unboxed float; dividing by 2^30
-   and multiplying by 2^-30 give the same bits. *)
+   and multiplying by 2^-30 give the same bits. The draws are inline;
+   the plateau's one call, for the rejection limit, comes before the
+   loop. *)
 let plateau w rng ~temperature ~trials ~budget =
   let st = w.state and best_side = w.best_side and log = w.log and record = w.record in
   let gain_tags = w.gain_tags and imbalance_tags = w.imbalance_tags and memo = w.memo in
@@ -175,7 +201,7 @@ let plateau w rng ~temperature ~trials ~budget =
   let improved_best = ref false in
   while !attempted < trials && !accepted < budget do
     incr attempted;
-    let v = Rng.bounded rng n ~limit in
+    let v = bounded rng n ~limit in
     (* The reads below skip the bounds check: [v] is below n, and the
        slot [i] below [memo_slots]. *)
     let gain = Array.unsafe_get st.gains v in
@@ -184,8 +210,8 @@ let plateau w rng ~temperature ~trials ~budget =
     if
       d <= 0.
       ||
-      let hi = Rng.raw rng in
-      let lo = Rng.raw rng in
+      let hi = lfg_next rng in
+      let lo = lfg_next rng in
       let u = (float_of_int hi +. (float_of_int lo *. 0x1p-30)) *. 0x1p-30 in
       let i = (gain + (imbalance lsl 2)) land (memo_slots - 1) in
       let p =

@@ -114,14 +114,32 @@ val plateau :
 (** Lines 5–11 of Figure 1 at a fixed [temperature]: flip uniform
     random vertices until [trials] (positive) have been proposed or
     [budget] accepted, keeping the best balanced state. Each proposal
-    draws what [Rng.int] draws, through [Rng.bounded] with the
-    rejection limit computed once per plateau, and an uphill one then
-    what [Rng.float rng 1.0] draws: two [Rng.raw] draws, built into the
-    same uniform here so that no draw allocates. The acceptance
+    draws what [Rng.int] draws, through {!bounded} with the rejection
+    limit computed once per plateau, and an uphill one then what
+    [Rng.float rng 1.0] draws: two {!lfg_next} draws, built into the
+    same uniform here so that no draw allocates or calls. The acceptance
     probability e^(−Δ/T) is memoised in the walk, keyed on the flip's
     gain and change in squared imbalance, and cleared at the start of
     each plateau. Returns the plateau's counters; emits no span,
     metric or telemetry. *)
+
+(** {2 The plateau's draws}
+
+    {!plateau} draws through these two, inlined, with no call: under
+    [-opaque] a call into [Gb_prng] is an indirect call. They work on
+    the generator's exposed record ({!Gb_prng.Lfg.t}), and are exported
+    for test/test_prng.ml, which holds them to [Lfg.next], [Rng.int]
+    and [Rng.float]. *)
+
+val lfg_next : Gb_prng.Rng.t -> int
+(** A copy of [Lfg.next]'s step: the same raw output, leaving the
+    stream at the same position. *)
+
+val bounded : Gb_prng.Rng.t -> int -> limit:int -> int
+(** [bounded g n ~limit:(Rng.rejection_limit n)] is [Rng.int g n]: the
+    same value from the same raw draws, leaving the stream at the same
+    position. Any other [limit] is unchecked and gives no uniform
+    variate. *)
 
 val swap : walk -> walk -> unit
 (** Exchange two walks' current states. Each keeps its best and

@@ -10,14 +10,35 @@ let validate { two_n; p_a; p_b; bis } =
   let n = two_n / 2 in
   if bis < 0 || bis > n * n then invalid_arg "Planted: bis out of range"
 
+(* [bis] distinct cross pairs (a, b), each packed as a * n + b. Where
+   n^2 <= 2^30, the largest bound [Rng.int] takes, they are a sample
+   of [0, n^2); beyond it, each pair is two endpoints, a then b,
+   redrawn while the pair is taken. *)
+let cross_pairs rng ~n ~bis =
+  if n * n <= Gb_prng.Lfg.modulus then Rng.sample_without_replacement rng ~k:bis ~n:(n * n)
+  else begin
+    let taken = Hashtbl.create (2 * bis) in
+    let out = Array.make bis 0 in
+    for k = 0 to bis - 1 do
+      let idx = ref (-1) in
+      while !idx < 0 || Hashtbl.mem taken !idx do
+        let a = Rng.int rng n in
+        idx := (a * n) + Rng.int rng n
+      done;
+      Hashtbl.add taken !idx ();
+      out.(k) <- !idx
+    done;
+    out
+  end
+
 let generate rng params =
   validate params;
   let n = params.two_n / 2 in
   (* Within-side edges from the Gnp sampler, B's relabelled by n, then
-     exactly bis distinct cross pairs: indices sampled from [0, n^2). *)
+     exactly bis distinct cross pairs. *)
   let ua, va, la = Gnp.edge_arrays rng ~n ~p:params.p_a in
   let ub, vb, lb = Gnp.edge_arrays rng ~n ~p:params.p_b in
-  let cross = Rng.sample_without_replacement rng ~k:params.bis ~n:(n * n) in
+  let cross = cross_pairs rng ~n ~bis:params.bis in
   let m = la + lb + params.bis in
   let src = Array.make m 0 and dst = Array.make m 0 in
   Array.blit ua 0 src 0 la;

@@ -18,13 +18,24 @@
     from an {!t}, which makes every experiment reproducible from its
     seed. *)
 
-type t
-(** Mutable generator state. *)
+type t = { state : int array; mutable pos : int }
+(** Mutable generator state, exposed so that a hot loop can inline
+    {!next}'s step ([Gb_anneal.Sa_bisect]'s plateau does). The
+    invariant every function here keeps: [state] holds the last 100
+    outputs as a circular buffer of length 100, and [pos], in
+    [\[0, 100)], is the slot the next output overwrites. The next
+    output is [(state.(pos) - state.((pos + 63) mod 100)) land
+    (2^30 - 1)], the output 100 draws back minus the one 37 back. It
+    is stored at [pos], and [pos] advances by one, from 99 back to 0.
+    Only {!create} makes a state, and only a copy of that step may
+    write one. *)
 
 val create : seed:int -> t
 (** [create ~seed] initialises a generator from an arbitrary integer
-    seed (only the low 30 bits and sign are significant; seeds that
-    collide modulo [2^30] yield identical streams). *)
+    seed. The whole seed goes through the SplitMix scramble that fills
+    the lag buffer, its bits above the 30th included, so seeds equal
+    modulo [2^30] give unrelated streams: seeds 1 and [1 + 2^30] start
+    at 851,099,727 and 484,874,023. *)
 
 val next : t -> int
 (** [next g] returns the next raw 30-bit output, uniform on

@@ -1,7 +1,7 @@
-type t = { core : Lfg.t }
+type t = Lfg.t
 
-let create ~seed = { core = Lfg.create ~seed }
-let derive_seed t = Lfg.derive_seed t.core
+let create ~seed = Lfg.create ~seed
+let derive_seed t = Lfg.derive_seed t
 let substream_seed ~base i = Lfg.mix_seed base i
 let substream ~base i = create ~seed:(Lfg.mix_seed base i)
 
@@ -15,8 +15,6 @@ let seed_of_string s =
     s;
   !h land max_int
 
-let raw t = Lfg.next t.core
-
 let[@inline] rejection_limit n =
   if n <= 0 || n > Lfg.modulus then invalid_arg "Rng.int";
   Lfg.modulus - (Lfg.modulus mod n)
@@ -24,16 +22,15 @@ let[@inline] rejection_limit n =
 (* Rejection sampling for exact uniformity: raw draws at or above the
    largest multiple of [n] in range are redrawn. A loop rather than a
    local recursive function, which would allocate a closure on every
-   call. Both helpers are [@inline] so that [int] compiles to one
-   function with no call of its own. *)
-let[@inline] bounded t n ~limit =
-  let v = ref (Lfg.next t.core) in
+   call. [rejection_limit] is [@inline] so that [int] compiles to one
+   function with no call of its own but [Lfg.next]. *)
+let int t n =
+  let limit = rejection_limit n in
+  let v = ref (Lfg.next t) in
   while !v >= limit do
-    v := Lfg.next t.core
+    v := Lfg.next t
   done;
   !v mod n
-
-let int t n = bounded t n ~limit:(rejection_limit n)
 
 let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in";
@@ -43,14 +40,14 @@ let float t x =
   (* Two 30-bit draws, their 60-bit sum rounded to a double in [0, 1]
      (1 itself with probability 2^-54). Every answer depends on this
      formula, and [Sa_bisect]'s plateau repeats it. *)
-  let hi = Lfg.next t.core and lo = Lfg.next t.core in
+  let hi = Lfg.next t and lo = Lfg.next t in
   let u =
     (float_of_int hi +. (float_of_int lo /. float_of_int Lfg.modulus))
     /. float_of_int Lfg.modulus
   in
   u *. x
 
-let bool t = Lfg.next t.core land 1 = 1
+let bool t = Lfg.next t land 1 = 1
 
 let bernoulli t p =
   if p <= 0. then false

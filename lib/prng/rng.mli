@@ -5,8 +5,11 @@
     there is no hidden global state, so experiments replay exactly from
     their seeds. *)
 
-type t
-(** A random stream. Mutable: drawing advances the state. *)
+type t = Lfg.t
+(** A random stream: the lagged-Fibonacci generator itself. Mutable:
+    drawing advances the state. The representation is exposed so that
+    a hot loop can draw without a call (see "Draws for a hot loop");
+    everything else draws through the functions below. *)
 
 val create : seed:int -> t
 (** [create ~seed] makes a fresh stream. Equal seeds give equal streams. *)
@@ -38,7 +41,8 @@ val seed_of_string : string -> int
 
 val int : t -> int -> int
 (** [int t n] is uniform on [\[0, n)]. Unbiased (rejection sampling):
-    [int t n = bounded t n ~limit:(rejection_limit n)].
+    it draws raw outputs until one is below [rejection_limit n], and
+    returns that one [mod n].
     @raise Invalid_argument if [n <= 0] or [n > Lfg.modulus]. *)
 
 val int_in : t -> int -> int -> int
@@ -68,28 +72,21 @@ val geometric_skip : t -> float -> int
 (** {1 Draws for a hot loop}
 
     A loop that draws from one range many times computes the rejection
-    limit once and calls {!bounded}, which draws exactly what {!int}
-    draws without its per-call division. A uniform float is built in
-    the caller from two {!raw} draws, as {!float} builds it: under the
-    dev profile's [-opaque], a float returned across a module boundary
-    is boxed, one allocation per draw. *)
+    limit once, and draws with its own inline copy of {!Lfg.next}'s
+    step on the exposed {!t} (the invariant it keeps is {!Lfg.t}'s):
+    under the dev profile's [-opaque], every call into this module or
+    {!Lfg} is an indirect call, and a float returned across a module
+    boundary is boxed. [Gb_anneal.Sa_bisect]'s plateau is that loop.
+    Its copy must draw what {!int} and {!float} draw: a proposal's
+    vertex is raw outputs until one is below [rejection_limit n], that
+    one [mod n], and an uphill proposal's uniform is
+    [(float hi +. float lo *. 0x1p-30) *. 0x1p-30] for two consecutive
+    raw outputs [hi], then [lo], which is [float t 1.0] bit for bit. *)
 
 val rejection_limit : int -> int
 (** [rejection_limit n] is the largest multiple of [n] not above
     [Lfg.modulus]: {!int} redraws every raw value at or above it.
     @raise Invalid_argument if [n <= 0] or [n > Lfg.modulus]. *)
-
-val bounded : t -> int -> limit:int -> int
-(** [bounded t n ~limit:(rejection_limit n)] is [int t n]: the same
-    value from the same raw draws, leaving the stream at the same
-    position. Any other [limit] is unchecked and gives no uniform
-    variate. *)
-
-val raw : t -> int
-(** The stream's next raw 30-bit output, uniform on
-    [\[0, Lfg.modulus)]: one draw of the lagged-Fibonacci core.
-    [float t 1.0] is [(float hi +. float lo *. 0x1p-30) *. 0x1p-30]
-    for two consecutive raw draws [hi], then [lo]. *)
 
 (** {1 Collections} *)
 

@@ -90,6 +90,15 @@ let planted_tests =
           let sides = Planted.planted_sides params in
           check_int "cut = bis" 17 (Bisection.compute_cut g sides)
         done);
+    case "cross edges are exactly bis past 65,536 vertices" (fun () ->
+        (* n = 32,769, so n^2 passes 2^30, the largest bound Rng.int
+           takes: the cross pairs are drawn endpoint by endpoint. *)
+        let params = Planted.params_for_average_degree ~two_n:65_538 ~avg_degree:3. ~bis:500 in
+        let g = Planted.generate (Helpers.rng ~seed:5 ()) params in
+        Helpers.check_graph_ok g;
+        check_int "n" 65_538 (Graph.n_vertices g);
+        check_bool "unit weights: no pair drawn twice" true (Graph.is_unit_weighted g);
+        check_int "cut = bis" 500 (Bisection.compute_cut g (Planted.planted_sides params)));
     case "bis=0 disconnects the halves" (fun () ->
         let params = Planted.{ two_n = 100; p_a = 0.2; p_b = 0.2; bis = 0 } in
         let g = Planted.generate (Helpers.rng ()) params in
@@ -418,7 +427,7 @@ let every_model_tests =
               | g -> Digest.to_hex (Digest.string (Gbisect.Graph_io.to_edge_list_string g))
               | exception Failure msg -> "Failure: " ^ msg
             in
-            Alcotest.(check string) label expected (Printf.sprintf "%s %d" outcome (Rng.raw rng)))
+            Alcotest.(check string) label expected (Printf.sprintf "%s %d" outcome (Gbisect.Lfg.next rng)))
           pinned_draws);
   ]
 

@@ -2,6 +2,7 @@
 
 module Lfg = Gbisect.Lfg
 module Rng = Gbisect.Rng
+module Sa_bisect = Gbisect.Sa_bisect
 
 let case = Helpers.case
 let check_int = Helpers.check_int
@@ -23,6 +24,25 @@ let lfg_tests =
           if Lfg.next a = Lfg.next b then incr same
         done;
         check_bool "streams differ" true (!same < 10));
+    case "seeds differing only above bit 30 diverge" (fun () ->
+        (* The whole seed is scrambled, not its low 30 bits. *)
+        List.iter
+          (fun (seed, high, first, first_high) ->
+            let a = Lfg.create ~seed and b = Lfg.create ~seed:(seed + high) in
+            let label = Printf.sprintf "seed %d vs %d" seed (seed + high) in
+            check_int (label ^ ": first draw") first (Lfg.next a);
+            check_int (label ^ ": first draw, high bits set") first_high (Lfg.next b);
+            let same = ref 0 in
+            for _ = 1 to 1000 do
+              if Lfg.next a = Lfg.next b then incr same
+            done;
+            check_bool (label ^ ": streams differ") true (!same < 10))
+          [
+            (1, 1 lsl 30, 851_099_727, 484_874_023);
+            (0, 1 lsl 30, 500_652_899, 991_478_526);
+            (12345, 1 lsl 45, 507_416_443, 828_187_129);
+            (7, 1 lsl 61, 99_005_855, 631_861_017);
+          ]);
     case "outputs stay in range" (fun () ->
         let g = Lfg.create ~seed:77 in
         for _ = 1 to 10_000 do
@@ -97,7 +117,7 @@ let int_tests =
         in
         List.iter
           (fun n ->
-            (* Rng.create wraps the Lfg of the same seed, and
+            (* Rng.create is the Lfg of the same seed, and
                [Rng.int r modulus] is one raw draw *)
             let b = Lfg.create ~seed:(n land 0xffff) in
             let r = Rng.create ~seed:(n land 0xffff) in
@@ -108,22 +128,31 @@ let int_tests =
               (Rng.int r Lfg.modulus))
           bounds);
     case "hoisted draws match int and float" (fun () ->
-        (* What a hot loop draws: [bounded] with the limit computed once
-           is [int] draw for draw, and two raw draws make [float r 1.0]
-           bit for bit. *)
+        (* What the annealing plateau draws, through its inline copies
+           of the generator's step: [Sa_bisect.bounded] with the limit
+           computed once is [Rng.int] draw for draw (at [half + 1]
+           about half of all raw draws are rejected), [Sa_bisect.lfg_next]
+           is [Lfg.next], and two of its draws, [hi] then [lo], make
+           [Rng.float r 1.0] bit for bit. Each stream runs through many
+           wraps of the 100-slot lag buffer. *)
         List.iter
           (fun n ->
             let a = Rng.create ~seed:(n land 0xffff) and b = Rng.create ~seed:(n land 0xffff) in
             let limit = Rng.rejection_limit n in
             for i = 1 to 2000 do
-              check_int (Printf.sprintf "n=%d draw %d" n i) (Rng.int a n) (Rng.bounded b n ~limit)
+              check_int (Printf.sprintf "n=%d draw %d" n i) (Rng.int a n)
+                (Sa_bisect.bounded b n ~limit)
             done;
-            check_int (Printf.sprintf "n=%d stream position" n) (Rng.raw a) (Rng.raw b))
+            check_int (Printf.sprintf "n=%d stream position" n) (Lfg.next a)
+              (Sa_bisect.lfg_next b))
           bounds;
         let a = Helpers.rng () and b = Helpers.rng () in
+        for i = 1 to 1000 do
+          check_int (Printf.sprintf "raw draw %d" i) (Lfg.next a) (Sa_bisect.lfg_next b)
+        done;
         for i = 1 to 100_000 do
-          let hi = Rng.raw b in
-          let lo = Rng.raw b in
+          let hi = Sa_bisect.lfg_next b in
+          let lo = Sa_bisect.lfg_next b in
           let u = (float_of_int hi +. (float_of_int lo *. 0x1p-30)) *. 0x1p-30 in
           let f = Rng.float a 1.0 in
           if not (Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float u)) then
